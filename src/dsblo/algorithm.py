@@ -20,11 +20,11 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .diagnostics import eval_F_exact
+from .diagnostics import check_windows, eval_F_exact
 from .errors import DegenerateActiveSet, DsbloError, ScheduleInfeasible
 from .implicit_grad import implicit_gradient, sampled_implicit_gradient
-from .lower_level import sample_perturbation, solve_ll_oracle, solve_ll_quadratic
-from .problem import ProblemOracle, QuadraticBilevel, fingerprint
+from .lower_level import sample_perturbation
+from .problem import Problem
 
 
 @dataclass(frozen=True)
@@ -167,46 +167,52 @@ class RunLog:
     timings: dict = field(default_factory=dict)
     truncated: bool = False
     diagnostics_report: Optional[str] = None
+    windows: Optional[dict] = None  # result of diagnostics.check_windows
 
 
-Problem = Union[QuadraticBilevel, ProblemOracle]
 ProgressFn = Callable[[IterateRecord], None]
 CancelFn = Callable[[], bool]
 
 
-class _LLTimer:
+class _Stopwatch:
+    """Seconds spent inside the calls made through ``call``."""
+
     def __init__(self):
         self.total = 0.0
 
-    def solve(self, problem: Problem, x, q, ll_tol):
+    def call(self, fn, *args):
         t0 = time.monotonic()
         try:
-            if isinstance(problem, QuadraticBilevel):
-                return solve_ll_quadratic(problem, x, q)
-            return solve_ll_oracle(problem, x, q, ll_tol)
+            return fn(*args)
         finally:
             self.total += time.monotonic() - t0
 
 
-def _gradient_sample(problem: Problem, x_pt: np.ndarray, params: DsbloParams,
-                     q_rng, xi_rng, timer: _LLTimer, d_l: int):
+def _timings(t_start: float, ll: _Stopwatch, diag: _Stopwatch) -> dict:
+    total = time.monotonic() - t_start
+    return {"total_s": total, "ll_solve_s": ll.total, "diagnostics_s": diag.total,
+            "outer_s": total - ll.total - diag.total}
+
+
+def _gradient_sample(problem: Problem, x_pt: np.ndarray, q_rng, xi_rng,
+                     ll: _Stopwatch, radius: float, ll_tol: float,
+                     option: str = "deterministic", batch_size: int = 1):
     """One perturbed implicit-gradient evaluation; degenerate active sets
     trigger a fresh perturbation draw, up to 5 retries."""
     last = None
     for _ in range(5):
-        q = sample_perturbation(params.perturb_radius, q_rng, d_l)
+        q = sample_perturbation(radius, q_rng, problem.d_l)
         try:
-            sol = timer.solve(problem, x_pt, q, params.ll_tol)
-            if params.option == "sampled":
-                n_comp = problem.n_components
+            sol = ll.call(problem.solve_ll, x_pt, q, ll_tol)
+            if option == "sampled":
                 grads = []
-                for _ in range(params.batch_size):
-                    xi = int(xi_rng.integers(n_comp))
+                for _ in range(batch_size):
+                    xi = int(xi_rng.integers(problem.n_components))
                     grads.append(sampled_implicit_gradient(problem, x_pt, sol, xi).grad)
                 g = np.mean(grads, axis=0)
             else:
                 g = implicit_gradient(problem, x_pt, sol).grad
-            return q, sol, g
+            return q, g
         except DegenerateActiveSet as exc:
             last = exc
     raise DsbloError(
@@ -214,15 +220,11 @@ def _gradient_sample(problem: Problem, x_pt: np.ndarray, params: DsbloParams,
     ) from last
 
 
-def _maybe_F(problem: Problem, x, t, T, eval_every, timer: _LLTimer):
-    if not eval_every or not isinstance(problem, QuadraticBilevel):
-        return None
-    if (t - 1) % eval_every == 0 or t == T:
-        t0 = time.monotonic()
-        try:
-            return eval_F_exact(problem, x)
-        finally:
-            timer.total += time.monotonic() - t0
+def _maybe_F(problem: Problem, x, t, T, eval_every, diag: _Stopwatch):
+    """Exact F at the scheduled iterations, for problems that expose the
+    upper objective ``eval_f``."""
+    if eval_every and hasattr(problem, "eval_f") and ((t - 1) % eval_every == 0 or t == T):
+        return diag.call(eval_F_exact, problem, x)
     return None
 
 
@@ -232,9 +234,11 @@ def run_dsblo(problem: Problem, params: DsbloParams, x0=None,
               eval_every: int = 1) -> RunLog:
     """Run the doubly stochastic loop for T iterations and log every iterate.
 
-    The segment-displacement bound sum_j eta_j ||m_j|| <= K/gamma1 over any
-    trailing window, and the resulting ||x_{t-K} - x_bar_i|| <= delta_bar
-    containment, are asserted on the fly for every window.
+    After the loop, ``diagnostics.check_windows`` checks over the records
+    that every trailing window keeps its step budget
+    sum_j eta_j ||m_j|| <= K/gamma1 and the resulting containment
+    ||x_{t-K} - x_bar_i|| <= delta_bar; a violation raises
+    ``WindowViolation``, and the result is kept in ``RunLog.windows``.
     """
     if params.option not in ("deterministic", "sampled"):
         raise ValueError(f"unknown option {params.option!r}")
@@ -242,78 +246,53 @@ def run_dsblo(problem: Problem, params: DsbloParams, x0=None,
     if params.T <= sched.K:
         raise ScheduleInfeasible(f"T={params.T} must exceed K={sched.K}")
 
-    d_u = problem.constraints.d_u if isinstance(problem, ProblemOracle) else problem.d_u
-    d_l = problem.constraints.d_l
-    x = np.zeros(d_u) if x0 is None else np.asarray(x0, dtype=float).copy()
-
+    x = np.zeros(problem.d_u) if x0 is None else np.asarray(x0, dtype=float).copy()
     q_rng, seg_rng, xi_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(params.seed).spawn(3)
     )
-    timer = _LLTimer()
+    ll, diag = _Stopwatch(), _Stopwatch()
     t_start = time.monotonic()
-    fp = fingerprint(problem) if isinstance(problem, QuadraticBilevel) else "oracle"
     log = RunLog(
         algorithm="dsblo",
         params={**asdict(params), "mode": asdict(params.mode),
                 "mode_kind": type(params.mode).__name__},
         schedule=sched,
-        instance_fingerprint=fp,
+        instance_fingerprint=problem.fingerprint,
     )
 
-    q, _sol, g = _gradient_sample(problem, x, params, q_rng, xi_rng, timer, d_l)
-    m = g
-    xs = [x.copy()]
-    xbars = [x.copy()]
-    qnorms = [q.norm]
-    grads = [g]
-    step_budget: List[float] = []  # eta_t * ||m_t|| per iteration
+    def sample(x_pt):
+        return _gradient_sample(problem, x_pt, q_rng, xi_rng, ll, params.perturb_radius,
+                                params.ll_tol, params.option, params.batch_size)
 
+    q, g = sample(x)
+    m = g
+    x_bar = x.copy()
     for t in range(1, params.T + 1):
         eta = step_size(m, sched.gamma1, sched.gamma2)
-        m_norm = float(np.linalg.norm(m))
         rec = IterateRecord(
-            t=t, x=xs[t - 1], x_bar=xbars[t - 1], q_norm=qnorms[t - 1],
-            eta=eta, m_norm=m_norm, grad=grads[t - 1],
-            F_exact=_maybe_F(problem, xs[t - 1], t, params.T, eval_every, timer),
+            t=t, x=x, x_bar=x_bar, q_norm=q.norm,
+            eta=eta, m_norm=float(np.linalg.norm(m)), grad=g,
+            F_exact=_maybe_F(problem, x, t, params.T, eval_every, diag),
             wall_time=time.monotonic() - t_start,
         )
         log.records.append(rec)
         if progress is not None:
             progress(rec)
-        step_budget.append(eta * m_norm)
-
-        if t > sched.K:
-            anchor = t - sched.K
-            window = step_budget[anchor - 1:t - 1]
-            assert sum(window) <= sched.K / sched.gamma1 * (1 + 1e-9), \
-                "window step budget exceeded K/gamma1"
-            x_anchor = xs[anchor - 1]
-            for i in range(anchor + 1, t + 1):
-                assert np.linalg.norm(x_anchor - xbars[i - 1]) <= sched.delta_bar * (1 + 1e-9), \
-                    "window displacement exceeded delta_bar"
-
         if t == params.T:
             break
         if cancel is not None and cancel():
             log.truncated = True
             break
 
-        x_next = xs[t - 1] - eta * m
+        x_next = x - eta * m
         lam = float(seg_rng.random())
-        x_bar = xs[t - 1] + lam * (x_next - xs[t - 1])
-        q, _sol, g = _gradient_sample(problem, x_bar, params, q_rng, xi_rng, timer, d_l)
+        x_bar = x + lam * (x_next - x)
+        q, g = sample(x_bar)
         m = sched.beta * m + (1.0 - sched.beta) * g
-        xs.append(x_next)
-        xbars.append(x_bar)
-        qnorms.append(q.norm)
-        grads.append(g)
+        x = x_next
 
-    total = time.monotonic() - t_start
-    log.timings = {
-        "total_s": total,
-        "ll_solve_s": timer.total,
-        "outer_s": total - timer.total,
-    }
+    log.windows = check_windows(log)
+    log.timings = _timings(t_start, ll, diag)
     return log
 
 
@@ -328,34 +307,26 @@ def run_igd_baseline(problem: Problem, step: float, T: int, ll_tol: float = 1e-8
         raise ValueError("step must be nonnegative")
     if T < 1:
         raise ValueError("T must be at least 1")
-    d_u = problem.constraints.d_u if isinstance(problem, ProblemOracle) else problem.d_u
-    d_l = problem.constraints.d_l
-    x = np.zeros(d_u) if x0 is None else np.asarray(x0, dtype=float).copy()
-
-    params = DsbloParams(
-        T=T, mode=ManualMode(beta=0.5, gamma1=1.0, gamma2=1.0, K=1, delta_y=ll_tol),
-        perturb_radius=perturb_radius, ll_tol=ll_tol, seed=seed,
-    )
+    x = np.zeros(problem.d_u) if x0 is None else np.asarray(x0, dtype=float).copy()
     q_rng, _seg, xi_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
     )
-    timer = _LLTimer()
+    ll, diag = _Stopwatch(), _Stopwatch()
     t_start = time.monotonic()
-    fp = fingerprint(problem) if isinstance(problem, QuadraticBilevel) else "oracle"
     log = RunLog(
         algorithm="igd",
         params={"step": step, "T": T, "ll_tol": ll_tol, "seed": seed,
                 "perturb_radius": perturb_radius},
         schedule=None,
-        instance_fingerprint=fp,
+        instance_fingerprint=problem.fingerprint,
     )
 
     for t in range(1, T + 1):
-        q, _sol, g = _gradient_sample(problem, x, params, q_rng, xi_rng, timer, d_l)
+        q, g = _gradient_sample(problem, x, q_rng, xi_rng, ll, perturb_radius, ll_tol)
         rec = IterateRecord(
             t=t, x=x.copy(), x_bar=x.copy(), q_norm=q.norm,
             eta=step, m_norm=float(np.linalg.norm(g)), grad=g,
-            F_exact=_maybe_F(problem, x, t, T, eval_every, timer),
+            F_exact=_maybe_F(problem, x, t, T, eval_every, diag),
             wall_time=time.monotonic() - t_start,
         )
         log.records.append(rec)
@@ -368,10 +339,5 @@ def run_igd_baseline(problem: Problem, step: float, T: int, ll_tol: float = 1e-8
             break
         x = x - step * g
 
-    total = time.monotonic() - t_start
-    log.timings = {
-        "total_s": total,
-        "ll_solve_s": timer.total,
-        "outer_s": total - timer.total,
-    }
+    log.timings = _timings(t_start, ll, diag)
     return log

@@ -10,7 +10,7 @@ import sys
 from . import verify as verify_mod
 from .errors import ConfigError, DsbloError, GeneratorError
 from .experiment import load_config, run_experiment
-from .problem import fingerprint, generate_instance, load_instance, save_instance
+from .problem import generate_instance, load_instance, save_instance
 
 
 def _cmd_generate(args) -> int:
@@ -23,7 +23,7 @@ def _cmd_generate(args) -> int:
         return 1
     save_instance(inst, args.output)
     print(f"wrote {args.output}")
-    print(f"fingerprint: {fingerprint(inst)}")
+    print(f"fingerprint: {inst.fingerprint}")
     return 0
 
 
@@ -75,7 +75,7 @@ def _cmd_inspect(args) -> int:
         print(f"error: cannot read instance: {exc}", file=sys.stderr)
         return 1
     poly = inst.constraints
-    print(f"fingerprint:   {fingerprint(inst)}")
+    print(f"fingerprint:   {inst.fingerprint}")
     print(f"dimensions:    d_u={inst.d_u} d_l={inst.d_l}")
     print(f"constraints:   {poly.k} rows ({poly.n_random_rows} random, "
           f"{poly.k - poly.n_random_rows} box)")

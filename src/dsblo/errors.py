@@ -9,11 +9,6 @@ class Infeasible(DsbloError):
     """The lower-level constraint set is empty at the queried upper-level point."""
 
 
-class Unbounded(DsbloError):
-    """Lower-level problem unbounded below. Cannot happen for an SPD Hessian;
-    raised only as an internal-error guard."""
-
-
 class MaxPivots(DsbloError):
     """Active-set QP exceeded its pivot budget (cycling guard tripped)."""
 
@@ -39,6 +34,12 @@ class NotSPD(DsbloError):
 class ScheduleInfeasible(DsbloError):
     """Theory-mode parameter formulas are undefined for the requested target;
     the message names the violated inequality."""
+
+
+class WindowViolation(DsbloError):
+    """A K-window of the outer loop broke its invariant: the step budget
+    sum eta ||m|| exceeded K/gamma1, or a sampled point left the radius
+    delta_bar ball around the window anchor."""
 
 
 class WindowIncomplete(DsbloError):

@@ -1,9 +1,7 @@
 """Experiment orchestration: config loading, per-run CSV logs, a combined
-objective-vs-time SVG, and fan-out of (algorithm, seed) runs over a bounded
-worker pool.
+objective-vs-time SVG, and the (algorithm, seed) runs, one after another.
 
-Environment overrides (kept deliberately narrow): DSBLO_OUT_DIR replaces the
-configured output directory, DSBLO_WORKERS the worker count.
+Environment override: DSBLO_OUT_DIR replaces the configured output directory.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ import math
 import os
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
@@ -24,7 +21,7 @@ from .algorithm import (DsbloParams, ManualMode, RunLog, TheoryMode,
                         run_dsblo, run_igd_baseline)
 from .diagnostics import build_report, stationarity_profile
 from .errors import ConfigError
-from .problem import QuadraticBilevel, fingerprint, generate_instance, load_instance
+from .problem import QuadraticBilevel, generate_instance, load_instance
 
 CSV_HEADER = "t,wall_time_s,F,eta,m_norm,stationarity_norm,q_norm"
 
@@ -55,7 +52,6 @@ class ExperimentConfig:
     instance_path: Optional[str] = None
     formats: tuple = ("csv", "svg")
     eval_every: Optional[int] = None
-    workers: int = 1
     wall_clock_budget_s: Optional[float] = None
     progress_every: int = 0  # live per-iteration lines every N steps (0 = off)
 
@@ -118,7 +114,6 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
         instance_path=inst_path,
         formats=formats,
         eval_every=doc.get("eval_every"),
-        workers=int(doc.get("workers", 1)),
         wall_clock_budget_s=doc.get("wall_clock_budget_s"),
         progress_every=int(doc.get("progress_every", 0)),
     )
@@ -305,10 +300,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     recorded without stopping the other runs."""
     out_dir = Path(os.environ.get("DSBLO_OUT_DIR", cfg.output_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = int(os.environ.get("DSBLO_WORKERS", cfg.workers))
 
     inst = _resolve_instance(cfg)
-    fp = fingerprint(inst)
+    fp = inst.fingerprint
     eval_every = cfg.eval_every
     if eval_every is None:
         eval_every = 1 if inst.d_u < 25 else 5
@@ -322,25 +316,17 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                "runs": [], "failed": False}
     many_seeds = len(cfg.seeds) > 1
 
-    def worker(job):
-        spec, seed = job
-        live = None
-        if cfg.progress_every > 0 and workers == 1:
-            live = _live_printer(spec.label, seed, cfg.progress_every)
-        return _run_one(inst, spec, seed, eval_every, cancel, progress=live)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda j: _safe(worker, j), jobs))
-    else:
-        outcomes = [_safe(worker, j) for j in jobs]
-
     series = []
-    for (spec, seed), (log, err) in zip(jobs, outcomes):
+    for spec, seed in jobs:
         stem = f"{spec.label}_seed{seed}" if many_seeds else spec.label
         entry = {"label": spec.label, "seed": seed}
-        if err is not None:
-            entry.update(status="error", error=err)
+        live = None
+        if cfg.progress_every > 0:
+            live = _live_printer(spec.label, seed, cfg.progress_every)
+        try:
+            log = _run_one(inst, spec, seed, eval_every, cancel, progress=live)
+        except Exception:  # recorded in the summary; the other runs go on
+            entry.update(status="error", error=traceback.format_exc(limit=8))
             summary["failed"] = True
             summary["runs"].append(entry)
             continue
@@ -375,10 +361,3 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         summary["svg"] = str(svg_path)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=1) + "\n")
     return summary
-
-
-def _safe(fn, job):
-    try:
-        return fn(job), None
-    except Exception:
-        return None, traceback.format_exc(limit=8)

@@ -15,13 +15,13 @@ active rows are independent; both are checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateActiveSet, NotSPD
 from .lower_level import LLSolution, RANK_TOL, sc_margin
-from .problem import ProblemOracle, QuadraticBilevel
+from .problem import Problem
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,6 @@ class ImplicitGradient:
     jac_lambda: np.ndarray   # (n_active, d_u)
     used_approx: bool
     component: Optional[int] = None
-
-
-Problem = Union[QuadraticBilevel, ProblemOracle]
 
 
 def _hessians(problem: Problem, x: np.ndarray, y: np.ndarray):

@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
 from .errors import DegenerateActiveSet, Infeasible, MaxIter, MaxPivots, NotSPD
-from .problem import ProblemOracle, QuadraticBilevel
+
+if TYPE_CHECKING:  # problem.py imports this module
+    from .problem import ProblemOracle, QuadraticBilevel
 
 # Constraint i counts as active when its slack b_i - A_i y - B_i x falls to
 # this tolerance or below.
@@ -57,10 +59,6 @@ class Perturbation:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.q))
-
-
-def zero_perturbation(d_l: int, radius: float = 1.0) -> Perturbation:
-    return Perturbation(np.zeros(d_l), radius)
 
 
 def sample_perturbation(radius: float, rng: np.random.Generator, d_l: int) -> Perturbation:
@@ -423,10 +421,10 @@ def solve_ll_oracle(oracle: ProblemOracle, x: np.ndarray,
     ratio = L / mu
 
     y = project_polyhedron(np.zeros(d), A, u)
-    if __debug__:
-        hess = np.asarray(oracle.hess_yy_g(x, y), dtype=float)
-        lo = np.linalg.eigvalsh(0.5 * (hess + hess.T))[0]
-        assert lo >= mu - 1e-9, f"Hessian smallest eigenvalue {lo:.3e} < mu_g={mu}"
+    hess = np.asarray(oracle.hess_yy_g(x, y), dtype=float)
+    lo = np.linalg.eigvalsh(0.5 * (hess + hess.T))[0]
+    if lo < mu - 1e-9:
+        raise NotSPD(f"Hessian smallest eigenvalue {lo:.3e} < mu_g={mu}")
 
     cert = np.inf
     it = 0

@@ -1,6 +1,7 @@
-"""Bilevel problem model: coupled polyhedral constraints, the quadratic
-instance family used by the benchmark, an abstract oracle interface for
-non-quadratic lower levels, and instance generation / serialization.
+"""Bilevel problem model: coupled polyhedral constraints, the ``Problem``
+protocol the solver works against, the quadratic instance family used by the
+benchmark, a callback oracle for non-quadratic lower levels, and instance
+generation / serialization.
 
 The quadratic family is
 
@@ -16,10 +17,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, ClassVar, Optional, Protocol
 
 import numpy as np
 
+from . import lower_level
 from .errors import GeneratorError
 
 GENERATOR_VERSION = 1
@@ -85,9 +88,31 @@ def empty_polyhedron(d_l: int, d_u: int) -> Polyhedron:
     return Polyhedron(np.zeros((0, d_l)), np.zeros((0, d_u)), np.zeros(0))
 
 
+class Problem(Protocol):
+    """What the outer loop and the implicit gradient use of a bilevel
+    problem; ``QuadraticBilevel`` and ``ProblemOracle`` both provide it.
+    ``solve_ll(x, q, tol)`` is a certified solve of the lower level perturbed
+    by q at x, with ||y* - y_hat|| <= tol where the solve is inexact."""
+
+    constraints: Polyhedron
+    n_components: int
+
+    @property
+    def d_u(self) -> int: ...
+    @property
+    def d_l(self) -> int: ...
+    @property
+    def fingerprint(self) -> str: ...
+    def solve_ll(self, x: np.ndarray, q, tol: float) -> "lower_level.LLSolution": ...
+    def grad_f(self, x: np.ndarray, y: np.ndarray) -> tuple: ...
+    def sampled_grad_f(self, x: np.ndarray, y: np.ndarray, xi: int) -> tuple: ...
+    def hess_yy_g(self, x: np.ndarray, y: np.ndarray) -> np.ndarray: ...
+    def jac_xy_g(self, x: np.ndarray, y: np.ndarray) -> np.ndarray: ...
+
+
 @dataclass(frozen=True)
 class QuadraticBilevel:
-    """Concrete quadratic instance; immutable and safe to share across workers.
+    """Concrete quadratic instance; immutable, every array read-only.
 
     ``cx`` and ``cy`` hold the per-component linear terms, one row per
     component; the full-batch objective averages them. With a single
@@ -130,6 +155,15 @@ class QuadraticBilevel:
     @property
     def n_components(self) -> int:
         return self.cx.shape[0]
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """``fingerprint(self)``, computed once: the instance cannot change."""
+        return fingerprint(self)
+
+    def solve_ll(self, x: np.ndarray, q, tol: float) -> "lower_level.LLSolution":
+        """Exact active-set solve; ``tol`` is unused (KKT is certified to 1e-10)."""
+        return lower_level.solve_ll_quadratic(self, x, q)
 
     # -- upper level -------------------------------------------------------
 
@@ -186,7 +220,7 @@ class ProblemOracle:
 
     ``hess_yy_g`` must be symmetric positive definite with smallest
     eigenvalue >= mu_g wherever it is queried; the projected-gradient solver
-    checks this when assertions are enabled.
+    checks this at its starting point and raises ``NotSPD`` otherwise.
     """
 
     grad_f: Callable[[np.ndarray, np.ndarray], tuple]
@@ -198,6 +232,20 @@ class ProblemOracle:
     lip_grad_y: float
     sampled_grad_f: Optional[Callable[[np.ndarray, np.ndarray, int], tuple]] = None
     n_components: int = 1
+
+    @property
+    def d_u(self) -> int:
+        return self.constraints.d_u
+
+    @property
+    def d_l(self) -> int:
+        return self.constraints.d_l
+
+    fingerprint: ClassVar[str] = "oracle"  # callbacks have no content to hash
+
+    def solve_ll(self, x: np.ndarray, q, tol: float) -> "lower_level.LLSolution":
+        """Projected-gradient solve certified to ||y* - y_hat|| <= tol."""
+        return lower_level.solve_ll_oracle(self, x, q, tol)
 
 
 def oracle_from_quadratic(inst: QuadraticBilevel) -> ProblemOracle:

@@ -22,9 +22,8 @@ import numpy as np
 
 from .algorithm import (DsbloParams, ManualMode, TheoryMode, run_dsblo,
                         run_igd_baseline, schedule)
-from .diagnostics import (check_window_displacement, fd_gradient_oracle,
-                          perturbation_error_check, stationarity_profile,
-                          window_weights)
+from .diagnostics import (fd_gradient_oracle, perturbation_error_check,
+                          stationarity_profile, window_weights)
 from .errors import Infeasible
 from .experiment import config_from_dict, run_experiment
 from .implicit_grad import implicit_gradient, sampled_implicit_gradient
@@ -311,8 +310,7 @@ def check_window_invariant() -> CheckResult:
             T=300, mode=ManualMode(beta=0.9, gamma1=20.0, gamma2=20.0, K=10, delta_y=1e-8),
             perturb_radius=1e-3, seed=3,
         )
-        log = run_dsblo(inst, params, eval_every=0)
-        disp = check_window_displacement(log)
+        disp = run_dsblo(inst, params, eval_every=0).windows
         sums_ok = all(
             abs(window_weights(b, k).sum() - 1.0) <= 1e-12
             for b, k in [(0.9, 10), (0.99, 40), (0.5, 2), (0.999, 100)]
@@ -452,7 +450,7 @@ def check_determinism() -> CheckResult:
             "formats": ["csv"],
             "eval_every": 1,
         }
-        saved = {k: os.environ.pop(k, None) for k in ("DSBLO_OUT_DIR", "DSBLO_WORKERS")}
+        saved = os.environ.pop("DSBLO_OUT_DIR", None)
         try:
             with tempfile.TemporaryDirectory() as tmp:
                 outs = []
@@ -469,9 +467,8 @@ def check_determinism() -> CheckResult:
                         return False, f"CSV mismatch: {p0.name}"
                 n = len(outs[0])
         finally:
-            for k, v in saved.items():
-                if v is not None:
-                    os.environ[k] = v
+            if saved is not None:
+                os.environ["DSBLO_OUT_DIR"] = saved
         return True, f"{n} CSVs byte-identical with the wall-time column masked"
 
     return _timed("determinism", body)

@@ -1,14 +1,18 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dsblo
 import dsblo.algorithm as algo
 from dsblo.algorithm import (DsbloParams, ManualMode, TheoryMode, run_dsblo,
                              run_igd_baseline, schedule, step_size)
-from dsblo.diagnostics import check_window_displacement
+from dsblo.diagnostics import check_windows
 from dsblo.errors import DsbloError, ScheduleInfeasible
 from dsblo.problem import generate_instance
 from dsblo.verify import schedule_recompute_mp
@@ -159,7 +163,8 @@ class TestRunDsblo:
             seed=4,
         )
         log = run_dsblo(inst, params, eval_every=0)
-        disp = check_window_displacement(log)
+        disp = log.windows
+        assert disp == check_windows(log)
         assert disp["violations"] == 0
         assert disp["checked"] > 0
         assert disp["max_ratio"] <= 1.0 + 1e-9
@@ -236,10 +241,46 @@ class TestRunDsblo:
             T=30, mode=ManualMode(beta=0.9, gamma1=5.0, gamma2=20.0, K=5, delta_y=1e-8),
             seed=9,
         )
-        log = run_dsblo(inst, params, eval_every=1)
-        t = log.timings
-        assert t["ll_solve_s"] >= 0 and t["outer_s"] >= 0
-        assert t["total_s"] == pytest.approx(t["ll_solve_s"] + t["outer_s"], abs=1e-6)
+        for eval_every in (0, 1):
+            t = run_dsblo(inst, params, eval_every=eval_every).timings
+            assert t["ll_solve_s"] > 0 and t["outer_s"] >= 0
+            assert (t["diagnostics_s"] > 0) == (eval_every == 1)
+            parts = t["ll_solve_s"] + t["diagnostics_s"] + t["outer_s"]
+            assert t["total_s"] == pytest.approx(parts, abs=1e-6)
+
+    def test_invariants_survive_optimize_flag(self):
+        # under python -O a Hessian below mu_g and an oversized step must
+        # still raise their typed errors
+        script = """
+import sys
+import numpy as np
+import dsblo.algorithm as algo
+from dsblo.errors import NotSPD, WindowViolation
+from dsblo.lower_level import solve_ll_oracle
+from dsblo.problem import ProblemOracle, empty_polyhedron, generate_instance
+
+print("optimize", sys.flags.optimize)
+weak = ProblemOracle(
+    grad_f=lambda x, y: (np.zeros(1), np.zeros(2)), grad_y_g=lambda x, y: y,
+    hess_yy_g=lambda x, y: np.eye(2), jac_xy_g=lambda x, y: np.zeros((2, 1)),
+    constraints=empty_polyhedron(2, 1), mu_g=2.0, lip_grad_y=2.0)
+try:
+    solve_ll_oracle(weak, np.zeros(1), None, tol_delta=1e-6)
+except NotSPD:
+    print("NotSPD")
+algo.step_size = lambda m, gamma1, gamma2: 2.0 / (gamma1 * np.linalg.norm(m))
+params = algo.DsbloParams(
+    T=30, mode=algo.ManualMode(beta=0.9, gamma1=10.0, gamma2=30.0, K=5, delta_y=1e-8))
+try:
+    algo.run_dsblo(generate_instance(6, 6, 3, seed=1), params, eval_every=0)
+except WindowViolation:
+    print("WindowViolation")
+"""
+        src = str(Path(dsblo.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                             text=True, timeout=120, env={"PYTHONPATH": src})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split("\n")[:3] == ["optimize 1", "NotSPD", "WindowViolation"]
 
 
 class TestIgdBaseline:

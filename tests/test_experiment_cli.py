@@ -1,8 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import dsblo.algorithm as algo
+import dsblo.problem as problem_mod
 import dsblo.verify as verify_mod
 from dsblo.cli import main
 from dsblo.errors import ConfigError
@@ -97,16 +100,31 @@ class TestRunExperiment:
         assert by_label["dsblo"]["status"] == "ok"
         assert by_label["igd"]["status"] == "error"
 
-    def test_worker_pool_matches_serial(self, tmp_path):
-        doc = tiny_config(tmp_path, seeds=[1, 2])
-        s1 = run_experiment(config_from_dict({**doc, "output_dir": str(tmp_path / "a"),
-                                              "workers": 1}))
-        s2 = run_experiment(config_from_dict({**doc, "output_dir": str(tmp_path / "b"),
-                                              "workers": 4}))
-        for f in ("dsblo_seed1.csv", "igd_seed2.csv"):
-            a = (Path(s1["output_dir"]) / f).read_text().splitlines()
-            b = (Path(s2["output_dir"]) / f).read_text().splitlines()
-            assert [l.split(",")[2:] for l in a] == [l.split(",")[2:] for l in b]
+    def test_window_violation_recorded_in_summary(self, tmp_path, monkeypatch):
+        # an oversized step breaks the window step budget of the dsblo run only
+        monkeypatch.setattr(algo, "step_size",
+                            lambda m, gamma1, gamma2: 2.0 / (gamma1 * np.linalg.norm(m)))
+        summary = run_experiment(config_from_dict(tiny_config(tmp_path)))
+        doc = json.loads((Path(summary["output_dir"]) / "summary.json").read_text())
+        by_label = {r["label"]: r for r in doc["runs"]}
+        assert doc["failed"]
+        assert by_label["dsblo"]["status"] == "error"
+        assert "dsblo.errors.WindowViolation" in by_label["dsblo"]["error"]
+        assert by_label["igd"]["status"] == "ok"
+
+    def test_one_fingerprint_per_experiment(self, tmp_path, monkeypatch):
+        calls = []
+        orig = problem_mod.fingerprint
+
+        def counting(inst):
+            calls.append(inst)
+            return orig(inst)
+
+        monkeypatch.setattr(problem_mod, "fingerprint", counting)
+        summary = run_experiment(config_from_dict(tiny_config(tmp_path)))
+        assert [r["status"] for r in summary["runs"]] == ["ok", "ok"]
+        assert len(calls) == 1
+        assert summary["instance_fingerprint"] == orig(calls[0])
 
     def test_env_overrides(self, tmp_path, monkeypatch):
         other = tmp_path / "env_out"
