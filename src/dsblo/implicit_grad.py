@@ -1,87 +1,118 @@
-"""Closed-form implicit gradients through the lower-level KKT system.
+"""Implicit gradients through the lower-level KKT system.
 
 With H = hess_yy g, M = jac_xy g and (Abar, Bbar) the active constraint
 rows, the solution-map Jacobians solve
 
     H @ jac_y + M + Abar' @ jac_lambda = 0
-    Abar @ jac_y + Bbar = 0
+    Abar @ jac_y + Bbar = 0.
 
-giving  jac_lambda = -(Abar H^-1 Abar')^-1 (Abar H^-1 M - Bbar)  and
-``jac_y = H^-1 (-M - Abar' jac_lambda)``. The upper-level gradient then
-chains through jac_y. Valid where strict complementarity holds and the
-active rows are independent; both are checked.
+The outer loop needs only grad_x f + jac_y' grad_y f. The KKT matrix is
+symmetric, so one adjoint solve with right-hand side (grad_y f, 0) gives
+it without forming jac_y (the QP-layer backward pass of Amos & Kolter,
+2017):
+
+    w = S^-1 Abar H^-1 grad_y f,   S = Abar H^-1 Abar'
+    v = H^-1 (grad_y f - Abar' w)
+    grad = grad_x f - M' v - Bbar' w.
+
+``jacobians`` forms jac_y and jac_lambda; it is the reference the tests and
+``verify`` check against. Both need strict complementarity and independent
+active rows, and check both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DegenerateActiveSet, NotSPD
-from .lower_level import LLSolution, RANK_TOL, sc_margin
+from .lower_level import LLSolution, RANK_TOL, check_rank, sc_margin
 from .problem import Problem
 
 
 @dataclass(frozen=True)
 class ImplicitGradient:
-    """Gradient of the perturbed implicit objective at one point, with the
-    intermediate solution-map Jacobians kept for diagnostics."""
+    """Gradient of the perturbed implicit objective at one point;
+    ``component`` names the sampled component(s), None for the full batch."""
 
     grad: np.ndarray
-    jac_y: np.ndarray        # (d_l, d_u)
-    jac_lambda: np.ndarray   # (n_active, d_u)
     used_approx: bool
-    component: Optional[int] = None
+    component: Optional[Union[int, tuple]] = None
 
 
-def _hessians(problem: Problem, x: np.ndarray, y: np.ndarray):
+def _hessian_solver(problem: Problem, x: np.ndarray, y: np.ndarray):
+    """H^-1 application for H = hess_yy g at (x, y), once H is checked SPD:
+    a division where the problem states a diagonal Hessian, a dense solve
+    after a Cholesky check otherwise."""
+    diag = problem.hess_yy_diag
+    if diag is not None:
+        if np.any(diag <= 0):
+            raise NotSPD("hess_yy_g has a nonpositive diagonal entry")
+        return lambda Z: Z / diag if Z.ndim == 1 else Z / diag[:, None]
     H = np.asarray(problem.hess_yy_g(x, y), dtype=float)
-    M = np.asarray(problem.jac_xy_g(x, y), dtype=float)
-    return H, M
-
-
-def jacobians(problem: Problem, x: np.ndarray, sol: LLSolution):
-    """Solution-map Jacobians (jac_y, jac_lambda) at a certified LL solve.
-
-    Requires a strictly complementary solution with independent active rows;
-    raises ``DegenerateActiveSet`` otherwise and ``NotSPD`` if the Hessian
-    factorization fails.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(sol.y_hat, dtype=float)
-    H, M = _hessians(problem, x, y)
-    d_l, d_u = M.shape
-
     try:
         np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:
         raise NotSPD("hess_yy_g is not positive definite") from exc
+    return lambda Z: np.linalg.solve(H, Z)
 
-    active = list(sol.active_set)
-    if not active:
-        return -np.linalg.solve(H, M), np.zeros((0, d_u))
 
+def _active_rows(problem: Problem, sol: LLSolution):
+    """(Abar, Bbar) of a solve with a nonempty active set, after checking
+    strict complementarity and the rank of the active rows (reusing the
+    solver's rank check where it made one)."""
     margin = sc_margin(sol)
     if not margin > 0.0:
         raise DegenerateActiveSet(
             f"strict complementarity fails (smallest active multiplier {margin:.2e})"
         )
+    active = list(sol.active_set)
     poly = problem.constraints
     Abar = poly.A[active]
-    Bbar = poly.B[active]
-    smin = np.linalg.svd(Abar, compute_uv=False)[-1]
+    smin = check_rank(Abar) if sol.rank_smin is None else sol.rank_smin
     if smin < RANK_TOL:
         raise DegenerateActiveSet(
             f"active rows nearly rank deficient (smallest singular value {smin:.2e})"
         )
+    return Abar, poly.B[active]
 
-    Hinv_M = np.linalg.solve(H, M)
-    Hinv_At = np.linalg.solve(H, Abar.T)
-    S = Abar @ Hinv_At
+
+def _adjoint(problem: Problem, x: np.ndarray, sol: LLSolution, gx, gy) -> np.ndarray:
+    """gx + jac_y' gy from one reduced KKT solve (see the module docstring)."""
+    y = np.asarray(sol.y_hat, dtype=float)
+    hsolve = _hessian_solver(problem, x, y)
+    M = np.asarray(problem.jac_xy_g(x, y), dtype=float)
+    gx = np.asarray(gx, dtype=float)
+    gy = np.asarray(gy, dtype=float)
+    if not sol.active_set:
+        return gx - M.T @ hsolve(gy)
+    Abar, Bbar = _active_rows(problem, sol)
+    Z = hsolve(np.column_stack([gy, Abar.T]))
+    Hinv_gy, Hinv_At = Z[:, 0], Z[:, 1:]
     try:
-        jac_lambda = -np.linalg.solve(S, Abar @ Hinv_M - Bbar)
+        w = np.linalg.solve(Abar @ Hinv_At, Abar @ Hinv_gy)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateActiveSet("singular reduced KKT system") from exc
+    v = Hinv_gy - Hinv_At @ w
+    return gx - M.T @ v - Bbar.T @ w
+
+
+def jacobians(problem: Problem, x: np.ndarray, sol: LLSolution):
+    """Solution-map Jacobians (jac_y, jac_lambda) at a certified LL solve,
+    the dense reference for the adjoint gradient; same checks and errors."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(sol.y_hat, dtype=float)
+    hsolve = _hessian_solver(problem, x, y)
+    M = np.asarray(problem.jac_xy_g(x, y), dtype=float)
+    if not sol.active_set:
+        return -hsolve(M), np.zeros((0, M.shape[1]))
+    Abar, Bbar = _active_rows(problem, sol)
+    Hinv_M = hsolve(M)
+    Hinv_At = hsolve(Abar.T)
+    try:
+        jac_lambda = -np.linalg.solve(Abar @ Hinv_At, Abar @ Hinv_M - Bbar)
     except np.linalg.LinAlgError as exc:
         raise DegenerateActiveSet("singular reduced KKT system") from exc
     jac_y = -Hinv_M - Hinv_At @ jac_lambda
@@ -91,29 +122,35 @@ def jacobians(problem: Problem, x: np.ndarray, sol: LLSolution):
 def implicit_gradient(problem: Problem, x: np.ndarray, sol: LLSolution) -> ImplicitGradient:
     """Full-batch implicit gradient grad_x f + jac_y' grad_y f at (x, y_hat)."""
     x = np.asarray(x, dtype=float)
-    jac_y, jac_lambda = jacobians(problem, x, sol)
     gx, gy = problem.grad_f(x, np.asarray(sol.y_hat))
     return ImplicitGradient(
-        grad=np.asarray(gx, dtype=float) + jac_y.T @ np.asarray(gy, dtype=float),
-        jac_y=jac_y,
-        jac_lambda=jac_lambda,
+        grad=_adjoint(problem, x, sol, gx, gy),
         used_approx=sol.method != "active_set",
     )
 
 
 def sampled_implicit_gradient(problem: Problem, x: np.ndarray, sol: LLSolution,
-                              xi: int) -> ImplicitGradient:
-    """Single-component implicit gradient; averaging over all components
-    recovers ``implicit_gradient`` exactly (finite sum)."""
+                              xi: Union[int, Sequence[int]]) -> ImplicitGradient:
+    """Implicit gradient of component ``xi``; averaging over all components
+    recovers ``implicit_gradient`` exactly (finite sum).
+
+    A sequence ``xi`` gives the mean over its components from one adjoint
+    solve: the gradient is linear in (grad_x f, grad_y f), so those are
+    averaged first.
+    """
     x = np.asarray(x, dtype=float)
     if problem.sampled_grad_f is None:
         raise ValueError("problem provides no sampled gradient")
-    jac_y, jac_lambda = jacobians(problem, x, sol)
-    gx, gy = problem.sampled_grad_f(x, np.asarray(sol.y_hat), xi)
+    y = np.asarray(sol.y_hat)
+    if np.ndim(xi) == 0:
+        gx, gy = problem.sampled_grad_f(x, y, xi)
+    else:
+        xi = tuple(int(i) for i in xi)
+        parts = [problem.sampled_grad_f(x, y, i) for i in xi]
+        gx = np.mean([p[0] for p in parts], axis=0)
+        gy = np.mean([p[1] for p in parts], axis=0)
     return ImplicitGradient(
-        grad=np.asarray(gx, dtype=float) + jac_y.T @ np.asarray(gy, dtype=float),
-        jac_y=jac_y,
-        jac_lambda=jac_lambda,
+        grad=_adjoint(problem, x, sol, gx, gy),
         used_approx=sol.method != "active_set",
         component=xi,
     )

@@ -89,7 +89,10 @@ class LLSolution:
 
     ``lam`` is the full k-vector of multipliers (zeros off the active set);
     ``active_set`` lists the rows whose slack is within ``TAU_ACT``;
-    ``delta_cert`` is a certified upper bound on ||y* - y_hat||.
+    ``delta_cert`` is a certified upper bound on ||y* - y_hat||;
+    ``rank_smin`` is the smallest singular value of the active rows as the
+    solver checked it (+inf when none is active), or None where the solver
+    made no rank check.
     """
 
     y_hat: np.ndarray
@@ -100,6 +103,7 @@ class LLSolution:
     delta_cert: float
     method: str = "active_set"
     stats: dict = field(default_factory=dict)
+    rank_smin: Optional[float] = None
 
 
 def sc_margin(sol: LLSolution) -> float:
@@ -119,9 +123,11 @@ def _tight_rows(slacks: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.flatnonzero(slacks <= TAU_ACT))
 
 
-def _check_rank(A_act: np.ndarray):
+def check_rank(A_act: np.ndarray) -> float:
+    """Smallest singular value of the active rows (+inf when there are none);
+    raises ``DegenerateActiveSet`` when they are nearly dependent."""
     if A_act.shape[0] == 0:
-        return
+        return float("inf")
     if A_act.shape[0] > A_act.shape[1]:
         raise DegenerateActiveSet(
             f"{A_act.shape[0]} active rows in dimension {A_act.shape[1]}"
@@ -131,6 +137,7 @@ def _check_rank(A_act: np.ndarray):
         raise DegenerateActiveSet(
             f"active rows nearly rank deficient (smallest singular value {smin:.2e})"
         )
+    return float(smin)
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +148,8 @@ def _check_rank(A_act: np.ndarray):
 def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
              max_pivots: Optional[int] = None) -> LLSolution:
     """Minimize 0.5 y'Hy + c'y subject to A y <= u for SPD H.
+
+    A 1-D ``H`` is the diagonal of a diagonal Hessian, applied elementwise.
 
     Dual active-set iteration: starts from the unconstrained minimum and
     incorporates violated constraints one at a time, dropping working rows
@@ -156,22 +165,28 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     d = H.shape[0]
     k = A.shape[0]
 
-    diag = np.diagonal(H)
-    is_diag = np.count_nonzero(H - np.diag(diag)) == 0
-    if is_diag:
-        if np.any(diag <= 0):
+    if H.ndim == 1:
+        if np.any(H <= 0):
             raise NotSPD("nonpositive diagonal Hessian entry")
+        mu = float(np.min(H))
 
         def hsolve(M):
-            return M / diag if M.ndim == 1 else M / diag[:, None]
+            return M / H if M.ndim == 1 else M / H[:, None]
+
+        def hmul(v):
+            return H * v
     else:
         try:
             np.linalg.cholesky(H)
         except np.linalg.LinAlgError as exc:
             raise NotSPD("Hessian factorization failed") from exc
+        mu = float(np.linalg.eigvalsh(H)[0])
 
         def hsolve(M):
             return np.linalg.solve(H, M)
+
+        def hmul(v):
+            return H @ v
 
     if max_pivots is None:
         max_pivots = 100 + 50 * (k + d)
@@ -181,7 +196,7 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     lam_w = np.zeros(0)
     y = hsolve(-c)
     pivots = 0
-    obj_trace = [float(0.5 * y @ (H @ y) + c @ y)]
+    obj_trace = [float(0.5 * y @ hmul(y) + c @ y)]
     repairs = 0
 
     while True:
@@ -276,7 +291,7 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
                 break
             work.pop(j_drop)
             lam_w = np.delete(lam_w, j_drop)
-        obj_trace.append(float(0.5 * y @ (H @ y) + c @ y))
+        obj_trace.append(float(0.5 * y @ hmul(y) + c @ y))
 
     slack = u - A @ y if k else np.zeros(0)
     active = _tight_rows(slack)
@@ -284,13 +299,12 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     if work:
         lam[work] = np.maximum(lam_w, 0.0)
     A_act = A[list(active)] if active else np.zeros((0, d))
-    _check_rank(A_act)
-    kkt = float(np.linalg.norm(H @ y + c + (A_act.T @ lam[list(active)] if active else 0.0)))
+    smin = check_rank(A_act)
+    kkt = float(np.linalg.norm(hmul(y) + c + (A_act.T @ lam[list(active)] if active else 0.0)))
     max_viol = float(np.max(-slack)) if k else float("-inf")
     lam.flags.writeable = False
     yv = y.copy()
     yv.flags.writeable = False
-    mu = float(np.min(diag)) if is_diag else float(np.linalg.eigvalsh(H)[0])
     return LLSolution(
         y_hat=yv,
         lam=lam,
@@ -300,6 +314,7 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
         delta_cert=kkt / mu,
         method="active_set",
         stats={"pivots": pivots, "objective_trace": obj_trace, "repairs": repairs},
+        rank_smin=smin,
     )
 
 
@@ -309,9 +324,8 @@ def solve_ll_quadratic(inst: QuadraticBilevel, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     poly = inst.constraints
     qv = _qvec(q, inst.d_l)
-    H = 2.0 * np.eye(inst.d_l)
     c = inst.Q2.T @ x + qv
-    return solve_qp(H, c, poly.A, poly.rhs(x))
+    return solve_qp(inst.hess_yy_diag, c, poly.A, poly.rhs(x))
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +409,7 @@ def project_polyhedron(z: np.ndarray, A: np.ndarray, u: np.ndarray) -> np.ndarra
     """Euclidean projection onto {y : A y <= u} (a strictly convex QP)."""
     if A.shape[0] == 0:
         return np.asarray(z, dtype=float).copy()
-    sol = solve_qp(np.eye(len(z)), -np.asarray(z, dtype=float), A, u)
+    sol = solve_qp(np.ones(len(z)), -np.asarray(z, dtype=float), A, u)
     return np.asarray(sol.y_hat)
 
 
@@ -447,11 +461,12 @@ def solve_ll_oracle(oracle: ProblemOracle, x: np.ndarray,
     lam = np.zeros(poly.k)
     if active:
         A_act = A[list(active)]
-        _check_rank(A_act)
+        smin = check_rank(A_act)
         fit, *_ = np.linalg.lstsq(A_act.T, -grad, rcond=None)
         lam[list(active)] = np.maximum(fit, 0.0)
         kkt = float(np.linalg.norm(grad + A_act.T @ lam[list(active)]))
     else:
+        smin = float("inf")
         kkt = float(np.linalg.norm(grad))
         # interior iterate: the gradient itself need not vanish, only the
         # projected step; keep the certificate as the accuracy statement
@@ -467,4 +482,5 @@ def solve_ll_oracle(oracle: ProblemOracle, x: np.ndarray,
         delta_cert=cert,
         method="projected_gradient",
         stats={"iterations": it},
+        rank_smin=smin,
     )

@@ -92,10 +92,13 @@ class Problem(Protocol):
     """What the outer loop and the implicit gradient use of a bilevel
     problem; ``QuadraticBilevel`` and ``ProblemOracle`` both provide it.
     ``solve_ll(x, q, tol)`` is a certified solve of the lower level perturbed
-    by q at x, with ||y* - y_hat|| <= tol where the solve is inexact."""
+    by q at x, with ||y* - y_hat|| <= tol where the solve is inexact.
+    ``hess_yy_diag`` is the diagonal of a constant diagonal ``hess_yy_g``,
+    or None when the Hessian is a general matrix."""
 
     constraints: Polyhedron
     n_components: int
+    hess_yy_diag: Optional[np.ndarray]
 
     @property
     def d_u(self) -> int: ...
@@ -198,9 +201,14 @@ class QuadraticBilevel:
     def hess_yy_g(self, x=None, y=None) -> np.ndarray:
         return 2.0 * np.eye(self.d_l)
 
+    @cached_property
+    def hess_yy_diag(self) -> np.ndarray:
+        """The diagonal of ``hess_yy_g``, constant 2."""
+        return _freeze(np.full(self.d_l, 2.0))
+
     def jac_xy_g(self, x=None, y=None) -> np.ndarray:
-        """d(grad_y g)/dx, constant and equal to Q2'."""
-        return self.Q2.T.copy()
+        """d(grad_y g)/dx, constant and equal to Q2' (a read-only view)."""
+        return self.Q2.T
 
     @property
     def lip_grad_y(self) -> float:
@@ -242,6 +250,7 @@ class ProblemOracle:
         return self.constraints.d_l
 
     fingerprint: ClassVar[str] = "oracle"  # callbacks have no content to hash
+    hess_yy_diag: ClassVar[None] = None  # hess_yy_g is a general matrix
 
     def solve_ll(self, x: np.ndarray, q, tol: float) -> "lower_level.LLSolution":
         """Projected-gradient solve certified to ||y* - y_hat|| <= tol."""

@@ -26,7 +26,7 @@ from .diagnostics import (fd_gradient_oracle, perturbation_error_check,
                           stationarity_profile, window_weights)
 from .errors import Infeasible
 from .experiment import config_from_dict, run_experiment
-from .implicit_grad import implicit_gradient, sampled_implicit_gradient
+from .implicit_grad import implicit_gradient, jacobians, sampled_implicit_gradient
 from .lower_level import (sample_perturbation, sc_margin, solve_ll_bruteforce,
                           solve_ll_quadratic)
 from .problem import Polyhedron, QuadraticBilevel, eval_f, generate_instance
@@ -155,7 +155,8 @@ def check_implicit_fd(n_instances: int = 10, n_points: int = 10,
                 if sol.active_set:
                     Abar = inst.constraints.A[list(sol.active_set)]
                     Bbar = inst.constraints.B[list(sol.active_set)]
-                    worst_tan = max(worst_tan, float(np.linalg.norm(Abar @ ig.jac_y + Bbar)))
+                    jac_y, _ = jacobians(inst, x, sol)
+                    worst_tan = max(worst_tan, float(np.linalg.norm(Abar @ jac_y + Bbar)))
 
                 def F_q(xp):
                     return eval_f(inst, xp, solve_ll_quadratic(inst, xp, q).y_hat)

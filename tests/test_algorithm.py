@@ -180,6 +180,26 @@ class TestRunDsblo:
         assert len(a.records) == 60
         assert np.array_equal(a.records[-1].x, b.records[-1].x)
 
+    def test_sampled_batch_one_gradient_call(self, monkeypatch):
+        # a batch draws its components in order from the component stream and
+        # makes one gradient call on all of them
+        inst = generate_instance(4, 4, 2, seed=5, n_components=8)
+        calls = []
+        real = algo.sampled_implicit_gradient
+
+        def recording(problem, x, sol, xi):
+            calls.append(list(xi))
+            return real(problem, x, sol, xi)
+
+        monkeypatch.setattr(algo, "sampled_implicit_gradient", recording)
+        xi_rng = np.random.default_rng(3)
+        replay = np.random.default_rng(3)
+        expected = [int(replay.integers(8)) for _ in range(5)]
+        stopwatches = algo._Stopwatch(), algo._Stopwatch()
+        algo._gradient_sample(inst, np.zeros(4), np.random.default_rng(1), xi_rng,
+                              *stopwatches, 1e-3, 1e-8, "sampled", 5)
+        assert calls == [expected]
+
     def test_unknown_option_rejected(self):
         inst = shared_min_instance()
         with pytest.raises(ValueError):
@@ -243,9 +263,9 @@ class TestRunDsblo:
         )
         for eval_every in (0, 1):
             t = run_dsblo(inst, params, eval_every=eval_every).timings
-            assert t["ll_solve_s"] > 0 and t["outer_s"] >= 0
+            assert t["ll_solve_s"] > 0 and t["implicit_grad_s"] > 0 and t["outer_s"] >= 0
             assert (t["diagnostics_s"] > 0) == (eval_every == 1)
-            parts = t["ll_solve_s"] + t["diagnostics_s"] + t["outer_s"]
+            parts = t["ll_solve_s"] + t["implicit_grad_s"] + t["diagnostics_s"] + t["outer_s"]
             assert t["total_s"] == pytest.approx(parts, abs=1e-6)
 
     def test_invariants_survive_optimize_flag(self):

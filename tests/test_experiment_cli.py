@@ -236,8 +236,7 @@ class TestCli:
 
         def flipped(problem, x, sol):
             g = real(problem, x, sol)
-            return type(g)(grad=-g.grad, jac_y=g.jac_y, jac_lambda=g.jac_lambda,
-                           used_approx=g.used_approx, component=g.component)
+            return type(g)(grad=-g.grad, used_approx=g.used_approx, component=g.component)
 
         monkeypatch.setattr(verify_mod, "implicit_gradient", flipped)
         res = verify_mod.check_implicit_fd(n_instances=1, n_points=2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dsblo.diagnostics import fd_gradient_oracle
 from dsblo.errors import DegenerateActiveSet, NotSPD
@@ -15,6 +17,20 @@ from conftest import make_1d_instance
 def _constrained_1d():
     # g(x, y) = (y - x)^2, constraint y <= 0
     return make_1d_instance(q2=-2.0, A=[[1.0]], B=[[0.0]], b=[0.0])
+
+
+def _active_margin_point(inst, rng, min_active=1, scale=1.0, tries=200):
+    """(x, q, sol) at a margin point (see ``verify.margin_point``) with at
+    least ``min_active`` active rows, or None if ``tries`` draws find none."""
+    q = sample_perturbation(1e-3, rng, inst.d_l)
+    for _ in range(tries):
+        try:
+            x, sol = margin_point(inst, q, rng, scale=scale, max_tries=1)
+        except (RuntimeError, DegenerateActiveSet):
+            continue
+        if len(sol.active_set) >= min_active:
+            return x, q, sol
+    return None
 
 
 class TestJacobiansHandChecked:
@@ -104,6 +120,37 @@ class TestFiniteDifferenceAgreement:
         assert rel <= 1e-4
 
 
+class TestAdjointMatchesReference:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 8), st.integers(0, 10_000))
+    def test_matches_jacobian_product(self, d, k, seed):
+        inst = generate_instance(d, d, k, seed=seed)
+        found = _active_margin_point(inst, np.random.default_rng(seed))
+        assume(found is not None)
+        x, _q, sol = found
+        for problem in (inst, oracle_from_quadratic(inst)):
+            gx, gy = problem.grad_f(x, sol.y_hat)
+            ref = gx + jacobians(problem, x, sol)[0].T @ gy
+            g = implicit_gradient(problem, x, sol).grad
+            assert np.linalg.norm(g - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-9)
+
+    def test_directional_fd_with_many_active_rows(self):
+        # the benchmark-sized instance at a point where at least 20 rows bind
+        inst = generate_instance(200, 200, 40, seed=1)
+        rng = np.random.default_rng(200)
+        x, q, sol = _active_margin_point(inst, rng, min_active=20, scale=2.0)
+        g = implicit_gradient(inst, x, sol).grad
+        h = 1e-5
+        for _ in range(3):
+            u = rng.standard_normal(inst.d_u)
+            u /= np.linalg.norm(u)
+            sp = solve_ll_quadratic(inst, x + h * u, q)
+            sm = solve_ll_quadratic(inst, x - h * u, q)
+            assert sp.active_set == sol.active_set == sm.active_set
+            fd = (eval_f(inst, x + h * u, sp.y_hat) - eval_f(inst, x - h * u, sm.y_hat)) / (2 * h)
+            assert abs(fd - g @ u) <= 1e-6 * np.linalg.norm(g)
+
+
 class TestStructuralInvariants:
     def test_tangency(self):
         inst = generate_instance(8, 8, 5, seed=5)
@@ -183,6 +230,15 @@ class TestSampledGradient:
         var = per.var(axis=0).sum()
         assert np.isfinite(var) and var >= 0.0
 
+    def test_batch_is_mean_of_components(self):
+        inst = generate_instance(6, 6, 3, seed=21, n_components=8)
+        x, _q, sol = _active_margin_point(inst, np.random.default_rng(21))
+        xi = [3, 0, 3, 7, 5]
+        batch = sampled_implicit_gradient(inst, x, sol, xi)
+        per = np.mean([sampled_implicit_gradient(inst, x, sol, i).grad for i in xi], axis=0)
+        assert np.linalg.norm(batch.grad - per) <= 1e-12 * np.linalg.norm(per)
+        assert batch.component == tuple(xi)
+
 
 class TestErrors:
     def test_zero_margin_rejected(self):
@@ -191,6 +247,8 @@ class TestErrors:
         assert sol.active_set and sol.lam[0] == 0.0
         with pytest.raises(DegenerateActiveSet):
             jacobians(inst, np.zeros(2), sol)
+        with pytest.raises(DegenerateActiveSet):
+            implicit_gradient(inst, np.zeros(2), sol)
 
     def test_not_spd(self):
         inst = _constrained_1d()
@@ -204,5 +262,8 @@ class TestErrors:
             mu_g=2.0,
             lip_grad_y=2.0,
         )
+        # sol comes from a quadratic solve; the Hessian checked is the oracle's
         with pytest.raises(NotSPD):
             jacobians(bad, np.array([1.0]), sol)
+        with pytest.raises(NotSPD):
+            implicit_gradient(bad, np.array([1.0]), sol)

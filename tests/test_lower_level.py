@@ -79,6 +79,42 @@ class TestActiveSetQP:
         with pytest.raises(NotSPD):
             solve_qp(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2),
                      np.zeros((0, 2)), np.zeros(0))
+        with pytest.raises(NotSPD):
+            solve_qp(np.array([1.0, 0.0]), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 6), st.integers(0, 10_000), st.floats(0.1, 2.0))
+    def test_diagonal_matches_dense(self, d, k, seed, scale):
+        # a 1-D Hessian is its diagonal: same solve as the dense 2I matrix
+        inst = generate_instance(d, d, k, seed=seed)
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal(d)
+        c = inst.Q2.T @ x + sample_perturbation(1e-3, rng, d).q
+        A, u = inst.constraints.A, inst.constraints.rhs(x)
+        try:
+            dense = solve_qp(2.0 * np.eye(d), c, A, u)
+        except (Infeasible, DegenerateActiveSet) as exc:
+            with pytest.raises(type(exc)):
+                solve_qp(np.full(d, 2.0), c, A, u)
+            return
+        diag = solve_qp(np.full(d, 2.0), c, A, u)
+        assert diag.active_set == dense.active_set
+        assert np.linalg.norm(diag.y_hat - dense.y_hat) <= 1e-12 * max(1.0, np.linalg.norm(dense.y_hat))
+        assert np.linalg.norm(diag.lam - dense.lam) <= 1e-12 * max(1.0, np.linalg.norm(dense.lam))
+
+    def test_rank_recorded(self):
+        inst = generate_instance(6, 6, 4, seed=3)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            x = 2.0 * rng.standard_normal(6)
+            sol = solve_ll_quadratic(inst, x, None)
+            if sol.active_set:
+                A_act = inst.constraints.A[list(sol.active_set)]
+                smin = np.linalg.svd(A_act, compute_uv=False)[-1]
+                assert sol.rank_smin == pytest.approx(smin, rel=1e-12)
+            else:
+                assert sol.rank_smin == float("inf")
+        assert solve_ll_bruteforce(inst, x, None).rank_smin is None
 
     def test_degenerate_duplicate_rows(self):
         # two copies of y_1 <= 0, objective pushing onto that face
