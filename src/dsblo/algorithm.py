@@ -1,14 +1,14 @@
 """Doubly stochastic outer loop and the plain inexact implicit-gradient
-baseline.
+baseline, which share one loop body.
 
 One outer iteration: step x along the momentum direction with the
 norm-adaptive step 1/(gamma1*||m|| + gamma2), draw a uniform point on the
 traversed segment, re-perturb the lower level with a fresh q, solve it to
-certified accuracy, evaluate the (optionally sampled) implicit gradient
-there, and fold it into the momentum average. The q draws, the segment
-draws and the component draws each consume an independent RNG stream, so
-runs are reproducible and the three randomizations can be reasoned about
-separately.
+the scheduled accuracy delta_y, evaluate the (optionally sampled) implicit
+gradient there, and fold it into the momentum average. The q draws, the
+segment draws and the component draws each consume an independent RNG
+stream, so runs are reproducible and the three randomizations can be
+reasoned about separately.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class DsbloParams:
     delta_bar: Optional[float] = None
     perturb_radius: float = 1e-3
     option: str = "deterministic"  # "deterministic" (full batch) or "sampled"
-    ll_tol: float = 1e-8
     seed: int = 0
     batch_size: int = 1
 
@@ -188,16 +187,9 @@ class _Stopwatch:
             self.total += time.monotonic() - t0
 
 
-def _timings(t_start: float, ll: _Stopwatch, ig: _Stopwatch, diag: _Stopwatch) -> dict:
-    total = time.monotonic() - t_start
-    return {"total_s": total, "ll_solve_s": ll.total, "implicit_grad_s": ig.total,
-            "diagnostics_s": diag.total,
-            "outer_s": total - ll.total - ig.total - diag.total}
-
-
 def _gradient_sample(problem: Problem, x_pt: np.ndarray, q_rng, xi_rng,
-                     ll: _Stopwatch, ig: _Stopwatch, radius: float, ll_tol: float,
-                     option: str = "deterministic", batch_size: int = 1):
+                     ll: _Stopwatch, ig: _Stopwatch, radius: float, tol: float,
+                     option: str, batch_size: int):
     """One perturbed implicit-gradient evaluation; degenerate active sets
     trigger a fresh perturbation draw, up to 5 retries. The sampled option
     draws ``batch_size`` components and averages them in one gradient call."""
@@ -205,7 +197,7 @@ def _gradient_sample(problem: Problem, x_pt: np.ndarray, q_rng, xi_rng,
     for _ in range(5):
         q = sample_perturbation(radius, q_rng, problem.d_l)
         try:
-            sol = ll.call(problem.solve_ll, x_pt, q, ll_tol)
+            sol = ll.call(problem.solve_ll, x_pt, q, tol)
             if option == "sampled":
                 xi = [int(xi_rng.integers(problem.n_components)) for _ in range(batch_size)]
                 g = ig.call(sampled_implicit_gradient, problem, x_pt, sol, xi).grad
@@ -219,12 +211,64 @@ def _gradient_sample(problem: Problem, x_pt: np.ndarray, q_rng, xi_rng,
     ) from last
 
 
-def _maybe_F(problem: Problem, x, t, T, eval_every, diag: _Stopwatch):
-    """Exact F at the scheduled iterations, for problems that expose the
-    upper objective ``eval_f``."""
-    if eval_every and hasattr(problem, "eval_f") and ((t - 1) % eval_every == 0 or t == T):
-        return diag.call(eval_F_exact, problem, x)
-    return None
+def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
+                eta_of: Callable[[np.ndarray], float], beta: float, segment: bool,
+                radius: float, tol: float, option: str, batch_size: int,
+                progress: Optional[ProgressFn], cancel: Optional[CancelFn],
+                eval_every: int) -> RunLog:
+    """The loop both runs share. Iteration t logs x_t, steps
+    x_{t+1} = x_t - eta_of(m_t) m_t, samples the next gradient at a uniform
+    point of the step segment (``segment``) or at x_{t+1}, and folds it into
+    the momentum m with weight 1 - beta. The q, segment and component draws
+    use the three streams of ``SeedSequence(seed).spawn(3)``. Exact F is
+    logged every ``eval_every`` iterations and at T, for problems that
+    expose ``eval_f``. A run with a schedule checks its windows."""
+    x = np.zeros(problem.d_u) if x0 is None else np.asarray(x0, dtype=float).copy()
+    q_rng, seg_rng, xi_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
+    )
+    ll, ig, diag = _Stopwatch(), _Stopwatch(), _Stopwatch()
+    t_start = time.monotonic()
+
+    def sample(x_pt):
+        return _gradient_sample(problem, x_pt, q_rng, xi_rng, ll, ig, radius, tol,
+                                option, batch_size)
+
+    q, g = sample(x)
+    m = g
+    x_bar = x.copy()
+    for t in range(1, T + 1):
+        eta = eta_of(m)
+        F = None
+        if eval_every and hasattr(problem, "eval_f") and ((t - 1) % eval_every == 0 or t == T):
+            F = diag.call(eval_F_exact, problem, x)
+        rec = IterateRecord(
+            t=t, x=x, x_bar=x_bar, q_norm=q.norm, eta=eta, m_norm=float(np.linalg.norm(m)),
+            grad=g, F_exact=F, wall_time=time.monotonic() - t_start,
+        )
+        log.records.append(rec)
+        if progress is not None:
+            progress(rec)
+        if t == T:
+            break
+        if cancel is not None and cancel():
+            log.truncated = True
+            break
+
+        x_next = x - eta * m
+        x_bar = x + float(seg_rng.random()) * (x_next - x) if segment else x_next
+        q, g = sample(x_bar)
+        # beta = 0 keeps g itself: 0 * m would turn an overflowed m into NaN
+        m = beta * m + (1.0 - beta) * g if beta else g
+        x = x_next
+
+    if log.schedule is not None:
+        log.windows = check_windows(log)
+    total = time.monotonic() - t_start
+    log.timings = {"total_s": total, "ll_solve_s": ll.total, "implicit_grad_s": ig.total,
+                   "diagnostics_s": diag.total,
+                   "outer_s": total - ll.total - ig.total - diag.total}
+    return log
 
 
 def run_dsblo(problem: Problem, params: DsbloParams, x0=None,
@@ -232,6 +276,7 @@ def run_dsblo(problem: Problem, params: DsbloParams, x0=None,
               cancel: Optional[CancelFn] = None,
               eval_every: int = 1) -> RunLog:
     """Run the doubly stochastic loop for T iterations and log every iterate.
+    Every lower-level solve is made to the schedule's accuracy ``delta_y``.
 
     After the loop, ``diagnostics.check_windows`` checks over the records
     that every trailing window keeps its step budget
@@ -244,13 +289,6 @@ def run_dsblo(problem: Problem, params: DsbloParams, x0=None,
     sched = schedule(params)
     if params.T <= sched.K:
         raise ScheduleInfeasible(f"T={params.T} must exceed K={sched.K}")
-
-    x = np.zeros(problem.d_u) if x0 is None else np.asarray(x0, dtype=float).copy()
-    q_rng, seg_rng, xi_rng = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(params.seed).spawn(3)
-    )
-    ll, ig, diag = _Stopwatch(), _Stopwatch(), _Stopwatch()
-    t_start = time.monotonic()
     log = RunLog(
         algorithm="dsblo",
         params={**asdict(params), "mode": asdict(params.mode),
@@ -258,41 +296,10 @@ def run_dsblo(problem: Problem, params: DsbloParams, x0=None,
         schedule=sched,
         instance_fingerprint=problem.fingerprint,
     )
-
-    def sample(x_pt):
-        return _gradient_sample(problem, x_pt, q_rng, xi_rng, ll, ig, params.perturb_radius,
-                                params.ll_tol, params.option, params.batch_size)
-
-    q, g = sample(x)
-    m = g
-    x_bar = x.copy()
-    for t in range(1, params.T + 1):
-        eta = step_size(m, sched.gamma1, sched.gamma2)
-        rec = IterateRecord(
-            t=t, x=x, x_bar=x_bar, q_norm=q.norm,
-            eta=eta, m_norm=float(np.linalg.norm(m)), grad=g,
-            F_exact=_maybe_F(problem, x, t, params.T, eval_every, diag),
-            wall_time=time.monotonic() - t_start,
-        )
-        log.records.append(rec)
-        if progress is not None:
-            progress(rec)
-        if t == params.T:
-            break
-        if cancel is not None and cancel():
-            log.truncated = True
-            break
-
-        x_next = x - eta * m
-        lam = float(seg_rng.random())
-        x_bar = x + lam * (x_next - x)
-        q, g = sample(x_bar)
-        m = sched.beta * m + (1.0 - sched.beta) * g
-        x = x_next
-
-    log.windows = check_windows(log)
-    log.timings = _timings(t_start, ll, ig, diag)
-    return log
+    return _outer_loop(problem, log, params.T, params.seed, x0,
+                       lambda m: step_size(m, sched.gamma1, sched.gamma2), sched.beta, True,
+                       params.perturb_radius, sched.delta_y, params.option,
+                       params.batch_size, progress, cancel, eval_every)
 
 
 def run_igd_baseline(problem: Problem, step: float, T: int, ll_tol: float = 1e-8,
@@ -301,17 +308,13 @@ def run_igd_baseline(problem: Problem, step: float, T: int, ll_tol: float = 1e-8
                      cancel: Optional[CancelFn] = None,
                      eval_every: int = 1) -> RunLog:
     """Fixed-step implicit gradient descent with a fresh small perturbation
-    each iteration; the comparison baseline for the benchmark runs."""
+    each iteration; the comparison baseline for the benchmark runs. It is
+    the dsblo loop with eta = step, beta = 0 and the next gradient sampled
+    at x_{t+1} itself."""
     if step < 0:
         raise ValueError("step must be nonnegative")
     if T < 1:
         raise ValueError("T must be at least 1")
-    x = np.zeros(problem.d_u) if x0 is None else np.asarray(x0, dtype=float).copy()
-    q_rng, _seg, xi_rng = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
-    )
-    ll, ig, diag = _Stopwatch(), _Stopwatch(), _Stopwatch()
-    t_start = time.monotonic()
     log = RunLog(
         algorithm="igd",
         params={"step": step, "T": T, "ll_tol": ll_tol, "seed": seed,
@@ -319,24 +322,6 @@ def run_igd_baseline(problem: Problem, step: float, T: int, ll_tol: float = 1e-8
         schedule=None,
         instance_fingerprint=problem.fingerprint,
     )
-
-    for t in range(1, T + 1):
-        q, g = _gradient_sample(problem, x, q_rng, xi_rng, ll, ig, perturb_radius, ll_tol)
-        rec = IterateRecord(
-            t=t, x=x.copy(), x_bar=x.copy(), q_norm=q.norm,
-            eta=step, m_norm=float(np.linalg.norm(g)), grad=g,
-            F_exact=_maybe_F(problem, x, t, T, eval_every, diag),
-            wall_time=time.monotonic() - t_start,
-        )
-        log.records.append(rec)
-        if progress is not None:
-            progress(rec)
-        if t == T:
-            break
-        if cancel is not None and cancel():
-            log.truncated = True
-            break
-        x = x - step * g
-
-    log.timings = _timings(t_start, ll, ig, diag)
-    return log
+    return _outer_loop(problem, log, T, seed, x0, lambda m: step, 0.0, False,
+                       perturb_radius, ll_tol, "deterministic", 1,
+                       progress, cancel, eval_every)

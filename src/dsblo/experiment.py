@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -27,20 +28,12 @@ CSV_HEADER = "t,wall_time_s,F,eta,m_norm,stationarity_norm,q_norm"
 
 
 @dataclass
-class InstanceSpec:
-    d_u: int
-    d_l: int
-    k: int
-    seed: int
-    n_components: int = 1
-    box_radius: Optional[float] = 10.0
-
-
-@dataclass
 class AlgorithmSpec:
     name: str             # "dsblo" or "igd"
     label: str
-    settings: dict = field(default_factory=dict)
+    # dsblo: the run's DsbloParams, whose seed each run replaces;
+    # igd: the keyword arguments of run_igd_baseline except the seed
+    params: Union[DsbloParams, dict]
 
 
 @dataclass
@@ -48,7 +41,7 @@ class ExperimentConfig:
     algorithms: List[AlgorithmSpec]
     seeds: List[int]
     output_dir: str = "out"
-    instance: Optional[InstanceSpec] = None
+    instance: Optional[dict] = None  # generate_instance's keyword arguments
     instance_path: Optional[str] = None
     formats: tuple = ("csv", "svg")
     eval_every: Optional[int] = None
@@ -56,22 +49,74 @@ class ExperimentConfig:
     progress_every: int = 0  # live per-iteration lines every N steps (0 = off)
 
 
+_REQUIRED = object()
+
+
+def _number(doc: dict, key: str, where: str, default=_REQUIRED,
+            integer: bool = False, low: Optional[int] = None):
+    """``doc[key]`` checked as an int (``integer``) or a float, and against
+    ``low``; ``default`` when the key is absent or null."""
+    v = doc.get(key)
+    if v is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where}: missing {key}")
+        return default
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(v, bool) or not isinstance(v, kind) or (low is not None and v < low):
+        want = ("an integer" if integer else "a number") + ("" if low is None else f" >= {low}")
+        raise ConfigError(f"{where}: {key} must be {want}, got {v!r}")
+    return int(v) if integer else float(v)
+
+
+def _dsblo_params(doc: dict, where: str) -> DsbloParams:
+    """Flat manual constants, or ``"mode": {"kind": "theory", ...}`` with
+    top-level ``epsilon`` and ``delta_bar``."""
+    if "ll_tol" in doc:
+        raise ConfigError(f"{where}: ll_tol is an igd setting; dsblo solves the "
+                          "lower level to delta_y")
+    mode_doc = doc.get("mode")
+    if mode_doc is None:
+        mode = ManualMode(
+            beta=_number(doc, "beta", where), gamma1=_number(doc, "gamma1", where),
+            gamma2=_number(doc, "gamma2", where), K=_number(doc, "K", where, integer=True),
+            delta_y=_number(doc, "delta_y", where, 1e-8),
+        )
+    elif isinstance(mode_doc, dict) and mode_doc.get("kind") == "theory":
+        mode = TheoryMode(
+            delta_v=_number(mode_doc, "delta_v", where),
+            l_f_bar=_number(mode_doc, "l_f_bar", where),
+            lf_delta=_number(mode_doc, "lf_delta", where, None),
+        )
+    else:
+        raise ConfigError(f"{where}: unknown dsblo mode {mode_doc!r}")
+    return DsbloParams(
+        T=_number(doc, "T", where, integer=True, low=1), mode=mode,
+        epsilon=_number(doc, "epsilon", where, None),
+        delta_bar=_number(doc, "delta_bar", where, None),
+        perturb_radius=_number(doc, "perturb_radius", where, 1e-3),
+        option=doc.get("option", "deterministic"),
+        batch_size=_number(doc, "batch_size", where, 1, integer=True, low=1),
+    )
+
+
 def _parse_algorithm(doc: dict, idx: int) -> AlgorithmSpec:
-    if "name" not in doc:
-        raise ConfigError(f"algorithm #{idx} has no name")
-    name = doc["name"]
+    name = doc.get("name")
     if name not in ("dsblo", "igd"):
         raise ConfigError(f"algorithm #{idx}: unknown name {name!r}")
-    if "T" not in doc:
-        raise ConfigError(f"algorithm #{idx} ({name}): missing iteration count T")
-    if name == "igd" and "step" not in doc:
-        raise ConfigError(f"algorithm #{idx} (igd): missing step")
-    label = doc.get("label", name)
-    settings = {k: v for k, v in doc.items() if k not in ("name", "label")}
-    return AlgorithmSpec(name=name, label=label, settings=settings)
+    where = f"algorithm #{idx} ({name})"
+    if name == "dsblo":
+        params = _dsblo_params(doc, where)
+    else:
+        params = {"step": _number(doc, "step", where),
+                  "T": _number(doc, "T", where, integer=True, low=1),
+                  "ll_tol": _number(doc, "ll_tol", where, 1e-8),
+                  "perturb_radius": _number(doc, "perturb_radius", where, 1e-3)}
+    return AlgorithmSpec(name=name, label=doc.get("label", name), params=params)
 
 
 def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
+    """Parse and check a config document; malformed input raises
+    ``ConfigError`` here rather than failing the runs later."""
     algs = [_parse_algorithm(a, i) for i, a in enumerate(doc.get("algorithms", []))]
     if not algs:
         raise ConfigError("config lists no algorithms")
@@ -88,20 +133,24 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
             if not os.path.exists(inst_path):
                 raise ConfigError(f"instance file not found: {inst_path}")
         else:
-            try:
-                inst = InstanceSpec(
-                    d_u=int(d["d_u"]), d_l=int(d["d_l"]), k=int(d["k"]),
-                    seed=int(d["seed"]), n_components=int(d.get("n_components", 1)),
-                    box_radius=d.get("box_radius", 10.0),
-                )
-            except KeyError as exc:
-                raise ConfigError(f"instance spec is missing field {exc}") from exc
+            box = d.get("box_radius", 10.0)  # an explicit null means no box rows
+            inst = {
+                "d_u": _number(d, "d_u", "instance", integer=True, low=1),
+                "d_l": _number(d, "d_l", "instance", integer=True, low=1),
+                "k": _number(d, "k", "instance", integer=True, low=0),
+                "seed": _number(d, "seed", "instance", integer=True, low=0),
+                "n_components": _number(d, "n_components", "instance", 1, integer=True, low=1),
+                "box_radius": None if box is None else _number(d, "box_radius", "instance", 10.0),
+            }
+            if box is not None and box <= 0:
+                raise ConfigError(f"instance: box_radius must be positive, got {box!r}")
     else:
         raise ConfigError("config needs an 'instance' section (spec or path)")
 
-    seeds = [int(s) for s in doc.get("seeds", [0])]
-    if not seeds:
-        raise ConfigError("empty seed list")
+    seeds = doc.get("seeds", [0])
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError(f"seeds must be a nonempty list, got {seeds!r}")
+    seeds = [_number({"seed": s}, "seed", "seeds", integer=True, low=0) for s in seeds]
     formats = tuple(doc.get("formats", ["csv", "svg"]))
     for f in formats:
         if f not in ("csv", "svg"):
@@ -113,9 +162,9 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
         instance=inst,
         instance_path=inst_path,
         formats=formats,
-        eval_every=doc.get("eval_every"),
-        wall_clock_budget_s=doc.get("wall_clock_budget_s"),
-        progress_every=int(doc.get("progress_every", 0)),
+        eval_every=_number(doc, "eval_every", "config", None, integer=True, low=0),
+        wall_clock_budget_s=_number(doc, "wall_clock_budget_s", "config", None),
+        progress_every=_number(doc, "progress_every", "config", 0, integer=True, low=0),
     )
 
 
@@ -131,39 +180,7 @@ def load_config(path) -> ExperimentConfig:
 def _resolve_instance(cfg: ExperimentConfig) -> QuadraticBilevel:
     if cfg.instance_path:
         return load_instance(cfg.instance_path)
-    s = cfg.instance
-    return generate_instance(s.d_u, s.d_l, s.k, s.seed,
-                             n_components=s.n_components, box_radius=s.box_radius)
-
-
-def _build_dsblo_params(settings: dict, seed: int) -> DsbloParams:
-    mode_doc = settings.get("mode", "manual")
-    if mode_doc == "manual" or (isinstance(mode_doc, dict) and mode_doc.get("kind", "manual") == "manual"):
-        src = mode_doc if isinstance(mode_doc, dict) else settings
-        mode = ManualMode(
-            beta=float(src["beta"]), gamma1=float(src["gamma1"]),
-            gamma2=float(src["gamma2"]), K=int(src["K"]),
-            delta_y=float(src.get("delta_y", settings.get("ll_tol", 1e-8))),
-        )
-    elif mode_doc == "theory" or (isinstance(mode_doc, dict) and mode_doc.get("kind") == "theory"):
-        src = mode_doc if isinstance(mode_doc, dict) else settings
-        mode = TheoryMode(
-            delta_v=float(src["delta_v"]), l_f_bar=float(src["l_f_bar"]),
-            lf_delta=src.get("lf_delta"),
-        )
-    else:
-        raise ConfigError(f"unknown dsblo mode {mode_doc!r}")
-    return DsbloParams(
-        T=int(settings["T"]),
-        mode=mode,
-        epsilon=settings.get("epsilon"),
-        delta_bar=settings.get("delta_bar"),
-        perturb_radius=float(settings.get("perturb_radius", 1e-3)),
-        option=settings.get("option", "deterministic"),
-        ll_tol=float(settings.get("ll_tol", 1e-8)),
-        seed=seed,
-        batch_size=int(settings.get("batch_size", 1)),
-    )
+    return generate_instance(**cfg.instance)
 
 
 def _fmt(v) -> str:
@@ -270,17 +287,11 @@ def write_objective_svg(series: List[dict], path, title="objective vs wall time"
 def _run_one(inst: QuadraticBilevel, spec: AlgorithmSpec, seed: int,
              eval_every: int, cancel, progress=None) -> RunLog:
     if spec.name == "dsblo":
-        params = _build_dsblo_params(spec.settings, seed)
-        log = run_dsblo(inst, params, eval_every=eval_every, cancel=cancel,
-                        progress=progress)
+        log = run_dsblo(inst, replace(spec.params, seed=seed), eval_every=eval_every,
+                        cancel=cancel, progress=progress)
     else:
-        s = spec.settings
-        log = run_igd_baseline(
-            inst, step=float(s["step"]), T=int(s["T"]),
-            ll_tol=float(s.get("ll_tol", 1e-8)), seed=seed,
-            perturb_radius=float(s.get("perturb_radius", 1e-3)),
-            eval_every=eval_every, cancel=cancel, progress=progress,
-        )
+        log = run_igd_baseline(inst, **spec.params, seed=seed, eval_every=eval_every,
+                               cancel=cancel, progress=progress)
     log.diagnostics_report = build_report(log)
     return log
 

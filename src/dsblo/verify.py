@@ -10,6 +10,7 @@ the benchmark reproduction runs and end-to-end determinism.
 
 from __future__ import annotations
 
+import decimal
 import math
 import os
 import tempfile
@@ -245,23 +246,23 @@ def check_perturbation_error(n_instances: int = 3, n_points: int = 5,
 
 def schedule_recompute_mp(eps: float, dv: float, lf: float, db: float, dps: int = 60):
     """Recompute the theory-mode constants end to end in ``dps``-digit
-    arithmetic, rounding only the final values to float."""
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        e, v, l, d = mp.mpf(eps), mp.mpf(dv), mp.mpf(lf), mp.mpf(db)
+    decimal arithmetic, rounding only the final values to float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = dps
+        e, v, l, d = (decimal.Decimal(t) for t in (eps, dv, lf, db))
         spread = v + 2 * l
         u = e ** 2 / (960 * (v ** 2 + 2 * l ** 2))
         beta = 1 - u
-        k_real = mp.log(32 * spread / e) / (-mp.log(1 - u))
-        K = int(mp.ceil(k_real))
-        gamma1 = mp.mpf(K) / d
+        k_real = (32 * spread / e).ln() / -(1 - u).ln()
+        K = int(k_real.to_integral_value(rounding=decimal.ROUND_CEILING))
+        gamma1 = K / d
         gamma2 = 4 * gamma1 * spread
         delta_y = min(e ** 2 / (1280 * spread), 2 * e / 3, l)
+        nearest = k_real.to_integral_value(rounding=decimal.ROUND_HALF_EVEN)
         return {
             "beta": float(beta), "K": K, "gamma1": float(gamma1),
             "gamma2": float(gamma2), "delta_y": float(delta_y),
-            "k_gap": float(abs(k_real - mp.nint(k_real))),
+            "k_gap": float(abs(k_real - nearest)),
         }
 
 

@@ -12,8 +12,10 @@ import dsblo
 import dsblo.algorithm as algo
 from dsblo.algorithm import (DsbloParams, ManualMode, TheoryMode, run_dsblo,
                              run_igd_baseline, schedule, step_size)
-from dsblo.diagnostics import check_windows
+from dsblo.diagnostics import check_windows, eval_F_exact
 from dsblo.errors import DsbloError, ScheduleInfeasible
+from dsblo.implicit_grad import implicit_gradient
+from dsblo.lower_level import sample_perturbation
 from dsblo.problem import generate_instance
 from dsblo.verify import schedule_recompute_mp
 
@@ -248,12 +250,35 @@ class TestRunDsblo:
         oracle = oracle_from_quadratic(inst)
         params = DsbloParams(
             T=25, mode=ManualMode(beta=0.9, gamma1=5.0, gamma2=20.0, K=5, delta_y=1e-8),
-            ll_tol=1e-8, seed=12,
+            seed=12,
         )
         log_oracle = run_dsblo(oracle, params, eval_every=0)
         log_exact = run_dsblo(inst, params, eval_every=0)
         assert log_oracle.instance_fingerprint == "oracle"
         assert np.linalg.norm(log_oracle.records[-1].x - log_exact.records[-1].x) <= 1e-5
+
+    def test_theory_schedule_sets_ll_tolerance(self):
+        # every lower-level solve of a dsblo run is made to the schedule's delta_y
+        inst = generate_instance(4, 4, 2, seed=11)
+        tols = []
+
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(inst, name)
+
+            def solve_ll(self, x, q, tol):
+                tols.append(tol)
+                return inst.solve_ll(x, q, tol)
+
+        params = DsbloParams(T=10**9, mode=TheoryMode(delta_v=0.0, l_f_bar=5.0),
+                             epsilon=1.0, delta_bar=0.5, seed=11)
+        delta_y = schedule(params).delta_y
+        assert delta_y == pytest.approx(1.0 / 12_800.0)
+        seen = []
+        log = run_dsblo(Recording(), params, eval_every=0, progress=seen.append,
+                        cancel=lambda: len(seen) >= 4)
+        assert log.truncated and len(log.records) == 4
+        assert len(tols) == 4 and all(t == delta_y for t in tols)
 
     def test_timings_split(self):
         inst = generate_instance(4, 4, 2, seed=9)
@@ -324,3 +349,19 @@ class TestIgdBaseline:
     def test_rejects_negative_step(self, seed1_instance):
         with pytest.raises(ValueError):
             run_igd_baseline(seed1_instance, step=-0.1, T=10)
+
+    def test_matches_reference_loop(self, seed1_instance):
+        # igd is x_{t+1} = x_t - step g_t with every q drawn from stream 0
+        inst, step, seed = seed1_instance, 0.05, 3
+        log = run_igd_baseline(inst, step=step, T=50, ll_tol=1e-7, seed=seed, eval_every=1)
+        q_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[0])
+        x = np.zeros(inst.d_u)
+        assert len(log.records) == 50
+        for t, rec in enumerate(log.records, start=1):
+            q = sample_perturbation(1e-3, q_rng, inst.d_l)
+            g = implicit_gradient(inst, x, inst.solve_ll(x, q, 1e-7)).grad
+            assert rec.t == t and rec.eta == step and rec.q_norm == q.norm
+            assert np.array_equal(rec.x, x) and np.array_equal(rec.x_bar, x)
+            assert np.array_equal(rec.grad, g) and rec.m_norm == float(np.linalg.norm(g))
+            assert rec.F_exact == eval_F_exact(inst, x)
+            x = x - step * g

@@ -94,12 +94,12 @@ class TestStationarityWindow:
         assert w.weights == pytest.approx([1.0])
 
     def test_weights_formula(self):
-        import mpmath as mp
+        from fractions import Fraction
         log = self._log_with_grads([[1.0], [2.0], [3.0]])
         w = stationarity_window(log, t=3, beta=0.9, K=3)
-        with mp.workdps(40):
-            scale = mp.mpf("0.1") / (1 - mp.mpf("0.9") ** 3)
-            expected = [float(mp.mpf("0.9") ** p * scale) for p in (2, 1, 0)]
+        beta = Fraction(9, 10)
+        scale = (1 - beta) / (1 - beta ** 3)
+        expected = [float(beta ** p * scale) for p in (2, 1, 0)]
         assert w.weights == pytest.approx(expected, rel=1e-14)
         assert w.combined[0] == pytest.approx(
             expected[0] * 1 + expected[1] * 2 + expected[2] * 3, rel=1e-12)

@@ -66,6 +66,48 @@ class TestConfig:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(p)
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc["algorithms"][0].pop("beta"), "missing beta"),
+        (lambda doc: doc.update(eval_every="5"), "eval_every must be an integer"),
+        (lambda doc: doc.update(seeds="12"), "seeds must be a nonempty list"),
+        (lambda doc: doc.update(seeds=3), "seeds must be a nonempty list"),
+        (lambda doc: doc["instance"].update(k=-1), "k must be an integer >= 0"),
+        (lambda doc: doc["algorithms"][0].update(mode="manual"), "unknown dsblo mode"),
+        (lambda doc: doc["algorithms"][0].update(ll_tol=1e-6), "ll_tol is an igd setting"),
+    ], ids=["dsblo-without-beta", "eval-every-string", "seeds-string", "seeds-int",
+            "instance-k-negative", "mode-string", "dsblo-ll-tol"])
+    def test_rejected_at_load(self, tmp_path, capsys, edit, match):
+        doc = tiny_config(tmp_path)
+        edit(doc)
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(doc)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_theory_mode(self, tmp_path):
+        doc = tiny_config(tmp_path, wall_clock_budget_s=0.0)
+        doc["algorithms"][0] = {"name": "dsblo", "label": "dsblo", "T": 10**9,
+                                "mode": {"kind": "theory", "delta_v": 0.0, "l_f_bar": 5.0},
+                                "epsilon": 1.0, "delta_bar": 0.5}
+        params = config_from_dict(doc).algorithms[0].params
+        assert params.mode == algo.TheoryMode(delta_v=0.0, l_f_bar=5.0)
+        assert (params.epsilon, params.delta_bar, params.T) == (1.0, 0.5, 10**9)
+        summary = run_experiment(config_from_dict(doc))
+        assert [r["status"] for r in summary["runs"]] == ["ok", "ok"]
+        meta = json.loads((Path(summary["output_dir"]) / "dsblo.runlog.json").read_text())
+        assert meta["params"]["mode_kind"] == "TheoryMode" and meta["truncated"]
+
+    def test_readme_config_parses(self, tmp_path):
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = text.split("### Experiment config", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = config_from_dict(json.loads(block), base_dir=tmp_path)
+        assert [a.name for a in cfg.algorithms] == ["dsblo", "igd"]
+        assert cfg.seeds == [1, 2, 3]
+
 
 class TestRunExperiment:
     def test_outputs(self, tmp_path):
