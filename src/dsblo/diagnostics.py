@@ -24,18 +24,32 @@ def eval_F_exact(inst: QuadraticBilevel, x: np.ndarray) -> float:
     return eval_f(inst, x, sol.y_hat)
 
 
+def _mc_solves(inst: QuadraticBilevel, x: np.ndarray, radius: float,
+               n_samples: int, rng: np.random.Generator):
+    """The Monte-Carlo loop of the perturbation-smoothed objective: yields
+    n_samples exact lower-level solves at x, each under a fresh ball-uniform
+    perturbation drawn from rng in stream order."""
+    for _ in range(n_samples):
+        yield solve_ll_quadratic(inst, x, sample_perturbation(radius, rng, inst.d_l))
+
+
+def _mc_objective(inst: QuadraticBilevel, x: np.ndarray, radius: float,
+                  n_samples: int, rng: np.random.Generator):
+    """Mean and standard error of F_q(x) over ``_mc_solves``, and the
+    lower-level solutions y_q behind them."""
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
+    ys = [sol.y_hat for sol in _mc_solves(inst, x, radius, n_samples, rng)]
+    vals = np.array([eval_f(inst, x, y) for y in ys])
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples)), ys
+
+
 def eval_Fbar_mc(inst: QuadraticBilevel, x: np.ndarray, radius: float,
                  n_samples: int, rng: np.random.Generator):
     """Monte-Carlo mean and standard error of the perturbed implicit
     objective over fresh ball-uniform perturbations."""
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    vals = np.empty(n_samples)
-    for i in range(n_samples):
-        q = sample_perturbation(radius, rng, inst.d_l)
-        sol = solve_ll_quadratic(inst, x, q)
-        vals[i] = eval_f(inst, x, sol.y_hat)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
+    mean, stderr, _ = _mc_objective(inst, x, radius, n_samples, rng)
+    return mean, stderr
 
 
 @dataclass(frozen=True)
@@ -69,7 +83,7 @@ def stationarity_window(log, t: int, beta: float, K: int,
     average of exact implicit gradients over fresh perturbations (the
     higher-fidelity estimate of the smoothed gradient).
     """
-    records = log.records if hasattr(log, "records") else log
+    records = log.records
     if t < K:
         raise WindowIncomplete(f"window [t-K+1, t] needs t >= K (got t={t}, K={K})")
     if t > len(records):
@@ -82,12 +96,8 @@ def stationarity_window(log, t: int, beta: float, K: int,
         grads = []
         for i in idx:
             x_bar = records[i - 1].x_bar
-            samples = []
-            for _ in range(mc_samples):
-                q = sample_perturbation(radius, rng, inst.d_l)
-                sol = solve_ll_quadratic(inst, x_bar, q)
-                samples.append(implicit_gradient(inst, x_bar, sol).grad)
-            grads.append(np.mean(samples, axis=0))
+            sols = _mc_solves(inst, x_bar, radius, mc_samples, rng)
+            grads.append(np.mean([implicit_gradient(inst, x_bar, s).grad for s in sols], axis=0))
     else:
         grads = [records[i - 1].grad for i in idx]
     combined = np.einsum("i,ij->j", w, np.asarray(grads))
@@ -97,7 +107,7 @@ def stationarity_window(log, t: int, beta: float, K: int,
 
 def stationarity_profile(log, beta: float, K: int) -> np.ndarray:
     """Window norms for every valid t; NaN where the window is incomplete."""
-    records = log.records if hasattr(log, "records") else log
+    records = log.records
     out = np.full(len(records), np.nan)
     if len(records) <= K:
         return out
@@ -168,19 +178,12 @@ def estimate_grad_norm_bound(inst: QuadraticBilevel, points: Sequence, safety: f
 def perturbation_error_check(inst: QuadraticBilevel, x: np.ndarray, radius: float,
                              n_samples: int, rng: np.random.Generator) -> dict:
     """Check |mean_q F_q(x) - F(x)| <= L_hat * radius / mu_g + 3 * stderr,
-    the smoothing-error bound with a sampled gradient-norm estimate."""
+    the smoothing-error bound with a sampled gradient-norm estimate; needs
+    n_samples >= 2 for the standard error."""
     x = np.asarray(x, dtype=float)
+    mean, stderr, ys = _mc_objective(inst, x, radius, n_samples, rng)
     exact = eval_F_exact(inst, x)
-    pairs = []
-    vals = np.empty(n_samples)
-    for i in range(n_samples):
-        q = sample_perturbation(radius, rng, inst.d_l)
-        sol = solve_ll_quadratic(inst, x, q)
-        vals[i] = eval_f(inst, x, sol.y_hat)
-        if i % max(1, n_samples // 32) == 0:
-            pairs.append((x, sol.y_hat))
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(n_samples))
+    pairs = [(x, y) for y in ys[::max(1, n_samples // 32)]]
     l_hat = estimate_grad_norm_bound(inst, pairs)
     bound = l_hat * radius / inst.mu_g + 3.0 * stderr
     gap = abs(mean - exact)

@@ -1,15 +1,11 @@
 """Experiment orchestration: config loading, per-run CSV logs, a combined
-objective-vs-time SVG, and the (algorithm, seed) runs, one after another.
-
-Environment override: DSBLO_OUT_DIR replaces the configured output directory.
-"""
+objective-vs-time SVG, and the (algorithm, seed) runs, one after another."""
 
 from __future__ import annotations
 
 import json
 import math
 import numbers
-import os
 import time
 import traceback
 from dataclasses import dataclass, replace
@@ -41,8 +37,8 @@ class ExperimentConfig:
     algorithms: List[AlgorithmSpec]
     seeds: List[int]
     output_dir: str = "out"
-    instance: Optional[dict] = None  # generate_instance's keyword arguments
-    instance_path: Optional[str] = None
+    # generate_instance's keyword arguments, or the instance read from a file
+    instance: Union[dict, QuadraticBilevel, None] = None
     formats: tuple = ("csv", "svg")
     eval_every: Optional[int] = None
     wall_clock_budget_s: Optional[float] = None
@@ -124,14 +120,18 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     if len(set(labels)) != len(labels):
         raise ConfigError(f"algorithm labels are not unique: {labels}")
 
-    inst = None
-    inst_path = None
     if "instance" in doc and isinstance(doc["instance"], dict):
         d = doc["instance"]
         if "path" in d:
-            inst_path = str((base_dir / d["path"]).resolve()) if not os.path.isabs(d["path"]) else d["path"]
-            if not os.path.exists(inst_path):
-                raise ConfigError(f"instance file not found: {inst_path}")
+            if not isinstance(d["path"], str):
+                raise ConfigError(f"instance: path must be a string, got {d['path']!r}")
+            path = (base_dir / d["path"]).resolve()
+            try:
+                inst = load_instance(path)
+            except FileNotFoundError:
+                raise ConfigError(f"instance file not found: {path}") from None
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(f"cannot read instance file {path}: {exc}") from exc
         else:
             box = d.get("box_radius", 10.0)  # an explicit null means no box rows
             inst = {
@@ -160,7 +160,6 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
         seeds=seeds,
         output_dir=doc.get("output_dir", "out"),
         instance=inst,
-        instance_path=inst_path,
         formats=formats,
         eval_every=_number(doc, "eval_every", "config", None, integer=True, low=0),
         wall_clock_budget_s=_number(doc, "wall_clock_budget_s", "config", None),
@@ -175,12 +174,6 @@ def load_config(path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(doc, base_dir=path.parent)
-
-
-def _resolve_instance(cfg: ExperimentConfig) -> QuadraticBilevel:
-    if cfg.instance_path:
-        return load_instance(cfg.instance_path)
-    return generate_instance(**cfg.instance)
 
 
 def _fmt(v) -> str:
@@ -309,10 +302,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run every (algorithm, seed) pair, write per-run CSV and run-log files
     plus one combined SVG, and return a summary. Individual failures are
     recorded without stopping the other runs."""
-    out_dir = Path(os.environ.get("DSBLO_OUT_DIR", cfg.output_dir))
+    out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    inst = _resolve_instance(cfg)
+    inst = cfg.instance
+    if isinstance(inst, dict):
+        inst = generate_instance(**inst)
     fp = inst.fingerprint
     eval_every = cfg.eval_every
     if eval_every is None:

@@ -145,11 +145,9 @@ def check_rank(A_act: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
-             max_pivots: Optional[int] = None) -> LLSolution:
-    """Minimize 0.5 y'Hy + c'y subject to A y <= u for SPD H.
-
-    A 1-D ``H`` is the diagonal of a diagonal Hessian, applied elementwise.
+def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray) -> LLSolution:
+    """Minimize 0.5 y'diag(H)y + c'y subject to A y <= u, where ``H`` is the
+    positive diagonal of the Hessian as a 1-D array.
 
     Dual active-set iteration: starts from the unconstrained minimum and
     incorporates violated constraints one at a time, dropping working rows
@@ -159,44 +157,28 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     residual sits at solver precision.
     """
     H = np.asarray(H, dtype=float)
+    if H.ndim != 1:
+        raise ValueError("solve_qp takes the Hessian diagonal as a 1-D array")
+    if np.any(H <= 0):
+        raise NotSPD("nonpositive diagonal Hessian entry")
     c = np.asarray(c, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     d = H.shape[0]
     k = A.shape[0]
+    mu = float(np.min(H))
 
-    if H.ndim == 1:
-        if np.any(H <= 0):
-            raise NotSPD("nonpositive diagonal Hessian entry")
-        mu = float(np.min(H))
+    def hsolve(M):
+        return M / H if M.ndim == 1 else M / H[:, None]
 
-        def hsolve(M):
-            return M / H if M.ndim == 1 else M / H[:, None]
-
-        def hmul(v):
-            return H * v
-    else:
-        try:
-            np.linalg.cholesky(H)
-        except np.linalg.LinAlgError as exc:
-            raise NotSPD("Hessian factorization failed") from exc
-        mu = float(np.linalg.eigvalsh(H)[0])
-
-        def hsolve(M):
-            return np.linalg.solve(H, M)
-
-        def hmul(v):
-            return H @ v
-
-    if max_pivots is None:
-        max_pivots = 100 + 50 * (k + d)
+    max_pivots = 100 + 50 * (k + d)
     bland_after = 8 + 3 * max(k, 1)
 
     work: list[int] = []
     lam_w = np.zeros(0)
     y = hsolve(-c)
     pivots = 0
-    obj_trace = [float(0.5 * y @ hmul(y) + c @ y)]
+    obj_trace = [float(0.5 * y @ (H * y) + c @ y)]
     repairs = 0
 
     while True:
@@ -291,7 +273,7 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
                 break
             work.pop(j_drop)
             lam_w = np.delete(lam_w, j_drop)
-        obj_trace.append(float(0.5 * y @ hmul(y) + c @ y))
+        obj_trace.append(float(0.5 * y @ (H * y) + c @ y))
 
     slack = u - A @ y if k else np.zeros(0)
     active = _tight_rows(slack)
@@ -300,7 +282,7 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
         lam[work] = np.maximum(lam_w, 0.0)
     A_act = A[list(active)] if active else np.zeros((0, d))
     smin = check_rank(A_act)
-    kkt = float(np.linalg.norm(hmul(y) + c + (A_act.T @ lam[list(active)] if active else 0.0)))
+    kkt = float(np.linalg.norm(H * y + c + (A_act.T @ lam[list(active)] if active else 0.0)))
     max_viol = float(np.max(-slack)) if k else float("-inf")
     lam.flags.writeable = False
     yv = y.copy()

@@ -394,7 +394,7 @@ def instance_to_dict(inst: QuadraticBilevel) -> dict:
 
 
 def instance_from_dict(doc: dict) -> QuadraticBilevel:
-    if doc.get("format") != "dsblo-instance":
+    if not isinstance(doc, dict) or doc.get("format") != "dsblo-instance":
         raise ValueError("not an instance document")
     poly = Polyhedron(
         np.array(doc["A"], dtype=float).reshape(-1, doc["d_l"]),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import os
 import tempfile
 import time
 from dataclasses import dataclass
@@ -452,25 +451,20 @@ def check_determinism() -> CheckResult:
             "formats": ["csv"],
             "eval_every": 1,
         }
-        saved = os.environ.pop("DSBLO_OUT_DIR", None)
-        try:
-            with tempfile.TemporaryDirectory() as tmp:
-                outs = []
-                for run_i in range(2):
-                    cfg = config_from_dict({**doc, "output_dir": f"{tmp}/run{run_i}"})
-                    summary = run_experiment(cfg)
-                    if summary["failed"]:
-                        return False, f"experiment failed: {summary}"
-                    outs.append(sorted(Path(summary["output_dir"]).glob("*.csv")))
-                if [p.name for p in outs[0]] != [p.name for p in outs[1]]:
-                    return False, "runs produced different file sets"
-                for p0, p1 in zip(*outs):
-                    if _masked_csv(p0) != _masked_csv(p1):
-                        return False, f"CSV mismatch: {p0.name}"
-                n = len(outs[0])
-        finally:
-            if saved is not None:
-                os.environ["DSBLO_OUT_DIR"] = saved
+        with tempfile.TemporaryDirectory() as tmp:
+            outs = []
+            for run_i in range(2):
+                cfg = config_from_dict({**doc, "output_dir": f"{tmp}/run{run_i}"})
+                summary = run_experiment(cfg)
+                if summary["failed"]:
+                    return False, f"experiment failed: {summary}"
+                outs.append(sorted(Path(summary["output_dir"]).glob("*.csv")))
+            if [p.name for p in outs[0]] != [p.name for p in outs[1]]:
+                return False, "runs produced different file sets"
+            for p0, p1 in zip(*outs):
+                if _masked_csv(p0) != _masked_csv(p1):
+                    return False, f"CSV mismatch: {p0.name}"
+            n = len(outs[0])
         return True, f"{n} CSVs byte-identical with the wall-time column masked"
 
     return _timed("determinism", body)

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from dsblo.algorithm import DsbloParams, ManualMode, run_dsblo, run_igd_baseline
 from dsblo.diagnostics import (build_report, eval_F_exact, eval_Fbar_mc,
-                               fd_gradient_oracle, stationarity_profile,
-                               stationarity_window, window_weights)
+                               fd_gradient_oracle, perturbation_error_check,
+                               stationarity_profile, stationarity_window,
+                               window_weights)
 from dsblo.errors import WindowIncomplete
 from dsblo.lower_level import solve_ll_bruteforce
 from dsblo.problem import eval_f, generate_instance
@@ -54,6 +55,22 @@ class TestFbarMC:
     def test_needs_two_samples(self, small_instance):
         with pytest.raises(ValueError):
             eval_Fbar_mc(small_instance, np.zeros(3), 1e-3, 1, np.random.default_rng(0))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_error_check_needs_two_samples(self, small_instance, n):
+        # a standard error from fewer than two samples is undefined
+        with pytest.raises(ValueError, match="at least 2"):
+            perturbation_error_check(small_instance, np.zeros(3), 1e-3, n,
+                                     np.random.default_rng(0))
+
+    def test_error_check_reports_the_mc_estimate(self, small_instance):
+        x = np.full(3, 0.3)
+        res = perturbation_error_check(small_instance, x, 1e-2, 40, np.random.default_rng(6))
+        mean, stderr = eval_Fbar_mc(small_instance, x, 1e-2, 40, np.random.default_rng(6))
+        assert (res["Fbar_mc"], res["stderr"]) == (mean, stderr)
+        assert res["F"] == eval_F_exact(small_instance, x)
+        assert res["ok"]
 
     def test_stderr_scales_as_sqrt_n(self, small_instance):
         x = np.full(3, 0.3)

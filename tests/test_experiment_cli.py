@@ -60,6 +60,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="not found"):
             config_from_dict(doc, base_dir=tmp_path)
 
+    @pytest.mark.parametrize("text", [
+        '{"format": "nope"}',
+        "{not json",
+        "[1, 2]",
+        '{"format": "dsblo-instance", "d_l": 2}',
+    ])
+    def test_instance_file_not_an_instance(self, tmp_path, capsys, text):
+        (tmp_path / "inst.json").write_text(text)
+        doc = tiny_config(tmp_path, instance={"path": "inst.json"})
+        with pytest.raises(ConfigError, match="cannot read instance file"):
+            config_from_dict(doc, base_dir=tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "config error: cannot read instance file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_load_config_bad_json(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text("{not json")
@@ -74,8 +91,9 @@ class TestConfig:
         (lambda doc: doc["instance"].update(k=-1), "k must be an integer >= 0"),
         (lambda doc: doc["algorithms"][0].update(mode="manual"), "unknown dsblo mode"),
         (lambda doc: doc["algorithms"][0].update(ll_tol=1e-6), "ll_tol is an igd setting"),
+        (lambda doc: doc.update(instance={"path": 5}), "path must be a string"),
     ], ids=["dsblo-without-beta", "eval-every-string", "seeds-string", "seeds-int",
-            "instance-k-negative", "mode-string", "dsblo-ll-tol"])
+            "instance-k-negative", "mode-string", "dsblo-ll-tol", "instance-path-int"])
     def test_rejected_at_load(self, tmp_path, capsys, edit, match):
         doc = tiny_config(tmp_path)
         edit(doc)
@@ -168,14 +186,6 @@ class TestRunExperiment:
         assert len(calls) == 1
         assert summary["instance_fingerprint"] == orig(calls[0])
 
-    def test_env_overrides(self, tmp_path, monkeypatch):
-        other = tmp_path / "env_out"
-        monkeypatch.setenv("DSBLO_OUT_DIR", str(other))
-        cfg = config_from_dict(tiny_config(tmp_path))
-        summary = run_experiment(cfg)
-        assert Path(summary["output_dir"]) == other
-        assert other.exists()
-
     def test_wall_clock_budget_truncates(self, tmp_path):
         doc = tiny_config(tmp_path, wall_clock_budget_s=0.0)
         doc["algorithms"] = [doc["algorithms"][0]]
@@ -189,7 +199,10 @@ class TestRunExperiment:
         p = tmp_path / "inst.json"
         save_instance(inst, p)
         doc = tiny_config(tmp_path, instance={"path": str(p)})
-        summary = run_experiment(config_from_dict(doc))
+        cfg = config_from_dict(doc)
+        p.unlink()  # read once, at load; the runs use that instance
+        summary = run_experiment(cfg)
+        assert [r["status"] for r in summary["runs"]] == ["ok", "ok"]
         assert summary["instance_fingerprint"] == fingerprint(inst)
 
 
@@ -256,6 +269,16 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path)]) == 0
         out = capsys.readouterr().out
         assert "[ok] dsblo" in out and "[ok] igd" in out
+
+    def test_run_out_dir_option(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(tmp_path)))
+        other = tmp_path / "elsewhere"
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(other)]) == 0
+        assert f"outputs in {other}" in capsys.readouterr().out
+        assert sorted(p.name for p in other.glob("*.csv")) == ["dsblo.csv", "igd.csv"]
+        assert json.loads((other / "summary.json").read_text())["output_dir"] == str(other)
+        assert not (tmp_path / "out").exists()
 
     def test_run_bad_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
