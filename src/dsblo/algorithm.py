@@ -167,6 +167,8 @@ class RunLog:
     truncated: bool = False
     diagnostics_report: Optional[str] = None
     windows: Optional[dict] = None  # result of diagnostics.check_windows
+    # gradient-sample lower-level solves, with their pivots and repairs
+    lower_level: dict = field(default_factory=dict)
 
 
 ProgressFn = Callable[[IterateRecord], None]
@@ -189,21 +191,26 @@ class _Stopwatch:
 
 def _gradient_sample(problem: Problem, x_pt: np.ndarray, q_rng, xi_rng,
                      ll: _Stopwatch, ig: _Stopwatch, radius: float, tol: float,
-                     option: str, batch_size: int):
-    """One perturbed implicit-gradient evaluation; degenerate active sets
-    trigger a fresh perturbation draw, up to 5 retries. The sampled option
-    draws ``batch_size`` components and averages them in one gradient call."""
+                     option: str, batch_size: int, start: tuple, counts: dict):
+    """One perturbed implicit-gradient evaluation, its lower-level solve
+    started from the rows in ``start``; degenerate active sets trigger a
+    fresh perturbation draw, up to 5 retries. The sampled option draws
+    ``batch_size`` components and averages them in one gradient call. Every
+    solve is added to ``counts``; returns q, the gradient and the solve."""
     last = None
     for _ in range(5):
         q = sample_perturbation(radius, q_rng, problem.d_l)
         try:
-            sol = ll.call(problem.solve_ll, x_pt, q, tol)
+            sol = ll.call(problem.solve_ll, x_pt, q, tol, start)
+            counts["solves"] += 1
+            counts["pivots"] += sol.stats.get("pivots", 0)
+            counts["repairs"] += sol.stats.get("repairs", 0)
             if option == "sampled":
                 xi = [int(xi_rng.integers(problem.n_components)) for _ in range(batch_size)]
                 g = ig.call(sampled_implicit_gradient, problem, x_pt, sol, xi).grad
             else:
                 g = ig.call(implicit_gradient, problem, x_pt, sol).grad
-            return q, g
+            return q, g, sol
         except DegenerateActiveSet as exc:
             last = exc
     raise DsbloError(
@@ -222,26 +229,30 @@ def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
     the momentum m with weight 1 - beta. The q, segment and component draws
     use the three streams of ``SeedSequence(seed).spawn(3)``. Exact F is
     logged every ``eval_every`` iterations and at T, for problems that
-    expose ``eval_f``. A run with a schedule checks its windows."""
+    expose ``eval_f``. Every lower-level solve, the exact-F ones included,
+    starts from the active set of the latest gradient sample; the totals of
+    the gradient-sample solves go to ``log.lower_level``. A run with a
+    schedule checks its windows."""
     x = np.zeros(problem.d_u) if x0 is None else np.asarray(x0, dtype=float).copy()
     q_rng, seg_rng, xi_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
     )
     ll, ig, diag = _Stopwatch(), _Stopwatch(), _Stopwatch()
+    log.lower_level = counts = {"solves": 0, "pivots": 0, "repairs": 0}
     t_start = time.monotonic()
 
-    def sample(x_pt):
+    def sample(x_pt, start):
         return _gradient_sample(problem, x_pt, q_rng, xi_rng, ll, ig, radius, tol,
-                                option, batch_size)
+                                option, batch_size, start, counts)
 
-    q, g = sample(x)
+    q, g, sol = sample(x, ())
     m = g
     x_bar = x.copy()
     for t in range(1, T + 1):
         eta = eta_of(m)
         F = None
         if eval_every and hasattr(problem, "eval_f") and ((t - 1) % eval_every == 0 or t == T):
-            F = diag.call(eval_F_exact, problem, x)
+            F = diag.call(eval_F_exact, problem, x, sol.active_set)
         rec = IterateRecord(
             t=t, x=x, x_bar=x_bar, q_norm=q.norm, eta=eta, m_norm=float(np.linalg.norm(m)),
             grad=g, F_exact=F, wall_time=time.monotonic() - t_start,
@@ -257,7 +268,7 @@ def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
 
         x_next = x - eta * m
         x_bar = x + float(seg_rng.random()) * (x_next - x) if segment else x_next
-        q, g = sample(x_bar)
+        q, g, sol = sample(x_bar, sol.active_set)
         # beta = 0 keeps g itself: 0 * m would turn an overflowed m into NaN
         m = beta * m + (1.0 - beta) * g if beta else g
         x = x_next

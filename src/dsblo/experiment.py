@@ -151,16 +151,21 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"seeds must be a nonempty list, got {seeds!r}")
     seeds = [_number({"seed": s}, "seed", "seeds", integer=True, low=0) for s in seeds]
-    formats = tuple(doc.get("formats", ["csv", "svg"]))
+    formats = doc.get("formats", ["csv", "svg"])
+    if not isinstance(formats, list):
+        raise ConfigError(f"formats must be a list, got {formats!r}")
     for f in formats:
         if f not in ("csv", "svg"):
             raise ConfigError(f"unknown output format {f!r}")
+    output_dir = doc.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
     return ExperimentConfig(
         algorithms=algs,
         seeds=seeds,
-        output_dir=doc.get("output_dir", "out"),
+        output_dir=output_dir,
         instance=inst,
-        formats=formats,
+        formats=tuple(formats),
         eval_every=_number(doc, "eval_every", "config", None, integer=True, low=0),
         wall_clock_budget_s=_number(doc, "wall_clock_budget_s", "config", None),
         progress_every=_number(doc, "progress_every", "config", 0, integer=True, low=0),
@@ -347,6 +352,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "params": log.params,
             "instance_fingerprint": log.instance_fingerprint,
             "timings": log.timings,
+            "lower_level": log.lower_level,
             "truncated": log.truncated,
             "diagnostics": json.loads(log.diagnostics_report),
         }

@@ -38,6 +38,9 @@ KKT_TOL = 1e-10
 RANK_TOL = 1e-8
 
 _VIOL_TOL = 1e-10
+# A start is rejected when one of its rows has less than this share of its
+# H^-1-norm outside the span of the other start rows.
+_START_INDEP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,48 @@ def check_rank(A_act: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray) -> LLSolution:
+def _equality_solve(H: np.ndarray, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
+                    work: list) -> tuple:
+    """S = A_W H^-1 A_W', and the multipliers and point of the equality KKT
+    system on the rows in ``work``; raises ``np.linalg.LinAlgError`` when S
+    is singular."""
+    Aw = A[work]
+    HiA = Aw.T / H[:, None]
+    S = Aw @ HiA
+    lam_w = np.linalg.solve(S, -(u[work] + Aw @ Hic))
+    return S, lam_w, -(Hic + HiA @ lam_w)
+
+
+def _hot_start(H: np.ndarray, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
+               start) -> Optional[tuple]:
+    """Dual-feasible starting point from the rows in ``start``: the equality
+    KKT solution on those rows, dropping the row with the most negative
+    multiplier until none is negative (the hot start of the Goldfarb-Idnani
+    dual method). Returns (working rows, their multipliers, y), or None when
+    the start is unusable: an index out of range, more rows than the
+    dimension, or rows whose S fails a Cholesky factorization or is nearly
+    singular."""
+    work = sorted({int(i) for i in start})
+    if len(work) > H.shape[0] or work[0] < 0 or work[-1] >= A.shape[0]:
+        return None
+    while work:
+        try:
+            S, lam_w, y = _equality_solve(H, Hic, A, u, work)
+            L = np.linalg.cholesky(S)
+        except np.linalg.LinAlgError:
+            return None
+        # a squared pivot of L is the part of its row's H^-1-norm that the
+        # earlier rows do not span
+        if np.any(np.diag(L) ** 2 <= _START_INDEP * np.diag(S)):
+            return None
+        if lam_w.min() >= 0.0:
+            return work, lam_w, y
+        work.pop(int(np.argmin(lam_w)))
+    return None
+
+
+def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
+             start=()) -> LLSolution:
     """Minimize 0.5 y'diag(H)y + c'y subject to A y <= u, where ``H`` is the
     positive diagonal of the Hessian as a 1-D array.
 
@@ -155,6 +199,11 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray) -> LLSo
     detects infeasibility when the dual ray is unbounded. The final working
     set is re-solved as an equality KKT system, so the returned stationarity
     residual sits at solver precision.
+
+    ``start`` optionally names rows to start from instead, typically the
+    active set of a nearby solve (see ``_hot_start``); when the start is
+    unusable the solve starts cold. The start changes how many pivots the
+    solve makes; its result agrees with the cold solve's to round-off.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 1:
@@ -174,9 +223,11 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray) -> LLSo
     max_pivots = 100 + 50 * (k + d)
     bland_after = 8 + 3 * max(k, 1)
 
-    work: list[int] = []
-    lam_w = np.zeros(0)
-    y = hsolve(-c)
+    Hic = hsolve(c)
+    hot = _hot_start(H, Hic, A, u, start) if len(start) else None
+    work, lam_w, y = hot if hot is not None else ([], np.zeros(0), -Hic)
+    # y is the equality solve on the working set until a pivot moves it
+    polished = True
     pivots = 0
     obj_trace = [float(0.5 * y @ (H * y) + c @ y)]
     repairs = 0
@@ -187,24 +238,21 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray) -> LLSo
         in_work[work] = True
         viol = np.flatnonzero((-slack > _VIOL_TOL) & ~in_work)
         if viol.size == 0:
-            # polish: exact equality solve on the working set
-            if work:
-                Aw = A[work]
-                HiA = hsolve(Aw.T)
-                S = Aw @ HiA
-                Hic = hsolve(c)
-                try:
-                    lam_w = np.linalg.solve(S, -(u[work] + Aw @ Hic))
-                except np.linalg.LinAlgError as exc:
-                    raise DegenerateActiveSet("singular working-set system") from exc
-                y = -(Hic + HiA @ lam_w)
-            else:
-                lam_w = np.zeros(0)
-                y = hsolve(-c)
+            if not polished:
+                # polish: exact equality solve on the working set
+                if work:
+                    try:
+                        _, lam_w, y = _equality_solve(H, Hic, A, u, work)
+                    except np.linalg.LinAlgError as exc:
+                        raise DegenerateActiveSet("singular working-set system") from exc
+                else:
+                    lam_w = np.zeros(0)
+                    y = -Hic
+                slack = u - A @ y if k else np.zeros(0)
+                polished = True
             # the polish may expose a marginal violation or a stray negative
             # multiplier; repair by re-entering the loop
             neg = [j for j, lj in enumerate(lam_w) if lj < -1e-12]
-            slack = u - A @ y if k else np.zeros(0)
             dirty = bool(neg) or (k and np.max(-slack) > _VIOL_TOL)
             if dirty:
                 if repairs >= 5:
@@ -212,10 +260,13 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray) -> LLSo
                 repairs += 1
                 for j in sorted(neg, reverse=True):
                     work.pop(j)
-                lam_w = np.delete(lam_w, neg) if neg else lam_w
+                if neg:
+                    lam_w = np.delete(lam_w, neg)
+                    polished = False
                 continue
             break
 
+        polished = False
         if pivots <= bland_after:
             p = int(viol[np.argmax(-slack[viol])])
         else:
@@ -275,7 +326,6 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray) -> LLSo
             lam_w = np.delete(lam_w, j_drop)
         obj_trace.append(float(0.5 * y @ (H * y) + c @ y))
 
-    slack = u - A @ y if k else np.zeros(0)
     active = _tight_rows(slack)
     lam = np.zeros(k)
     if work:
@@ -301,13 +351,14 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray) -> LLSo
 
 
 def solve_ll_quadratic(inst: QuadraticBilevel, x: np.ndarray,
-                       q: Union[Perturbation, np.ndarray, None]) -> LLSolution:
-    """Exact solve of the perturbed quadratic lower level at x."""
+                       q: Union[Perturbation, np.ndarray, None], start=()) -> LLSolution:
+    """Exact solve of the perturbed quadratic lower level at x, optionally
+    starting from the rows in ``start`` (see ``solve_qp``)."""
     x = np.asarray(x, dtype=float)
     poly = inst.constraints
     qv = _qvec(q, inst.d_l)
     c = inst.Q2.T @ x + qv
-    return solve_qp(inst.hess_yy_diag, c, poly.A, poly.rhs(x))
+    return solve_qp(inst.hess_yy_diag, c, poly.A, poly.rhs(x), start)
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +438,15 @@ def solve_ll_bruteforce(inst: QuadraticBilevel, x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def project_polyhedron(z: np.ndarray, A: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {y : A y <= u} (a strictly convex QP)."""
+def project_polyhedron(z: np.ndarray, A: np.ndarray, u: np.ndarray,
+                       start=()) -> tuple:
+    """Euclidean projection onto {y : A y <= u} (a strictly convex QP),
+    starting from the rows in ``start``; returns the projection and the
+    rows active at it."""
     if A.shape[0] == 0:
-        return np.asarray(z, dtype=float).copy()
-    sol = solve_qp(np.ones(len(z)), -np.asarray(z, dtype=float), A, u)
-    return np.asarray(sol.y_hat)
+        return np.asarray(z, dtype=float).copy(), ()
+    sol = solve_qp(np.ones(len(z)), -np.asarray(z, dtype=float), A, u, start)
+    return np.asarray(sol.y_hat), sol.active_set
 
 
 def solve_ll_oracle(oracle: ProblemOracle, x: np.ndarray,
@@ -404,6 +458,7 @@ def solve_ll_oracle(oracle: ProblemOracle, x: np.ndarray,
     ``||y - proj(y - grad/L)|| * (L/mu)`` drops to ``tol_delta``; the active
     set is read off the final iterate's tight rows and multipliers are
     recovered by a clamped least-squares fit of the stationarity condition.
+    Each projection starts from the rows active at the previous one.
     """
     if tol_delta <= 0:
         raise ValueError("tol_delta must be positive")
@@ -416,7 +471,7 @@ def solve_ll_oracle(oracle: ProblemOracle, x: np.ndarray,
     mu = float(oracle.mu_g)
     ratio = L / mu
 
-    y = project_polyhedron(np.zeros(d), A, u)
+    y, rows = project_polyhedron(np.zeros(d), A, u)
     hess = np.asarray(oracle.hess_yy_g(x, y), dtype=float)
     lo = np.linalg.eigvalsh(0.5 * (hess + hess.T))[0]
     if lo < mu - 1e-9:
@@ -426,7 +481,7 @@ def solve_ll_oracle(oracle: ProblemOracle, x: np.ndarray,
     it = 0
     for it in range(1, max_iter + 1):
         grad = np.asarray(oracle.grad_y_g(x, y), dtype=float) + qv
-        y_next = project_polyhedron(y - grad / L, A, u)
+        y_next, rows = project_polyhedron(y - grad / L, A, u, rows)
         cert = float(np.linalg.norm(y - y_next)) * ratio
         y = y_next
         if cert <= tol_delta:

@@ -91,8 +91,11 @@ def empty_polyhedron(d_l: int, d_u: int) -> Polyhedron:
 class Problem(Protocol):
     """What the outer loop and the implicit gradient use of a bilevel
     problem; ``QuadraticBilevel`` and ``ProblemOracle`` both provide it.
-    ``solve_ll(x, q, tol)`` is a certified solve of the lower level perturbed
-    by q at x, with ||y* - y_hat|| <= tol where the solve is inexact.
+    ``solve_ll(x, q, tol, start)`` is a certified solve of the lower level
+    perturbed by q at x, with ||y* - y_hat|| <= tol where the solve is
+    inexact; ``start`` names constraint rows the solve may start from, such
+    as the active set of the previous solve, and does not change the result
+    beyond round-off.
     ``hess_yy_diag`` is the diagonal of a constant diagonal ``hess_yy_g``,
     or None when the Hessian is a general matrix."""
 
@@ -106,7 +109,8 @@ class Problem(Protocol):
     def d_l(self) -> int: ...
     @property
     def fingerprint(self) -> str: ...
-    def solve_ll(self, x: np.ndarray, q, tol: float) -> "lower_level.LLSolution": ...
+    def solve_ll(self, x: np.ndarray, q, tol: float,
+                 start=()) -> "lower_level.LLSolution": ...
     def grad_f(self, x: np.ndarray, y: np.ndarray) -> tuple: ...
     def sampled_grad_f(self, x: np.ndarray, y: np.ndarray, xi: int) -> tuple: ...
     def hess_yy_g(self, x: np.ndarray, y: np.ndarray) -> np.ndarray: ...
@@ -164,9 +168,11 @@ class QuadraticBilevel:
         """``fingerprint(self)``, computed once: the instance cannot change."""
         return fingerprint(self)
 
-    def solve_ll(self, x: np.ndarray, q, tol: float) -> "lower_level.LLSolution":
-        """Exact active-set solve; ``tol`` is unused (KKT is certified to 1e-10)."""
-        return lower_level.solve_ll_quadratic(self, x, q)
+    def solve_ll(self, x: np.ndarray, q, tol: float,
+                 start=()) -> "lower_level.LLSolution":
+        """Exact active-set solve from the rows in ``start``; ``tol`` is
+        unused (KKT is certified to 1e-10)."""
+        return lower_level.solve_ll_quadratic(self, x, q, start)
 
     # -- upper level -------------------------------------------------------
 
@@ -252,8 +258,10 @@ class ProblemOracle:
     fingerprint: ClassVar[str] = "oracle"  # callbacks have no content to hash
     hess_yy_diag: ClassVar[None] = None  # hess_yy_g is a general matrix
 
-    def solve_ll(self, x: np.ndarray, q, tol: float) -> "lower_level.LLSolution":
-        """Projected-gradient solve certified to ||y* - y_hat|| <= tol."""
+    def solve_ll(self, x: np.ndarray, q, tol: float,
+                 start=()) -> "lower_level.LLSolution":
+        """Projected-gradient solve certified to ||y* - y_hat|| <= tol;
+        ``start`` is unused (the projections chain their own)."""
         return lower_level.solve_ll_oracle(self, x, q, tol)
 
 

@@ -73,14 +73,23 @@ def check_ll_bruteforce(n_instances: int = 100) -> CheckResult:
                 mismatches += 1
                 continue
             slow = solve_ll_bruteforce(inst, x, q)
-            dy = float(np.linalg.norm(fast.y_hat - slow.y_hat))
-            worst_dy = max(worst_dy, dy)
-            if dy > 1e-8 or fast.active_set != slow.active_set:
-                mismatches += 1
+            # warm starts: every row, and the active set at a nearby point
+            try:
+                near = solve_ll_quadratic(inst, x + 0.05 * rng.standard_normal(inst.d_u),
+                                          q).active_set
+            except Infeasible:
+                near = ()
+            for sol in (fast, solve_ll_quadratic(inst, x, q, tuple(range(inst.constraints.k))),
+                        solve_ll_quadratic(inst, x, q, near)):
+                dy = float(np.linalg.norm(sol.y_hat - slow.y_hat))
+                worst_dy = max(worst_dy, dy)
+                if dy > 1e-8 or sol.active_set != slow.active_set:
+                    mismatches += 1
         elapsed = time.monotonic() - t0
         ok = mismatches == 0 and elapsed < 30.0
-        return ok, (f"{n_instances} instances, max ||dy||={worst_dy:.2e}, "
-                    f"{mismatches} mismatches, {elapsed:.1f}s (< 30s required)")
+        return ok, (f"{n_instances} instances, cold and two warm starts each, "
+                    f"max ||dy||={worst_dy:.2e}, {mismatches} mismatches, "
+                    f"{elapsed:.1f}s (< 30s required)")
 
     return _timed("ll_bruteforce_equivalence", body)
 
@@ -97,18 +106,23 @@ def check_kkt_certification(n_instances: int = 50, points_per: int = 3) -> Check
         for i in range(n_instances):
             inst = generate_instance(10, 10, 5, seed=2000 + i)
             rng = np.random.default_rng(300 + i)
+            start = ()
             for _ in range(points_per):
                 x = 0.5 * rng.standard_normal(inst.d_u)
                 q = sample_perturbation(1e-3, rng, inst.d_l)
                 try:
-                    sol = solve_ll_quadratic(inst, x, q)
+                    # cold, and warm from the previous point's active set
+                    sols = [solve_ll_quadratic(inst, x, q),
+                            solve_ll_quadratic(inst, x, q, start)]
                 except Infeasible:
                     continue
-                n_solves += 1
-                max_kkt = max(max_kkt, sol.kkt_residual)
-                max_viol = max(max_viol, sol.max_violation)
-                if sol.active_set:
-                    min_lam = min(min_lam, float(np.min(sol.lam[list(sol.active_set)])))
+                start = sols[0].active_set
+                for sol in sols:
+                    n_solves += 1
+                    max_kkt = max(max_kkt, sol.kkt_residual)
+                    max_viol = max(max_viol, sol.max_violation)
+                    if sol.active_set:
+                        min_lam = min(min_lam, float(np.min(sol.lam[list(sol.active_set)])))
         ok = max_kkt <= 1e-10 and max_viol <= 1e-9 and min_lam >= 0.0
         return ok, (f"{n_solves} solves: max kkt={max_kkt:.2e} (<=1e-10), "
                     f"max violation={max_viol:.2e} (<=1e-9), "

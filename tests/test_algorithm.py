@@ -198,9 +198,11 @@ class TestRunDsblo:
         replay = np.random.default_rng(3)
         expected = [int(replay.integers(8)) for _ in range(5)]
         stopwatches = algo._Stopwatch(), algo._Stopwatch()
+        counts = {"solves": 0, "pivots": 0, "repairs": 0}
         algo._gradient_sample(inst, np.zeros(4), np.random.default_rng(1), xi_rng,
-                              *stopwatches, 1e-3, 1e-8, "sampled", 5)
+                              *stopwatches, 1e-3, 1e-8, "sampled", 5, (), counts)
         assert calls == [expected]
+        assert counts["solves"] == 1
 
     def test_unknown_option_rejected(self):
         inst = shared_min_instance()
@@ -266,9 +268,9 @@ class TestRunDsblo:
             def __getattr__(self, name):
                 return getattr(inst, name)
 
-            def solve_ll(self, x, q, tol):
+            def solve_ll(self, x, q, tol, start=()):
                 tols.append(tol)
-                return inst.solve_ll(x, q, tol)
+                return inst.solve_ll(x, q, tol, start)
 
         params = DsbloParams(T=10**9, mode=TheoryMode(delta_v=0.0, l_f_bar=5.0),
                              epsilon=1.0, delta_bar=0.5, seed=11)
@@ -326,6 +328,74 @@ except WindowViolation:
                              text=True, timeout=120, env={"PYTHONPATH": src})
         assert out.returncode == 0, out.stderr
         assert out.stdout.split("\n")[:3] == ["optimize 1", "NotSPD", "WindowViolation"]
+
+
+class TestWarmStartedSolves:
+    # rows bind along this run: x0 starts far out on an 8-row instance
+    PARAMS = DsbloParams(
+        T=40, mode=ManualMode(beta=0.9, gamma1=5.0, gamma2=20.0, K=5, delta_y=1e-8), seed=1,
+    )
+
+    @staticmethod
+    def _recording(inst, calls, use_start=True):
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(inst, name)
+
+            def solve_ll(self, x, q, tol, start=()):
+                sol = inst.solve_ll(x, q, tol, start if use_start else ())
+                calls.append((tuple(start), sol))
+                return sol
+
+        return Recording()
+
+    def _setup(self):
+        inst = generate_instance(8, 8, 8, seed=1)
+        return inst, 3.0 * np.random.default_rng(1).standard_normal(8)
+
+    def test_each_solve_starts_from_previous_sample(self, monkeypatch):
+        inst, x0 = self._setup()
+        calls, f_starts = [], []
+        real_F = algo.eval_F_exact
+
+        def recording_F(problem, x, start=()):
+            f_starts.append(tuple(start))
+            return real_F(problem, x, start)
+
+        monkeypatch.setattr(algo, "eval_F_exact", recording_F)
+        log = run_dsblo(self._recording(inst, calls), self.PARAMS, x0=x0, eval_every=5)
+        assert len(calls) == len(log.records) == 40
+        assert calls[0][0] == ()
+        assert all(start == prev.active_set for (start, _), (_, prev) in zip(calls[1:], calls))
+        assert sum(bool(sol.active_set) for _, sol in calls) >= 20
+        # exact F at x_t starts from the sample solved just before record t
+        f_ts = [r.t for r in log.records if r.F_exact is not None]
+        assert f_ts == [1, 6, 11, 16, 21, 26, 31, 36, 40]
+        assert f_starts == [calls[t - 1][1].active_set for t in f_ts]
+        assert log.lower_level == {
+            "solves": 40, "pivots": sum(sol.stats["pivots"] for _, sol in calls),
+            "repairs": sum(sol.stats["repairs"] for _, sol in calls)}
+
+    def test_warm_run_matches_cold_run(self):
+        inst, x0 = self._setup()
+        warm_calls, cold_calls = [], []
+        warm = run_dsblo(self._recording(inst, warm_calls), self.PARAMS, x0=x0, eval_every=0)
+        cold = run_dsblo(self._recording(inst, cold_calls, use_start=False), self.PARAMS,
+                         x0=x0, eval_every=0)
+        assert [s.active_set for _, s in warm_calls] == [s.active_set for _, s in cold_calls]
+        for a, b in zip(warm.records, cold.records):
+            assert np.max(np.abs(a.x - b.x)) <= 1e-12
+        pivots = [sum(s.stats["pivots"] for _, s in calls) for calls in (warm_calls, cold_calls)]
+        assert pivots[0] < pivots[1] / 4
+
+    def test_identical_runs_are_bit_identical(self):
+        inst, x0 = self._setup()
+        a = run_dsblo(inst, self.PARAMS, x0=x0, eval_every=5)
+        b = run_dsblo(inst, self.PARAMS, x0=x0, eval_every=5)
+        assert a.lower_level == b.lower_level and a.lower_level["pivots"] > 0
+        for ra, rb in zip(a.records, b.records):
+            assert np.array_equal(ra.x, rb.x) and np.array_equal(ra.x_bar, rb.x_bar)
+            assert np.array_equal(ra.grad, rb.grad) and ra.F_exact == rb.F_exact
 
 
 class TestIgdBaseline:

@@ -1,0 +1,24 @@
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_bench_files_hold_correct_pairs_for_every_workload():
+    # a committed trajectory must cover every workload the benchmark
+    # declares, with parent and change runs whose output checks all passed
+    assert BENCH_FILES, "no BENCH_*.json committed"
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    for path in BENCH_FILES:
+        doc = json.loads(path.read_text())
+        for key in ("seed", "seconds", "parent", "change", "machine"):
+            assert key in doc, f"{path.name}: no {key}"
+        for name in workloads:
+            pairs = doc["workloads"][name]["pairs"]
+            assert pairs, f"{path.name}: no pairs for {name}"
+            for pair in pairs:
+                for side in ("parent", "change"):
+                    line = pair[side]
+                    assert line["correct"] is True and line["failed"] == 0, \
+                        f"{path.name}: {name} {side} run failed its checks"

@@ -72,6 +72,36 @@ class TestFbarMC:
         assert res["F"] == eval_F_exact(small_instance, x)
         assert res["ok"]
 
+    def test_mc_solves_start_from_previous_sample(self, monkeypatch):
+        # each Monte-Carlo solve starts from the previous one's active set,
+        # the exact F of the error check from the last sample's, and each
+        # MC window point from the previous point's last sample
+        import dsblo.diagnostics as diag
+        inst = generate_instance(8, 8, 8, seed=1)
+        params = DsbloParams(
+            T=40, mode=ManualMode(beta=0.9, gamma1=5.0, gamma2=20.0, K=5, delta_y=1e-8), seed=1)
+        # two rows bind at the end of this run
+        log = run_dsblo(inst, params, x0=3.0 * np.random.default_rng(1).standard_normal(8),
+                        eval_every=0)
+        calls = []
+        real = diag.solve_ll_quadratic
+
+        def recording(inst_, x_, q, start=()):
+            sol = real(inst_, x_, q, start)
+            calls.append((q is None, tuple(start), sol.active_set))
+            return sol
+
+        monkeypatch.setattr(diag, "solve_ll_quadratic", recording)
+        perturbation_error_check(inst, log.records[-1].x, 1e-3, 6, np.random.default_rng(0))
+        assert [c[0] for c in calls] == [False] * 6 + [True]
+        assert calls[0][1] == () and len(calls[-1][1]) == 2
+        assert all(c[1] == prev[2] for c, prev in zip(calls[1:], calls))
+        calls.clear()
+        stationarity_window(log, 40, 0.9, 5, inst=inst, mc_samples=2, radius=1e-3,
+                            rng=np.random.default_rng(0))
+        assert len(calls) == 10 and calls[0][1] == () and calls[-1][1]
+        assert all(c[1] == prev[2] for c, prev in zip(calls[1:], calls))
+
     def test_stderr_scales_as_sqrt_n(self, small_instance):
         x = np.full(3, 0.3)
         rng = np.random.default_rng(11)

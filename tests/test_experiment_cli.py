@@ -92,8 +92,12 @@ class TestConfig:
         (lambda doc: doc["algorithms"][0].update(mode="manual"), "unknown dsblo mode"),
         (lambda doc: doc["algorithms"][0].update(ll_tol=1e-6), "ll_tol is an igd setting"),
         (lambda doc: doc.update(instance={"path": 5}), "path must be a string"),
+        (lambda doc: doc.update(output_dir=5), "output_dir must be a string"),
+        (lambda doc: doc.update(formats=5), "formats must be a list"),
+        (lambda doc: doc.update(formats="csv"), "formats must be a list"),
     ], ids=["dsblo-without-beta", "eval-every-string", "seeds-string", "seeds-int",
-            "instance-k-negative", "mode-string", "dsblo-ll-tol", "instance-path-int"])
+            "instance-k-negative", "mode-string", "dsblo-ll-tol", "instance-path-int",
+            "output-dir-int", "formats-int", "formats-string"])
     def test_rejected_at_load(self, tmp_path, capsys, edit, match):
         doc = tiny_config(tmp_path)
         edit(doc)
@@ -143,6 +147,30 @@ class TestRunExperiment:
         meta = json.loads((out / "dsblo.runlog.json").read_text())
         assert meta["instance_fingerprint"] == summary["instance_fingerprint"]
         assert meta["diagnostics"]["displacement"]["violations"] == 0
+
+    def test_runlog_counts_lower_level_solves(self, tmp_path, monkeypatch):
+        # the runlog totals the gradient-sample solves' pivots and repairs
+        import dsblo.lower_level as ll
+        stats = []
+        real = ll.solve_ll_quadratic
+
+        def recording(inst, x, q, start=()):
+            sol = real(inst, x, q, start)
+            stats.append(sol.stats)
+            return sol
+
+        monkeypatch.setattr(ll, "solve_ll_quadratic", recording)
+        doc = tiny_config(tmp_path, eval_every=0)
+        doc["instance"]["k"] = 12  # a row binds along the dsblo run
+        summary = run_experiment(config_from_dict(doc))
+        out = Path(summary["output_dir"])
+        counts = [json.loads((out / f"{lab}.runlog.json").read_text())["lower_level"]
+                  for lab in ("dsblo", "igd")]
+        assert [c["solves"] for c in counts] == [30, 30] and len(stats) == 60
+        for c, part in zip(counts, (stats[:30], stats[30:])):
+            assert c["pivots"] == sum(s["pivots"] for s in part)
+            assert c["repairs"] == sum(s["repairs"] for s in part)
+        assert counts[0]["pivots"] > 0
 
     def test_seed_suffixed_filenames(self, tmp_path):
         cfg = config_from_dict(tiny_config(tmp_path, seeds=[1, 2, 3]))

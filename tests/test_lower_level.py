@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dsblo.errors import DegenerateActiveSet, Infeasible
+from dsblo.errors import DegenerateActiveSet, DsbloError, Infeasible
 from dsblo.lower_level import (Perturbation, certify_active_set,
                                sample_perturbation, sc_margin,
                                solve_ll_bruteforce, solve_ll_oracle,
@@ -151,6 +151,141 @@ class TestActiveSetQP:
         assert fast.active_set == slow.active_set
         assert fast.kkt_residual <= 1e-10
         assert fast.max_violation <= 1e-9
+
+
+def _random_qp(d: int, k: int, seed: int, pair: str):
+    """Diagonal QP with k random rows, feasible unless ``pair`` is
+    "opposed"; the other ``pair`` kinds make the last row a multiple of the
+    first ("parallel") or the same half-space ("coincident")."""
+    rng = np.random.default_rng(seed)
+    H = rng.uniform(0.5, 3.0, d)
+    c = 2.0 * rng.standard_normal(d)
+    A = rng.standard_normal((k, d))
+    u = A @ rng.standard_normal(d) + rng.uniform(0.0, 1.0, k)
+    if k >= 2 and pair != "none":
+        A[-1] = {"parallel": 2.0, "coincident": 2.0, "opposed": -1.0}[pair] * A[0]
+        u[-1] = {"parallel": u[-1], "coincident": 2.0 * u[0], "opposed": -u[0] - 0.5}[pair]
+    return H, c, A, u
+
+
+def _solve_or_error(*args):
+    try:
+        return solve_qp(*args)
+    except DsbloError as exc:
+        return exc
+
+
+class TestWarmStart:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 10), st.integers(0, 100_000),
+           st.sampled_from(["none", "parallel", "coincident", "opposed"]),
+           st.sampled_from(["empty", "cold", "subset", "all", "oversized", "out_of_range"]),
+           st.lists(st.booleans(), min_size=10, max_size=10))
+    def test_warm_matches_cold(self, d, k, seed, pair, kind, mask):
+        H, c, A, u = _random_qp(d, k, seed, pair)
+        cold = _solve_or_error(H, c, A, u)
+        start = {
+            "empty": (),
+            "cold": getattr(cold, "active_set", ()),
+            "subset": tuple(i for i in range(k) if mask[i]),
+            "all": tuple(range(k)),
+            "oversized": tuple(range(k)) + (0,) * (d + 1 - k) if k else (),
+            "out_of_range": (k, -1) + tuple(range(min(k, d))),
+        }[kind]
+        warm = _solve_or_error(H, c, A, u, start)
+        if isinstance(cold, DsbloError):
+            assert type(warm) is type(cold)
+            return
+        assert not isinstance(warm, DsbloError), warm
+        assert warm.active_set == cold.active_set
+        # both end in an equality solve on the same rows, so they agree to
+        # that solve's round-off, which grows with its condition number
+        assume(cold.rank_smin >= 0.1)
+        assert np.max(np.abs(warm.y_hat - cold.y_hat)) <= 1e-12 * (1 + np.max(np.abs(cold.y_hat)))
+        assert np.max(np.abs(warm.lam - cold.lam), initial=0.0) <= \
+            1e-12 * (1 + np.max(cold.lam, initial=0.0))
+
+    def test_dependent_start_falls_back_to_cold(self):
+        # rows 0 and 1 are nearly parallel: a start holding both is ignored,
+        # so the solve takes the cold path, pivot for pivot
+        H = np.array([2.0, 2.0])
+        c = np.array([-2.0, -2.0])
+        A = np.array([[1.0, 0.0], [1.0, 1e-6], [0.0, 1.0]])
+        u = np.array([0.5, 0.501, 0.5])
+        cold = solve_qp(H, c, A, u)
+        assert cold.active_set == (0, 2) and cold.stats["pivots"] == 2
+        for start in ((0, 1), (0, 1, 2), (1, 1, 0), (0, 1, 2, 0)):
+            warm = solve_qp(H, c, A, u, start)
+            assert warm.stats["pivots"] == cold.stats["pivots"]
+            assert np.array_equal(warm.y_hat, cold.y_hat)
+        # an exactly duplicated half-space that binds: same error warm or cold
+        A2, u2 = np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([0.5, 1.0])
+        for start in ((), (0,), (0, 1)):
+            with pytest.raises(DegenerateActiveSet):
+                solve_qp(H, c, A2, u2, start)
+
+    def test_start_rows_with_negative_multipliers_dropped(self):
+        # min y'y - 2y_1 under y_1 <= 2, y_1 <= 0.5, y_2 <= 1: forcing rows 0
+        # and 2 to equality gives them negative multipliers; the hot start
+        # drops both before the pivot loop, so no pivot or repair is needed
+        H, c = np.array([2.0, 2.0]), np.array([-2.0, 0.0])
+        A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        u = np.array([2.0, 0.5, 1.0])
+        sol = solve_qp(H, c, A[[0, 2]], u[[0, 2]], (0, 1))
+        assert sol.active_set == () and sol.stats["pivots"] == sol.stats["repairs"] == 0
+        sol = solve_qp(H, c, A[1:], u[1:], (0, 1))
+        assert sol.active_set == (0,) and sol.stats["pivots"] == sol.stats["repairs"] == 0
+        assert sol.y_hat.tolist() == [0.5, 0.0] and sol.lam.tolist() == [1.0, 0.0]
+
+    def test_warm_matches_bruteforce_and_kkt(self):
+        # criteria 1 and 2 on solves started from a neighbouring point's
+        # active set and from every row
+        hot = 0
+        for i in range(40):
+            inst = generate_instance(3, 3, k=(i % 6) + 1, seed=9_500 + i)
+            rng = np.random.default_rng(i)
+            x = 0.6 * rng.standard_normal(3)
+            q = sample_perturbation(1e-3, rng, 3)
+            try:
+                slow = solve_ll_bruteforce(inst, x, q)
+                near = solve_ll_quadratic(inst, x + 0.05 * rng.standard_normal(3), q)
+            except Infeasible:
+                continue
+            for start in (near.active_set, tuple(range(inst.constraints.k))):
+                warm = solve_ll_quadratic(inst, x, q, start)
+                assert np.linalg.norm(warm.y_hat - slow.y_hat) <= 1e-8
+                assert warm.active_set == slow.active_set
+                assert warm.kkt_residual <= 1e-10
+                assert warm.max_violation <= 1e-9
+                assert np.all(warm.lam >= 0.0)
+                hot += bool(warm.active_set) and warm.stats["pivots"] == 0
+        assert hot >= 10
+
+    def test_own_active_set_needs_no_pivot(self):
+        inst = generate_instance(200, 200, 40, seed=1)
+        rng = np.random.default_rng(2)
+        x = 4.0 * rng.standard_normal(200)
+        cold = solve_ll_quadratic(inst, x, None)
+        assert len(cold.active_set) >= 5 and cold.stats["pivots"] >= 5
+        warm = solve_ll_quadratic(inst, x, None, cold.active_set)
+        assert warm.stats["pivots"] == 0 and warm.active_set == cold.active_set
+        assert np.max(np.abs(warm.y_hat - cold.y_hat)) <= 1e-12 * np.max(np.abs(cold.y_hat))
+
+    def test_oracle_projections_chain(self, small_instance, monkeypatch):
+        import dsblo.lower_level as ll
+        starts = []
+        real = ll.solve_qp
+
+        def recording(H, c, A, u, start=()):
+            sol = real(H, c, A, u, start)
+            starts.append((tuple(start), sol.active_set))
+            return sol
+
+        monkeypatch.setattr(ll, "solve_qp", recording)
+        oracle = oracle_from_quadratic(small_instance)
+        solve_ll_oracle(oracle, np.full(3, 1.5), None, tol_delta=1e-8)
+        assert len(starts) >= 2 and starts[0][0] == ()
+        assert all(s == prev for (s, _), (_, prev) in zip(starts[1:], starts))
 
 
 class TestPerturbation:
