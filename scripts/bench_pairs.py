@@ -1,22 +1,19 @@
 #!/usr/bin/env python3
-"""Run the perfbench workloads on two source checkouts in alternating pairs
-and write the result lines, with the machine they ran on, to one JSON file.
+"""Run the perfbench workloads on two commits in alternating pairs and
+write the result lines, with the machine they ran on, to one JSON file.
 
-Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, the
-order swapping from pair to pair (parent first, then change first), so that
-slow drift of the host's speed falls on both sides alike. After the pairs,
-one ``--trace 1`` run per checkout and workload records the per-layer
-figures. The file holds every run's last-line JSON, per-metric medians and
-quartiles, and how many pairs the change won.
+Both commits are exported with ``git archive`` into a temporary directory,
+and each run uses its own export's ``perfbench/`` and ``src/``. For every
+workload in ``BENCHMARK.json``, each of ``PAIRS`` pairs runs
+``perfbench/run.py --trace 0`` once per commit for the benchmark's
+``run_seconds``, the order swapping from pair to pair (parent first, then
+change first), so that slow drift of the host's speed falls on both sides
+alike. After the pairs, one ``--trace 1`` run per commit records the
+per-layer figures. The file holds every run's last-line JSON, per-metric
+medians and quartiles, and how many pairs the change won.
 
 Usage:
-    python scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \\
-        [--pairs 10] [--seed 2] [--seconds 30] [--trace-seconds 10] \\
-        [--workloads paper-d10 active-d200 mc-d50]
-
-Both DIRs are source checkouts (for example ``git archive`` exports); the
-runs use each one's own ``perfbench/`` and ``src/``. ``--parent-commit`` and
-``--change-commit`` name the commits the checkouts were made from.
+    python scripts/bench_pairs.py PARENT_REV CHANGE_REV BENCH_N.json
 """
 
 from __future__ import annotations
@@ -27,11 +24,26 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
+SEED = 2
+TRACE_SECONDS = 10
+
+
+def export(rev: str, dest: Path) -> str:
+    """Extract the tree of ``rev`` into ``dest``; returns its full hash."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                            check=True, capture_output=True, text=True).stdout.strip()
+    dest.mkdir()
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return commit
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -70,50 +82,44 @@ def summarize(pairs: list, better: dict) -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", type=Path, required=True)
-    ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--parent-commit", default="")
-    ap.add_argument("--change-commit", default="")
-    ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=2)
-    ap.add_argument("--seconds", type=int, default=30)
-    ap.add_argument("--trace-seconds", type=int, default=10)
-    ap.add_argument("--workloads", nargs="+", default=None)
+    ap.add_argument("parent", help="the commit to compare against")
+    ap.add_argument("change", help="the commit being measured")
+    ap.add_argument("out", type=Path, help="the JSON file to write")
     args = ap.parse_args()
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-
-    doc = {
-        "command": bench["command"],
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "trace_seconds": args.trace_seconds,
-        "parent": {"commit": args.parent_commit},
-        "change": {"commit": args.change_commit},
-        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": np.__version__, "blas": blas_name(),
-                    "platform": platform.platform()},
-        "workloads": {},
-    }
-    for wl in workloads:
-        pairs = []
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {}
-            for side in order:
-                pair[side] = run_once(sides[side], wl, args.seed, args.seconds, 0)
-                print(f"{wl} pair {i + 1} {side}: correct={pair[side]['correct']} "
-                      f"run_s={pair[side]['metrics']['run_s']['value']:.4f}", flush=True)
-            pairs.append({"parent": pair["parent"], "change": pair["change"]})
-        traced = {side: run_once(sides[side], wl, args.seed, args.trace_seconds, 1)
-                  for side in ("parent", "change")}
-        doc["workloads"][wl] = {"pairs": pairs, "summary": summarize(pairs, better),
-                                "trace": traced}
-        args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {side: Path(tmp) / side for side in ("parent", "change")}
+        commits = {side: export(getattr(args, side), path) for side, path in sides.items()}
+        doc = {
+            "command": bench["command"],
+            "seed": SEED,
+            "seconds": seconds,
+            "trace_seconds": TRACE_SECONDS,
+            "parent": {"commit": commits["parent"]},
+            "change": {"commit": commits["change"]},
+            "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                        "numpy": np.__version__, "blas": blas_name(),
+                        "platform": platform.platform()},
+            "workloads": {},
+        }
+        for wl in (w["name"] for w in bench["workloads"]):
+            pairs = []
+            for i in range(PAIRS):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {}
+                for side in order:
+                    pair[side] = run_once(sides[side], wl, SEED, seconds, 0)
+                    print(f"{wl} pair {i + 1} {side}: correct={pair[side]['correct']} "
+                          f"run_s={pair[side]['metrics']['run_s']['value']:.4f}", flush=True)
+                pairs.append({"parent": pair["parent"], "change": pair["change"]})
+            traced = {side: run_once(sides[side], wl, SEED, TRACE_SECONDS, 1)
+                      for side in ("parent", "change")}
+            doc["workloads"][wl] = {"pairs": pairs, "summary": summarize(pairs, better),
+                                    "trace": traced}
+            args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

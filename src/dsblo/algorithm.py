@@ -191,20 +191,17 @@ class _Stopwatch:
 
 def _gradient_sample(problem: Problem, x_pt: np.ndarray, q_rng, xi_rng,
                      ll: _Stopwatch, ig: _Stopwatch, radius: float, tol: float,
-                     option: str, batch_size: int, start: tuple, counts: dict):
+                     option: str, batch_size: int, start: tuple):
     """One perturbed implicit-gradient evaluation, its lower-level solve
     started from the rows in ``start``; degenerate active sets trigger a
     fresh perturbation draw, up to 5 retries. The sampled option draws
-    ``batch_size`` components and averages them in one gradient call. Every
-    solve is added to ``counts``; returns q, the gradient and the solve."""
+    ``batch_size`` components and averages them in one gradient call.
+    Returns q, the gradient and the solve."""
     last = None
     for _ in range(5):
         q = sample_perturbation(radius, q_rng, problem.d_l)
         try:
             sol = ll.call(problem.solve_ll, x_pt, q, tol, start)
-            counts["solves"] += 1
-            counts["pivots"] += sol.stats.get("pivots", 0)
-            counts["repairs"] += sol.stats.get("repairs", 0)
             if option == "sampled":
                 xi = [int(xi_rng.integers(problem.n_components)) for _ in range(batch_size)]
                 g = ig.call(sampled_implicit_gradient, problem, x_pt, sol, xi).grad
@@ -230,8 +227,8 @@ def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
     use the three streams of ``SeedSequence(seed).spawn(3)``. Exact F is
     logged every ``eval_every`` iterations and at T, for problems that
     expose ``eval_f``. Every lower-level solve, the exact-F ones included,
-    starts from the active set of the latest gradient sample; the totals of
-    the gradient-sample solves go to ``log.lower_level``. A run with a
+    starts from the active set of the latest gradient sample; the solves,
+    pivots and repairs of the gradient samples go to ``log.lower_level``. A run with a
     schedule checks its windows."""
     x = np.zeros(problem.d_u) if x0 is None else np.asarray(x0, dtype=float).copy()
     q_rng, seg_rng, xi_rng = (
@@ -242,8 +239,12 @@ def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
     t_start = time.monotonic()
 
     def sample(x_pt, start):
-        return _gradient_sample(problem, x_pt, q_rng, xi_rng, ll, ig, radius, tol,
-                                option, batch_size, start, counts)
+        q, g, sol = _gradient_sample(problem, x_pt, q_rng, xi_rng, ll, ig, radius, tol,
+                                     option, batch_size, start)
+        counts["solves"] += 1
+        counts["pivots"] += sol.stats.get("pivots", 0)
+        counts["repairs"] += sol.stats.get("repairs", 0)
+        return q, g, sol
 
     q, g, sol = sample(x, ())
     m = g

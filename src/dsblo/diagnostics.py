@@ -26,11 +26,12 @@ def eval_F_exact(inst: QuadraticBilevel, x: np.ndarray, start=()) -> float:
 
 
 def _mc_solves(inst: QuadraticBilevel, x: np.ndarray, radius: float,
-               n_samples: int, rng: np.random.Generator, start=()):
+               n_samples: int, rng: np.random.Generator):
     """The Monte-Carlo loop of the perturbation-smoothed objective: yields
     n_samples exact lower-level solves at x, each under a fresh ball-uniform
     perturbation drawn from rng in stream order and started from the
-    previous sample's active set (the first from ``start``)."""
+    previous sample's active set (the first one cold)."""
+    start = ()
     for _ in range(n_samples):
         sol = solve_ll_quadratic(inst, x, sample_perturbation(radius, rng, inst.d_l), start)
         start = sol.active_set
@@ -40,12 +41,12 @@ def _mc_solves(inst: QuadraticBilevel, x: np.ndarray, radius: float,
 def _mc_objective(inst: QuadraticBilevel, x: np.ndarray, radius: float,
                   n_samples: int, rng: np.random.Generator):
     """Mean and standard error of F_q(x) over ``_mc_solves``, and the
-    lower-level solves behind them."""
+    lower-level solutions y_q behind them."""
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    sols = list(_mc_solves(inst, x, radius, n_samples, rng))
-    vals = np.array([eval_f(inst, x, sol.y_hat) for sol in sols])
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples)), sols
+    ys = [sol.y_hat for sol in _mc_solves(inst, x, radius, n_samples, rng)]
+    vals = np.array([eval_f(inst, x, y) for y in ys])
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples)), ys
 
 
 def eval_Fbar_mc(inst: QuadraticBilevel, x: np.ndarray, radius: float,
@@ -98,11 +99,9 @@ def stationarity_window(log, t: int, beta: float, K: int,
         if inst is None or rng is None:
             raise ValueError("MC re-evaluation needs the instance and an rng")
         grads = []
-        start = ()
         for i in idx:
             x_bar = records[i - 1].x_bar
-            sols = list(_mc_solves(inst, x_bar, radius, mc_samples, rng, start))
-            start = sols[-1].active_set
+            sols = _mc_solves(inst, x_bar, radius, mc_samples, rng)
             grads.append(np.mean([implicit_gradient(inst, x_bar, s).grad for s in sols], axis=0))
     else:
         grads = [records[i - 1].grad for i in idx]
@@ -187,9 +186,9 @@ def perturbation_error_check(inst: QuadraticBilevel, x: np.ndarray, radius: floa
     the smoothing-error bound with a sampled gradient-norm estimate; needs
     n_samples >= 2 for the standard error."""
     x = np.asarray(x, dtype=float)
-    mean, stderr, sols = _mc_objective(inst, x, radius, n_samples, rng)
-    exact = eval_F_exact(inst, x, sols[-1].active_set)
-    pairs = [(x, sol.y_hat) for sol in sols[::max(1, n_samples // 32)]]
+    mean, stderr, ys = _mc_objective(inst, x, radius, n_samples, rng)
+    exact = eval_F_exact(inst, x)
+    pairs = [(x, y) for y in ys[::max(1, n_samples // 32)]]
     l_hat = estimate_grad_norm_bound(inst, pairs)
     bound = l_hat * radius / inst.mu_g + 3.0 * stderr
     gap = abs(mean - exact)

@@ -73,9 +73,9 @@ class TestFbarMC:
         assert res["ok"]
 
     def test_mc_solves_start_from_previous_sample(self, monkeypatch):
-        # each Monte-Carlo solve starts from the previous one's active set,
-        # the exact F of the error check from the last sample's, and each
-        # MC window point from the previous point's last sample
+        # each Monte-Carlo solve starts from the previous sample's active
+        # set at the same point; the first sample at a point and the exact F
+        # of the error check start cold
         import dsblo.diagnostics as diag
         inst = generate_instance(8, 8, 8, seed=1)
         params = DsbloParams(
@@ -94,13 +94,14 @@ class TestFbarMC:
         monkeypatch.setattr(diag, "solve_ll_quadratic", recording)
         perturbation_error_check(inst, log.records[-1].x, 1e-3, 6, np.random.default_rng(0))
         assert [c[0] for c in calls] == [False] * 6 + [True]
-        assert calls[0][1] == () and len(calls[-1][1]) == 2
-        assert all(c[1] == prev[2] for c, prev in zip(calls[1:], calls))
+        assert calls[0][1] == () == calls[-1][1] and len(calls[-1][2]) == 2
+        assert all(c[1] == prev[2] for c, prev in zip(calls[1:6], calls))
         calls.clear()
         stationarity_window(log, 40, 0.9, 5, inst=inst, mc_samples=2, radius=1e-3,
                             rng=np.random.default_rng(0))
-        assert len(calls) == 10 and calls[0][1] == () and calls[-1][1]
-        assert all(c[1] == prev[2] for c, prev in zip(calls[1:], calls))
+        assert len(calls) == 10 and all(c[2] for c in calls)
+        assert [c[1] for c in calls[::2]] == [()] * 5
+        assert all(second[1] == first[2] for first, second in zip(calls[::2], calls[1::2]))
 
     def test_stderr_scales_as_sqrt_n(self, small_instance):
         x = np.full(3, 0.3)
