@@ -9,9 +9,9 @@ from .diagnostics import (eval_F_exact, eval_Fbar_mc, fd_gradient_oracle,
                           stationarity_profile, stationarity_window)
 from .implicit_grad import ImplicitGradient, implicit_gradient, jacobians, \
     sampled_implicit_gradient
-from .lower_level import (LLSolution, Perturbation, certify_active_set,
-                          sample_perturbation, sc_margin, solve_ll_bruteforce,
-                          solve_ll_oracle, solve_ll_quadratic, solve_qp)
+from .lower_level import (LLSolution, Perturbation, sample_perturbation, sc_margin,
+                          solve_ll_bruteforce, solve_ll_oracle, solve_ll_quadratic,
+                          solve_qp)
 from .problem import (Polyhedron, ProblemOracle, QuadraticBilevel, eval_f,
                       fingerprint, generate_instance, instance_from_dict,
                       instance_to_dict, load_instance, oracle_from_quadratic,

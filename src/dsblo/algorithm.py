@@ -24,7 +24,7 @@ from .diagnostics import check_windows, eval_F_exact
 from .errors import DegenerateActiveSet, DsbloError, ScheduleInfeasible
 from .implicit_grad import implicit_gradient, sampled_implicit_gradient
 from .lower_level import sample_perturbation
-from .problem import Problem
+from .problem import Problem, sample_component
 
 
 @dataclass(frozen=True)
@@ -161,11 +161,9 @@ class RunLog:
     algorithm: str
     params: dict
     schedule: Optional[ResolvedSchedule]
-    instance_fingerprint: str
     records: List[IterateRecord] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     truncated: bool = False
-    diagnostics_report: Optional[str] = None
     windows: Optional[dict] = None  # result of diagnostics.check_windows
     # gradient-sample lower-level solves, with their pivots and repairs
     lower_level: dict = field(default_factory=dict)
@@ -203,7 +201,7 @@ def _gradient_sample(problem: Problem, x_pt: np.ndarray, q_rng, xi_rng,
         try:
             sol = ll.call(problem.solve_ll, x_pt, q, tol, start)
             if option == "sampled":
-                xi = [int(xi_rng.integers(problem.n_components)) for _ in range(batch_size)]
+                xi = [sample_component(problem, xi_rng) for _ in range(batch_size)]
                 g = ig.call(sampled_implicit_gradient, problem, x_pt, sol, xi).grad
             else:
                 g = ig.call(implicit_gradient, problem, x_pt, sol).grad
@@ -306,7 +304,6 @@ def run_dsblo(problem: Problem, params: DsbloParams, x0=None,
         params={**asdict(params), "mode": asdict(params.mode),
                 "mode_kind": type(params.mode).__name__},
         schedule=sched,
-        instance_fingerprint=problem.fingerprint,
     )
     return _outer_loop(problem, log, params.T, params.seed, x0,
                        lambda m: step_size(m, sched.gamma1, sched.gamma2), sched.beta, True,
@@ -332,7 +329,6 @@ def run_igd_baseline(problem: Problem, step: float, T: int, ll_tol: float = 1e-8
         params={"step": step, "T": T, "ll_tol": ll_tol, "seed": seed,
                 "perturb_radius": perturb_radius},
         schedule=None,
-        instance_fingerprint=problem.fingerprint,
     )
     return _outer_loop(problem, log, T, seed, x0, lambda m: step, 0.0, False,
                        perturb_radius, ll_tol, "deterministic", 1,

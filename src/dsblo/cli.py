@@ -71,7 +71,7 @@ def _cmd_verify(args) -> int:
 def _cmd_inspect(args) -> int:
     try:
         inst = load_instance(args.instance)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read instance: {exc}", file=sys.stderr)
         return 1
     poly = inst.constraints

@@ -4,7 +4,6 @@ the finite-difference oracle used to cross-check analytic gradients."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -198,8 +197,8 @@ def perturbation_error_check(inst: QuadraticBilevel, x: np.ndarray, radius: floa
     }
 
 
-def build_report(log, trailing_fraction: float = 0.25) -> str:
-    """Structured per-run diagnostics document (JSON text).
+def build_report(log, trailing_fraction: float = 0.25) -> dict:
+    """Structured per-run diagnostics document.
 
     Reports both the min-norm window and the trailing average of window
     norms (no single canonical choice exists, so both are labeled), plus the
@@ -231,4 +230,4 @@ def build_report(log, trailing_fraction: float = 0.25) -> str:
             "min": min(v for _, v in f_vals),
         }
     doc["timings"] = log.timings
-    return json.dumps(doc, indent=1)
+    return doc

@@ -17,7 +17,7 @@ import numpy as np
 from .algorithm import (DsbloParams, ManualMode, RunLog, TheoryMode,
                         run_dsblo, run_igd_baseline)
 from .diagnostics import build_report, stationarity_profile
-from .errors import ConfigError
+from .errors import ConfigError, GeneratorError
 from .problem import QuadraticBilevel, generate_instance, load_instance
 
 CSV_HEADER = "t,wall_time_s,F,eta,m_norm,stationarity_norm,q_norm"
@@ -36,9 +36,8 @@ class AlgorithmSpec:
 class ExperimentConfig:
     algorithms: List[AlgorithmSpec]
     seeds: List[int]
+    instance: QuadraticBilevel  # generated from the spec, or read from the file
     output_dir: str = "out"
-    # generate_instance's keyword arguments, or the instance read from a file
-    instance: Union[dict, QuadraticBilevel, None] = None
     formats: tuple = ("csv", "svg")
     eval_every: Optional[int] = None
     wall_clock_budget_s: Optional[float] = None
@@ -110,6 +109,36 @@ def _parse_algorithm(doc: dict, idx: int) -> AlgorithmSpec:
     return AlgorithmSpec(name=name, label=doc.get("label", name), params=params)
 
 
+def _instance(d: dict, base_dir: Path) -> QuadraticBilevel:
+    """The instance an ``instance`` section names: read from its ``path``,
+    or generated from its spec."""
+    if "path" in d:
+        if not isinstance(d["path"], str):
+            raise ConfigError(f"instance: path must be a string, got {d['path']!r}")
+        path = (base_dir / d["path"]).resolve()
+        try:
+            return load_instance(path)
+        except FileNotFoundError:
+            raise ConfigError(f"instance file not found: {path}") from None
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read instance file {path}: {exc}") from exc
+    box = d.get("box_radius", 10.0)  # an explicit null means no box rows
+    spec = {
+        "d_u": _number(d, "d_u", "instance", integer=True, low=1),
+        "d_l": _number(d, "d_l", "instance", integer=True, low=1),
+        "k": _number(d, "k", "instance", integer=True, low=0),
+        "seed": _number(d, "seed", "instance", integer=True, low=0),
+        "n_components": _number(d, "n_components", "instance", 1, integer=True, low=1),
+        "box_radius": None if box is None else _number(d, "box_radius", "instance", 10.0),
+    }
+    if box is not None and box <= 0:
+        raise ConfigError(f"instance: box_radius must be positive, got {box!r}")
+    try:
+        return generate_instance(**spec)
+    except GeneratorError as exc:
+        raise ConfigError(f"instance: {exc}") from exc
+
+
 def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     """Parse and check a config document; malformed input raises
     ``ConfigError`` here rather than failing the runs later."""
@@ -120,32 +149,10 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     if len(set(labels)) != len(labels):
         raise ConfigError(f"algorithm labels are not unique: {labels}")
 
-    if "instance" in doc and isinstance(doc["instance"], dict):
-        d = doc["instance"]
-        if "path" in d:
-            if not isinstance(d["path"], str):
-                raise ConfigError(f"instance: path must be a string, got {d['path']!r}")
-            path = (base_dir / d["path"]).resolve()
-            try:
-                inst = load_instance(path)
-            except FileNotFoundError:
-                raise ConfigError(f"instance file not found: {path}") from None
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"cannot read instance file {path}: {exc}") from exc
-        else:
-            box = d.get("box_radius", 10.0)  # an explicit null means no box rows
-            inst = {
-                "d_u": _number(d, "d_u", "instance", integer=True, low=1),
-                "d_l": _number(d, "d_l", "instance", integer=True, low=1),
-                "k": _number(d, "k", "instance", integer=True, low=0),
-                "seed": _number(d, "seed", "instance", integer=True, low=0),
-                "n_components": _number(d, "n_components", "instance", 1, integer=True, low=1),
-                "box_radius": None if box is None else _number(d, "box_radius", "instance", 10.0),
-            }
-            if box is not None and box <= 0:
-                raise ConfigError(f"instance: box_radius must be positive, got {box!r}")
-    else:
+    d = doc.get("instance")
+    if not isinstance(d, dict):
         raise ConfigError("config needs an 'instance' section (spec or path)")
+    inst = _instance(d, base_dir)
 
     seeds = doc.get("seeds", [0])
     if not isinstance(seeds, list) or not seeds:
@@ -163,8 +170,8 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     return ExperimentConfig(
         algorithms=algs,
         seeds=seeds,
-        output_dir=output_dir,
         instance=inst,
+        output_dir=output_dir,
         formats=tuple(formats),
         eval_every=_number(doc, "eval_every", "config", None, integer=True, low=0),
         wall_clock_budget_s=_number(doc, "wall_clock_budget_s", "config", None),
@@ -283,15 +290,15 @@ def write_objective_svg(series: List[dict], path, title="objective vs wall time"
 
 
 def _run_one(inst: QuadraticBilevel, spec: AlgorithmSpec, seed: int,
-             eval_every: int, cancel, progress=None) -> RunLog:
+             eval_every: int, cancel, progress=None):
+    """One run and its diagnostics report."""
     if spec.name == "dsblo":
         log = run_dsblo(inst, replace(spec.params, seed=seed), eval_every=eval_every,
                         cancel=cancel, progress=progress)
     else:
         log = run_igd_baseline(inst, **spec.params, seed=seed, eval_every=eval_every,
                                cancel=cancel, progress=progress)
-    log.diagnostics_report = build_report(log)
-    return log
+    return log, build_report(log)
 
 
 def _live_printer(label: str, seed: int, every: int):
@@ -311,8 +318,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     inst = cfg.instance
-    if isinstance(inst, dict):
-        inst = generate_instance(**inst)
     fp = inst.fingerprint
     eval_every = cfg.eval_every
     if eval_every is None:
@@ -335,7 +340,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         if cfg.progress_every > 0:
             live = _live_printer(spec.label, seed, cfg.progress_every)
         try:
-            log = _run_one(inst, spec, seed, eval_every, cancel, progress=live)
+            log, report = _run_one(inst, spec, seed, eval_every, cancel, progress=live)
         except Exception:  # recorded in the summary; the other runs go on
             entry.update(status="error", error=traceback.format_exc(limit=8))
             summary["failed"] = True
@@ -350,11 +355,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "label": spec.label,
             "seed": seed,
             "params": log.params,
-            "instance_fingerprint": log.instance_fingerprint,
+            "instance_fingerprint": fp,
             "timings": log.timings,
             "lower_level": log.lower_level,
             "truncated": log.truncated,
-            "diagnostics": json.loads(log.diagnostics_report),
+            "diagnostics": report,
         }
         (out_dir / f"{stem}.runlog.json").write_text(json.dumps(meta, indent=1) + "\n")
         f_pairs = [(r.wall_time, r.F_exact) for r in log.records if r.F_exact is not None]

@@ -38,7 +38,6 @@ class ImplicitGradient:
     ``component`` names the sampled component(s), None for the full batch."""
 
     grad: np.ndarray
-    used_approx: bool
     component: Optional[Union[int, tuple]] = None
 
 
@@ -123,10 +122,7 @@ def implicit_gradient(problem: Problem, x: np.ndarray, sol: LLSolution) -> Impli
     """Full-batch implicit gradient grad_x f + jac_y' grad_y f at (x, y_hat)."""
     x = np.asarray(x, dtype=float)
     gx, gy = problem.grad_f(x, np.asarray(sol.y_hat))
-    return ImplicitGradient(
-        grad=_adjoint(problem, x, sol, gx, gy),
-        used_approx=sol.method != "active_set",
-    )
+    return ImplicitGradient(grad=_adjoint(problem, x, sol, gx, gy))
 
 
 def sampled_implicit_gradient(problem: Problem, x: np.ndarray, sol: LLSolution,
@@ -149,8 +145,4 @@ def sampled_implicit_gradient(problem: Problem, x: np.ndarray, sol: LLSolution,
         parts = [problem.sampled_grad_f(x, y, i) for i in xi]
         gx = np.mean([p[0] for p in parts], axis=0)
         gy = np.mean([p[1] for p in parts], axis=0)
-    return ImplicitGradient(
-        grad=_adjoint(problem, x, sol, gx, gy),
-        used_approx=sol.method != "active_set",
-        component=xi,
-    )
+    return ImplicitGradient(grad=_adjoint(problem, x, sol, gx, gy), component=xi)

@@ -104,7 +104,6 @@ class LLSolution:
     kkt_residual: float
     max_violation: float
     delta_cert: float
-    method: str = "active_set"
     stats: dict = field(default_factory=dict)
     rank_smin: Optional[float] = None
 
@@ -115,11 +114,6 @@ def sc_margin(sol: LLSolution) -> float:
     if not sol.active_set:
         return float("inf")
     return float(np.min(sol.lam[list(sol.active_set)]))
-
-
-def certify_active_set(exact: LLSolution, approx: LLSolution) -> bool:
-    """True iff both solves identified the same active rows."""
-    return tuple(exact.active_set) == tuple(approx.active_set)
 
 
 def _tight_rows(slacks: np.ndarray) -> tuple:
@@ -229,7 +223,6 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     # y is the equality solve on the working set until a pivot moves it
     polished = True
     pivots = 0
-    obj_trace = [float(0.5 * y @ (H * y) + c @ y)]
     repairs = 0
 
     while True:
@@ -324,7 +317,6 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
                 break
             work.pop(j_drop)
             lam_w = np.delete(lam_w, j_drop)
-        obj_trace.append(float(0.5 * y @ (H * y) + c @ y))
 
     active = _tight_rows(slack)
     lam = np.zeros(k)
@@ -344,8 +336,7 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
         kkt_residual=kkt,
         max_violation=max_viol,
         delta_cert=kkt / mu,
-        method="active_set",
-        stats={"pivots": pivots, "objective_trace": obj_trace, "repairs": repairs},
+        stats={"pivots": pivots, "repairs": repairs},
         rank_smin=smin,
     )
 
@@ -428,8 +419,6 @@ def solve_ll_bruteforce(inst: QuadraticBilevel, x: np.ndarray,
         kkt_residual=kkt_res,
         max_violation=float(np.max(-slack)) if k else float("-inf"),
         delta_cert=kkt_res / 2.0,
-        method="bruteforce",
-        stats={},
     )
 
 
@@ -517,7 +506,6 @@ def solve_ll_oracle(oracle: ProblemOracle, x: np.ndarray,
         kkt_residual=kkt,
         max_violation=float(np.max(-slack)) if poly.k else float("-inf"),
         delta_cert=cert,
-        method="projected_gradient",
         stats={"iterations": it},
         rank_smin=smin,
     )

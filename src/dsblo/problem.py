@@ -107,8 +107,6 @@ class Problem(Protocol):
     def d_u(self) -> int: ...
     @property
     def d_l(self) -> int: ...
-    @property
-    def fingerprint(self) -> str: ...
     def solve_ll(self, x: np.ndarray, q, tol: float,
                  start=()) -> "lower_level.LLSolution": ...
     def grad_f(self, x: np.ndarray, y: np.ndarray) -> tuple: ...
@@ -255,7 +253,6 @@ class ProblemOracle:
     def d_l(self) -> int:
         return self.constraints.d_l
 
-    fingerprint: ClassVar[str] = "oracle"  # callbacks have no content to hash
     hess_yy_diag: ClassVar[None] = None  # hess_yy_g is a general matrix
 
     def solve_ll(self, x: np.ndarray, q, tol: float,
@@ -295,10 +292,10 @@ def eval_f(inst: QuadraticBilevel, x: np.ndarray, y: np.ndarray) -> float:
     return base + float(inst.cx.mean(axis=0) @ x + inst.cy.mean(axis=0) @ y)
 
 
-def sample_component(inst: QuadraticBilevel, rng: np.random.Generator) -> int:
+def sample_component(problem: Problem, rng: np.random.Generator) -> int:
     """Uniform component index; the finite-sum mean of per-component
     gradients equals the full-batch gradient exactly."""
-    return int(rng.integers(inst.n_components))
+    return int(rng.integers(problem.n_components))
 
 
 def _boundedness_certified(A: np.ndarray, rng: np.random.Generator, trials: int = 512) -> bool:
@@ -402,25 +399,30 @@ def instance_to_dict(inst: QuadraticBilevel) -> dict:
 
 
 def instance_from_dict(doc: dict) -> QuadraticBilevel:
+    """The instance a document describes; any malformed document, one with
+    a missing key or a mistyped field included, raises ``ValueError``."""
     if not isinstance(doc, dict) or doc.get("format") != "dsblo-instance":
         raise ValueError("not an instance document")
-    poly = Polyhedron(
-        np.array(doc["A"], dtype=float).reshape(-1, doc["d_l"]),
-        np.array(doc["B"], dtype=float).reshape(-1, doc["d_u"]),
-        np.array(doc["b"], dtype=float),
-        n_random_rows=doc["n_random_rows"],
-    )
-    return QuadraticBilevel(
-        Q1=np.array(doc["Q1"], dtype=float),
-        Q2=np.array(doc["Q2"], dtype=float),
-        cx=np.array(doc["cx"], dtype=float),
-        cy=np.array(doc["cy"], dtype=float),
-        constraints=poly,
-        mu_g=doc.get("mu_g", 2.0),
-        seed=doc.get("seed"),
-        box_radius=doc.get("box_radius"),
-        generator_version=doc.get("generator_version", GENERATOR_VERSION),
-    )
+    try:
+        poly = Polyhedron(
+            np.array(doc["A"], dtype=float).reshape(-1, doc["d_l"]),
+            np.array(doc["B"], dtype=float).reshape(-1, doc["d_u"]),
+            np.array(doc["b"], dtype=float),
+            n_random_rows=doc["n_random_rows"],
+        )
+        return QuadraticBilevel(
+            Q1=np.array(doc["Q1"], dtype=float),
+            Q2=np.array(doc["Q2"], dtype=float),
+            cx=np.array(doc["cx"], dtype=float),
+            cy=np.array(doc["cy"], dtype=float),
+            constraints=poly,
+            mu_g=doc.get("mu_g", 2.0),
+            seed=doc.get("seed"),
+            box_radius=doc.get("box_radius"),
+            generator_version=doc.get("generator_version", GENERATOR_VERSION),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed instance document: {exc!r}") from exc
 
 
 def save_instance(inst: QuadraticBilevel, path) -> None:

@@ -22,8 +22,8 @@ import numpy as np
 
 from .algorithm import (DsbloParams, ManualMode, TheoryMode, run_dsblo,
                         run_igd_baseline, schedule)
-from .diagnostics import (fd_gradient_oracle, perturbation_error_check,
-                          stationarity_profile, window_weights)
+from .diagnostics import (build_report, fd_gradient_oracle, perturbation_error_check,
+                          window_weights)
 from .errors import Infeasible
 from .experiment import config_from_dict, run_experiment
 from .implicit_grad import implicit_gradient, jacobians, sampled_implicit_gradient
@@ -402,10 +402,6 @@ def run_benchmark(size: int, seed: int = 1):
     ig = run_igd_baseline(inst, step=cfg["igd_step"], T=cfg["T"], seed=seed,
                           eval_every=cfg["eval_every"])
     elapsed = time.monotonic() - t0
-    sched = ds.schedule
-    prof = stationarity_profile(ds, sched.beta, sched.K)
-    valid = prof[~np.isnan(prof)]
-    tail = valid[int(len(valid) * 0.75):]
     ds_f = [r.F_exact for r in ds.records if r.F_exact is not None]
     ig_f = [r.F_exact for r in ig.records if r.F_exact is not None]
     return {
@@ -416,7 +412,7 @@ def run_benchmark(size: int, seed: int = 1):
         "F_first": ds_f[0],
         "F_last": ds_f[-1],
         "igd_F_last": ig_f[-1],
-        "trailing_stationarity": float(tail.mean()),
+        "trailing_stationarity": build_report(ds)["stationarity"]["trailing_avg"],
     }
 
 

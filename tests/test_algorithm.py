@@ -254,8 +254,21 @@ class TestRunDsblo:
         )
         log_oracle = run_dsblo(oracle, params, eval_every=0)
         log_exact = run_dsblo(inst, params, eval_every=0)
-        assert log_oracle.instance_fingerprint == "oracle"
         assert np.linalg.norm(log_oracle.records[-1].x - log_exact.records[-1].x) <= 1e-5
+
+    def test_library_run_computes_no_fingerprint(self, monkeypatch):
+        # provenance belongs to run_experiment; the solver never hashes
+        import dsblo.problem as problem_mod
+        calls = []
+        monkeypatch.setattr(problem_mod, "fingerprint", lambda inst: calls.append(inst))
+        inst = generate_instance(4, 4, 2, seed=12)
+        params = DsbloParams(
+            T=12, mode=ManualMode(beta=0.9, gamma1=5.0, gamma2=20.0, K=5, delta_y=1e-8),
+            seed=12,
+        )
+        run_dsblo(inst, params, eval_every=1)
+        run_igd_baseline(inst, step=0.02, T=12, seed=12, eval_every=1)
+        assert calls == []
 
     def test_theory_schedule_sets_ll_tolerance(self):
         # every lower-level solve of a dsblo run is made to the schedule's delta_y

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,7 +206,7 @@ class TestReport:
             seed=3,
         )
         log = run_dsblo(small_instance, params, eval_every=1)
-        doc = json.loads(build_report(log))
+        doc = build_report(log)
         assert doc["algorithm"] == "dsblo"
         assert doc["displacement"]["violations"] == 0
         assert "min_window_norm" in doc["stationarity"]
@@ -229,6 +227,6 @@ class TestReport:
 
     def test_igd_report(self, small_instance):
         log = run_igd_baseline(small_instance, step=0.02, T=15, seed=2, eval_every=1)
-        doc = json.loads(build_report(log))
+        doc = build_report(log)
         assert doc["algorithm"] == "igd"
         assert doc["displacement"]["checked"] == 0

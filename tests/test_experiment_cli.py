@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import dsblo.algorithm as algo
+import dsblo.experiment as exp_mod
 import dsblo.problem as problem_mod
 import dsblo.verify as verify_mod
 from dsblo.cli import main
@@ -65,6 +66,7 @@ class TestConfig:
         "{not json",
         "[1, 2]",
         '{"format": "dsblo-instance", "d_l": 2}',
+        '{"d_l": "two", "format": "dsblo-instance", "d_u": 1, "A": [], "B": [], "b": []}',
     ])
     def test_instance_file_not_an_instance(self, tmp_path, capsys, text):
         (tmp_path / "inst.json").write_text(text)
@@ -95,9 +97,12 @@ class TestConfig:
         (lambda doc: doc.update(output_dir=5), "output_dir must be a string"),
         (lambda doc: doc.update(formats=5), "formats must be a list"),
         (lambda doc: doc.update(formats="csv"), "formats must be a list"),
+        (lambda doc: doc.update(instance={"d_u": 10, "d_l": 10, "k": 5, "seed": 1,
+                                          "box_radius": None}),
+         "cannot certify a bounded feasible set"),
     ], ids=["dsblo-without-beta", "eval-every-string", "seeds-string", "seeds-int",
             "instance-k-negative", "mode-string", "dsblo-ll-tol", "instance-path-int",
-            "output-dir-int", "formats-int", "formats-string"])
+            "output-dir-int", "formats-int", "formats-string", "instance-unbounded"])
     def test_rejected_at_load(self, tmp_path, capsys, edit, match):
         doc = tiny_config(tmp_path)
         edit(doc)
@@ -201,18 +206,21 @@ class TestRunExperiment:
         assert by_label["igd"]["status"] == "ok"
 
     def test_one_fingerprint_per_experiment(self, tmp_path, monkeypatch):
-        calls = []
-        orig = problem_mod.fingerprint
-
-        def counting(inst):
-            calls.append(inst)
-            return orig(inst)
-
-        monkeypatch.setattr(problem_mod, "fingerprint", counting)
-        summary = run_experiment(config_from_dict(tiny_config(tmp_path)))
-        assert [r["status"] for r in summary["runs"]] == ["ok", "ok"]
-        assert len(calls) == 1
-        assert summary["instance_fingerprint"] == orig(calls[0])
+        # the config builds the instance once; its runs reuse it and its hash
+        built, hashed = [], []
+        orig_generate, orig_fp = exp_mod.generate_instance, problem_mod.fingerprint
+        monkeypatch.setattr(exp_mod, "generate_instance",
+                            lambda **kw: built.append(kw) or orig_generate(**kw))
+        monkeypatch.setattr(problem_mod, "fingerprint",
+                            lambda inst: hashed.append(inst) or orig_fp(inst))
+        cfg = config_from_dict(tiny_config(tmp_path))
+        summaries = [run_experiment(cfg) for _ in range(2)]
+        assert len(built) == 1 and len(hashed) == 1
+        for summary in summaries:
+            assert [r["status"] for r in summary["runs"]] == ["ok", "ok"]
+            assert summary["instance_fingerprint"] == orig_fp(hashed[0])
+            meta = json.loads((Path(summary["output_dir"]) / "dsblo.runlog.json").read_text())
+            assert meta["instance_fingerprint"] == summary["instance_fingerprint"]
 
     def test_wall_clock_budget_truncates(self, tmp_path):
         doc = tiny_config(tmp_path, wall_clock_budget_s=0.0)
@@ -291,6 +299,21 @@ class TestCli:
     def test_inspect_missing_file(self, tmp_path, capsys):
         assert main(["inspect", str(tmp_path / "missing.json")]) == 1
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(d_l="two"),
+        lambda doc: doc.pop("Q2"),
+    ], ids=["mistyped-field", "missing-key"])
+    def test_inspect_malformed_instance(self, tmp_path, capsys, edit):
+        from dsblo.problem import generate_instance, instance_to_dict
+        doc = instance_to_dict(generate_instance(3, 2, 1, seed=0))
+        edit(doc)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        assert main(["inspect", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read instance")
+        assert "Traceback" not in err
+
     def test_run_end_to_end(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config(tmp_path)))
@@ -329,7 +352,7 @@ class TestCli:
 
         def flipped(problem, x, sol):
             g = real(problem, x, sol)
-            return type(g)(grad=-g.grad, used_approx=g.used_approx, component=g.component)
+            return type(g)(grad=-g.grad, component=g.component)
 
         monkeypatch.setattr(verify_mod, "implicit_gradient", flipped)
         res = verify_mod.check_implicit_fd(n_instances=1, n_points=2)

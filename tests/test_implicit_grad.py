@@ -82,7 +82,6 @@ class TestImplicitGradientHandChecked:
         g = implicit_gradient(self._oracle_f_is_y_sq(inst), x, sol)
         # F(x) = x^2 on this branch
         assert g.grad == pytest.approx(np.array([-2.0]), abs=1e-12)
-        assert not g.used_approx
 
 
 class TestFiniteDifferenceAgreement:
@@ -203,7 +202,6 @@ class TestStructuralInvariants:
             sol = solve_ll_oracle(oracle, x, q, tol_delta=tol)
             assert sol.active_set == sol_exact.active_set
             g = implicit_gradient(oracle, x, sol)
-            assert g.used_approx
             errs.append(np.linalg.norm(g.grad - g_exact))
         assert errs[0] >= errs[1] >= errs[2]
 

@@ -210,6 +210,18 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_instance(p)
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("A"),
+        lambda doc: doc.update(d_l="two"),
+        lambda doc: doc.update(n_random_rows=None),
+        lambda doc: doc.update(Q1="abc"),
+    ], ids=["missing-key", "d_l-string", "rows-null", "Q1-string"])
+    def test_malformed_document_raises_value_error(self, small_instance, edit):
+        doc = instance_to_dict(small_instance)
+        edit(doc)
+        with pytest.raises(ValueError):
+            instance_from_dict(doc)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_fingerprint_stable_under_round_trip(self, seed):
