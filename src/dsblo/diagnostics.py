@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import WindowIncomplete, WindowViolation
 from .implicit_grad import implicit_gradient
-from .lower_level import sample_perturbation, solve_ll_quadratic
+from .lower_level import sample_perturbation, solve_ll_quadratic, solve_qp_batch
 from .problem import QuadraticBilevel, eval_f
 
 
@@ -25,34 +25,41 @@ def eval_F_exact(inst: QuadraticBilevel, x: np.ndarray, start=()) -> float:
 
 
 def _mc_solves(inst: QuadraticBilevel, x: np.ndarray, radius: float,
-               n_samples: int, rng: np.random.Generator):
-    """The Monte-Carlo loop of the perturbation-smoothed objective: yields
-    n_samples exact lower-level solves at x, each under a fresh ball-uniform
-    perturbation drawn from rng in stream order and started from the
-    previous sample's active set (the first one cold)."""
-    start = ()
-    for _ in range(n_samples):
-        sol = solve_ll_quadratic(inst, x, sample_perturbation(radius, rng, inst.d_l), start)
-        start = sol.active_set
-        yield sol
+               n_samples: int, rng: np.random.Generator, start=()) -> tuple:
+    """The n_samples >= 1 exact lower-level solves at x, each under a fresh
+    ball-uniform perturbation drawn from rng in stream order, and how many
+    fell back to a single solve. The first draw is solved from the rows in
+    ``start``, the others in one batch on its active set (``solve_qp_batch``);
+    a draw the batch rejects is solved from the previous sample's set."""
+    x = np.asarray(x, dtype=float)
+    qs = np.array([sample_perturbation(radius, rng, inst.d_l).q for _ in range(n_samples)])
+    sols = [solve_ll_quadratic(inst, x, qs[0], start)]
+    poly = inst.constraints
+    batch = solve_qp_batch(inst.hess_yy_diag, inst.Q2.T @ x + qs[1:], poly.A, poly.rhs(x),
+                           sols[0].active_set)
+    for q, sol in zip(qs[1:], batch):
+        sols.append(sol if sol is not None else
+                    solve_ll_quadratic(inst, x, q, sols[-1].active_set))
+    return sols, batch.count(None)
 
 
 def _mc_objective(inst: QuadraticBilevel, x: np.ndarray, radius: float,
                   n_samples: int, rng: np.random.Generator):
-    """Mean and standard error of F_q(x) over ``_mc_solves``, and the
-    lower-level solutions y_q behind them."""
+    """Mean and standard error of F_q(x) over ``_mc_solves``, the solves
+    behind them and the number of fallbacks."""
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    ys = [sol.y_hat for sol in _mc_solves(inst, x, radius, n_samples, rng)]
-    vals = np.array([eval_f(inst, x, y) for y in ys])
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples)), ys
+    sols, fallbacks = _mc_solves(inst, x, radius, n_samples, rng)
+    vals = np.array([eval_f(inst, x, sol.y_hat) for sol in sols])
+    return (float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples)), sols,
+            fallbacks)
 
 
 def eval_Fbar_mc(inst: QuadraticBilevel, x: np.ndarray, radius: float,
                  n_samples: int, rng: np.random.Generator):
     """Monte-Carlo mean and standard error of the perturbed implicit
     objective over fresh ball-uniform perturbations."""
-    mean, stderr, _ = _mc_objective(inst, x, radius, n_samples, rng)
+    mean, stderr, _, _ = _mc_objective(inst, x, radius, n_samples, rng)
     return mean, stderr
 
 
@@ -60,13 +67,15 @@ def eval_Fbar_mc(inst: QuadraticBilevel, x: np.ndarray, radius: float,
 class StationarityWindow:
     """Geometric convex combination of the last K stored gradients; its norm
     upper-bounds the distance of 0 to the radius-delta_bar Goldstein
-    subdifferential at the window anchor x_{t-K}."""
+    subdifferential at the window anchor x_{t-K}. ``mc_fallbacks`` counts the
+    Monte-Carlo solves that fell back to a single solve."""
 
     t: int
     K: int
     weights: np.ndarray
     combined: np.ndarray
     norm: float
+    mc_fallbacks: int = 0
 
 
 def window_weights(beta: float, K: int) -> np.ndarray:
@@ -85,7 +94,8 @@ def stationarity_window(log, t: int, beta: float, K: int,
     By default combines the stored per-perturbation gradients. With
     ``mc_samples > 0`` each window point is re-evaluated as a Monte-Carlo
     average of exact implicit gradients over fresh perturbations (the
-    higher-fidelity estimate of the smoothed gradient).
+    higher-fidelity estimate of the smoothed gradient); each point's first
+    solve starts from the previous point's last active set.
     """
     records = log.records
     if t < K:
@@ -94,19 +104,22 @@ def stationarity_window(log, t: int, beta: float, K: int,
         raise WindowIncomplete(f"log has only {len(records)} records (t={t})")
     w = window_weights(beta, K)
     idx = range(t - K + 1, t + 1)
+    fallbacks = 0
     if mc_samples > 0:
         if inst is None or rng is None:
             raise ValueError("MC re-evaluation needs the instance and an rng")
-        grads = []
+        grads, start = [], ()
         for i in idx:
             x_bar = records[i - 1].x_bar
-            sols = _mc_solves(inst, x_bar, radius, mc_samples, rng)
+            sols, n_fallback = _mc_solves(inst, x_bar, radius, mc_samples, rng, start)
+            start = sols[-1].active_set
+            fallbacks += n_fallback
             grads.append(np.mean([implicit_gradient(inst, x_bar, s).grad for s in sols], axis=0))
     else:
         grads = [records[i - 1].grad for i in idx]
     combined = np.einsum("i,ij->j", w, np.asarray(grads))
     return StationarityWindow(t=t, K=K, weights=w, combined=combined,
-                              norm=float(np.linalg.norm(combined)))
+                              norm=float(np.linalg.norm(combined)), mc_fallbacks=fallbacks)
 
 
 def stationarity_profile(log, beta: float, K: int) -> np.ndarray:
@@ -183,17 +196,19 @@ def perturbation_error_check(inst: QuadraticBilevel, x: np.ndarray, radius: floa
                              n_samples: int, rng: np.random.Generator) -> dict:
     """Check |mean_q F_q(x) - F(x)| <= L_hat * radius / mu_g + 3 * stderr,
     the smoothing-error bound with a sampled gradient-norm estimate; needs
-    n_samples >= 2 for the standard error."""
+    n_samples >= 2 for the standard error. The exact F starts from the
+    first sample's active set; ``mc_fallbacks`` counts the samples that fell
+    back to a single solve."""
     x = np.asarray(x, dtype=float)
-    mean, stderr, ys = _mc_objective(inst, x, radius, n_samples, rng)
-    exact = eval_F_exact(inst, x)
-    pairs = [(x, y) for y in ys[::max(1, n_samples // 32)]]
+    mean, stderr, sols, fallbacks = _mc_objective(inst, x, radius, n_samples, rng)
+    exact = eval_F_exact(inst, x, sols[0].active_set)
+    pairs = [(x, sol.y_hat) for sol in sols[::max(1, n_samples // 32)]]
     l_hat = estimate_grad_norm_bound(inst, pairs)
     bound = l_hat * radius / inst.mu_g + 3.0 * stderr
     gap = abs(mean - exact)
     return {
         "F": exact, "Fbar_mc": mean, "stderr": stderr, "l_hat": l_hat,
-        "gap": gap, "bound": bound, "ok": bool(gap <= bound),
+        "gap": gap, "bound": bound, "ok": bool(gap <= bound), "mc_fallbacks": fallbacks,
     }
 
 

@@ -145,13 +145,34 @@ def check_rank(A_act: np.ndarray) -> float:
 def _equality_solve(H: np.ndarray, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
                     work: list) -> tuple:
     """S = A_W H^-1 A_W', and the multipliers and point of the equality KKT
-    system on the rows in ``work``; raises ``np.linalg.LinAlgError`` when S
-    is singular."""
+    system on the rows in ``work``, one column of each per column of ``Hic``
+    when it is a matrix; raises ``np.linalg.LinAlgError`` when S is
+    singular."""
     Aw = A[work]
     HiA = Aw.T / H[:, None]
     S = Aw @ HiA
-    lam_w = np.linalg.solve(S, -(u[work] + Aw @ Hic))
+    lam_w = np.linalg.solve(S, -(u[work] + (Aw @ Hic).T).T)
     return S, lam_w, -(Hic + HiA @ lam_w)
+
+
+def _start_solve(H: np.ndarray, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
+                 work: list) -> Optional[tuple]:
+    """The multipliers and point of ``_equality_solve`` on the sorted rows in
+    ``work``, or None when those rows are not a usable start: an index out
+    of range, more rows than the dimension, or an S that fails a Cholesky
+    factorization or is nearly singular."""
+    if len(work) > H.shape[0] or work[0] < 0 or work[-1] >= A.shape[0]:
+        return None
+    try:
+        S, lam_w, y = _equality_solve(H, Hic, A, u, work)
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return None
+    # a squared pivot of L is the part of its row's H^-1-norm that the
+    # earlier rows do not span
+    if np.any(np.diag(L) ** 2 <= _START_INDEP * np.diag(S)):
+        return None
+    return lam_w, y
 
 
 def _hot_start(H: np.ndarray, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
@@ -160,22 +181,13 @@ def _hot_start(H: np.ndarray, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
     KKT solution on those rows, dropping the row with the most negative
     multiplier until none is negative (the hot start of the Goldfarb-Idnani
     dual method). Returns (working rows, their multipliers, y), or None when
-    the start is unusable: an index out of range, more rows than the
-    dimension, or rows whose S fails a Cholesky factorization or is nearly
-    singular."""
+    the start is unusable (see ``_start_solve``)."""
     work = sorted({int(i) for i in start})
-    if len(work) > H.shape[0] or work[0] < 0 or work[-1] >= A.shape[0]:
-        return None
     while work:
-        try:
-            S, lam_w, y = _equality_solve(H, Hic, A, u, work)
-            L = np.linalg.cholesky(S)
-        except np.linalg.LinAlgError:
+        solved = _start_solve(H, Hic, A, u, work)
+        if solved is None:
             return None
-        # a squared pivot of L is the part of its row's H^-1-norm that the
-        # earlier rows do not span
-        if np.any(np.diag(L) ** 2 <= _START_INDEP * np.diag(S)):
-            return None
+        lam_w, y = solved
         if lam_w.min() >= 0.0:
             return work, lam_w, y
         work.pop(int(np.argmin(lam_w)))
@@ -339,6 +351,44 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
         stats={"pivots": pivots, "repairs": repairs},
         rank_smin=smin,
     )
+
+
+def solve_qp_batch(H: np.ndarray, C: np.ndarray, A: np.ndarray, u: np.ndarray,
+                   work) -> list:
+    """``solve_qp(H, c, A, u, start=work)`` for every row c of ``C`` where
+    that solve makes no pivot and no repair: one equality KKT solve on
+    ``work`` with one factorization of S for all rows, then one vectorised
+    certificate. A row passes when its multipliers on ``work`` are
+    nonnegative, no row is violated by more than ``_VIOL_TOL``, its tight
+    rows are exactly ``work`` and its KKT residual is at most ``KKT_TOL``;
+    its result then equals the single solve's to round-off. Other rows get
+    None, and every row does when ``work`` is not a usable start."""
+    C = np.atleast_2d(C)
+    n = C.shape[0]
+    work = sorted({int(i) for i in work})
+    HiC = C.T / H[:, None]
+    solved = _start_solve(H, HiC, A, u, work) if work else (np.zeros((0, n)), -HiC)
+    if solved is None:
+        return [None] * n
+    lam_w, Y = solved
+    slack = u[:, None] - A @ Y
+    in_work = np.isin(np.arange(A.shape[0]), work)
+    kkt = np.linalg.norm(H[:, None] * Y + C.T + A[work].T @ lam_w, axis=0)
+    ok = ((lam_w >= 0.0).all(axis=0) & (slack >= -_VIOL_TOL).all(axis=0)
+          & ((slack <= TAU_ACT) == in_work[:, None]).all(axis=0) & (kkt <= KKT_TOL))
+    if not ok.any():
+        return [None] * n
+    smin = check_rank(A[work])
+    max_viol = (-slack).max(axis=0) if A.shape[0] else np.full(n, -np.inf)
+    ys = Y.T.copy()
+    lams = np.zeros((n, A.shape[0]))
+    lams[:, work] = lam_w.T
+    ys.flags.writeable = lams.flags.writeable = False
+    return [LLSolution(y_hat=ys[i], lam=lams[i], active_set=tuple(work),
+                       kkt_residual=float(kkt[i]), max_violation=float(max_viol[i]),
+                       delta_cert=float(kkt[i] / H.min()), stats={"pivots": 0, "repairs": 0},
+                       rank_smin=smin) if ok[i] else None
+            for i in range(n)]
 
 
 def solve_ll_quadratic(inst: QuadraticBilevel, x: np.ndarray,

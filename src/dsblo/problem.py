@@ -162,6 +162,16 @@ class QuadraticBilevel:
         return self.cx.shape[0]
 
     @cached_property
+    def cx_mean(self) -> np.ndarray:
+        """The full-batch linear term in x, the mean of the rows of ``cx``."""
+        return _freeze(self.cx.mean(axis=0))
+
+    @cached_property
+    def cy_mean(self) -> np.ndarray:
+        """The full-batch linear term in y, the mean of the rows of ``cy``."""
+        return _freeze(self.cy.mean(axis=0))
+
+    @cached_property
     def fingerprint(self) -> str:
         """``fingerprint(self)``, computed once: the instance cannot change."""
         return fingerprint(self)
@@ -182,8 +192,8 @@ class QuadraticBilevel:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         self._check_dims(x, y)
-        gx = 2.0 * x + 0.1 * (self.Q1 @ y) + self.cx.mean(axis=0)
-        gy = 0.1 * (self.Q1.T @ x) + 2.0 * y + self.cy.mean(axis=0)
+        gx = 2.0 * x + 0.1 * (self.Q1 @ y) + self.cx_mean
+        gy = 0.1 * (self.Q1.T @ x) + 2.0 * y + self.cy_mean
         return gx, gy
 
     def sampled_grad_f(self, x: np.ndarray, y: np.ndarray, xi: int):
@@ -289,7 +299,7 @@ def eval_f(inst: QuadraticBilevel, x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
     inst._check_dims(x, y)
     base = float(x @ x + 0.1 * (x @ (inst.Q1 @ y)) + y @ y)
-    return base + float(inst.cx.mean(axis=0) @ x + inst.cy.mean(axis=0) @ y)
+    return base + float(inst.cx_mean @ x + inst.cy_mean @ y)
 
 
 def sample_component(problem: Problem, rng: np.random.Generator) -> int:

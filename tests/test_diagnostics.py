@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dsblo.algorithm import DsbloParams, ManualMode, run_dsblo, run_igd_baseline
-from dsblo.diagnostics import (build_report, eval_F_exact, eval_Fbar_mc,
+from dsblo.diagnostics import (_mc_solves, build_report, eval_F_exact, eval_Fbar_mc,
                                fd_gradient_oracle, perturbation_error_check,
                                stationarity_profile, stationarity_window,
                                window_weights)
-from dsblo.errors import WindowIncomplete
-from dsblo.lower_level import solve_ll_bruteforce
+from dsblo.errors import DsbloError, WindowIncomplete
+from dsblo.lower_level import sample_perturbation, solve_ll_bruteforce, solve_ll_quadratic
 from dsblo.problem import eval_f, generate_instance
 
 from conftest import make_1d_instance
@@ -70,10 +70,62 @@ class TestFbarMC:
         assert res["F"] == eval_F_exact(small_instance, x)
         assert res["ok"]
 
-    def test_mc_solves_start_from_previous_sample(self, monkeypatch):
-        # each Monte-Carlo solve starts from the previous sample's active
-        # set at the same point; the first sample at a point and the exact F
-        # of the error check start cold
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.integers(1, 10), st.integers(0, 2 ** 16),
+           st.sampled_from([0.5, 1.0, 3.0]), st.sampled_from([1e-6, 1e-3, 0.1, 1.0]),
+           st.integers(1, 12), st.booleans())
+    def test_batched_mc_solves_match_cold_solves(self, d, k, seed, scale, radius, n, warm):
+        # the batch on the first draw's active set, with its fallbacks, gives
+        # the per-draw cold solves on the same stream of draws
+        inst = generate_instance(d, d, k, seed=seed)
+        x = scale * np.random.default_rng(seed).standard_normal(d)
+        replay = np.random.default_rng(seed + 1)
+        try:
+            start = solve_ll_quadratic(inst, 1.1 * x, None).active_set if warm else ()
+            colds = [solve_ll_quadratic(inst, x, sample_perturbation(radius, replay, d))
+                     for _ in range(n)]
+        except DsbloError:  # x far out can leave no feasible y
+            assume(False)
+        sols, fallbacks = _mc_solves(inst, x, radius, n, np.random.default_rng(seed + 1), start)
+        assert len(sols) == n and 0 <= fallbacks <= n - 1
+        for sol, cold in zip(sols, colds):
+            assert sol.active_set == cold.active_set
+            assert np.allclose(sol.y_hat, cold.y_hat, rtol=1e-12, atol=1e-12)
+            assert np.allclose(sol.lam, cold.lam, rtol=1e-12, atol=1e-12)
+
+    def test_draw_that_changes_the_active_set_falls_back(self, monkeypatch):
+        # at x = 0 the row y <= 0 binds exactly when q < 0, so draws at
+        # radius 1 split between two active sets; a draw that falls back
+        # starts from the previous sample's active set
+        import dsblo.diagnostics as diag
+        inst = _constrained_1d()
+        x = np.zeros(1)
+        starts = []
+        real = diag.solve_ll_quadratic
+
+        def recording(inst_, x_, q, start=()):
+            starts.append(tuple(start))
+            return real(inst_, x_, q, start)
+
+        monkeypatch.setattr(diag, "solve_ll_quadratic", recording)
+        sols, fallbacks = _mc_solves(inst, x, 1.0, 40, np.random.default_rng(3))
+        replay = np.random.default_rng(3)
+        cold = [solve_ll_quadratic(inst, x, sample_perturbation(1.0, replay, 1))
+                for _ in range(40)]
+        assert fallbacks == sum(c.active_set != cold[0].active_set for c in cold[1:]) > 0
+        assert len(starts) == 1 + fallbacks and (0,) in starts[1:]
+        prev = [cold[i - 1].active_set for i in range(1, 40)
+                if cold[i].active_set != cold[0].active_set]
+        assert starts[1:] == prev
+        for sol, ref in zip(sols, cold):
+            assert sol.active_set == ref.active_set
+            assert np.allclose(sol.y_hat, ref.y_hat, rtol=1e-12, atol=1e-12)
+            assert np.allclose(sol.lam, ref.lam, rtol=1e-12, atol=1e-12)
+
+    def test_mc_paths_chain_their_starts(self, monkeypatch):
+        # each window point's first solve starts from the previous point's
+        # last active set (the first cold), and the error check's exact F
+        # from its first sample's active set
         import dsblo.diagnostics as diag
         inst = generate_instance(8, 8, 8, seed=1)
         params = DsbloParams(
@@ -81,25 +133,35 @@ class TestFbarMC:
         # two rows bind at the end of this run
         log = run_dsblo(inst, params, x0=3.0 * np.random.default_rng(1).standard_normal(8),
                         eval_every=0)
-        calls = []
-        real = diag.solve_ll_quadratic
+        points = []
+        real_mc = diag._mc_solves
 
-        def recording(inst_, x_, q, start=()):
-            sol = real(inst_, x_, q, start)
-            calls.append((q is None, tuple(start), sol.active_set))
+        def recording_mc(inst_, x_, radius, n, rng, start=()):
+            sols, fallbacks = real_mc(inst_, x_, radius, n, rng, start)
+            points.append((tuple(start), sols[-1].active_set, fallbacks))
+            return sols, fallbacks
+
+        monkeypatch.setattr(diag, "_mc_solves", recording_mc)
+        win = stationarity_window(log, 40, 0.9, 5, inst=inst, mc_samples=3, radius=1e-3,
+                                  rng=np.random.default_rng(0))
+        assert len(points) == 5 and points[0][0] == ()
+        assert all(p[0] == prev[1] and p[0] for p, prev in zip(points[1:], points))
+        assert win.mc_fallbacks == sum(p[2] for p in points)
+
+        solves = []
+        real_solve = diag.solve_ll_quadratic
+
+        def recording_solve(inst_, x_, q, start=()):
+            sol = real_solve(inst_, x_, q, start)
+            solves.append((q is None, tuple(start), sol))
             return sol
 
-        monkeypatch.setattr(diag, "solve_ll_quadratic", recording)
-        perturbation_error_check(inst, log.records[-1].x, 1e-3, 6, np.random.default_rng(0))
-        assert [c[0] for c in calls] == [False] * 6 + [True]
-        assert calls[0][1] == () == calls[-1][1] and len(calls[-1][2]) == 2
-        assert all(c[1] == prev[2] for c, prev in zip(calls[1:6], calls))
-        calls.clear()
-        stationarity_window(log, 40, 0.9, 5, inst=inst, mc_samples=2, radius=1e-3,
-                            rng=np.random.default_rng(0))
-        assert len(calls) == 10 and all(c[2] for c in calls)
-        assert [c[1] for c in calls[::2]] == [()] * 5
-        assert all(second[1] == first[2] for first, second in zip(calls[::2], calls[1::2]))
+        monkeypatch.setattr(diag, "solve_ll_quadratic", recording_solve)
+        res = perturbation_error_check(inst, log.records[-1].x, 1e-3, 6, np.random.default_rng(0))
+        # one solve for the first sample, the batch for the rest, then F
+        assert [s[0] for s in solves] == [False, True] and res["mc_fallbacks"] == 0
+        assert solves[1][1] == solves[0][2].active_set and len(solves[1][1]) == 2
+        assert solves[1][2].stats["pivots"] == 0
 
     def test_stderr_scales_as_sqrt_n(self, small_instance):
         x = np.full(3, 0.3)

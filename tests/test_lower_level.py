@@ -4,9 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dsblo.errors import DegenerateActiveSet, DsbloError, Infeasible
-from dsblo.lower_level import (Perturbation, sample_perturbation, sc_margin,
+from dsblo.lower_level import (KKT_TOL, Perturbation, sample_perturbation, sc_margin,
                                solve_ll_bruteforce, solve_ll_oracle,
-                               solve_ll_quadratic, solve_qp)
+                               solve_ll_quadratic, solve_qp, solve_qp_batch)
 from dsblo.problem import (Polyhedron, ProblemOracle, empty_polyhedron,
                            generate_instance, oracle_from_quadratic)
 
@@ -270,6 +270,76 @@ class TestWarmStart:
         solve_ll_oracle(oracle, np.full(3, 1.5), None, tol_delta=1e-8)
         assert len(starts) >= 2 and starts[0][0] == ()
         assert all(s == prev for (s, _), (_, prev) in zip(starts[1:], starts))
+
+
+class TestBatch:
+    @staticmethod
+    def _draws(inst, x, radius, n, seed):
+        rng = np.random.default_rng(seed)
+        qs = np.array([sample_perturbation(radius, rng, inst.d_l).q for _ in range(n)])
+        poly = inst.constraints
+        return inst.hess_yy_diag, inst.Q2.T @ x + qs, poly.A, poly.rhs(x)
+
+    @pytest.mark.parametrize("radius", [1e-3, 0.3, 3.0])
+    def test_accepts_exactly_the_solves_without_pivots(self, radius):
+        # a batch entry is the hot-started solve's result where that solve
+        # keeps W and makes no pivot or repair, and None elsewhere
+        inst = generate_instance(50, 50, 10, seed=1)
+        x = np.random.default_rng(1).standard_normal(50)
+        H, C, A, u = self._draws(inst, x, radius, 24, 5)
+        W = solve_qp(H, C[0], A, u).active_set
+        assert len(W) >= 3
+        accepted = 0
+        for c, got in zip(C, solve_qp_batch(H, C, A, u, W)):
+            ref = solve_qp(H, c, A, u, W)
+            hot = (ref.stats == {"pivots": 0, "repairs": 0} and ref.active_set == W
+                   and ref.kkt_residual <= KKT_TOL)
+            assert (got is not None) == hot
+            if got is not None:
+                accepted += 1
+                assert got.active_set == ref.active_set == W
+                assert np.allclose(got.y_hat, ref.y_hat, rtol=1e-12, atol=1e-12)
+                assert np.allclose(got.lam, ref.lam, rtol=1e-12, atol=1e-12)
+                assert got.rank_smin == ref.rank_smin
+                assert got.stats == ref.stats
+                assert got.kkt_residual <= KKT_TOL and got.max_violation <= 1e-10
+        assert accepted >= 1 if radius < 1 else accepted < 24
+
+    @pytest.mark.parametrize("c, accepted", [(1.0, True), (1e-7, False), (-1e-9, False)])
+    def test_one_row(self, c, accepted):
+        # y <= 0 with y* = -c/2 and nothing in the working set: slack 0.5
+        # passes, slack 5e-8 leaves the row tight outside the working set,
+        # and slack -5e-10 is a violation
+        got, = solve_qp_batch(np.array([2.0]), [[c]], np.array([[1.0]]), np.zeros(1), ())
+        assert (got is not None) == accepted
+
+    def test_kkt_above_tolerance_rejected(self, monkeypatch):
+        import dsblo.lower_level as ll
+        inst = generate_instance(50, 50, 10, seed=1)
+        x = np.random.default_rng(1).standard_normal(50)
+        H, C, A, u = self._draws(inst, x, 1e-3, 6, 0)
+        W = solve_qp(H, C[0], A, u).active_set
+        assert W and all(sol is not None for sol in solve_qp_batch(H, C, A, u, W))
+        monkeypatch.setattr(ll, "KKT_TOL", 0.0)
+        assert solve_qp_batch(H, C, A, u, W) == [None] * 6
+
+    def test_unusable_start_rejects_every_row(self):
+        inst = generate_instance(4, 4, 8, seed=2)
+        H, C, A, u = self._draws(inst, np.zeros(4), 1e-3, 3, 0)
+        for W in ([8], [-1], range(5)):
+            assert solve_qp_batch(H, C, A, u, W) == [None] * 3
+        # a row repeated up to sign fails the independence test
+        A2 = np.vstack([A, -A[:1]])
+        u2 = np.append(u, -u[0])
+        assert solve_qp_batch(H, C, A2, u2, [0, 8]) == [None] * 3
+
+    def test_no_rows(self):
+        H = np.full(3, 2.0)
+        C = np.arange(6.0).reshape(2, 3)
+        sols = solve_qp_batch(H, C, np.zeros((0, 3)), np.zeros(0), ())
+        for c, sol in zip(C, sols):
+            assert np.array_equal(sol.y_hat, solve_qp(H, c, np.zeros((0, 3)), np.zeros(0)).y_hat)
+            assert sol.active_set == () and sol.max_violation == -np.inf
 
 
 class TestPerturbation:
