@@ -72,7 +72,7 @@ class ResolvedSchedule:
 
 def schedule(params: DsbloParams) -> ResolvedSchedule:
     """Resolve the outer-loop constants, either from the theory formulas or
-    by validating manually supplied values.
+    by validating manually supplied values; also checks T > K and the option.
 
     Theory mode, for target accuracy eps and radius delta_bar:
 
@@ -85,6 +85,8 @@ def schedule(params: DsbloParams) -> ResolvedSchedule:
     and requires eps <= dv + 2 Lf as well as eps^2 <= 480 (dv^2 + 2 Lf^2)
     (the latter keeps beta >= 1/2).
     """
+    if params.option not in ("deterministic", "sampled"):
+        raise ValueError(f"unknown option {params.option!r}")
     mode = params.mode
     if isinstance(mode, ManualMode):
         if not 0.0 < mode.beta < 1.0:
@@ -95,44 +97,47 @@ def schedule(params: DsbloParams) -> ResolvedSchedule:
             raise ScheduleInfeasible(f"manual K={mode.K} must be at least 1")
         if mode.delta_y <= 0:
             raise ScheduleInfeasible("manual delta_y must be positive")
-        return ResolvedSchedule(
+        sched = ResolvedSchedule(
             beta=mode.beta, K=int(mode.K), gamma1=mode.gamma1, gamma2=mode.gamma2,
             delta_y=mode.delta_y, delta_bar=mode.K / mode.gamma1,
         )
-
-    eps = params.epsilon
-    db = params.delta_bar
-    if eps is None or eps <= 0:
-        raise ScheduleInfeasible("theory mode needs epsilon > 0")
-    if db is None or db <= 0:
-        raise ScheduleInfeasible("theory mode needs delta_bar > 0")
-    dv, lf = mode.delta_v, mode.l_f_bar
-    if dv < 0 or lf <= 0:
-        raise ScheduleInfeasible("theory mode needs delta_v >= 0 and L_F_bar > 0")
-    spread = dv + 2.0 * lf
-    if eps > spread:
-        raise ScheduleInfeasible(
-            f"epsilon <= delta_v + 2*L_F_bar violated ({eps:.3g} > {spread:.3g})"
+    else:
+        eps = params.epsilon
+        db = params.delta_bar
+        if eps is None or eps <= 0:
+            raise ScheduleInfeasible("theory mode needs epsilon > 0")
+        if db is None or db <= 0:
+            raise ScheduleInfeasible("theory mode needs delta_bar > 0")
+        dv, lf = mode.delta_v, mode.l_f_bar
+        if dv < 0 or lf <= 0:
+            raise ScheduleInfeasible("theory mode needs delta_v >= 0 and L_F_bar > 0")
+        spread = dv + 2.0 * lf
+        if eps > spread:
+            raise ScheduleInfeasible(
+                f"epsilon <= delta_v + 2*L_F_bar violated ({eps:.3g} > {spread:.3g})"
+            )
+        sq = dv * dv + 2.0 * lf * lf
+        if eps * eps > 480.0 * sq:
+            raise ScheduleInfeasible(
+                f"epsilon^2 <= 480*(delta_v^2 + 2*L_F_bar^2) violated "
+                f"({eps * eps:.3g} > {480.0 * sq:.3g}); beta would fall below 1/2"
+            )
+        u = eps * eps / (960.0 * sq)
+        beta = 1.0 - u
+        # ln(1/beta) = -log1p(-u), accurate for beta close to 1
+        big_k = math.ceil(math.log(32.0 * spread / eps) / (-math.log1p(-u)))
+        gamma1 = big_k / db
+        gamma2 = 4.0 * gamma1 * spread
+        terms = [eps * eps / (1280.0 * spread), 2.0 * eps / 3.0, lf]
+        if mode.lf_delta is not None:
+            terms.append(mode.lf_delta)
+        sched = ResolvedSchedule(
+            beta=beta, K=big_k, gamma1=gamma1, gamma2=gamma2,
+            delta_y=min(terms), delta_bar=db,
         )
-    sq = dv * dv + 2.0 * lf * lf
-    if eps * eps > 480.0 * sq:
-        raise ScheduleInfeasible(
-            f"epsilon^2 <= 480*(delta_v^2 + 2*L_F_bar^2) violated "
-            f"({eps * eps:.3g} > {480.0 * sq:.3g}); beta would fall below 1/2"
-        )
-    u = eps * eps / (960.0 * sq)
-    beta = 1.0 - u
-    # ln(1/beta) = -log1p(-u), accurate for beta close to 1
-    big_k = math.ceil(math.log(32.0 * spread / eps) / (-math.log1p(-u)))
-    gamma1 = big_k / db
-    gamma2 = 4.0 * gamma1 * spread
-    terms = [eps * eps / (1280.0 * spread), 2.0 * eps / 3.0, lf]
-    if mode.lf_delta is not None:
-        terms.append(mode.lf_delta)
-    return ResolvedSchedule(
-        beta=beta, K=big_k, gamma1=gamma1, gamma2=gamma2,
-        delta_y=min(terms), delta_bar=db,
-    )
+    if params.T <= sched.K:
+        raise ScheduleInfeasible(f"T={params.T} must exceed K={sched.K}")
+    return sched
 
 
 def step_size(m: np.ndarray, gamma1: float, gamma2: float) -> float:
@@ -187,32 +192,6 @@ class _Stopwatch:
             self.total += time.monotonic() - t0
 
 
-def _gradient_sample(problem: Problem, x_pt: np.ndarray, q_rng, xi_rng,
-                     ll: _Stopwatch, ig: _Stopwatch, radius: float, tol: float,
-                     option: str, batch_size: int, start: tuple):
-    """One perturbed implicit-gradient evaluation, its lower-level solve
-    started from the rows in ``start``; degenerate active sets trigger a
-    fresh perturbation draw, up to 5 retries. The sampled option draws
-    ``batch_size`` components and averages them in one gradient call.
-    Returns q, the gradient and the solve."""
-    last = None
-    for _ in range(5):
-        q = sample_perturbation(radius, q_rng, problem.d_l)
-        try:
-            sol = ll.call(problem.solve_ll, x_pt, q, tol, start)
-            if option == "sampled":
-                xi = [sample_component(problem, xi_rng) for _ in range(batch_size)]
-                g = ig.call(sampled_implicit_gradient, problem, x_pt, sol, xi).grad
-            else:
-                g = ig.call(implicit_gradient, problem, x_pt, sol).grad
-            return q, g, sol
-        except DegenerateActiveSet as exc:
-            last = exc
-    raise DsbloError(
-        "degenerate active set persisted through 5 perturbation resamples"
-    ) from last
-
-
 def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
                 eta_of: Callable[[np.ndarray], float], beta: float, segment: bool,
                 radius: float, tol: float, option: str, batch_size: int,
@@ -237,12 +216,31 @@ def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
     t_start = time.monotonic()
 
     def sample(x_pt, start):
-        q, g, sol = _gradient_sample(problem, x_pt, q_rng, xi_rng, ll, ig, radius, tol,
-                                     option, batch_size, start)
-        counts["solves"] += 1
-        counts["pivots"] += sol.stats.get("pivots", 0)
-        counts["repairs"] += sol.stats.get("repairs", 0)
-        return q, g, sol
+        """One perturbed implicit-gradient evaluation at x_pt, its lower-level
+        solve started from the rows in ``start``; a degenerate active set
+        triggers a fresh perturbation draw, up to 5 retries. The sampled
+        option draws ``batch_size`` components and averages them in one
+        gradient call. Returns q, the gradient and the solve."""
+        last = None
+        for _ in range(5):
+            q = sample_perturbation(radius, q_rng, problem.d_l)
+            try:
+                sol = ll.call(problem.solve_ll, x_pt, q, tol, start)
+                if option == "sampled":
+                    xi = [sample_component(problem, xi_rng) for _ in range(batch_size)]
+                    g = ig.call(sampled_implicit_gradient, problem, x_pt, sol, xi).grad
+                else:
+                    g = ig.call(implicit_gradient, problem, x_pt, sol).grad
+            except DegenerateActiveSet as exc:
+                last = exc
+                continue
+            counts["solves"] += 1
+            counts["pivots"] += sol.stats.get("pivots", 0)
+            counts["repairs"] += sol.stats.get("repairs", 0)
+            return q, g, sol
+        raise DsbloError(
+            "degenerate active set persisted through 5 perturbation resamples"
+        ) from last
 
     q, g, sol = sample(x, ())
     m = g
@@ -294,11 +292,7 @@ def run_dsblo(problem: Problem, params: DsbloParams, x0=None,
     ||x_{t-K} - x_bar_i|| <= delta_bar; a violation raises
     ``WindowViolation``, and the result is kept in ``RunLog.windows``.
     """
-    if params.option not in ("deterministic", "sampled"):
-        raise ValueError(f"unknown option {params.option!r}")
     sched = schedule(params)
-    if params.T <= sched.K:
-        raise ScheduleInfeasible(f"T={params.T} must exceed K={sched.K}")
     log = RunLog(
         algorithm="dsblo",
         params={**asdict(params), "mode": asdict(params.mode),

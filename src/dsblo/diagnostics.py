@@ -5,14 +5,14 @@ the finite-difference oracle used to cross-check analytic gradients."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import WindowIncomplete, WindowViolation
 from .implicit_grad import implicit_gradient
-from .lower_level import sample_perturbation, solve_ll_quadratic, solve_qp_batch
+from .lower_level import _ball_draw, solve_ll_quadratic, solve_qp_batch
 from .problem import QuadraticBilevel, eval_f
 
 
@@ -32,7 +32,7 @@ def _mc_solves(inst: QuadraticBilevel, x: np.ndarray, radius: float,
     ``start``, the others in one batch on its active set (``solve_qp_batch``);
     a draw the batch rejects is solved from the previous sample's set."""
     x = np.asarray(x, dtype=float)
-    qs = np.array([sample_perturbation(radius, rng, inst.d_l).q for _ in range(n_samples)])
+    qs = np.array([_ball_draw(radius, rng, inst.d_l) for _ in range(n_samples)])
     sols = [solve_ll_quadratic(inst, x, qs[0], start)]
     poly = inst.constraints
     batch = solve_qp_batch(inst.hess_yy_diag, inst.Q2.T @ x + qs[1:], poly.A, poly.rhs(x),
@@ -41,26 +41,6 @@ def _mc_solves(inst: QuadraticBilevel, x: np.ndarray, radius: float,
         sols.append(sol if sol is not None else
                     solve_ll_quadratic(inst, x, q, sols[-1].active_set))
     return sols, batch.count(None)
-
-
-def _mc_objective(inst: QuadraticBilevel, x: np.ndarray, radius: float,
-                  n_samples: int, rng: np.random.Generator):
-    """Mean and standard error of F_q(x) over ``_mc_solves``, the solves
-    behind them and the number of fallbacks."""
-    if n_samples < 2:
-        raise ValueError("n_samples must be at least 2")
-    sols, fallbacks = _mc_solves(inst, x, radius, n_samples, rng)
-    vals = np.array([eval_f(inst, x, sol.y_hat) for sol in sols])
-    return (float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples)), sols,
-            fallbacks)
-
-
-def eval_Fbar_mc(inst: QuadraticBilevel, x: np.ndarray, radius: float,
-                 n_samples: int, rng: np.random.Generator):
-    """Monte-Carlo mean and standard error of the perturbed implicit
-    objective over fresh ball-uniform perturbations."""
-    mean, stderr, _, _ = _mc_objective(inst, x, radius, n_samples, rng)
-    return mean, stderr
 
 
 @dataclass(frozen=True)
@@ -181,29 +161,24 @@ def check_windows(log) -> dict:
     return {"checked": int(dist.size), "violations": 0, "max_ratio": far / delta_bar}
 
 
-def estimate_grad_norm_bound(inst: QuadraticBilevel, points: Sequence, safety: float = 1.5) -> float:
-    """Upper-level gradient-norm bound estimated by sampling ||grad f|| over
-    visited (x, y) pairs, inflated by a safety factor. Stands in for the
-    unobservable supremum in the perturbation-error bound."""
-    best = 0.0
-    for x, y in points:
-        gx, gy = inst.grad_f(np.asarray(x), np.asarray(y))
-        best = max(best, float(np.linalg.norm(np.concatenate([gx, gy]))))
-    return safety * best
-
-
 def perturbation_error_check(inst: QuadraticBilevel, x: np.ndarray, radius: float,
                              n_samples: int, rng: np.random.Generator) -> dict:
     """Check |mean_q F_q(x) - F(x)| <= L_hat * radius / mu_g + 3 * stderr,
-    the smoothing-error bound with a sampled gradient-norm estimate; needs
-    n_samples >= 2 for the standard error. The exact F starts from the
-    first sample's active set; ``mc_fallbacks`` counts the samples that fell
-    back to a single solve."""
+    the smoothing-error bound. ``Fbar_mc`` and ``stderr`` are the mean and
+    standard error of F_q(x) over n_samples >= 2 fresh ball-uniform draws
+    (``_mc_solves``); L_hat, standing in for the unobservable supremum of
+    ||grad f||, is 1.5 times its largest norm over about 32 of the sampled
+    (x, y) pairs. The exact F starts from the first sample's active set;
+    ``mc_fallbacks`` counts the samples that fell back to a single solve."""
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
     x = np.asarray(x, dtype=float)
-    mean, stderr, sols, fallbacks = _mc_objective(inst, x, radius, n_samples, rng)
+    sols, fallbacks = _mc_solves(inst, x, radius, n_samples, rng)
+    vals = np.array([eval_f(inst, x, sol.y_hat) for sol in sols])
+    mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
     exact = eval_F_exact(inst, x, sols[0].active_set)
-    pairs = [(x, sol.y_hat) for sol in sols[::max(1, n_samples // 32)]]
-    l_hat = estimate_grad_norm_bound(inst, pairs)
+    l_hat = 1.5 * max(float(np.linalg.norm(np.concatenate(inst.grad_f(x, sol.y_hat))))
+                      for sol in sols[::max(1, n_samples // 32)])
     bound = l_hat * radius / inst.mu_g + 3.0 * stderr
     gap = abs(mean - exact)
     return {

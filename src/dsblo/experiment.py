@@ -15,9 +15,9 @@ from typing import List, Optional, Union
 import numpy as np
 
 from .algorithm import (DsbloParams, ManualMode, RunLog, TheoryMode,
-                        run_dsblo, run_igd_baseline)
+                        run_dsblo, run_igd_baseline, schedule)
 from .diagnostics import build_report, stationarity_profile
-from .errors import ConfigError, GeneratorError
+from .errors import ConfigError, GeneratorError, ScheduleInfeasible
 from .problem import QuadraticBilevel, generate_instance, load_instance
 
 CSV_HEADER = "t,wall_time_s,F,eta,m_norm,stationarity_norm,q_norm"
@@ -48,17 +48,20 @@ _REQUIRED = object()
 
 
 def _number(doc: dict, key: str, where: str, default=_REQUIRED,
-            integer: bool = False, low: Optional[int] = None):
-    """``doc[key]`` checked as an int (``integer``) or a float, and against
-    ``low``; ``default`` when the key is absent or null."""
+            integer: bool = False, low: Optional[int] = None, positive: bool = False):
+    """``doc[key]`` checked as an int (``integer``) or a float, against
+    ``low`` and, with ``positive``, as > 0; ``default`` when the key is
+    absent or null."""
     v = doc.get(key)
     if v is None:
         if default is _REQUIRED:
             raise ConfigError(f"{where}: missing {key}")
         return default
     kind = numbers.Integral if integer else numbers.Real
-    if isinstance(v, bool) or not isinstance(v, kind) or (low is not None and v < low):
-        want = ("an integer" if integer else "a number") + ("" if low is None else f" >= {low}")
+    if (isinstance(v, bool) or not isinstance(v, kind) or (low is not None and v < low)
+            or (positive and v <= 0)):
+        want = (("an integer" if integer else "a number") + ("" if low is None else f" >= {low}")
+                + (" > 0" if positive else ""))
         raise ConfigError(f"{where}: {key} must be {want}, got {v!r}")
     return int(v) if integer else float(v)
 
@@ -84,14 +87,19 @@ def _dsblo_params(doc: dict, where: str) -> DsbloParams:
         )
     else:
         raise ConfigError(f"{where}: unknown dsblo mode {mode_doc!r}")
-    return DsbloParams(
+    params = DsbloParams(
         T=_number(doc, "T", where, integer=True, low=1), mode=mode,
         epsilon=_number(doc, "epsilon", where, None),
         delta_bar=_number(doc, "delta_bar", where, None),
-        perturb_radius=_number(doc, "perturb_radius", where, 1e-3),
+        perturb_radius=_number(doc, "perturb_radius", where, 1e-3, positive=True),
         option=doc.get("option", "deterministic"),
         batch_size=_number(doc, "batch_size", where, 1, integer=True, low=1),
     )
+    try:
+        schedule(params)
+    except (ValueError, ScheduleInfeasible) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return params
 
 
 def _parse_algorithm(doc: dict, idx: int) -> AlgorithmSpec:
@@ -105,7 +113,8 @@ def _parse_algorithm(doc: dict, idx: int) -> AlgorithmSpec:
         params = {"step": _number(doc, "step", where),
                   "T": _number(doc, "T", where, integer=True, low=1),
                   "ll_tol": _number(doc, "ll_tol", where, 1e-8),
-                  "perturb_radius": _number(doc, "perturb_radius", where, 1e-3)}
+                  "perturb_radius": _number(doc, "perturb_radius", where, 1e-3,
+                                            positive=True)}
     return AlgorithmSpec(name=name, label=doc.get("label", name), params=params)
 
 
@@ -129,10 +138,9 @@ def _instance(d: dict, base_dir: Path) -> QuadraticBilevel:
         "k": _number(d, "k", "instance", integer=True, low=0),
         "seed": _number(d, "seed", "instance", integer=True, low=0),
         "n_components": _number(d, "n_components", "instance", 1, integer=True, low=1),
-        "box_radius": None if box is None else _number(d, "box_radius", "instance", 10.0),
+        "box_radius": None if box is None else _number(d, "box_radius", "instance", 10.0,
+                                                      positive=True),
     }
-    if box is not None and box <= 0:
-        raise ConfigError(f"instance: box_radius must be positive, got {box!r}")
     try:
         return generate_instance(**spec)
     except GeneratorError as exc:
@@ -158,6 +166,8 @@ def config_from_dict(doc: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"seeds must be a nonempty list, got {seeds!r}")
     seeds = [_number({"seed": s}, "seed", "seeds", integer=True, low=0) for s in seeds]
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds are not unique: {seeds}")
     formats = doc.get("formats", ["csv", "svg"])
     if not isinstance(formats, list):
         raise ConfigError(f"formats must be a list, got {formats!r}")

@@ -9,11 +9,11 @@ rows, the solution-map Jacobians solve
 The outer loop needs only grad_x f + jac_y' grad_y f. The KKT matrix is
 symmetric, so one adjoint solve with right-hand side (grad_y f, 0) gives
 it without forming jac_y (the QP-layer backward pass of Amos & Kolter,
-2017):
+2017). That solve is the lower level's equality KKT solve
+``lower_level.equality_solve`` with c = grad_y f and u = 0, whose point v
+and multipliers w give
 
-    w = S^-1 Abar H^-1 grad_y f,   S = Abar H^-1 Abar'
-    v = H^-1 (grad_y f - Abar' w)
-    grad = grad_x f - M' v - Bbar' w.
+    grad = grad_x f + M' v + Bbar' w.
 
 ``jacobians`` forms jac_y and jac_lambda; it is the reference the tests and
 ``verify`` check against. Both need strict complementarity and independent
@@ -23,22 +23,21 @@ active rows, and check both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DegenerateActiveSet, NotSPD
-from .lower_level import LLSolution, RANK_TOL, check_rank, sc_margin
+from .lower_level import (LLSolution, RANK_TOL, check_rank, diagonal_solver, equality_solve,
+                          sc_margin)
 from .problem import Problem
 
 
 @dataclass(frozen=True)
 class ImplicitGradient:
-    """Gradient of the perturbed implicit objective at one point;
-    ``component`` names the sampled component(s), None for the full batch."""
+    """Gradient of the perturbed implicit objective at one point."""
 
     grad: np.ndarray
-    component: Optional[Union[int, tuple]] = None
 
 
 def _hessian_solver(problem: Problem, x: np.ndarray, y: np.ndarray):
@@ -49,7 +48,7 @@ def _hessian_solver(problem: Problem, x: np.ndarray, y: np.ndarray):
     if diag is not None:
         if np.any(diag <= 0):
             raise NotSPD("hess_yy_g has a nonpositive diagonal entry")
-        return lambda Z: Z / diag if Z.ndim == 1 else Z / diag[:, None]
+        return diagonal_solver(diag)
     H = np.asarray(problem.hess_yy_g(x, y), dtype=float)
     try:
         np.linalg.cholesky(H)
@@ -88,14 +87,11 @@ def _adjoint(problem: Problem, x: np.ndarray, sol: LLSolution, gx, gy) -> np.nda
     if not sol.active_set:
         return gx - M.T @ hsolve(gy)
     Abar, Bbar = _active_rows(problem, sol)
-    Z = hsolve(np.column_stack([gy, Abar.T]))
-    Hinv_gy, Hinv_At = Z[:, 0], Z[:, 1:]
     try:
-        w = np.linalg.solve(Abar @ Hinv_At, Abar @ Hinv_gy)
+        _, w, v = equality_solve(hsolve, hsolve(gy), Abar, 0.0)
     except np.linalg.LinAlgError as exc:
         raise DegenerateActiveSet("singular reduced KKT system") from exc
-    v = Hinv_gy - Hinv_At @ w
-    return gx - M.T @ v - Bbar.T @ w
+    return gx + M.T @ v + Bbar.T @ w
 
 
 def jacobians(problem: Problem, x: np.ndarray, sol: LLSolution):
@@ -141,8 +137,7 @@ def sampled_implicit_gradient(problem: Problem, x: np.ndarray, sol: LLSolution,
     if np.ndim(xi) == 0:
         gx, gy = problem.sampled_grad_f(x, y, xi)
     else:
-        xi = tuple(int(i) for i in xi)
-        parts = [problem.sampled_grad_f(x, y, i) for i in xi]
+        parts = [problem.sampled_grad_f(x, y, int(i)) for i in xi]
         gx = np.mean([p[0] for p in parts], axis=0)
         gy = np.mean([p[1] for p in parts], axis=0)
-    return ImplicitGradient(grad=_adjoint(problem, x, sol, gx, gy), component=xi)
+    return ImplicitGradient(grad=_adjoint(problem, x, sol, gx, gy))

@@ -64,8 +64,8 @@ class Perturbation:
         return float(np.linalg.norm(self.q))
 
 
-def sample_perturbation(radius: float, rng: np.random.Generator, d_l: int) -> Perturbation:
-    """Uniform draw from the closed L2 ball of the given radius."""
+def _ball_draw(radius: float, rng: np.random.Generator, d_l: int) -> np.ndarray:
+    """Uniform draw from the closed L2 ball of the given radius in R^d_l."""
     if radius <= 0:
         raise ValueError("perturbation radius must be positive")
     d = int(d_l)
@@ -75,7 +75,12 @@ def sample_perturbation(radius: float, rng: np.random.Generator, d_l: int) -> Pe
         v = rng.standard_normal(d)
         n = np.linalg.norm(v)
     scale = radius * rng.random() ** (1.0 / d)
-    return Perturbation(v * (scale / n), radius)
+    return v * (scale / n)
+
+
+def sample_perturbation(radius: float, rng: np.random.Generator, d_l: int) -> Perturbation:
+    """Uniform draw from the closed L2 ball of the given radius."""
+    return Perturbation(_ball_draw(radius, rng, d_l), radius)
 
 
 def _qvec(q, d_l: int) -> np.ndarray:
@@ -142,29 +147,33 @@ def check_rank(A_act: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _equality_solve(H: np.ndarray, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
-                    work: list) -> tuple:
-    """S = A_W H^-1 A_W', and the multipliers and point of the equality KKT
-    system on the rows in ``work``, one column of each per column of ``Hic``
-    when it is a matrix; raises ``np.linalg.LinAlgError`` when S is
-    singular."""
-    Aw = A[work]
-    HiA = Aw.T / H[:, None]
+def diagonal_solver(H: np.ndarray):
+    """Z -> H^-1 Z, Z a vector or a matrix, for a positive Hessian diagonal H."""
+    return lambda Z: Z / H if Z.ndim == 1 else Z / H[:, None]
+
+
+def equality_solve(hinv, Hic: np.ndarray, Aw: np.ndarray, uw) -> tuple:
+    """(S, lam, y) of the equality KKT system H y + c + Aw' lam = 0,
+    Aw y = uw, from ``hinv`` (Z -> H^-1 Z) and Hic = H^-1 c by one solve with
+    the reduced matrix S = Aw H^-1 Aw', one column of lam and y per column of
+    ``Hic`` when it is a matrix; raises ``np.linalg.LinAlgError`` when S is
+    singular. The active-set solver and the adjoint gradient share it."""
+    HiA = hinv(Aw.T)
     S = Aw @ HiA
-    lam_w = np.linalg.solve(S, -(u[work] + (Aw @ Hic).T).T)
-    return S, lam_w, -(Hic + HiA @ lam_w)
+    lam = np.linalg.solve(S, -(uw + (Aw @ Hic).T).T)
+    return S, lam, -(Hic + HiA @ lam)
 
 
-def _start_solve(H: np.ndarray, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
+def _start_solve(hinv, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
                  work: list) -> Optional[tuple]:
-    """The multipliers and point of ``_equality_solve`` on the sorted rows in
+    """The multipliers and point of ``equality_solve`` on the sorted rows in
     ``work``, or None when those rows are not a usable start: an index out
     of range, more rows than the dimension, or an S that fails a Cholesky
     factorization or is nearly singular."""
-    if len(work) > H.shape[0] or work[0] < 0 or work[-1] >= A.shape[0]:
+    if len(work) > A.shape[1] or work[0] < 0 or work[-1] >= A.shape[0]:
         return None
     try:
-        S, lam_w, y = _equality_solve(H, Hic, A, u, work)
+        S, lam_w, y = equality_solve(hinv, Hic, A[work], u[work])
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         return None
@@ -175,7 +184,7 @@ def _start_solve(H: np.ndarray, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
     return lam_w, y
 
 
-def _hot_start(H: np.ndarray, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
+def _hot_start(hinv, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
                start) -> Optional[tuple]:
     """Dual-feasible starting point from the rows in ``start``: the equality
     KKT solution on those rows, dropping the row with the most negative
@@ -184,7 +193,7 @@ def _hot_start(H: np.ndarray, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
     the start is unusable (see ``_start_solve``)."""
     work = sorted({int(i) for i in start})
     while work:
-        solved = _start_solve(H, Hic, A, u, work)
+        solved = _start_solve(hinv, Hic, A, u, work)
         if solved is None:
             return None
         lam_w, y = solved
@@ -222,15 +231,12 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     d = H.shape[0]
     k = A.shape[0]
     mu = float(np.min(H))
-
-    def hsolve(M):
-        return M / H if M.ndim == 1 else M / H[:, None]
-
+    hinv = diagonal_solver(H)
     max_pivots = 100 + 50 * (k + d)
     bland_after = 8 + 3 * max(k, 1)
 
-    Hic = hsolve(c)
-    hot = _hot_start(H, Hic, A, u, start) if len(start) else None
+    Hic = c / H
+    hot = _hot_start(hinv, Hic, A, u, start) if len(start) else None
     work, lam_w, y = hot if hot is not None else ([], np.zeros(0), -Hic)
     # y is the equality solve on the working set until a pivot moves it
     polished = True
@@ -247,7 +253,7 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
                 # polish: exact equality solve on the working set
                 if work:
                     try:
-                        _, lam_w, y = _equality_solve(H, Hic, A, u, work)
+                        _, lam_w, y = equality_solve(hinv, Hic, A[work], u[work])
                     except np.linalg.LinAlgError as exc:
                         raise DegenerateActiveSet("singular working-set system") from exc
                 else:
@@ -286,32 +292,27 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
             pivots += 1
             if pivots > max_pivots:
                 raise MaxPivots(f"pivot budget {max_pivots} exhausted")
-            Hia_p = hsolve(a_p)
-            ref_curv = float(a_p @ Hia_p)
+            # the equality solve with c = a_p and the working rows held at 0
+            # gives the primal step z and the working multipliers' step dlam
+            Hia_p = a_p / H
+            dlam, z = np.zeros(0), -Hia_p
             if work:
-                Aw = A[work]
-                HiA = hsolve(Aw.T)
-                S = Aw @ HiA
                 try:
-                    r = np.linalg.solve(S, Aw @ Hia_p)
+                    _, dlam, z = equality_solve(hinv, Hia_p, A[work], 0.0)
                 except np.linalg.LinAlgError as exc:
                     raise DegenerateActiveSet("singular working-set system") from exc
-                w = a_p - Aw.T @ r
-            else:
-                r = np.zeros(0)
-                w = a_p
-            Hiw = hsolve(w)
-            curv = float(w @ Hiw)
-            dependent = curv <= 1e-14 * ref_curv
-            z = np.zeros(d) if dependent else -Hiw
+            curv = float(z @ (H * z))
+            dependent = curv <= 1e-14 * float(a_p @ Hia_p)
+            if dependent:
+                z = np.zeros(d)
 
             t_full = np.inf if dependent else s_p / curv
             t_dual = np.inf
             j_drop = -1
-            if r.size:
-                pos = np.flatnonzero(r > 1e-12)
+            if dlam.size:
+                pos = np.flatnonzero(dlam < -1e-12)
                 if pos.size:
-                    ratios = lam_w[pos] / r[pos]
+                    ratios = lam_w[pos] / -dlam[pos]
                     t_dual = float(np.min(ratios))
                     j_drop = int(pos[np.flatnonzero(ratios <= t_dual)[0]])
             if not np.isfinite(t_full) and not np.isfinite(t_dual):
@@ -320,7 +321,7 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
             t = min(t_full, t_dual)
             if t > 0:
                 y = y + t * z
-                lam_w = lam_w - t * r
+                lam_w = lam_w + t * dlam
                 lam_p += t
                 s_p = float(a_p @ y - u[p])
             if t_full <= t_dual:
@@ -367,7 +368,7 @@ def solve_qp_batch(H: np.ndarray, C: np.ndarray, A: np.ndarray, u: np.ndarray,
     n = C.shape[0]
     work = sorted({int(i) for i in work})
     HiC = C.T / H[:, None]
-    solved = _start_solve(H, HiC, A, u, work) if work else (np.zeros((0, n)), -HiC)
+    solved = _start_solve(diagonal_solver(H), HiC, A, u, work) if work else (np.zeros((0, n)), -HiC)
     if solved is None:
         return [None] * n
     lam_w, Y = solved
@@ -477,17 +478,6 @@ def solve_ll_bruteforce(inst: QuadraticBilevel, x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def project_polyhedron(z: np.ndarray, A: np.ndarray, u: np.ndarray,
-                       start=()) -> tuple:
-    """Euclidean projection onto {y : A y <= u} (a strictly convex QP),
-    starting from the rows in ``start``; returns the projection and the
-    rows active at it."""
-    if A.shape[0] == 0:
-        return np.asarray(z, dtype=float).copy(), ()
-    sol = solve_qp(np.ones(len(z)), -np.asarray(z, dtype=float), A, u, start)
-    return np.asarray(sol.y_hat), sol.active_set
-
-
 def solve_ll_oracle(oracle: ProblemOracle, x: np.ndarray,
                     q: Union[Perturbation, np.ndarray, None], tol_delta: float,
                     max_iter: int = 200_000) -> LLSolution:
@@ -497,7 +487,8 @@ def solve_ll_oracle(oracle: ProblemOracle, x: np.ndarray,
     ``||y - proj(y - grad/L)|| * (L/mu)`` drops to ``tol_delta``; the active
     set is read off the final iterate's tight rows and multipliers are
     recovered by a clamped least-squares fit of the stationarity condition.
-    Each projection starts from the rows active at the previous one.
+    Each projection onto {y : A y <= u} is a QP solved by ``solve_qp``,
+    started from the rows active at the previous one.
     """
     if tol_delta <= 0:
         raise ValueError("tol_delta must be positive")
@@ -510,7 +501,8 @@ def solve_ll_oracle(oracle: ProblemOracle, x: np.ndarray,
     mu = float(oracle.mu_g)
     ratio = L / mu
 
-    y, rows = project_polyhedron(np.zeros(d), A, u)
+    proj = solve_qp(np.ones(d), np.zeros(d), A, u)
+    y = proj.y_hat
     hess = np.asarray(oracle.hess_yy_g(x, y), dtype=float)
     lo = np.linalg.eigvalsh(0.5 * (hess + hess.T))[0]
     if lo < mu - 1e-9:
@@ -520,9 +512,9 @@ def solve_ll_oracle(oracle: ProblemOracle, x: np.ndarray,
     it = 0
     for it in range(1, max_iter + 1):
         grad = np.asarray(oracle.grad_y_g(x, y), dtype=float) + qv
-        y_next, rows = project_polyhedron(y - grad / L, A, u, rows)
-        cert = float(np.linalg.norm(y - y_next)) * ratio
-        y = y_next
+        proj = solve_qp(np.ones(d), grad / L - y, A, u, proj.active_set)
+        cert = float(np.linalg.norm(y - proj.y_hat)) * ratio
+        y = proj.y_hat
         if cert <= tol_delta:
             break
     else:

@@ -183,8 +183,9 @@ class TestRunDsblo:
         assert np.array_equal(a.records[-1].x, b.records[-1].x)
 
     def test_sampled_batch_one_gradient_call(self, monkeypatch):
-        # a batch draws its components in order from the component stream and
-        # makes one gradient call on all of them
+        # each gradient sample draws its batch in order from the component
+        # stream (the third of the run seed's streams) and makes one
+        # gradient call on all of it
         inst = generate_instance(4, 4, 2, seed=5, n_components=8)
         calls = []
         real = algo.sampled_implicit_gradient
@@ -194,13 +195,12 @@ class TestRunDsblo:
             return real(problem, x, sol, xi)
 
         monkeypatch.setattr(algo, "sampled_implicit_gradient", recording)
-        xi_rng = np.random.default_rng(3)
-        replay = np.random.default_rng(3)
-        expected = [int(replay.integers(8)) for _ in range(5)]
-        stopwatches = algo._Stopwatch(), algo._Stopwatch()
-        algo._gradient_sample(inst, np.zeros(4), np.random.default_rng(1), xi_rng,
-                              *stopwatches, 1e-3, 1e-8, "sampled", 5, ())
-        assert calls == [expected]
+        params = DsbloParams(
+            T=12, mode=ManualMode(beta=0.9, gamma1=5.0, gamma2=20.0, K=5, delta_y=1e-8),
+            option="sampled", seed=3, batch_size=5)
+        run_dsblo(inst, params, eval_every=0)
+        replay = np.random.default_rng(np.random.SeedSequence(3).spawn(3)[2])
+        assert calls == [[int(replay.integers(8)) for _ in range(5)] for _ in range(12)]
 
     def test_unknown_option_rejected(self):
         inst = shared_min_instance()

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dsblo.algorithm import DsbloParams, ManualMode, run_dsblo, run_igd_baseline
-from dsblo.diagnostics import (_mc_solves, build_report, eval_F_exact, eval_Fbar_mc,
+from dsblo.diagnostics import (_mc_solves, build_report, eval_F_exact,
                                fd_gradient_oracle, perturbation_error_check,
                                stationarity_profile, stationarity_window,
                                window_weights)
@@ -40,19 +40,20 @@ class TestEvalF:
 class TestFbarMC:
     def test_tiny_radius_limit(self, small_instance):
         x = np.full(3, 0.2)
-        mean, _ = eval_Fbar_mc(small_instance, x, radius=1e-12, n_samples=100,
-                               rng=np.random.default_rng(0))
-        assert mean == pytest.approx(eval_F_exact(small_instance, x), abs=1e-9)
+        res = perturbation_error_check(small_instance, x, radius=1e-12, n_samples=100,
+                                       rng=np.random.default_rng(0))
+        assert res["Fbar_mc"] == pytest.approx(eval_F_exact(small_instance, x), abs=1e-9)
 
     def test_same_seed_same_output(self, small_instance):
         x = np.full(3, 0.2)
-        a = eval_Fbar_mc(small_instance, x, 1e-3, 50, np.random.default_rng(4))
-        b = eval_Fbar_mc(small_instance, x, 1e-3, 50, np.random.default_rng(4))
-        assert a == b
+        a = perturbation_error_check(small_instance, x, 1e-3, 50, np.random.default_rng(4))
+        b = perturbation_error_check(small_instance, x, 1e-3, 50, np.random.default_rng(4))
+        assert (a["Fbar_mc"], a["stderr"]) == (b["Fbar_mc"], b["stderr"])
 
     def test_needs_two_samples(self, small_instance):
         with pytest.raises(ValueError):
-            eval_Fbar_mc(small_instance, np.zeros(3), 1e-3, 1, np.random.default_rng(0))
+            perturbation_error_check(small_instance, np.zeros(3), 1e-3, 1,
+                                     np.random.default_rng(0))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [0, 1])
@@ -65,8 +66,9 @@ class TestFbarMC:
     def test_error_check_reports_the_mc_estimate(self, small_instance):
         x = np.full(3, 0.3)
         res = perturbation_error_check(small_instance, x, 1e-2, 40, np.random.default_rng(6))
-        mean, stderr = eval_Fbar_mc(small_instance, x, 1e-2, 40, np.random.default_rng(6))
-        assert (res["Fbar_mc"], res["stderr"]) == (mean, stderr)
+        sols, _ = _mc_solves(small_instance, x, 1e-2, 40, np.random.default_rng(6))
+        vals = np.array([eval_f(small_instance, x, sol.y_hat) for sol in sols])
+        assert (res["Fbar_mc"], res["stderr"]) == (vals.mean(), vals.std(ddof=1) / np.sqrt(40))
         assert res["F"] == eval_F_exact(small_instance, x)
         assert res["ok"]
 
@@ -166,7 +168,7 @@ class TestFbarMC:
     def test_stderr_scales_as_sqrt_n(self, small_instance):
         x = np.full(3, 0.3)
         rng = np.random.default_rng(11)
-        errs = [eval_Fbar_mc(small_instance, x, 1e-2, n, rng)[1]
+        errs = [perturbation_error_check(small_instance, x, 1e-2, n, rng)["stderr"]
                 for n in (100, 1_000, 10_000)]
         for a, b in zip(errs, errs[1:]):
             ratio = a / b

@@ -100,9 +100,19 @@ class TestConfig:
         (lambda doc: doc.update(instance={"d_u": 10, "d_l": 10, "k": 5, "seed": 1,
                                           "box_radius": None}),
          "cannot certify a bounded feasible set"),
+        (lambda doc: doc["algorithms"][0].update(option="bogus"), "unknown option 'bogus'"),
+        (lambda doc: doc["algorithms"][0].update(perturb_radius=0),
+         "perturb_radius must be a number > 0"),
+        (lambda doc: doc["algorithms"][1].update(perturb_radius=0),
+         "perturb_radius must be a number > 0"),
+        (lambda doc: doc["algorithms"][0].update(beta=1.5), "beta=1.5 outside"),
+        (lambda doc: doc["algorithms"][0].update(T=5), "T=5 must exceed K=5"),
+        (lambda doc: doc.update(seeds=[1, 1]), "seeds are not unique"),
     ], ids=["dsblo-without-beta", "eval-every-string", "seeds-string", "seeds-int",
             "instance-k-negative", "mode-string", "dsblo-ll-tol", "instance-path-int",
-            "output-dir-int", "formats-int", "formats-string", "instance-unbounded"])
+            "output-dir-int", "formats-int", "formats-string", "instance-unbounded",
+            "option-unknown", "dsblo-radius-zero", "igd-radius-zero", "beta-out-of-range",
+            "t-not-beyond-k", "seeds-repeated"])
     def test_rejected_at_load(self, tmp_path, capsys, edit, match):
         doc = tiny_config(tmp_path)
         edit(doc)
@@ -352,7 +362,7 @@ class TestCli:
 
         def flipped(problem, x, sol):
             g = real(problem, x, sol)
-            return type(g)(grad=-g.grad, component=g.component)
+            return type(g)(grad=-g.grad)
 
         monkeypatch.setattr(verify_mod, "implicit_gradient", flipped)
         res = verify_mod.check_implicit_fd(n_instances=1, n_points=2)

@@ -4,9 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dsblo.errors import DegenerateActiveSet, DsbloError, Infeasible
-from dsblo.lower_level import (KKT_TOL, Perturbation, sample_perturbation, sc_margin,
-                               solve_ll_bruteforce, solve_ll_oracle,
-                               solve_ll_quadratic, solve_qp, solve_qp_batch)
+from dsblo.lower_level import (KKT_TOL, Perturbation, diagonal_solver, equality_solve,
+                               sample_perturbation, sc_margin, solve_ll_bruteforce,
+                               solve_ll_oracle, solve_ll_quadratic, solve_qp,
+                               solve_qp_batch)
 from dsblo.problem import (Polyhedron, ProblemOracle, empty_polyhedron,
                            generate_instance, oracle_from_quadratic)
 
@@ -35,6 +36,54 @@ class TestBruteForceOracle:
                                 b=[-1.0, -1.0])
         with pytest.raises(Infeasible):
             solve_ll_bruteforce(inst, np.array([0.0]), None)
+
+
+def _hessian(dense: bool, d: int, rng):
+    """A dense SPD Hessian with its solver, or a positive diagonal one."""
+    if dense:
+        R = rng.standard_normal((d, d))
+        H = R @ R.T + 0.5 * np.eye(d)
+        return H, lambda Z: np.linalg.solve(H, Z)
+    h = rng.uniform(0.2, 5.0, d)
+    return np.diag(h), diagonal_solver(h)
+
+
+# the reduced KKT solve behind the hot start, the polish, the pivot step,
+# the Monte-Carlo batch and the adjoint gradient
+class TestEqualitySolve:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 7), st.integers(0, 3), st.booleans(),
+           st.booleans(), st.integers(0, 2 ** 16))
+    def test_matches_dense_kkt_solve(self, d, m, n_rhs, dense, zero_u, seed):
+        # [[H, Aw'], [Aw, 0]] [y; lam] = [-c; uw], with one column per
+        # right-hand side when c is a matrix (n_rhs > 0)
+        assume(m <= d)
+        rng = np.random.default_rng(seed)
+        H, hinv = _hessian(dense, d, rng)
+        Aw = rng.standard_normal((m, d))
+        assume(m == 0 or np.linalg.svd(Aw, compute_uv=False)[-1] > 0.1)
+        c = rng.standard_normal((d, n_rhs) if n_rhs else d)
+        uw = 0.0 if zero_u else rng.standard_normal(m)
+        S, lam, y = equality_solve(hinv, hinv(c), Aw, uw)
+        kkt = np.block([[H, Aw.T], [Aw, np.zeros((m, m))]])
+        rhs_u = np.zeros((m,) + c.shape[1:]) + (np.reshape(uw, (-1, 1)) if n_rhs else uw)
+        ref = np.linalg.solve(kkt, np.concatenate([-c, rhs_u]))
+        assert lam.shape == (m,) + c.shape[1:] and y.shape == c.shape
+        tol = 1e-9 * (1.0 + np.abs(ref).max())
+        assert np.allclose(y, ref[:d], rtol=0, atol=tol)
+        assert np.allclose(lam, ref[d:], rtol=0, atol=tol)
+        assert np.allclose(S, Aw @ np.linalg.solve(H, Aw.T), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("bad_row", ["repeated", "zero"])
+    def test_singular_reduced_matrix_raises(self, dense, bad_row):
+        rng = np.random.default_rng(3)
+        _, hinv = _hessian(dense, 4, rng)
+        Aw = rng.standard_normal((2, 4))
+        Aw = np.vstack([Aw, Aw[:1] if bad_row == "repeated" else np.zeros((1, 4))])
+        c = rng.standard_normal(4)
+        with pytest.raises(np.linalg.LinAlgError):
+            equality_solve(hinv, hinv(c), Aw, rng.standard_normal(3))
 
 
 class TestActiveSetQP:
