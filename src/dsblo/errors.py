@@ -27,6 +27,12 @@ class DegenerateActiveSet(DsbloError):
     fails (a zero multiplier on an active row)."""
 
 
+class NonFinite(DsbloError):
+    """A lower-level solve's KKT residual or constraint violation came out
+    NaN or infinite, so no returned point could be certified; typically a
+    NaN or infinite entry in x, q or the instance."""
+
+
 class NotSPD(DsbloError):
     """Lower-level Hessian is not symmetric positive definite."""
 

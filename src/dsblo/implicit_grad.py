@@ -46,7 +46,7 @@ def _hessian_solver(problem: Problem, x: np.ndarray, y: np.ndarray):
     after a Cholesky check otherwise."""
     diag = problem.hess_yy_diag
     if diag is not None:
-        if np.any(diag <= 0):
+        if diag.min() <= 0:
             raise NotSPD("hess_yy_g has a nonpositive diagonal entry")
         return diagonal_solver(diag)
     H = np.asarray(problem.hess_yy_g(x, y), dtype=float)

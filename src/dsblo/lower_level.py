@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from .errors import DegenerateActiveSet, Infeasible, MaxIter, MaxPivots, NotSPD
+from .errors import DegenerateActiveSet, Infeasible, MaxIter, MaxPivots, NonFinite, NotSPD
 
 if TYPE_CHECKING:  # problem.py imports this module
     from .problem import ProblemOracle, QuadraticBilevel
@@ -45,23 +45,22 @@ _START_INDEP = 1e-8
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Linear lower-level perturbation q'y with ||q|| <= radius."""
+    """Linear lower-level perturbation q'y with ||q|| <= radius; ``norm``
+    is ||q||, computed once."""
 
     q: np.ndarray
     radius: float
+    norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = np.ascontiguousarray(np.asarray(self.q, dtype=float))
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "norm", float(np.linalg.norm(q)))
         if self.radius <= 0:
             raise ValueError("perturbation radius must be positive")
-        if np.linalg.norm(q) > self.radius * (1 + 1e-12):
+        if self.norm > self.radius * (1 + 1e-12):
             raise ValueError("||q|| exceeds the stated radius")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.q))
 
 
 def _ball_draw(radius: float, rng: np.random.Generator, d_l: int) -> np.ndarray:
@@ -142,6 +141,22 @@ def check_rank(A_act: np.ndarray) -> float:
     return float(smin)
 
 
+def _certified(y: np.ndarray, lam: np.ndarray, active: tuple, residual: np.ndarray,
+               slack: np.ndarray, mu: float, stats: dict, smin: float) -> LLSolution:
+    """The frozen ``solve_qp`` result at y with multipliers lam, certified by
+    the stationarity residual H y + c + A' lam and the slacks u - A y, the
+    smallest Hessian entry mu turning the residual into a distance bound;
+    raises ``NonFinite`` when either certificate is NaN or +inf."""
+    kkt = float(np.linalg.norm(residual))
+    max_viol = float(-slack.min()) if slack.size else float("-inf")
+    if not (kkt < np.inf and max_viol < np.inf):
+        raise NonFinite(f"uncertifiable solve: KKT residual {kkt}, violation {max_viol}")
+    y.flags.writeable = lam.flags.writeable = False
+    return LLSolution(y_hat=y, lam=lam, active_set=active, kkt_residual=kkt,
+                      max_violation=max_viol, delta_cert=kkt / mu, stats=stats,
+                      rank_smin=smin)
+
+
 # ---------------------------------------------------------------------------
 # dual active-set QP
 # ---------------------------------------------------------------------------
@@ -219,25 +234,37 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     active set of a nearby solve (see ``_hot_start``); when the start is
     unusable the solve starts cold. The start changes how many pivots the
     solve makes; its result agrees with the cold solve's to round-off.
+
+    Interior solves return at once: with no ``start``, when there are no
+    rows or every slack of y = -H^-1 c exceeds ``TAU_ACT``, that y is the
+    answer (no pivot, no active row, zero multipliers, ``rank_smin`` +inf)
+    and the result equals the one the iteration below would return, field
+    for field. A NaN or infinite input raises ``NonFinite`` instead of
+    returning an uncertified point.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 1:
         raise ValueError("solve_qp takes the Hessian diagonal as a 1-D array")
-    if np.any(H <= 0):
+    mu = float(H.min())
+    if mu <= 0:
         raise NotSPD("nonpositive diagonal Hessian entry")
     c = np.asarray(c, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     d = H.shape[0]
     k = A.shape[0]
-    mu = float(np.min(H))
+    Hic = c / H
+    y = -Hic
+    slack = u - A @ y if k else np.zeros(0)
+    if not len(start) and (k == 0 or slack.min() > TAU_ACT):
+        return _certified(y, np.zeros(k), (), H * y + c, slack, mu,
+                          {"pivots": 0, "repairs": 0}, float("inf"))
+
     hinv = diagonal_solver(H)
     max_pivots = 100 + 50 * (k + d)
     bland_after = 8 + 3 * max(k, 1)
-
-    Hic = c / H
     hot = _hot_start(hinv, Hic, A, u, start) if len(start) else None
-    work, lam_w, y = hot if hot is not None else ([], np.zeros(0), -Hic)
+    work, lam_w, y = hot if hot is not None else ([], np.zeros(0), y)
     # y is the equality solve on the working set until a pivot moves it
     polished = True
     pivots = 0
@@ -337,21 +364,11 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
         lam[work] = np.maximum(lam_w, 0.0)
     A_act = A[list(active)] if active else np.zeros((0, d))
     smin = check_rank(A_act)
-    kkt = float(np.linalg.norm(H * y + c + (A_act.T @ lam[list(active)] if active else 0.0)))
-    max_viol = float(np.max(-slack)) if k else float("-inf")
-    lam.flags.writeable = False
-    yv = y.copy()
-    yv.flags.writeable = False
-    return LLSolution(
-        y_hat=yv,
-        lam=lam,
-        active_set=active,
-        kkt_residual=kkt,
-        max_violation=max_viol,
-        delta_cert=kkt / mu,
-        stats={"pivots": pivots, "repairs": repairs},
-        rank_smin=smin,
-    )
+    residual = H * y + c
+    if active:
+        residual = residual + A_act.T @ lam[list(active)]
+    return _certified(y, lam, active, residual, slack, mu,
+                      {"pivots": pivots, "repairs": repairs}, smin)
 
 
 def solve_qp_batch(H: np.ndarray, C: np.ndarray, A: np.ndarray, u: np.ndarray,
