@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import dsblo
 import dsblo.algorithm as algo
+import dsblo.lower_level as ll
 from dsblo.algorithm import (DsbloParams, ManualMode, TheoryMode, run_dsblo,
                              run_igd_baseline, schedule, step_size)
 from dsblo.diagnostics import check_windows, eval_F_exact
-from dsblo.errors import DsbloError, ScheduleInfeasible
+from dsblo.errors import DsbloError, NonFinite, ScheduleInfeasible
 from dsblo.implicit_grad import implicit_gradient
 from dsblo.lower_level import sample_perturbation
 from dsblo.problem import generate_instance
@@ -201,6 +202,11 @@ class TestRunDsblo:
         run_dsblo(inst, params, eval_every=0)
         replay = np.random.default_rng(np.random.SeedSequence(3).spawn(3)[2])
         assert calls == [[int(replay.integers(8)) for _ in range(5)] for _ in range(12)]
+
+    def test_nan_start_raises(self):
+        inst = generate_instance(4, 4, 2, seed=1)
+        with pytest.raises(NonFinite):
+            run_dsblo(inst, self.PARAMS, x0=[np.nan, 0.0, 0.0, 0.0])
 
     def test_unknown_option_rejected(self):
         inst = shared_min_instance()
@@ -407,6 +413,44 @@ class TestWarmStartedSolves:
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.x, rb.x) and np.array_equal(ra.x_bar, rb.x_bar)
             assert np.array_equal(ra.grad, rb.grad) and ra.F_exact == rb.F_exact
+
+
+class TestInteriorFastPath:
+    def test_runs_byte_identical_on_the_general_path(self, seed1_instance, monkeypatch):
+        # the paper's d=10/k=5 setting binds no row; forcing every solve
+        # onto the general path with a start of one slack row (which the
+        # hot start drops) must not move a single bit of either trajectory
+        params = DsbloParams(T=200, mode=ManualMode(beta=0.9, gamma1=20.0, gamma2=20.0, K=10,
+                                                    delta_y=1e-8),
+                             perturb_radius=1e-3, seed=1)
+
+        def runs():
+            return (run_dsblo(seed1_instance, params),
+                    run_igd_baseline(seed1_instance, step=0.05, T=200, seed=1,
+                                     perturb_radius=1e-3))
+
+        plain = runs()
+        real_solve, real_solver, counts = ll.solve_qp, ll.diagonal_solver, [0, 0]
+
+        def general(H, c, A, u, start=()):
+            counts[0] += 1
+            return real_solve(H, c, A, u, start if len(start) else (0,))
+
+        def counting(H):
+            counts[1] += 1
+            return real_solver(H)
+
+        monkeypatch.setattr(ll, "solve_qp", general)
+        monkeypatch.setattr(ll, "diagonal_solver", counting)
+        forced = runs()
+        # each run makes one gradient-sample and one exact-F solve per record
+        assert counts[0] == counts[1] == 800
+        for a, b in zip(plain, forced):
+            assert len(a.records) == len(b.records) == 200
+            assert a.lower_level == b.lower_level
+            for ra, rb in zip(a.records, b.records):
+                assert np.array_equal(ra.x, rb.x) and np.array_equal(ra.grad, rb.grad)
+                assert ra.F_exact == rb.F_exact and ra.q_norm == rb.q_norm
 
 
 class TestIgdBaseline:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dsblo.errors import DegenerateActiveSet, DsbloError, Infeasible
-from dsblo.lower_level import (KKT_TOL, Perturbation, diagonal_solver, equality_solve,
+import dsblo.lower_level as ll
+from dsblo.errors import DegenerateActiveSet, DsbloError, Infeasible, NonFinite
+from dsblo.lower_level import (KKT_TOL, TAU_ACT, Perturbation, diagonal_solver, equality_solve,
                                sample_perturbation, sc_margin, solve_ll_bruteforce,
                                solve_ll_oracle, solve_ll_quadratic, solve_qp,
                                solve_qp_batch)
@@ -321,6 +322,111 @@ class TestWarmStart:
         assert all(s == prev for (s, _), (_, prev) in zip(starts[1:], starts))
 
 
+# slacks at y = -H^-1 c: at the activity threshold, just either side of it,
+# and far inside
+_SLACKS = {"at": TAU_ACT, "below": TAU_ACT * (1 - 1e-6), "above": TAU_ACT * (1 + 1e-6),
+           "far": 0.5}
+
+
+class TestInteriorFastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 2 ** 16), st.booleans(),
+           st.lists(st.sampled_from(sorted(_SLACKS)), min_size=6, max_size=6))
+    def test_equals_general_path(self, d, k, seed, zero_c, kinds):
+        # with c = 0 the point y = -H^-1 c is -0 and every slack is exactly
+        # its drawn value; otherwise it is that value up to round-off
+        rng = np.random.default_rng(seed)
+        H = rng.uniform(0.2, 5.0, d)
+        c = np.zeros(d) if zero_c else 2.0 * rng.standard_normal(d)
+        A = rng.standard_normal((k, d))
+        u = A @ -(c / H) + np.array([_SLACKS[kind] for kind in kinds[:k]])
+        interior = k == 0 or (u - A @ -(c / H)).min() > TAU_ACT
+        real, calls = ll.diagonal_solver, []
+
+        def spy(h):
+            calls.append(h)
+            return real(h)
+
+        ll.diagonal_solver = spy
+        try:
+            fast = _solve_or_error(H, c, A, u)
+            took_fast_path = not calls
+            # row 0 is slack, so the hot start drops it and the solve starts
+            # cold; with no rows the start is out of range and unusable
+            general = _solve_or_error(H, c, A, u, (0,))
+        finally:
+            ll.diagonal_solver = real
+        assert took_fast_path == interior
+        assert len(calls) == 1 + (not interior)
+        if isinstance(fast, DsbloError):  # more rows at the threshold than d
+            assert not interior and type(general) is type(fast)
+            return
+        assert np.array_equal(fast.y_hat, general.y_hat)
+        assert np.array_equal(fast.lam, general.lam)
+        for name in ("active_set", "kkt_residual", "max_violation", "delta_cert", "stats",
+                     "rank_smin"):
+            assert getattr(fast, name) == getattr(general, name), name
+        if interior:
+            assert fast.active_set == () and fast.rank_smin == np.inf
+            assert fast.stats == {"pivots": 0, "repairs": 0}
+            assert not fast.y_hat.flags.writeable and not fast.lam.flags.writeable
+
+    def test_returns_before_the_active_set_machinery(self, monkeypatch):
+        def unreachable(H):
+            raise AssertionError("interior solve reached the active-set set-up")
+
+        monkeypatch.setattr(ll, "diagonal_solver", unreachable)
+        H, c = np.array([2.0, 4.0]), np.array([-2.0, 4.0])
+        sol = solve_qp(H, c, np.array([[1.0, 0.0]]), np.array([2.0]))
+        assert sol.y_hat.tolist() == [1.0, -1.0] and sol.active_set == ()
+        assert sol.kkt_residual == 0.0 and sol.max_violation == -1.0
+        assert solve_qp(H, c, np.zeros((0, 2)), np.zeros(0)).y_hat.tolist() == [1.0, -1.0]
+        # a bound within the threshold, or a start, takes the general path
+        with pytest.raises(AssertionError, match="active-set set-up"):
+            solve_qp(H, c, np.array([[1.0, 0.0]]), np.array([1.0 + TAU_ACT / 2]))
+        with pytest.raises(AssertionError, match="active-set set-up"):
+            solve_qp(H, c, np.array([[1.0, 0.0]]), np.array([2.0]), (0,))
+
+
+class TestNonFinite:
+    # a NaN or infinite input must raise, never return an uncertified point
+    def test_nan_x(self):
+        inst = generate_instance(4, 4, 2, seed=1)
+        with pytest.raises(NonFinite):
+            solve_ll_quadratic(inst, np.array([np.nan, 0.0, 0.0, 0.0]), None)
+
+    def test_nan_q(self):
+        inst = generate_instance(4, 4, 2, seed=1)
+        for start in ((), (0,)):
+            with pytest.raises(NonFinite):
+                solve_ll_quadratic(inst, np.zeros(4), np.array([0.0, np.nan, 0.0, 0.0]), start)
+
+    def test_inf_c_without_rows(self):
+        with pytest.raises(NonFinite):
+            solve_qp(np.ones(2), np.array([np.inf, 0.0]), np.zeros((0, 2)), np.zeros(0))
+
+    def test_nan_hessian(self):
+        with pytest.raises(NonFinite):
+            solve_qp(np.array([1.0, np.nan]), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(0, 6), st.integers(0, 2 ** 16),
+           st.sampled_from(["H", "c", "A", "u"]), st.sampled_from([np.nan, np.inf, -np.inf]),
+           st.booleans())
+    def test_never_returns_a_non_finite_solution(self, d, k, seed, where, bad, warm):
+        H, c, A, u = _random_qp(d, k, seed, "none")
+        target = {"H": H, "c": c, "A": A, "u": u}[where]
+        assume(target.size)
+        target.reshape(-1)[seed % target.size] = bad
+        with np.errstate(all="ignore"):
+            out = _solve_or_error(H, c, A, u, tuple(range(k)) if warm else ())
+        if isinstance(out, DsbloError):
+            return
+        assert np.all(np.isfinite(out.y_hat)) and np.all(np.isfinite(out.lam))
+        assert np.isfinite(out.kkt_residual) and np.isfinite(out.delta_cert)
+        assert out.max_violation <= 1e-9
+
+
 class TestBatch:
     @staticmethod
     def _draws(inst, x, radius, n, seed):
@@ -413,6 +519,11 @@ class TestPerturbation:
     def test_norm_invariant(self):
         with pytest.raises(ValueError):
             Perturbation(np.array([1.0, 0.0]), 0.5)
+
+    def test_norm_stored(self):
+        p = Perturbation([3e-4, -4e-4], 1e-3)
+        assert p.norm == float(np.linalg.norm(p.q)) == 5e-4
+        assert "norm" not in repr(p)
 
 
 class TestOraclePath:
