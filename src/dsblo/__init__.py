@@ -2,9 +2,8 @@
 strongly convex with coupled linear inequality constraints, plus the
 quadratic benchmark harness around it."""
 
-from .algorithm import (DsbloParams, IterateRecord, ManualMode, ResolvedSchedule,
-                        RunLog, TheoryMode, run_dsblo, run_igd_baseline, schedule,
-                        step_size)
+from .algorithm import (DsbloParams, IterateRecord, ManualMode, RunLog, TheoryMode,
+                        run_dsblo, run_igd_baseline, schedule, step_size)
 from .diagnostics import (eval_F_exact, fd_gradient_oracle, perturbation_error_check,
                           stationarity_profile, stationarity_window)
 from .implicit_grad import ImplicitGradient, implicit_gradient, jacobians, \

@@ -14,6 +14,7 @@ reasoned about separately.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional, Union
@@ -29,11 +30,13 @@ from .problem import Problem, sample_component
 
 @dataclass(frozen=True)
 class TheoryMode:
-    """Accuracy-driven parameter selection from the target (epsilon,
-    delta_bar) and the variance / gradient-norm bounds delta_v, L_F_bar.
-    ``lf_delta`` optionally caps the lower-level accuracy target by the
-    gradient-bias budget; leave None to drop that term from the min."""
+    """Accuracy-driven parameter selection from the (epsilon, delta_bar)
+    Goldstein target and the variance / gradient-norm bounds delta_v,
+    L_F_bar. ``lf_delta`` optionally caps the lower-level accuracy target by
+    the gradient-bias budget; leave None to drop that term from the min."""
 
+    epsilon: float
+    delta_bar: float
     delta_v: float
     l_f_bar: float
     lf_delta: Optional[float] = None
@@ -41,38 +44,34 @@ class TheoryMode:
 
 @dataclass(frozen=True)
 class ManualMode:
+    """The outer-loop constants; ``schedule`` resolves a ``TheoryMode`` to
+    one of these."""
+
     beta: float
     gamma1: float
     gamma2: float
     K: int
     delta_y: float
+
+    @property
+    def delta_bar(self) -> float:
+        """The window radius K/gamma1 that the step budget guarantees."""
+        return self.K / self.gamma1
 
 
 @dataclass(frozen=True)
 class DsbloParams:
     T: int
     mode: Union[TheoryMode, ManualMode]
-    epsilon: Optional[float] = None
-    delta_bar: Optional[float] = None
     perturb_radius: float = 1e-3
     option: str = "deterministic"  # "deterministic" (full batch) or "sampled"
     seed: int = 0
     batch_size: int = 1
 
 
-@dataclass(frozen=True)
-class ResolvedSchedule:
-    beta: float
-    K: int
-    gamma1: float
-    gamma2: float
-    delta_y: float
-    delta_bar: float
-
-
-def schedule(params: DsbloParams) -> ResolvedSchedule:
-    """Resolve the outer-loop constants, either from the theory formulas or
-    by validating manually supplied values; also checks T > K and the option.
+def schedule(params: DsbloParams) -> ManualMode:
+    """The outer-loop constants: a manual mode itself once validated, or a
+    theory mode's resolved constants. Also checks T > K and the option.
 
     Theory mode, for target accuracy eps and radius delta_bar:
 
@@ -93,20 +92,16 @@ def schedule(params: DsbloParams) -> ResolvedSchedule:
             raise ScheduleInfeasible(f"manual beta={mode.beta} outside (0, 1)")
         if mode.gamma1 <= 0 or mode.gamma2 <= 0:
             raise ScheduleInfeasible("manual gamma1 and gamma2 must be positive")
-        if mode.K < 1:
-            raise ScheduleInfeasible(f"manual K={mode.K} must be at least 1")
+        if not isinstance(mode.K, numbers.Integral) or mode.K < 1:
+            raise ScheduleInfeasible(f"manual K={mode.K!r} must be an integer >= 1")
         if mode.delta_y <= 0:
             raise ScheduleInfeasible("manual delta_y must be positive")
-        sched = ResolvedSchedule(
-            beta=mode.beta, K=int(mode.K), gamma1=mode.gamma1, gamma2=mode.gamma2,
-            delta_y=mode.delta_y, delta_bar=mode.K / mode.gamma1,
-        )
+        sched = mode
     else:
-        eps = params.epsilon
-        db = params.delta_bar
-        if eps is None or eps <= 0:
+        eps = mode.epsilon
+        if eps <= 0:
             raise ScheduleInfeasible("theory mode needs epsilon > 0")
-        if db is None or db <= 0:
+        if mode.delta_bar <= 0:
             raise ScheduleInfeasible("theory mode needs delta_bar > 0")
         dv, lf = mode.delta_v, mode.l_f_bar
         if dv < 0 or lf <= 0:
@@ -123,18 +118,14 @@ def schedule(params: DsbloParams) -> ResolvedSchedule:
                 f"({eps * eps:.3g} > {480.0 * sq:.3g}); beta would fall below 1/2"
             )
         u = eps * eps / (960.0 * sq)
-        beta = 1.0 - u
         # ln(1/beta) = -log1p(-u), accurate for beta close to 1
         big_k = math.ceil(math.log(32.0 * spread / eps) / (-math.log1p(-u)))
-        gamma1 = big_k / db
-        gamma2 = 4.0 * gamma1 * spread
+        gamma1 = big_k / mode.delta_bar
         terms = [eps * eps / (1280.0 * spread), 2.0 * eps / 3.0, lf]
         if mode.lf_delta is not None:
             terms.append(mode.lf_delta)
-        sched = ResolvedSchedule(
-            beta=beta, K=big_k, gamma1=gamma1, gamma2=gamma2,
-            delta_y=min(terms), delta_bar=db,
-        )
+        sched = ManualMode(beta=1.0 - u, gamma1=gamma1, gamma2=4.0 * gamma1 * spread,
+                           K=big_k, delta_y=min(terms))
     if params.T <= sched.K:
         raise ScheduleInfeasible(f"T={params.T} must exceed K={sched.K}")
     return sched
@@ -165,7 +156,7 @@ class IterateRecord:
 class RunLog:
     algorithm: str
     params: dict
-    schedule: Optional[ResolvedSchedule]
+    schedule: Optional[ManualMode]
     records: List[IterateRecord] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     truncated: bool = False
@@ -289,7 +280,7 @@ def run_dsblo(problem: Problem, params: DsbloParams, x0=None,
     After the loop, ``diagnostics.check_windows`` checks over the records
     that every trailing window keeps its step budget
     sum_j eta_j ||m_j|| <= K/gamma1 and the resulting containment
-    ||x_{t-K} - x_bar_i|| <= delta_bar; a violation raises
+    ||x_{t-K} - x_bar_i|| <= delta_bar = K/gamma1; a violation raises
     ``WindowViolation``, and the result is kept in ``RunLog.windows``.
     """
     sched = schedule(params)

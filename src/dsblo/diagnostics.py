@@ -50,8 +50,6 @@ class StationarityWindow:
     subdifferential at the window anchor x_{t-K}. ``mc_fallbacks`` counts the
     Monte-Carlo solves that fell back to a single solve."""
 
-    t: int
-    K: int
     weights: np.ndarray
     combined: np.ndarray
     norm: float
@@ -95,10 +93,11 @@ def stationarity_window(log, t: int, beta: float, K: int,
             start = sols[-1].active_set
             fallbacks += n_fallback
             grads.append(np.mean([implicit_gradient(inst, x_bar, s).grad for s in sols], axis=0))
+        combined = np.einsum("i,ij->j", w, np.asarray(grads))
     else:
-        grads = [records[i - 1].grad for i in idx]
-    combined = np.einsum("i,ij->j", w, np.asarray(grads))
-    return StationarityWindow(t=t, K=K, weights=w, combined=combined,
+        # stationarity_profile's product, so the two agree bit for bit
+        combined = w @ np.asarray([records[i - 1].grad for i in idx])
+    return StationarityWindow(weights=w, combined=combined,
                               norm=float(np.linalg.norm(combined)), mc_fallbacks=fallbacks)
 
 
@@ -108,11 +107,11 @@ def stationarity_profile(log, beta: float, K: int) -> np.ndarray:
     out = np.full(len(records), np.nan)
     if len(records) <= K:
         return out
-    w = window_weights(beta, K)
     grads = np.asarray([r.grad for r in records])
-    for t in range(K + 1, len(records) + 1):
-        combined = w @ grads[t - K:t]
-        out[t - 1] = np.linalg.norm(combined)
+    # windows[s] holds the K gradients of the window ending at t = K + 1 + s
+    windows = sliding_window_view(grads, K, axis=0)[1:].transpose(0, 2, 1)
+    combined = window_weights(beta, K) @ windows
+    out[K:] = [np.linalg.norm(c) for c in combined]
     return out
 
 
@@ -187,11 +186,16 @@ def perturbation_error_check(inst: QuadraticBilevel, x: np.ndarray, radius: floa
     }
 
 
-def build_report(log, trailing_fraction: float = 0.25) -> dict:
+# the report's trailing average covers this last share of the windows
+TRAILING_FRACTION = 0.25
+
+
+def build_report(log) -> dict:
     """Structured per-run diagnostics document.
 
     Reports both the min-norm window and the trailing average of window
-    norms (no single canonical choice exists, so both are labeled), plus the
+    norms over the last ``TRAILING_FRACTION`` of the windows (no single
+    canonical choice exists, so both are labeled), plus the
     window-invariant check the run already made (``RunLog.windows``).
     """
     sched = log.schedule
@@ -204,14 +208,14 @@ def build_report(log, trailing_fraction: float = 0.25) -> dict:
     if sched is not None and len(log.records) > sched.K:
         prof = stationarity_profile(log, sched.beta, sched.K)
         valid = prof[~np.isnan(prof)]
-        tail = valid[int(len(valid) * (1 - trailing_fraction)):]
+        tail = valid[int(len(valid) * (1 - TRAILING_FRACTION)):]
         best_t = int(np.nanargmin(prof)) + 1
         doc["stationarity"] = {
             "estimator": "stored per-perturbation gradients",
             "min_window_norm": float(np.min(valid)),
             "min_window_t": best_t,
             "trailing_avg": float(tail.mean()),
-            "trailing_fraction": trailing_fraction,
+            "trailing_fraction": TRAILING_FRACTION,
         }
     f_vals = [(r.t, r.F_exact) for r in log.records if r.F_exact is not None]
     if f_vals:

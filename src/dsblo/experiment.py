@@ -68,12 +68,16 @@ def _number(doc: dict, key: str, where: str, default=_REQUIRED,
 
 def _dsblo_params(doc: dict, where: str) -> DsbloParams:
     """Flat manual constants, or ``"mode": {"kind": "theory", ...}`` with
-    top-level ``epsilon`` and ``delta_bar``."""
+    top-level ``epsilon`` and ``delta_bar``, which only a theory entry takes."""
     if "ll_tol" in doc:
         raise ConfigError(f"{where}: ll_tol is an igd setting; dsblo solves the "
                           "lower level to delta_y")
     mode_doc = doc.get("mode")
     if mode_doc is None:
+        for key in ("epsilon", "delta_bar"):
+            if key in doc:
+                raise ConfigError(f"{where}: {key} is a theory-mode target; a manual "
+                                  "entry's window radius is K/gamma1")
         mode = ManualMode(
             beta=_number(doc, "beta", where), gamma1=_number(doc, "gamma1", where),
             gamma2=_number(doc, "gamma2", where), K=_number(doc, "K", where, integer=True),
@@ -81,6 +85,7 @@ def _dsblo_params(doc: dict, where: str) -> DsbloParams:
         )
     elif isinstance(mode_doc, dict) and mode_doc.get("kind") == "theory":
         mode = TheoryMode(
+            epsilon=_number(doc, "epsilon", where), delta_bar=_number(doc, "delta_bar", where),
             delta_v=_number(mode_doc, "delta_v", where),
             l_f_bar=_number(mode_doc, "l_f_bar", where),
             lf_delta=_number(mode_doc, "lf_delta", where, None),
@@ -89,8 +94,6 @@ def _dsblo_params(doc: dict, where: str) -> DsbloParams:
         raise ConfigError(f"{where}: unknown dsblo mode {mode_doc!r}")
     params = DsbloParams(
         T=_number(doc, "T", where, integer=True, low=1), mode=mode,
-        epsilon=_number(doc, "epsilon", where, None),
-        delta_bar=_number(doc, "delta_bar", where, None),
         perturb_radius=_number(doc, "perturb_radius", where, 1e-3, positive=True),
         option=doc.get("option", "deterministic"),
         batch_size=_number(doc, "batch_size", where, 1, integer=True, low=1),

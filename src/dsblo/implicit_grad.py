@@ -134,10 +134,7 @@ def sampled_implicit_gradient(problem: Problem, x: np.ndarray, sol: LLSolution,
     if problem.sampled_grad_f is None:
         raise ValueError("problem provides no sampled gradient")
     y = np.asarray(sol.y_hat)
-    if np.ndim(xi) == 0:
-        gx, gy = problem.sampled_grad_f(x, y, xi)
-    else:
-        parts = [problem.sampled_grad_f(x, y, int(i)) for i in xi]
-        gx = np.mean([p[0] for p in parts], axis=0)
-        gy = np.mean([p[1] for p in parts], axis=0)
+    parts = [problem.sampled_grad_f(x, y, int(i)) for i in np.atleast_1d(xi)]
+    gx = np.mean([p[0] for p in parts], axis=0)
+    gy = np.mean([p[1] for p in parts], axis=0)
     return ImplicitGradient(grad=_adjoint(problem, x, sol, gx, gy))

@@ -45,11 +45,9 @@ _START_INDEP = 1e-8
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Linear lower-level perturbation q'y with ||q|| <= radius; ``norm``
-    is ||q||, computed once."""
+    """Linear lower-level perturbation q'y; ``norm`` is ||q||, computed once."""
 
     q: np.ndarray
-    radius: float
     norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -57,10 +55,6 @@ class Perturbation:
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "norm", float(np.linalg.norm(q)))
-        if self.radius <= 0:
-            raise ValueError("perturbation radius must be positive")
-        if self.norm > self.radius * (1 + 1e-12):
-            raise ValueError("||q|| exceeds the stated radius")
 
 
 def _ball_draw(radius: float, rng: np.random.Generator, d_l: int) -> np.ndarray:
@@ -79,7 +73,7 @@ def _ball_draw(radius: float, rng: np.random.Generator, d_l: int) -> np.ndarray:
 
 def sample_perturbation(radius: float, rng: np.random.Generator, d_l: int) -> Perturbation:
     """Uniform draw from the closed L2 ball of the given radius."""
-    return Perturbation(_ball_draw(radius, rng, d_l), radius)
+    return Perturbation(_ball_draw(radius, rng, d_l))
 
 
 def _qvec(q, d_l: int) -> np.ndarray:

@@ -276,7 +276,7 @@ def schedule_recompute_mp(eps: float, dv: float, lf: float, db: float, dps: int 
         nearest = k_real.to_integral_value(rounding=decimal.ROUND_HALF_EVEN)
         return {
             "beta": float(beta), "K": K, "gamma1": float(gamma1),
-            "gamma2": float(gamma2), "delta_y": float(delta_y),
+            "gamma2": float(gamma2), "delta_y": float(delta_y), "delta_bar": float(K / gamma1),
             "k_gap": float(abs(k_real - nearest)),
         }
 
@@ -299,13 +299,11 @@ def check_schedule_formulas(n_tuples: int = 20) -> CheckResult:
             if ref["k_gap"] < 1e-6:  # knife-edge ceil; redraw
                 continue
             done += 1
-            params = DsbloParams(
-                T=ref["K"] + 1, mode=TheoryMode(dv, lf), epsilon=eps, delta_bar=db,
-            )
-            got = schedule(params)
+            mode = TheoryMode(epsilon=eps, delta_bar=db, delta_v=dv, l_f_bar=lf)
+            got = schedule(DsbloParams(T=ref["K"] + 1, mode=mode))
             if got.K != ref["K"]:
                 return False, f"K mismatch: {got.K} vs {ref['K']} at eps={eps}"
-            for fld in ("beta", "gamma1", "gamma2", "delta_y"):
+            for fld in ("beta", "gamma1", "gamma2", "delta_y", "delta_bar"):
                 a, b = getattr(got, fld), ref[fld]
                 if not _ulp_close(a, b):
                     return False, f"{fld} beyond 4 ulps: {a!r} vs {b!r}"

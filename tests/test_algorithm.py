@@ -30,9 +30,11 @@ def shared_min_instance():
 
 class TestSchedule:
     def test_theory_example(self):
-        params = DsbloParams(T=10**9, mode=TheoryMode(delta_v=0.0, l_f_bar=5.0),
-                             epsilon=1.0, delta_bar=0.5)
+        params = DsbloParams(T=10**9, mode=TheoryMode(epsilon=1.0, delta_bar=0.5,
+                                                      delta_v=0.0, l_f_bar=5.0))
         got = schedule(params)
+        assert type(got) is ManualMode
+        assert got.delta_bar == 0.5
         assert got.beta == 1.0 - 1.0 / 48_000.0
         ref = schedule_recompute_mp(1.0, 0.0, 5.0, 0.5)
         assert got.K == ref["K"]
@@ -42,23 +44,20 @@ class TestSchedule:
         assert got.delta_y == pytest.approx(1.0 / 12_800.0, rel=1e-15)
 
     def test_lf_delta_slot(self):
-        base = DsbloParams(T=10**9, mode=TheoryMode(0.0, 5.0), epsilon=1.0, delta_bar=0.5)
-        capped = DsbloParams(T=10**9, mode=TheoryMode(0.0, 5.0, lf_delta=1e-6),
-                             epsilon=1.0, delta_bar=0.5)
+        base = DsbloParams(T=10**9, mode=TheoryMode(1.0, 0.5, 0.0, 5.0))
+        capped = DsbloParams(T=10**9, mode=TheoryMode(1.0, 0.5, 0.0, 5.0, lf_delta=1e-6))
         assert schedule(capped).delta_y == 1e-6
         assert schedule(base).delta_y > 1e-6
 
     def test_manual_passthrough(self):
-        params = DsbloParams(T=100, mode=ManualMode(beta=0.9, gamma1=2.0, gamma2=4.0,
-                                                    K=10, delta_y=1e-3))
-        got = schedule(params)
-        assert (got.beta, got.gamma1, got.gamma2, got.K, got.delta_y) == \
-            (0.9, 2.0, 4.0, 10, 1e-3)
-        assert got.delta_bar == 5.0  # K / gamma1
+        mode = ManualMode(beta=0.9, gamma1=2.0, gamma2=4.0, K=10, delta_y=1e-3)
+        got = schedule(DsbloParams(T=100, mode=mode))
+        assert got is mode
+        assert got.delta_bar == mode.K / mode.gamma1 == 5.0
 
     def test_epsilon_too_large(self):
-        params = DsbloParams(T=100, mode=TheoryMode(delta_v=0.0, l_f_bar=0.5),
-                             epsilon=2.0, delta_bar=0.5)
+        params = DsbloParams(T=100, mode=TheoryMode(epsilon=2.0, delta_bar=0.5,
+                                                    delta_v=0.0, l_f_bar=0.5))
         with pytest.raises(ScheduleInfeasible, match="delta_v"):
             schedule(params)
 
@@ -67,6 +66,7 @@ class TestSchedule:
             ManualMode(beta=1.2, gamma1=1.0, gamma2=1.0, K=5, delta_y=1e-3),
             ManualMode(beta=0.9, gamma1=-1.0, gamma2=1.0, K=5, delta_y=1e-3),
             ManualMode(beta=0.9, gamma1=1.0, gamma2=1.0, K=0, delta_y=1e-3),
+            ManualMode(beta=0.9, gamma1=1.0, gamma2=1.0, K=5.0, delta_y=1e-3),
             ManualMode(beta=0.9, gamma1=1.0, gamma2=1.0, K=5, delta_y=0.0),
         ]
         for mode in bad:
@@ -81,8 +81,7 @@ class TestSchedule:
 
     def test_beta_stays_above_half(self):
         # implied by epsilon <= delta_v + 2 L_F_bar, checked explicitly
-        s = schedule(DsbloParams(T=10**9, mode=TheoryMode(1.0, 1.0),
-                                 epsilon=3.0, delta_bar=0.1))
+        s = schedule(DsbloParams(T=10**9, mode=TheoryMode(3.0, 0.1, 1.0, 1.0)))
         assert 0.5 <= s.beta < 1.0
 
 
@@ -289,8 +288,8 @@ class TestRunDsblo:
                 tols.append(tol)
                 return inst.solve_ll(x, q, tol, start)
 
-        params = DsbloParams(T=10**9, mode=TheoryMode(delta_v=0.0, l_f_bar=5.0),
-                             epsilon=1.0, delta_bar=0.5, seed=11)
+        params = DsbloParams(T=10**9, mode=TheoryMode(epsilon=1.0, delta_bar=0.5,
+                                                      delta_v=0.0, l_f_bar=5.0), seed=11)
         delta_y = schedule(params).delta_y
         assert delta_y == pytest.approx(1.0 / 12_800.0)
         seen = []

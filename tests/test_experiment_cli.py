@@ -93,6 +93,10 @@ class TestConfig:
         (lambda doc: doc["instance"].update(k=-1), "k must be an integer >= 0"),
         (lambda doc: doc["algorithms"][0].update(mode="manual"), "unknown dsblo mode"),
         (lambda doc: doc["algorithms"][0].update(ll_tol=1e-6), "ll_tol is an igd setting"),
+        (lambda doc: doc["algorithms"][0].update(epsilon=1.0),
+         "epsilon is a theory-mode target"),
+        (lambda doc: doc["algorithms"][0].update(delta_bar=0.01),
+         "delta_bar is a theory-mode target"),
         (lambda doc: doc.update(instance={"path": 5}), "path must be a string"),
         (lambda doc: doc.update(output_dir=5), "output_dir must be a string"),
         (lambda doc: doc.update(formats=5), "formats must be a list"),
@@ -109,7 +113,8 @@ class TestConfig:
         (lambda doc: doc["algorithms"][0].update(T=5), "T=5 must exceed K=5"),
         (lambda doc: doc.update(seeds=[1, 1]), "seeds are not unique"),
     ], ids=["dsblo-without-beta", "eval-every-string", "seeds-string", "seeds-int",
-            "instance-k-negative", "mode-string", "dsblo-ll-tol", "instance-path-int",
+            "instance-k-negative", "mode-string", "dsblo-ll-tol", "manual-epsilon",
+            "manual-delta-bar", "instance-path-int",
             "output-dir-int", "formats-int", "formats-string", "instance-unbounded",
             "option-unknown", "dsblo-radius-zero", "igd-radius-zero", "beta-out-of-range",
             "t-not-beyond-k", "seeds-repeated"])
@@ -130,12 +135,16 @@ class TestConfig:
                                 "mode": {"kind": "theory", "delta_v": 0.0, "l_f_bar": 5.0},
                                 "epsilon": 1.0, "delta_bar": 0.5}
         params = config_from_dict(doc).algorithms[0].params
-        assert params.mode == algo.TheoryMode(delta_v=0.0, l_f_bar=5.0)
-        assert (params.epsilon, params.delta_bar, params.T) == (1.0, 0.5, 10**9)
+        assert params.mode == algo.TheoryMode(epsilon=1.0, delta_bar=0.5, delta_v=0.0,
+                                              l_f_bar=5.0)
+        assert params.T == 10**9
         summary = run_experiment(config_from_dict(doc))
         assert [r["status"] for r in summary["runs"]] == ["ok", "ok"]
         meta = json.loads((Path(summary["output_dir"]) / "dsblo.runlog.json").read_text())
         assert meta["params"]["mode_kind"] == "TheoryMode" and meta["truncated"]
+        assert meta["params"]["mode"] == {"epsilon": 1.0, "delta_bar": 0.5, "delta_v": 0.0,
+                                          "l_f_bar": 5.0, "lf_delta": None}
+        assert "epsilon" not in meta["params"] and "delta_bar" not in meta["params"]
 
     def test_readme_config_parses(self, tmp_path):
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -235,6 +235,13 @@ class TestSampledGradient:
         per = np.mean([sampled_implicit_gradient(inst, x, sol, i).grad for i in xi], axis=0)
         assert np.linalg.norm(batch.grad - per) <= 1e-12 * np.linalg.norm(per)
 
+    def test_scalar_and_one_element_xi_agree(self):
+        inst = generate_instance(6, 6, 3, seed=21, n_components=8)
+        x, _q, sol = _active_margin_point(inst, np.random.default_rng(21))
+        assert sol.active_set
+        assert np.array_equal(sampled_implicit_gradient(inst, x, sol, 3).grad,
+                              sampled_implicit_gradient(inst, x, sol, [3]).grad)
+
 
 class TestErrors:
     def test_zero_margin_rejected(self):

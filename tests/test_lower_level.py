@@ -516,12 +516,8 @@ class TestPerturbation:
         with pytest.raises(ValueError):
             sample_perturbation(0.0, np.random.default_rng(0), 3)
 
-    def test_norm_invariant(self):
-        with pytest.raises(ValueError):
-            Perturbation(np.array([1.0, 0.0]), 0.5)
-
     def test_norm_stored(self):
-        p = Perturbation([3e-4, -4e-4], 1e-3)
+        p = Perturbation([3e-4, -4e-4])
         assert p.norm == float(np.linalg.norm(p.q)) == 5e-4
         assert "norm" not in repr(p)
 
