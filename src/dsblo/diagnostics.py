@@ -4,6 +4,7 @@ the finite-difference oracle used to cross-check analytic gradients."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -11,9 +12,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import WindowIncomplete, WindowViolation
-from .implicit_grad import implicit_gradient
+from .implicit_grad import _adjoint
 from .lower_level import _ball_draw, solve_ll_quadratic, solve_qp_batch
-from .problem import QuadraticBilevel, eval_f
+from .problem import QuadraticBilevel, eval_f, eval_f_rows, grad_f_rows
 
 
 def eval_F_exact(inst: QuadraticBilevel, x: np.ndarray, start=()) -> float:
@@ -24,23 +25,49 @@ def eval_F_exact(inst: QuadraticBilevel, x: np.ndarray, start=()) -> float:
     return eval_f(inst, x, sol.y_hat)
 
 
-def _mc_solves(inst: QuadraticBilevel, x: np.ndarray, radius: float,
-               n_samples: int, rng: np.random.Generator, start=()) -> tuple:
-    """The n_samples >= 1 exact lower-level solves at x, each under a fresh
-    ball-uniform perturbation drawn from rng in stream order, and how many
-    fell back to a single solve. The first draw is solved from the rows in
-    ``start``, the others in one batch on its active set (``solve_qp_batch``);
-    a draw the batch rejects is solved from the previous sample's set."""
-    x = np.asarray(x, dtype=float)
-    qs = np.array([_ball_draw(radius, rng, inst.d_l) for _ in range(n_samples)])
-    sols = [solve_ll_quadratic(inst, x, qs[0], start)]
+def _draws(radius: float, rng: np.random.Generator, d_l: int, n: int) -> np.ndarray:
+    """n ball-uniform perturbations drawn from rng in stream order, one per row."""
+    return np.array([_ball_draw(radius, rng, d_l) for _ in range(n)])
+
+
+def _mc_solves(inst: QuadraticBilevel, X: np.ndarray, Q: np.ndarray, start=None) -> tuple:
+    """Exact lower-level solves of the perturbations in the rows of ``Q`` at
+    the points in the rows of ``X`` (or at the one point ``X``).
+
+    A given ``start`` first has every draw batched on those rows
+    (``solve_qp_batch``). Then, until every draw is solved, the first draw
+    left is solved on its own from the last rows tried (a cold solve at
+    first), and the others are batched on its active set. Returns Y and Lam
+    (one row of y and of the multipliers per draw), the draws' indices by
+    active set, and how many draws fell back to a solve of their own: one
+    per batch that rejected a draw."""
+    n = Q.shape[0]
+    X = np.broadcast_to(X, (n, inst.d_u))
     poly = inst.constraints
-    batch = solve_qp_batch(inst.hess_yy_diag, inst.Q2.T @ x + qs[1:], poly.A, poly.rhs(x),
-                           sols[0].active_set)
-    for q, sol in zip(qs[1:], batch):
-        sols.append(sol if sol is not None else
-                    solve_ll_quadratic(inst, x, q, sols[-1].active_set))
-    return sols, batch.count(None)
+    C = X @ inst.Q2 + Q
+    U = poly.b - X @ poly.B.T
+    Y = np.empty((n, inst.d_l))
+    Lam = np.empty((n, poly.k))
+    groups: dict = {}
+    fallbacks = 0
+
+    def batch(idx: np.ndarray, work: tuple) -> np.ndarray:
+        nonlocal fallbacks
+        ok, Y[idx], Lam[idx] = solve_qp_batch(inst.hess_yy_diag, C[idx], poly.A, U[idx], work)
+        groups.setdefault(tuple(sorted(work)), []).extend(idx[ok].tolist())
+        fallbacks += not ok.all()
+        return idx[~ok]
+
+    pending, rows = np.arange(n), ()
+    if start is not None:
+        pending, rows = batch(pending, start), start
+    while pending.size:
+        i = pending[0]
+        sol = solve_ll_quadratic(inst, X[i], Q[i], rows)
+        Y[i], Lam[i], rows = sol.y_hat, sol.lam, sol.active_set
+        groups.setdefault(rows, []).append(int(i))
+        pending = batch(pending[1:], rows) if pending.size > 1 else pending[1:]
+    return Y, Lam, groups, fallbacks
 
 
 @dataclass(frozen=True)
@@ -48,7 +75,7 @@ class StationarityWindow:
     """Geometric convex combination of the last K stored gradients; its norm
     upper-bounds the distance of 0 to the radius-delta_bar Goldstein
     subdifferential at the window anchor x_{t-K}. ``mc_fallbacks`` counts the
-    Monte-Carlo solves that fell back to a single solve."""
+    Monte-Carlo draws that fell back to a solve of their own."""
 
     weights: np.ndarray
     combined: np.ndarray
@@ -72,8 +99,9 @@ def stationarity_window(log, t: int, beta: float, K: int,
     By default combines the stored per-perturbation gradients. With
     ``mc_samples > 0`` each window point is re-evaluated as a Monte-Carlo
     average of exact implicit gradients over fresh perturbations (the
-    higher-fidelity estimate of the smoothed gradient); each point's first
-    solve starts from the previous point's last active set.
+    higher-fidelity estimate of the smoothed gradient). The K * mc_samples
+    draws are solved together (``_mc_solves``), and the draws on one active
+    set are differentiated by one adjoint solve.
     """
     records = log.records
     if t < K:
@@ -86,14 +114,14 @@ def stationarity_window(log, t: int, beta: float, K: int,
     if mc_samples > 0:
         if inst is None or rng is None:
             raise ValueError("MC re-evaluation needs the instance and an rng")
-        grads, start = [], ()
-        for i in idx:
-            x_bar = records[i - 1].x_bar
-            sols, n_fallback = _mc_solves(inst, x_bar, radius, mc_samples, rng, start)
-            start = sols[-1].active_set
-            fallbacks += n_fallback
-            grads.append(np.mean([implicit_gradient(inst, x_bar, s).grad for s in sols], axis=0))
-        combined = np.einsum("i,ij->j", w, np.asarray(grads))
+        X = np.repeat([records[i - 1].x_bar for i in idx], mc_samples, axis=0)
+        Q = _draws(radius, rng, inst.d_l, K * mc_samples)
+        Y, Lam, groups, fallbacks = _mc_solves(inst, X, Q)
+        G = np.empty_like(X)
+        for active, rows in groups.items():
+            gx, gy = grad_f_rows(inst, X[rows], Y[rows])
+            G[rows] = _adjoint(inst, X[rows], Y[rows], Lam[rows], active, gx, gy)
+        combined = np.einsum("i,ij->j", w, G.reshape(K, mc_samples, -1).mean(axis=1))
     else:
         # stationarity_profile's product, so the two agree bit for bit
         combined = w @ np.asarray([records[i - 1].grad for i in idx])
@@ -111,7 +139,8 @@ def stationarity_profile(log, beta: float, K: int) -> np.ndarray:
     # windows[s] holds the K gradients of the window ending at t = K + 1 + s
     windows = sliding_window_view(grads, K, axis=0)[1:].transpose(0, 2, 1)
     combined = window_weights(beta, K) @ windows
-    out[K:] = [np.linalg.norm(c) for c in combined]
+    # sqrt(c @ c) is bit for bit the 1-D norm; a norm along axis 1 is not
+    out[K:] = [math.sqrt(c @ c) for c in combined]
     return out
 
 
@@ -164,20 +193,23 @@ def perturbation_error_check(inst: QuadraticBilevel, x: np.ndarray, radius: floa
                              n_samples: int, rng: np.random.Generator) -> dict:
     """Check |mean_q F_q(x) - F(x)| <= L_hat * radius / mu_g + 3 * stderr,
     the smoothing-error bound. ``Fbar_mc`` and ``stderr`` are the mean and
-    standard error of F_q(x) over n_samples >= 2 fresh ball-uniform draws
-    (``_mc_solves``); L_hat, standing in for the unobservable supremum of
-    ||grad f||, is 1.5 times its largest norm over about 32 of the sampled
-    (x, y) pairs. The exact F starts from the first sample's active set;
-    ``mc_fallbacks`` counts the samples that fell back to a single solve."""
+    standard error of F_q(x) over n_samples >= 2 fresh ball-uniform draws;
+    L_hat, standing in for the unobservable supremum of ||grad f||, is 1.5
+    times its largest norm over about 32 of the sampled (x, y) pairs. The
+    exact F is solved first, cold, and the draws are batched on its active
+    set (``_mc_solves``); ``mc_fallbacks`` counts the draws that fell back
+    to a solve of their own."""
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     x = np.asarray(x, dtype=float)
-    sols, fallbacks = _mc_solves(inst, x, radius, n_samples, rng)
-    vals = np.array([eval_f(inst, x, sol.y_hat) for sol in sols])
+    Q = _draws(radius, rng, inst.d_l, n_samples)
+    sol = solve_ll_quadratic(inst, x, None)
+    exact = eval_f(inst, x, sol.y_hat)
+    Y, _, _, fallbacks = _mc_solves(inst, x, Q, sol.active_set)
+    vals = eval_f_rows(inst, x, Y)
     mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
-    exact = eval_F_exact(inst, x, sols[0].active_set)
-    l_hat = 1.5 * max(float(np.linalg.norm(np.concatenate(inst.grad_f(x, sol.y_hat))))
-                      for sol in sols[::max(1, n_samples // 32)])
+    gx, gy = grad_f_rows(inst, x, Y[::max(1, n_samples // 32)])
+    l_hat = 1.5 * math.sqrt(float(np.max((gx * gx).sum(axis=1) + (gy * gy).sum(axis=1))))
     bound = l_hat * radius / inst.mu_g + 3.0 * stderr
     gap = abs(mean - exact)
     return {

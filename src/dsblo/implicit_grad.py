@@ -23,13 +23,12 @@ active rows, and check both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DegenerateActiveSet, NotSPD
-from .lower_level import (LLSolution, RANK_TOL, check_rank, diagonal_solver, equality_solve,
-                          sc_margin)
+from .lower_level import LLSolution, RANK_TOL, check_rank, diagonal_solver, equality_solve
 from .problem import Problem
 
 
@@ -57,19 +56,20 @@ def _hessian_solver(problem: Problem, x: np.ndarray, y: np.ndarray):
     return lambda Z: np.linalg.solve(H, Z)
 
 
-def _active_rows(problem: Problem, sol: LLSolution):
-    """(Abar, Bbar) of a solve with a nonempty active set, after checking
-    strict complementarity and the rank of the active rows (reusing the
-    solver's rank check where it made one)."""
-    margin = sc_margin(sol)
+def _active_rows(problem: Problem, active: tuple, lam: np.ndarray, smin: Optional[float]):
+    """(Abar, Bbar) of a nonempty active set, after checking strict
+    complementarity on every row of multipliers in ``lam`` and the rank of
+    the active rows (reusing the solver's rank check ``smin`` where it made
+    one)."""
+    active = list(active)
+    margin = float(np.min(lam[..., active]))
     if not margin > 0.0:
         raise DegenerateActiveSet(
             f"strict complementarity fails (smallest active multiplier {margin:.2e})"
         )
-    active = list(sol.active_set)
     poly = problem.constraints
     Abar = poly.A[active]
-    smin = check_rank(Abar) if sol.rank_smin is None else sol.rank_smin
+    smin = check_rank(Abar) if smin is None else smin
     if smin < RANK_TOL:
         raise DegenerateActiveSet(
             f"active rows nearly rank deficient (smallest singular value {smin:.2e})"
@@ -77,21 +77,35 @@ def _active_rows(problem: Problem, sol: LLSolution):
     return Abar, poly.B[active]
 
 
-def _adjoint(problem: Problem, x: np.ndarray, sol: LLSolution, gx, gy) -> np.ndarray:
-    """gx + jac_y' gy from one reduced KKT solve (see the module docstring)."""
-    y = np.asarray(sol.y_hat, dtype=float)
-    hsolve = _hessian_solver(problem, x, y)
-    M = np.asarray(problem.jac_xy_g(x, y), dtype=float)
+def _adjoint(problem: Problem, x, y, lam, active: tuple, gx, gy,
+             smin: Optional[float] = None) -> np.ndarray:
+    """gx + jac_y' gy from one reduced KKT solve (see the module docstring)
+    at the lower-level solution y with multipliers lam and active rows
+    ``active`` (smallest singular value ``smin`` where the solver checked it).
+
+    For n draws that share the active set, x, y, lam, gx and gy hold one row
+    per draw and the result one gradient row per draw, all from one solve;
+    ``hess_yy_g`` and ``jac_xy_g`` are then taken at the first draw, so rows
+    need a problem whose lower level states a constant diagonal Hessian
+    (``hess_yy_diag``; ``ValueError`` otherwise). Every row's multipliers
+    are checked."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 2 and problem.hess_yy_diag is None:
+        raise ValueError("draws as rows need a constant diagonal hess_yy_g")
+    at = (x, y) if y.ndim == 1 else (x[0], y[0])
+    hsolve = _hessian_solver(problem, *at)
+    M = np.asarray(problem.jac_xy_g(*at), dtype=float)
     gx = np.asarray(gx, dtype=float)
-    gy = np.asarray(gy, dtype=float)
-    if not sol.active_set:
-        return gx - M.T @ hsolve(gy)
-    Abar, Bbar = _active_rows(problem, sol)
+    gy = np.asarray(gy, dtype=float).T
+    if not active:
+        return gx - (M.T @ hsolve(gy)).T
+    Abar, Bbar = _active_rows(problem, active, np.asarray(lam), smin)
     try:
         _, w, v = equality_solve(hsolve, hsolve(gy), Abar, 0.0)
     except np.linalg.LinAlgError as exc:
         raise DegenerateActiveSet("singular reduced KKT system") from exc
-    return gx + M.T @ v + Bbar.T @ w
+    return gx + (M.T @ v).T + (Bbar.T @ w).T
 
 
 def jacobians(problem: Problem, x: np.ndarray, sol: LLSolution):
@@ -103,7 +117,7 @@ def jacobians(problem: Problem, x: np.ndarray, sol: LLSolution):
     M = np.asarray(problem.jac_xy_g(x, y), dtype=float)
     if not sol.active_set:
         return -hsolve(M), np.zeros((0, M.shape[1]))
-    Abar, Bbar = _active_rows(problem, sol)
+    Abar, Bbar = _active_rows(problem, sol.active_set, sol.lam, sol.rank_smin)
     Hinv_M = hsolve(M)
     Hinv_At = hsolve(Abar.T)
     try:
@@ -117,8 +131,10 @@ def jacobians(problem: Problem, x: np.ndarray, sol: LLSolution):
 def implicit_gradient(problem: Problem, x: np.ndarray, sol: LLSolution) -> ImplicitGradient:
     """Full-batch implicit gradient grad_x f + jac_y' grad_y f at (x, y_hat)."""
     x = np.asarray(x, dtype=float)
-    gx, gy = problem.grad_f(x, np.asarray(sol.y_hat))
-    return ImplicitGradient(grad=_adjoint(problem, x, sol, gx, gy))
+    y = np.asarray(sol.y_hat)
+    gx, gy = problem.grad_f(x, y)
+    return ImplicitGradient(grad=_adjoint(problem, x, y, sol.lam, sol.active_set, gx, gy,
+                                          sol.rank_smin))
 
 
 def sampled_implicit_gradient(problem: Problem, x: np.ndarray, sol: LLSolution,
@@ -137,4 +153,5 @@ def sampled_implicit_gradient(problem: Problem, x: np.ndarray, sol: LLSolution,
     parts = [problem.sampled_grad_f(x, y, int(i)) for i in np.atleast_1d(xi)]
     gx = np.mean([p[0] for p in parts], axis=0)
     gy = np.mean([p[1] for p in parts], axis=0)
-    return ImplicitGradient(grad=_adjoint(problem, x, sol, gx, gy))
+    return ImplicitGradient(grad=_adjoint(problem, x, y, sol.lam, sol.active_set, gx, gy,
+                                          sol.rank_smin))

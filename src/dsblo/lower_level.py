@@ -178,11 +178,12 @@ def _start_solve(hinv, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
     """The multipliers and point of ``equality_solve`` on the sorted rows in
     ``work``, or None when those rows are not a usable start: an index out
     of range, more rows than the dimension, or an S that fails a Cholesky
-    factorization or is nearly singular."""
+    factorization or is nearly singular. ``u`` is one right-hand side, or
+    one row of them per column of ``Hic``."""
     if len(work) > A.shape[1] or work[0] < 0 or work[-1] >= A.shape[0]:
         return None
     try:
-        S, lam_w, y = equality_solve(hinv, Hic, A[work], u[work])
+        S, lam_w, y = equality_solve(hinv, Hic, A[work], u[..., work])
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         return None
@@ -365,42 +366,43 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
                       {"pivots": pivots, "repairs": repairs}, smin)
 
 
-def solve_qp_batch(H: np.ndarray, C: np.ndarray, A: np.ndarray, u: np.ndarray,
-                   work) -> list:
-    """``solve_qp(H, c, A, u, start=work)`` for every row c of ``C`` where
-    that solve makes no pivot and no repair: one equality KKT solve on
-    ``work`` with one factorization of S for all rows, then one vectorised
-    certificate. A row passes when its multipliers on ``work`` are
+def solve_qp_batch(H: np.ndarray, C: np.ndarray, A: np.ndarray, U: np.ndarray,
+                   work) -> tuple:
+    """``solve_qp(H, c, A, u, start=work)`` for every draw, a row c of ``C``
+    with its row u of ``U`` (one vector ``U`` serves every draw), where that
+    solve makes no pivot and no repair: one equality KKT solve on ``work``
+    with one factorization of S for all draws, then one vectorised
+    certificate. A draw passes when its multipliers on ``work`` are
     nonnegative, no row is violated by more than ``_VIOL_TOL``, its tight
     rows are exactly ``work`` and its KKT residual is at most ``KKT_TOL``;
-    its result then equals the single solve's to round-off. Other rows get
-    None, and every row does when ``work`` is not a usable start."""
-    C = np.atleast_2d(C)
-    n = C.shape[0]
+    its y and multipliers then equal the single solve's to round-off.
+
+    Returns (ok, Y, Lam): the pass mask, and per draw one row of y and one
+    of the k multipliers (zero off ``work``), NaN for a draw that fails.
+    Every draw fails when ``work`` is not a usable start."""
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    n, d = C.shape
+    k = A.shape[0]
+    U = np.broadcast_to(U, (n, k))
     work = sorted({int(i) for i in work})
+    Y = np.full((n, d), np.nan)
+    Lam = np.full((n, k), np.nan)
     HiC = C.T / H[:, None]
-    solved = _start_solve(diagonal_solver(H), HiC, A, u, work) if work else (np.zeros((0, n)), -HiC)
+    solved = _start_solve(diagonal_solver(H), HiC, A, U, work) if work else (np.zeros((0, n)), -HiC)
     if solved is None:
-        return [None] * n
-    lam_w, Y = solved
-    slack = u[:, None] - A @ Y
-    in_work = np.isin(np.arange(A.shape[0]), work)
-    kkt = np.linalg.norm(H[:, None] * Y + C.T + A[work].T @ lam_w, axis=0)
+        return np.zeros(n, dtype=bool), Y, Lam
+    lam_w, Yc = solved
+    slack = U.T - A @ Yc
+    in_work = np.isin(np.arange(k), work)
+    kkt = np.linalg.norm(H[:, None] * Yc + C.T + A[work].T @ lam_w, axis=0)
     ok = ((lam_w >= 0.0).all(axis=0) & (slack >= -_VIOL_TOL).all(axis=0)
           & ((slack <= TAU_ACT) == in_work[:, None]).all(axis=0) & (kkt <= KKT_TOL))
-    if not ok.any():
-        return [None] * n
-    smin = check_rank(A[work])
-    max_viol = (-slack).max(axis=0) if A.shape[0] else np.full(n, -np.inf)
-    ys = Y.T.copy()
-    lams = np.zeros((n, A.shape[0]))
-    lams[:, work] = lam_w.T
-    ys.flags.writeable = lams.flags.writeable = False
-    return [LLSolution(y_hat=ys[i], lam=lams[i], active_set=tuple(work),
-                       kkt_residual=float(kkt[i]), max_violation=float(max_viol[i]),
-                       delta_cert=float(kkt[i] / H.min()), stats={"pivots": 0, "repairs": 0},
-                       rank_smin=smin) if ok[i] else None
-            for i in range(n)]
+    if ok.any():  # rank-deficient rows raise, as in the single solve
+        check_rank(A[work])
+    Y[ok] = Yc.T[ok]
+    Lam[ok] = 0.0
+    Lam[np.ix_(ok, work)] = lam_w.T[ok]
+    return ok, Y, Lam
 
 
 def solve_ll_quadratic(inst: QuadraticBilevel, x: np.ndarray,

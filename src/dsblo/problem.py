@@ -96,8 +96,9 @@ class Problem(Protocol):
     inexact; ``start`` names constraint rows the solve may start from, such
     as the active set of the previous solve, and does not change the result
     beyond round-off.
-    ``hess_yy_diag`` is the diagonal of a constant diagonal ``hess_yy_g``,
-    or None when the Hessian is a general matrix."""
+    ``hess_yy_diag`` is the diagonal of a constant diagonal ``hess_yy_g``
+    of a quadratic lower level, whose ``jac_xy_g`` is then constant too, or
+    None when the Hessian is a general matrix."""
 
     constraints: Polyhedron
     n_components: int
@@ -300,6 +301,26 @@ def eval_f(inst: QuadraticBilevel, x: np.ndarray, y: np.ndarray) -> float:
     inst._check_dims(x, y)
     base = float(x @ x + 0.1 * (x @ (inst.Q1 @ y)) + y @ y)
     return base + float(inst.cx_mean @ x + inst.cy_mean @ y)
+
+
+def eval_f_rows(inst: QuadraticBilevel, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``eval_f`` at x for every row of Y at once, summed in ``eval_f``'s
+    order, so each entry equals ``eval_f``'s to round-off."""
+    x = np.asarray(x, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    base = x @ x + 0.1 * ((Y @ inst.Q1.T) @ x) + np.einsum("ij,ij->i", Y, Y)
+    return base + (inst.cx_mean @ x + Y @ inst.cy_mean)
+
+
+def grad_f_rows(inst: QuadraticBilevel, X: np.ndarray, Y: np.ndarray) -> tuple:
+    """``inst.grad_f`` at n points at once: one row of grad_x f and one of
+    grad_y f per row i of Y, taken at row i of X (or at X itself when it is
+    one point)."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    gx = 2.0 * X + 0.1 * (Y @ inst.Q1.T) + inst.cx_mean
+    gy = 0.1 * (X @ inst.Q1) + 2.0 * Y + inst.cy_mean
+    return gx, gy
 
 
 def sample_component(problem: Problem, rng: np.random.Generator) -> int:

@@ -4,13 +4,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dsblo.algorithm import DsbloParams, ManualMode, run_dsblo, run_igd_baseline
-from dsblo.diagnostics import (_mc_solves, build_report, eval_F_exact,
+from dsblo.diagnostics import (_draws, _mc_solves, build_report, eval_F_exact,
                                fd_gradient_oracle, perturbation_error_check,
                                stationarity_profile, stationarity_window,
                                window_weights)
 from dsblo.errors import DsbloError, WindowIncomplete
-from dsblo.lower_level import sample_perturbation, solve_ll_bruteforce, solve_ll_quadratic
-from dsblo.problem import eval_f, generate_instance
+from dsblo.implicit_grad import implicit_gradient
+from dsblo.lower_level import _ball_draw, solve_ll_bruteforce, solve_ll_quadratic
+from dsblo.problem import eval_f, eval_f_rows, generate_instance
 
 from conftest import make_1d_instance
 
@@ -18,6 +19,56 @@ from conftest import make_1d_instance
 def _constrained_1d():
     # f = x^2 + y^2, g = (y - x)^2, constraint y <= 0
     return make_1d_instance(q2=-2.0, A=[[1.0]], B=[[0.0]], b=[0.0])
+
+
+class _Rec:
+    def __init__(self, x_bar):
+        self.x_bar = x_bar
+
+
+class _Log:
+    def __init__(self, records):
+        self.records = records
+
+
+def _mc_d50_point(j):
+    """The d=50/k=10 instance and the dsblo run that ends at its j-th fixed
+    point, as the benchmark's Monte-Carlo workload builds them."""
+    inst = generate_instance(50, 50, 10, seed=1)
+    point_rng = np.random.default_rng(5)
+    params = DsbloParams(T=12, mode=ManualMode(beta=0.9, gamma1=20.0, gamma2=200.0, K=10,
+                                               delta_y=1e-8), perturb_radius=1e-3, seed=5)
+    for _ in range(j + 1):
+        x0 = 0.5 * point_rng.standard_normal(inst.d_u)
+    return inst, run_dsblo(inst, params, x0=x0, eval_every=1)
+
+
+def _error_check_reference(inst, x, radius, n, rng):
+    """``perturbation_error_check`` one draw at a time, each solved cold."""
+    qs = [_ball_draw(radius, rng, inst.d_l) for _ in range(n)]
+    ys = [solve_ll_quadratic(inst, x, q).y_hat for q in qs]
+    vals = np.array([eval_f(inst, x, y) for y in ys])
+    exact = eval_f(inst, x, solve_ll_quadratic(inst, x, None).y_hat)
+    mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
+    l_hat = 1.5 * max(float(np.linalg.norm(np.concatenate(inst.grad_f(x, y))))
+                      for y in ys[::max(1, n // 32)])
+    bound = l_hat * radius / inst.mu_g + 3.0 * stderr
+    gap = abs(mean - exact)
+    return {"F": exact, "Fbar_mc": mean, "stderr": stderr, "l_hat": l_hat, "gap": gap,
+            "bound": bound, "ok": bool(gap <= bound), "mc_fallbacks": 0}
+
+
+def _window_reference(log, t, beta, K, inst, m, radius, rng):
+    """The Monte-Carlo window's ``combined``, one draw at a time: a cold
+    solve and ``implicit_gradient`` per draw, the mean per point."""
+    means = []
+    for rec in log.records[t - K:t]:
+        grads = [implicit_gradient(inst, rec.x_bar,
+                                   solve_ll_quadratic(inst, rec.x_bar,
+                                                      _ball_draw(radius, rng, inst.d_l))).grad
+                 for _ in range(m)]
+        means.append(np.mean(grads, axis=0))
+    return window_weights(beta, K) @ np.asarray(means)
 
 
 class TestEvalF:
@@ -64,41 +115,52 @@ class TestFbarMC:
                                      np.random.default_rng(0))
 
     def test_error_check_reports_the_mc_estimate(self, small_instance):
+        # the draws are batched on the exact F's active set, and the mean and
+        # standard error are taken over eval_f_rows of their solutions
+        inst = small_instance
         x = np.full(3, 0.3)
-        res = perturbation_error_check(small_instance, x, 1e-2, 40, np.random.default_rng(6))
-        sols, _ = _mc_solves(small_instance, x, 1e-2, 40, np.random.default_rng(6))
-        vals = np.array([eval_f(small_instance, x, sol.y_hat) for sol in sols])
+        res = perturbation_error_check(inst, x, 1e-2, 40, np.random.default_rng(6))
+        Q = _draws(1e-2, np.random.default_rng(6), 3, 40)
+        exact = solve_ll_quadratic(inst, x, None)
+        Y, _, groups, fallbacks = _mc_solves(inst, x, Q, exact.active_set)
+        vals = eval_f_rows(inst, x, Y)
         assert (res["Fbar_mc"], res["stderr"]) == (vals.mean(), vals.std(ddof=1) / np.sqrt(40))
-        assert res["F"] == eval_F_exact(small_instance, x)
+        assert res["F"] == eval_F_exact(inst, x) == eval_f(inst, x, exact.y_hat)
+        assert res["mc_fallbacks"] == fallbacks
         assert res["ok"]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 8), st.integers(1, 10), st.integers(0, 2 ** 16),
            st.sampled_from([0.5, 1.0, 3.0]), st.sampled_from([1e-6, 1e-3, 0.1, 1.0]),
-           st.integers(1, 12), st.booleans())
-    def test_batched_mc_solves_match_cold_solves(self, d, k, seed, scale, radius, n, warm):
-        # the batch on the first draw's active set, with its fallbacks, gives
-        # the per-draw cold solves on the same stream of draws
+           st.integers(1, 4), st.integers(1, 4), st.booleans())
+    def test_batched_mc_solves_match_cold_solves(self, d, k, seed, scale, radius, n_points,
+                                                 per_point, warm):
+        # the batches, with their fallbacks, give the per-draw cold solves on
+        # the same stream of draws, at one point or at several
         inst = generate_instance(d, d, k, seed=seed)
-        x = scale * np.random.default_rng(seed).standard_normal(d)
-        replay = np.random.default_rng(seed + 1)
+        rng = np.random.default_rng(seed)
+        X = np.repeat(scale * rng.standard_normal(d)
+                      + 0.1 * scale * rng.standard_normal((n_points, d)), per_point, axis=0)
+        Q = _draws(radius, np.random.default_rng(seed + 1), d, len(X))
         try:
-            start = solve_ll_quadratic(inst, 1.1 * x, None).active_set if warm else ()
-            colds = [solve_ll_quadratic(inst, x, sample_perturbation(radius, replay, d))
-                     for _ in range(n)]
+            start = solve_ll_quadratic(inst, 1.1 * X[0], None).active_set if warm else None
+            colds = [solve_ll_quadratic(inst, x, q) for x, q in zip(X, Q)]
         except DsbloError:  # x far out can leave no feasible y
             assume(False)
-        sols, fallbacks = _mc_solves(inst, x, radius, n, np.random.default_rng(seed + 1), start)
-        assert len(sols) == n and 0 <= fallbacks <= n - 1
-        for sol, cold in zip(sols, colds):
-            assert sol.active_set == cold.active_set
-            assert np.allclose(sol.y_hat, cold.y_hat, rtol=1e-12, atol=1e-12)
-            assert np.allclose(sol.lam, cold.lam, rtol=1e-12, atol=1e-12)
+        Y, Lam, groups, fallbacks = _mc_solves(inst, X, Q, start)
+        assert sorted(i for rows in groups.values() for i in rows) == list(range(len(X)))
+        assert 0 <= fallbacks <= len(X)
+        for active, rows in groups.items():
+            for i in rows:
+                assert colds[i].active_set == active
+                assert np.allclose(Y[i], colds[i].y_hat, rtol=1e-12, atol=1e-12)
+                assert np.allclose(Lam[i], colds[i].lam, rtol=1e-12, atol=1e-12)
 
     def test_draw_that_changes_the_active_set_falls_back(self, monkeypatch):
         # at x = 0 the row y <= 0 binds exactly when q < 0, so draws at
-        # radius 1 split between two active sets; a draw that falls back
-        # starts from the previous sample's active set
+        # radius 1 split between two active sets: the first draw is solved
+        # alone, cold, the batch on its set rejects the other set's draws,
+        # and the first of those is solved alone from the rows just tried
         import dsblo.diagnostics as diag
         inst = _constrained_1d()
         x = np.zeros(1)
@@ -110,24 +172,26 @@ class TestFbarMC:
             return real(inst_, x_, q, start)
 
         monkeypatch.setattr(diag, "solve_ll_quadratic", recording)
-        sols, fallbacks = _mc_solves(inst, x, 1.0, 40, np.random.default_rng(3))
-        replay = np.random.default_rng(3)
-        cold = [solve_ll_quadratic(inst, x, sample_perturbation(1.0, replay, 1))
-                for _ in range(40)]
-        assert fallbacks == sum(c.active_set != cold[0].active_set for c in cold[1:]) > 0
-        assert len(starts) == 1 + fallbacks and (0,) in starts[1:]
-        prev = [cold[i - 1].active_set for i in range(1, 40)
-                if cold[i].active_set != cold[0].active_set]
-        assert starts[1:] == prev
-        for sol, ref in zip(sols, cold):
-            assert sol.active_set == ref.active_set
-            assert np.allclose(sol.y_hat, ref.y_hat, rtol=1e-12, atol=1e-12)
-            assert np.allclose(sol.lam, ref.lam, rtol=1e-12, atol=1e-12)
+        Q = _draws(1.0, np.random.default_rng(3), 1, 40)
+        Y, Lam, groups, fallbacks = _mc_solves(inst, x, Q)
+        cold = [solve_ll_quadratic(inst, x, q) for q in Q]
+        first = cold[0].active_set
+        assert fallbacks == 1 and starts == [(), first]
+        assert {s: sorted(r) for s, r in groups.items()} == {
+            s: [i for i, c in enumerate(cold) if c.active_set == s] for s in ((), (0,))}
+        for y, lam, ref in zip(Y, Lam, cold):
+            assert np.allclose(y, ref.y_hat, rtol=1e-12, atol=1e-12)
+            assert np.allclose(lam, ref.lam, rtol=1e-12, atol=1e-12)
+        # with a start, every draw is first tried on it: here half are
+        # rejected, and the first of them is solved from the start's rows
+        starts.clear()
+        *_, fallbacks = _mc_solves(inst, x, Q, (0,))
+        assert fallbacks == 1 and starts == [(0,)]
 
     def test_mc_paths_chain_their_starts(self, monkeypatch):
-        # each window point's first solve starts from the previous point's
-        # last active set (the first cold), and the error check's exact F
-        # from its first sample's active set
+        # a Monte-Carlo window solves all its K * mc_samples draws in one
+        # call, each window point repeated once per draw; the error check
+        # solves the exact F cold and batches its draws on that active set
         import dsblo.diagnostics as diag
         inst = generate_instance(8, 8, 8, seed=1)
         params = DsbloParams(
@@ -135,20 +199,22 @@ class TestFbarMC:
         # two rows bind at the end of this run
         log = run_dsblo(inst, params, x0=3.0 * np.random.default_rng(1).standard_normal(8),
                         eval_every=0)
-        points = []
+        calls = []
         real_mc = diag._mc_solves
 
-        def recording_mc(inst_, x_, radius, n, rng, start=()):
-            sols, fallbacks = real_mc(inst_, x_, radius, n, rng, start)
-            points.append((tuple(start), sols[-1].active_set, fallbacks))
-            return sols, fallbacks
+        def recording_mc(inst_, X, Q, start=None):
+            out = real_mc(inst_, X, Q, start)
+            calls.append((np.array(X), start, out))
+            return out
 
         monkeypatch.setattr(diag, "_mc_solves", recording_mc)
         win = stationarity_window(log, 40, 0.9, 5, inst=inst, mc_samples=3, radius=1e-3,
                                   rng=np.random.default_rng(0))
-        assert len(points) == 5 and points[0][0] == ()
-        assert all(p[0] == prev[1] and p[0] for p, prev in zip(points[1:], points))
-        assert win.mc_fallbacks == sum(p[2] for p in points)
+        (X, start, (_, _, groups, fallbacks)), = calls
+        x_bars = [r.x_bar for r in log.records[35:40]]
+        assert start is None and np.array_equal(X, np.repeat(x_bars, 3, axis=0))
+        assert win.mc_fallbacks == fallbacks
+        assert any(len(active) == 2 for active in groups)
 
         solves = []
         real_solve = diag.solve_ll_quadratic
@@ -159,11 +225,73 @@ class TestFbarMC:
             return sol
 
         monkeypatch.setattr(diag, "solve_ll_quadratic", recording_solve)
+        calls.clear()
         res = perturbation_error_check(inst, log.records[-1].x, 1e-3, 6, np.random.default_rng(0))
-        # one solve for the first sample, the batch for the rest, then F
-        assert [s[0] for s in solves] == [False, True] and res["mc_fallbacks"] == 0
-        assert solves[1][1] == solves[0][2].active_set and len(solves[1][1]) == 2
-        assert solves[1][2].stats["pivots"] == 0
+        # one cold solve for the exact F, then the batch on its active set
+        assert [s[:2] for s in solves] == [(True, ())] and res["mc_fallbacks"] == 0
+        assert calls[0][1] == solves[0][2].active_set and len(calls[0][1]) == 2
+
+    def test_window_over_two_active_sets_counts_its_fallbacks(self, monkeypatch):
+        # the points of this window span three active sets (6, 5 and 4
+        # rows); each batch that rejects a draw sends one draw to a solve
+        # of its own, and mc_fallbacks counts those
+        import dsblo.diagnostics as diag
+        inst, log = _mc_d50_point(1)
+        batches, singles = [], []
+        real_batch, real_solve = diag.solve_qp_batch, diag.solve_ll_quadratic
+
+        def recording_batch(*args):
+            out = real_batch(*args)
+            batches.append(out[0])
+            return out
+
+        def recording_solve(*args):
+            sol = real_solve(*args)
+            singles.append(sol.active_set)
+            return sol
+
+        monkeypatch.setattr(diag, "solve_qp_batch", recording_batch)
+        monkeypatch.setattr(diag, "solve_ll_quadratic", recording_solve)
+        win = stationarity_window(log, 12, 0.9, 10, inst=inst, mc_samples=2, radius=1e-3,
+                                  rng=np.random.default_rng([2, 1, 100]))
+        assert len(set(singles)) >= 2
+        assert win.mc_fallbacks == sum(not ok.all() for ok in batches) == len(singles) - 1 >= 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 8), st.integers(1, 10), st.integers(0, 2 ** 16),
+           st.sampled_from([0.5, 1.5, 3.0]), st.sampled_from([1e-3, 0.1, 1.0]),
+           st.integers(2, 20), st.integers(1, 3))
+    def test_estimates_match_per_draw_reference(self, d, k, seed, scale, radius, n, m):
+        # the error check and the Monte-Carlo window against draws replayed
+        # in stream order, each solved cold, scored by eval_f and
+        # differentiated by implicit_gradient; stderr and gap are
+        # differences of F-sized values, so their round-off scales with |F|
+        inst = generate_instance(d, d, k, seed=seed)
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal(d)
+        log = _Log([_Rec(x + 0.05 * scale * rng.standard_normal(d)) for _ in range(4)])
+        try:
+            ref = _error_check_reference(inst, x, radius, n, np.random.default_rng(seed + 1))
+            ref_window = _window_reference(log, 4, 0.9, 3, inst, m, radius,
+                                           np.random.default_rng(seed + 2))
+        except DsbloError:  # no feasible y, or a degenerate draw
+            assume(False)
+        res = perturbation_error_check(inst, x, radius, n, np.random.default_rng(seed + 1))
+        assert res.keys() == ref.keys() and res["ok"] == ref["ok"]
+        scale_f = max(1.0, abs(ref["F"]))
+        for key in ("F", "Fbar_mc", "stderr", "gap", "bound"):
+            assert abs(res[key] - ref[key]) <= 1e-12 * max(abs(ref[key]), scale_f), key
+        assert res["l_hat"] == pytest.approx(ref["l_hat"], rel=1e-12)
+        win = stationarity_window(log, 4, 0.9, 3, inst=inst, mc_samples=m, radius=radius,
+                                  rng=np.random.default_rng(seed + 2))
+        assert np.allclose(win.combined, ref_window, rtol=1e-12,
+                           atol=1e-12 * max(1.0, np.abs(ref_window).max()))
+        # and every draw ends on its cold solve's active set
+        Q = _draws(radius, np.random.default_rng(seed + 2), d, 3 * m)
+        X = np.repeat([r.x_bar for r in log.records[1:4]], m, axis=0)
+        _, _, groups, _ = _mc_solves(inst, X, Q)
+        for active, rows in groups.items():
+            assert all(solve_ll_quadratic(inst, X[i], Q[i]).active_set == active for i in rows)
 
     def test_stderr_scales_as_sqrt_n(self, small_instance):
         x = np.full(3, 0.3)

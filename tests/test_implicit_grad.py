@@ -4,11 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dsblo.diagnostics import fd_gradient_oracle
-from dsblo.errors import DegenerateActiveSet, NotSPD
-from dsblo.implicit_grad import implicit_gradient, jacobians, sampled_implicit_gradient
-from dsblo.lower_level import sample_perturbation, solve_ll_oracle, solve_ll_quadratic
-from dsblo.problem import (Polyhedron, ProblemOracle, eval_f,
-                           generate_instance, oracle_from_quadratic)
+from dsblo.errors import DegenerateActiveSet, Infeasible, NotSPD
+from dsblo.implicit_grad import _adjoint, implicit_gradient, jacobians, sampled_implicit_gradient
+from dsblo.lower_level import (sample_perturbation, solve_ll_oracle, solve_ll_quadratic,
+                               solve_qp_batch)
+from dsblo.problem import (Polyhedron, ProblemOracle, eval_f, generate_instance, grad_f_rows,
+                           oracle_from_quadratic)
 from dsblo.verify import degenerate_instance, margin_point
 
 from conftest import make_1d_instance
@@ -241,6 +242,77 @@ class TestSampledGradient:
         assert sol.active_set
         assert np.array_equal(sampled_implicit_gradient(inst, x, sol, 3).grad,
                               sampled_implicit_gradient(inst, x, sol, [3]).grad)
+
+
+def _rows_on_one_active_set(inst, x, n, rng, spread=1e-3):
+    """n draws at points near x that certify on the active set of the first
+    one: (X, Y, Lam, active) for the draws that do."""
+    poly = inst.constraints
+    X = x + spread * rng.standard_normal((n, inst.d_u))
+    Q = np.array([sample_perturbation(1e-3, rng, inst.d_l).q for _ in range(n)])
+    active = solve_ll_quadratic(inst, X[0], Q[0]).active_set
+    ok, Y, Lam = solve_qp_batch(inst.hess_yy_diag, X @ inst.Q2 + Q, poly.A,
+                                poly.b - X @ poly.B.T, active)
+    return X[ok], Y[ok], Lam[ok], active
+
+
+class TestAdjointRows:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 8), st.integers(0, 10_000),
+           st.sampled_from([0.5, 2.0]), st.integers(2, 9))
+    def test_rows_equal_one_row_calls(self, d, k, seed, scale, n):
+        # the draws on one active set, differentiated by one solve with a
+        # row per draw, give the one-row adjoint of each draw
+        inst = generate_instance(d, d, k, seed=seed)
+        rng = np.random.default_rng(seed)
+        try:
+            X, Y, Lam, active = _rows_on_one_active_set(inst, scale * rng.standard_normal(d),
+                                                        n, rng)
+        except (Infeasible, DegenerateActiveSet):
+            assume(False)
+        assume(len(X) >= 2)
+        gx, gy = grad_f_rows(inst, X, Y)
+        try:
+            rows = _adjoint(inst, X, Y, Lam, active, gx, gy)
+        except DegenerateActiveSet:
+            assume(False)
+        assert rows.shape == X.shape
+        for i in range(len(X)):
+            one = _adjoint(inst, X[i], Y[i], Lam[i], active, gx[i], gy[i])
+            assert np.allclose(rows[i], one, rtol=1e-12, atol=1e-12 * np.abs(one).max())
+
+    def test_one_row_is_implicit_gradient(self, seed1_instance):
+        inst = seed1_instance
+        rng = np.random.default_rng(4)
+        found = _active_margin_point(inst, rng)
+        x, _q, sol = found
+        gx, gy = inst.grad_f(x, sol.y_hat)
+        g = _adjoint(inst, x, sol.y_hat, sol.lam, sol.active_set, gx, gy, sol.rank_smin)
+        assert np.array_equal(g, implicit_gradient(inst, x, sol).grad)
+
+    def test_zero_margin_row_rejected(self):
+        # one draw with a zero multiplier on the shared active set fails
+        # the whole batch
+        inst = generate_instance(50, 50, 10, seed=1)
+        rng = np.random.default_rng(1)
+        X, Y, Lam, active = _rows_on_one_active_set(inst, rng.standard_normal(50), 6, rng)
+        assert len(X) >= 3 and active
+        gx, gy = grad_f_rows(inst, X, Y)
+        _adjoint(inst, X, Y, Lam, active, gx, gy)
+        Lam = Lam.copy()
+        Lam[2, active[-1]] = 0.0
+        with pytest.raises(DegenerateActiveSet, match="strict complementarity"):
+            _adjoint(inst, X, Y, Lam, active, gx, gy)
+        with pytest.raises(DegenerateActiveSet):
+            _adjoint(inst, X[2], Y[2], Lam[2], active, gx[2], gy[2])
+
+    def test_rows_need_a_constant_diagonal_hessian(self):
+        inst = generate_instance(4, 4, 2, seed=1)
+        oracle = oracle_from_quadratic(inst)
+        X, Y = np.zeros((2, 4)), np.zeros((2, 4))
+        gx, gy = grad_f_rows(inst, X, Y)
+        with pytest.raises(ValueError, match="constant diagonal"):
+            _adjoint(oracle, X, Y, np.zeros((2, 2)), (), gx, gy)
 
 
 class TestErrors:

@@ -437,36 +437,38 @@ class TestBatch:
 
     @pytest.mark.parametrize("radius", [1e-3, 0.3, 3.0])
     def test_accepts_exactly_the_solves_without_pivots(self, radius):
-        # a batch entry is the hot-started solve's result where that solve
-        # keeps W and makes no pivot or repair, and None elsewhere
+        # a draw passes where the hot-started solve keeps W and makes no
+        # pivot or repair, and then carries that solve's y and multipliers;
+        # a draw that fails holds NaN
         inst = generate_instance(50, 50, 10, seed=1)
         x = np.random.default_rng(1).standard_normal(50)
         H, C, A, u = self._draws(inst, x, radius, 24, 5)
         W = solve_qp(H, C[0], A, u).active_set
         assert len(W) >= 3
-        accepted = 0
-        for c, got in zip(C, solve_qp_batch(H, C, A, u, W)):
+        ok, Y, Lam = solve_qp_batch(H, C, A, u, W)
+        assert ok.shape == (24,) and Y.shape == (24, 50) and Lam.shape == (24, A.shape[0])
+        for c, passed, y, lam in zip(C, ok, Y, Lam):
             ref = solve_qp(H, c, A, u, W)
             hot = (ref.stats == {"pivots": 0, "repairs": 0} and ref.active_set == W
                    and ref.kkt_residual <= KKT_TOL)
-            assert (got is not None) == hot
-            if got is not None:
-                accepted += 1
-                assert got.active_set == ref.active_set == W
-                assert np.allclose(got.y_hat, ref.y_hat, rtol=1e-12, atol=1e-12)
-                assert np.allclose(got.lam, ref.lam, rtol=1e-12, atol=1e-12)
-                assert got.rank_smin == ref.rank_smin
-                assert got.stats == ref.stats
-                assert got.kkt_residual <= KKT_TOL and got.max_violation <= 1e-10
-        assert accepted >= 1 if radius < 1 else accepted < 24
+            assert passed == hot
+            if passed:
+                assert np.allclose(y, ref.y_hat, rtol=1e-12, atol=1e-12)
+                assert np.allclose(lam, ref.lam, rtol=1e-12, atol=1e-12)
+                assert np.all(np.delete(lam, W) == 0.0)
+            else:
+                assert np.isnan(y).all() and np.isnan(lam).all()
+        assert ok.sum() >= 1 if radius < 1 else ok.sum() < 24
 
     @pytest.mark.parametrize("c, accepted", [(1.0, True), (1e-7, False), (-1e-9, False)])
     def test_one_row(self, c, accepted):
         # y <= 0 with y* = -c/2 and nothing in the working set: slack 0.5
         # passes, slack 5e-8 leaves the row tight outside the working set,
         # and slack -5e-10 is a violation
-        got, = solve_qp_batch(np.array([2.0]), [[c]], np.array([[1.0]]), np.zeros(1), ())
-        assert (got is not None) == accepted
+        ok, Y, Lam = solve_qp_batch(np.array([2.0]), [[c]], np.array([[1.0]]), np.zeros(1), ())
+        assert ok.tolist() == [accepted]
+        if accepted:
+            assert Y.tolist() == [[-c / 2]] and Lam.tolist() == [[0.0]]
 
     def test_kkt_above_tolerance_rejected(self, monkeypatch):
         import dsblo.lower_level as ll
@@ -474,27 +476,52 @@ class TestBatch:
         x = np.random.default_rng(1).standard_normal(50)
         H, C, A, u = self._draws(inst, x, 1e-3, 6, 0)
         W = solve_qp(H, C[0], A, u).active_set
-        assert W and all(sol is not None for sol in solve_qp_batch(H, C, A, u, W))
+        assert W and solve_qp_batch(H, C, A, u, W)[0].all()
         monkeypatch.setattr(ll, "KKT_TOL", 0.0)
-        assert solve_qp_batch(H, C, A, u, W) == [None] * 6
+        assert not solve_qp_batch(H, C, A, u, W)[0].any()
 
     def test_unusable_start_rejects_every_row(self):
         inst = generate_instance(4, 4, 8, seed=2)
         H, C, A, u = self._draws(inst, np.zeros(4), 1e-3, 3, 0)
         for W in ([8], [-1], range(5)):
-            assert solve_qp_batch(H, C, A, u, W) == [None] * 3
+            ok, Y, Lam = solve_qp_batch(H, C, A, u, W)
+            assert not ok.any() and np.isnan(Y).all() and np.isnan(Lam).all()
         # a row repeated up to sign fails the independence test
         A2 = np.vstack([A, -A[:1]])
         u2 = np.append(u, -u[0])
-        assert solve_qp_batch(H, C, A2, u2, [0, 8]) == [None] * 3
+        assert not solve_qp_batch(H, C, A2, u2, [0, 8])[0].any()
 
     def test_no_rows(self):
         H = np.full(3, 2.0)
         C = np.arange(6.0).reshape(2, 3)
-        sols = solve_qp_batch(H, C, np.zeros((0, 3)), np.zeros(0), ())
-        for c, sol in zip(C, sols):
-            assert np.array_equal(sol.y_hat, solve_qp(H, c, np.zeros((0, 3)), np.zeros(0)).y_hat)
-            assert sol.active_set == () and sol.max_violation == -np.inf
+        ok, Y, Lam = solve_qp_batch(H, C, np.zeros((0, 3)), np.zeros(0), ())
+        assert ok.all() and Lam.shape == (2, 0)
+        for c, y in zip(C, Y):
+            assert np.array_equal(y, solve_qp(H, c, np.zeros((0, 3)), np.zeros(0)).y_hat)
+
+    def test_one_rhs_row_per_draw(self):
+        # draws at different x carry their own u; each passing row equals
+        # the single solve at its own (c, u), and one u broadcasts to all
+        inst = generate_instance(50, 50, 10, seed=1)
+        poly = inst.constraints
+        rng = np.random.default_rng(2)
+        x0 = rng.standard_normal(50)
+        X = x0 + 1e-3 * rng.standard_normal((8, 50))
+        Q = np.array([sample_perturbation(1e-3, rng, 50).q for _ in range(8)])
+        C = X @ inst.Q2 + Q
+        U = poly.b - X @ poly.B.T
+        W = solve_qp(inst.hess_yy_diag, C[0], poly.A, U[0]).active_set
+        assert W
+        ok, Y, Lam = solve_qp_batch(inst.hess_yy_diag, C, poly.A, U, W)
+        assert ok.all()
+        for c, u, y, lam in zip(C, U, Y, Lam):
+            ref = solve_qp(inst.hess_yy_diag, c, poly.A, u)
+            assert ref.active_set == W
+            assert np.allclose(y, ref.y_hat, rtol=1e-12, atol=1e-12)
+            assert np.allclose(lam, ref.lam, rtol=1e-12, atol=1e-12)
+        shared = solve_qp_batch(inst.hess_yy_diag, C, poly.A, U[0], W)
+        assert np.array_equal(shared[1][0], Y[0])
+        assert not np.array_equal(shared[1][1:], Y[1:])
 
 
 class TestPerturbation:
