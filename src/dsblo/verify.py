@@ -246,6 +246,18 @@ def mc_window_reference(log, t: int, beta: float, K: int, inst: QuadraticBilevel
     return window_weights(beta, K) @ np.asarray(means), active
 
 
+def mc_window_logs(n_points: int = 4) -> tuple:
+    """The d=50/k=10 instance and the T=12 dsblo runs from seeded x0 whose
+    last iterates are the benchmark's Monte-Carlo points (its ``mc-d50``
+    recipe); their window draws bind up to nine rows."""
+    inst = generate_instance(50, 50, 10, seed=1)
+    point_rng = np.random.default_rng(5)
+    mode = ManualMode(beta=0.9, gamma1=20.0, gamma2=200.0, K=10, delta_y=1e-8)
+    params = DsbloParams(T=12, mode=mode, perturb_radius=1e-3, seed=5)
+    return inst, [run_dsblo(inst, params, x0=0.5 * point_rng.standard_normal(inst.d_u),
+                            eval_every=0) for _ in range(n_points)]
+
+
 def check_perturbation_error(n_instances: int = 3, n_points: int = 5,
                              n_samples: int = 1000) -> CheckResult:
     def body():
@@ -268,23 +280,17 @@ def check_perturbation_error(n_instances: int = 3, n_points: int = 5,
                 if not res["ok"]:
                     violations += 1
 
-        # Monte-Carlo windows at the ends of short d=50/k=10 dsblo runs, the
-        # benchmark's Monte-Carlo recipe: their draws bind up to nine rows, so
-        # the batched active-set solves and adjoints run here
-        inst = generate_instance(50, 50, 10, seed=1)
-        point_rng = np.random.default_rng(5)
-        K, beta = 10, 0.9
-        mode = ManualMode(beta=beta, gamma1=20.0, gamma2=200.0, K=K, delta_y=1e-8)
-        params = DsbloParams(T=12, mode=mode, perturb_radius=1e-3, seed=5)
+        # Monte-Carlo windows whose draws bind rows, so the batched
+        # active-set solves and adjoints run here
+        inst, logs = mc_window_logs()
         worst_win, active, win_fallbacks = 0.0, [], 0
-        for j in range(4):
-            log = run_dsblo(inst, params, x0=0.5 * point_rng.standard_normal(inst.d_u),
-                            eval_every=0)
+        for j, log in enumerate(logs):
+            window = (log, len(log.records), log.schedule.beta, log.schedule.K)
             for c in range(2):
                 seed = [j, 100 + c]
-                win = stationarity_window(log, params.T, beta, K, inst=inst, mc_samples=2,
-                                          radius=1e-3, rng=np.random.default_rng(seed))
-                ref, rows = mc_window_reference(log, params.T, beta, K, inst, 2, 1e-3,
+                win = stationarity_window(*window, inst=inst, mc_samples=2, radius=1e-3,
+                                          rng=np.random.default_rng(seed))
+                ref, rows = mc_window_reference(*window, inst, 2, 1e-3,
                                                 np.random.default_rng(seed))
                 dev = float(np.abs(win.combined - ref).max()) / max(1.0, float(np.abs(ref).max()))
                 worst_win = max(worst_win, dev)

@@ -9,9 +9,9 @@ from dsblo.diagnostics import (_draws, _mc_solves, build_report, eval_F_exact,
                                stationarity_profile, stationarity_window,
                                window_weights)
 from dsblo.errors import DsbloError, WindowIncomplete
-from dsblo.implicit_grad import implicit_gradient
 from dsblo.lower_level import _ball_draw, solve_ll_bruteforce, solve_ll_quadratic
 from dsblo.problem import eval_f, eval_f_rows, generate_instance
+from dsblo.verify import mc_window_logs, mc_window_reference
 
 from conftest import make_1d_instance
 
@@ -31,18 +31,6 @@ class _Log:
         self.records = records
 
 
-def _mc_d50_point(j):
-    """The d=50/k=10 instance and the dsblo run that ends at its j-th fixed
-    point, as the benchmark's Monte-Carlo workload builds them."""
-    inst = generate_instance(50, 50, 10, seed=1)
-    point_rng = np.random.default_rng(5)
-    params = DsbloParams(T=12, mode=ManualMode(beta=0.9, gamma1=20.0, gamma2=200.0, K=10,
-                                               delta_y=1e-8), perturb_radius=1e-3, seed=5)
-    for _ in range(j + 1):
-        x0 = 0.5 * point_rng.standard_normal(inst.d_u)
-    return inst, run_dsblo(inst, params, x0=x0, eval_every=1)
-
-
 def _error_check_reference(inst, x, radius, n, rng):
     """``perturbation_error_check`` one draw at a time, each solved cold."""
     qs = [_ball_draw(radius, rng, inst.d_l) for _ in range(n)]
@@ -56,19 +44,6 @@ def _error_check_reference(inst, x, radius, n, rng):
     gap = abs(mean - exact)
     return {"F": exact, "Fbar_mc": mean, "stderr": stderr, "l_hat": l_hat, "gap": gap,
             "bound": bound, "ok": bool(gap <= bound), "mc_fallbacks": 0}
-
-
-def _window_reference(log, t, beta, K, inst, m, radius, rng):
-    """The Monte-Carlo window's ``combined``, one draw at a time: a cold
-    solve and ``implicit_gradient`` per draw, the mean per point."""
-    means = []
-    for rec in log.records[t - K:t]:
-        grads = [implicit_gradient(inst, rec.x_bar,
-                                   solve_ll_quadratic(inst, rec.x_bar,
-                                                      _ball_draw(radius, rng, inst.d_l))).grad
-                 for _ in range(m)]
-        means.append(np.mean(grads, axis=0))
-    return window_weights(beta, K) @ np.asarray(means)
 
 
 class TestEvalF:
@@ -236,7 +211,7 @@ class TestFbarMC:
         # rows); each batch that rejects a draw sends one draw to a solve
         # of its own, and mc_fallbacks counts those
         import dsblo.diagnostics as diag
-        inst, log = _mc_d50_point(1)
+        inst, (_, log) = mc_window_logs(2)
         batches, singles = [], []
         real_batch, real_solve = diag.solve_qp_batch, diag.solve_ll_quadratic
 
@@ -264,16 +239,17 @@ class TestFbarMC:
     def test_estimates_match_per_draw_reference(self, d, k, seed, scale, radius, n, m):
         # the error check and the Monte-Carlo window against draws replayed
         # in stream order, each solved cold, scored by eval_f and
-        # differentiated by implicit_gradient; stderr and gap are
-        # differences of F-sized values, so their round-off scales with |F|
+        # differentiated by implicit_gradient (the window's reference is
+        # verify's); stderr and gap are differences of F-sized values, so
+        # their round-off scales with |F|
         inst = generate_instance(d, d, k, seed=seed)
         rng = np.random.default_rng(seed)
         x = scale * rng.standard_normal(d)
         log = _Log([_Rec(x + 0.05 * scale * rng.standard_normal(d)) for _ in range(4)])
         try:
             ref = _error_check_reference(inst, x, radius, n, np.random.default_rng(seed + 1))
-            ref_window = _window_reference(log, 4, 0.9, 3, inst, m, radius,
-                                           np.random.default_rng(seed + 2))
+            ref_window, _ = mc_window_reference(log, 4, 0.9, 3, inst, m, radius,
+                                                np.random.default_rng(seed + 2))
         except DsbloError:  # no feasible y, or a degenerate draw
             assume(False)
         res = perturbation_error_check(inst, x, radius, n, np.random.default_rng(seed + 1))
