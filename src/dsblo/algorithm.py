@@ -21,7 +21,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .diagnostics import check_windows, eval_F_exact
+from .diagnostics import check_windows, eval_F_exact_rows
 from .errors import DegenerateActiveSet, DsbloError, ScheduleInfeasible
 from .implicit_grad import implicit_gradient, sampled_implicit_gradient
 from .lower_level import sample_perturbation
@@ -194,10 +194,12 @@ def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
     the momentum m with weight 1 - beta. The q, segment and component draws
     use the three streams of ``SeedSequence(seed).spawn(3)``. Exact F is
     logged every ``eval_every`` iterations and at T, for problems that
-    expose ``eval_f``. Every lower-level solve, the exact-F ones included,
-    starts from the active set of the latest gradient sample; the solves,
-    pivots and repairs of the gradient samples go to ``log.lower_level``. A run with a
-    schedule checks its windows."""
+    expose ``eval_f``; nothing in the loop reads it, so the due records are
+    evaluated together after the loop (``eval_F_exact_rows``) and
+    ``progress`` sees F_exact None. Every lower-level solve, the exact-F
+    ones included, starts from the active set of the latest gradient
+    sample; the solves, pivots and repairs of the gradient samples go to
+    ``log.lower_level``. A run with a schedule checks its windows."""
     x = np.zeros(problem.d_u) if x0 is None else np.asarray(x0, dtype=float).copy()
     q_rng, seg_rng, xi_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
@@ -236,14 +238,16 @@ def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
     q, g, sol = sample(x, ())
     m = g
     x_bar = x.copy()
+    log_F = eval_every and hasattr(problem, "eval_f")
+    due, starts = [], []  # the records owed an exact F, and their solves' starts
     for t in range(1, T + 1):
         eta = eta_of(m)
-        F = None
-        if eval_every and hasattr(problem, "eval_f") and ((t - 1) % eval_every == 0 or t == T):
-            F = diag.call(eval_F_exact, problem, x, sol.active_set)
+        if log_F and ((t - 1) % eval_every == 0 or t == T):
+            due.append(t - 1)
+            starts.append(sol.active_set)
         rec = IterateRecord(
             t=t, x=x, x_bar=x_bar, q_norm=q.norm, eta=eta, m_norm=float(np.linalg.norm(m)),
-            grad=g, F_exact=F, wall_time=time.monotonic() - t_start,
+            grad=g, wall_time=time.monotonic() - t_start,
         )
         log.records.append(rec)
         if progress is not None:
@@ -261,6 +265,10 @@ def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
         m = beta * m + (1.0 - beta) * g if beta else g
         x = x_next
 
+    if due:
+        F = diag.call(eval_F_exact_rows, problem, [log.records[i].x for i in due], starts)
+        for i, f in zip(due, F.tolist()):
+            log.records[i].F_exact = f
     if log.schedule is not None:
         log.windows = check_windows(log)
     total = time.monotonic() - t_start

@@ -13,7 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import WindowIncomplete, WindowViolation
 from .implicit_grad import _adjoint
-from .lower_level import _ball_draw, solve_ll_quadratic, solve_qp_batch
+from .lower_level import TAU_ACT, _ball_draw, solve_ll_quadratic, solve_qp_batch
 from .problem import QuadraticBilevel, eval_f, eval_f_rows, grad_f_rows
 
 
@@ -23,6 +23,49 @@ def eval_F_exact(inst: QuadraticBilevel, x: np.ndarray, start=()) -> float:
     quantity the benchmark plots."""
     sol = solve_ll_quadratic(inst, x, None, start)
     return eval_f(inst, x, sol.y_hat)
+
+
+# rows per block of eval_F_exact_rows, which bounds its temporaries
+F_BLOCK = 256
+
+
+def _mv(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """M @ v for every row v of V, one matrix-vector product per row, so
+    each row equals the 1-D product bit for bit (a single V @ M.T does not)."""
+    return (M[None] @ V[:, :, None])[..., 0]
+
+
+def _dots(P: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """p @ r for every pair of rows, bit for bit the 1-D dot product."""
+    return (P[:, None, :] @ R[:, :, None])[:, 0, 0]
+
+
+def eval_F_exact_rows(inst: QuadraticBilevel, xs, starts) -> np.ndarray:
+    """``eval_F_exact(inst, xs[i], starts[i])`` for every point i, bit for bit.
+
+    In blocks of ``F_BLOCK`` points, y = -H^-1 c is formed for every point
+    with the operand layout of ``solve_ll_quadratic`` and ``eval_f``. Where
+    every slack there exceeds ``TAU_ACT`` (and y is finite), ``solve_qp``
+    returns that y whatever its start, so F = f(x, y) is taken from it.
+    Every other point, a NaN, infinite or binding one, goes through
+    ``eval_F_exact`` with its own start, and raises what that raises."""
+    poly = inst.constraints
+    F = np.empty(len(xs))
+    for lo in range(0, len(xs), F_BLOCK):
+        X = np.array(xs[lo:lo + F_BLOCK], dtype=float)
+        C = _mv(inst.Q2.T, X) + 0.0  # solve_ll_quadratic adds a zero q
+        Y = -(C / inst.hess_yy_diag)
+        slack = (poly.b - _mv(poly.B, X)) - _mv(poly.A, Y)
+        fast = np.isfinite(Y).all(axis=1) & (slack > TAU_ACT).all(axis=1)
+        Xf, Yf = X[fast], Y[fast]
+        base = _dots(Xf, Xf) + 0.1 * _dots(Xf, _mv(inst.Q1, Yf)) + _dots(Yf, Yf)
+        lin = (_dots(np.broadcast_to(inst.cx_mean, Xf.shape), Xf)
+               + _dots(np.broadcast_to(inst.cy_mean, Yf.shape), Yf))
+        Fb = F[lo:lo + len(X)]
+        Fb[fast] = base + lin
+        for i in np.flatnonzero(~fast):
+            Fb[i] = eval_F_exact(inst, X[i], starts[lo + i])
+    return F
 
 
 def _draws(radius: float, rng: np.random.Generator, d_l: int, n: int) -> np.ndarray:
@@ -222,13 +265,15 @@ def perturbation_error_check(inst: QuadraticBilevel, x: np.ndarray, radius: floa
 TRAILING_FRACTION = 0.25
 
 
-def build_report(log) -> dict:
+def build_report(log, profile: Optional[np.ndarray] = None) -> dict:
     """Structured per-run diagnostics document.
 
     Reports both the min-norm window and the trailing average of window
     norms over the last ``TRAILING_FRACTION`` of the windows (no single
     canonical choice exists, so both are labeled), plus the
     window-invariant check the run already made (``RunLog.windows``).
+    ``profile`` is the run's ``stationarity_profile`` when the caller has
+    it; otherwise it is computed here.
     """
     sched = log.schedule
     doc = {
@@ -238,7 +283,7 @@ def build_report(log) -> dict:
         "displacement": log.windows if log.windows is not None else check_windows(log),
     }
     if sched is not None and len(log.records) > sched.K:
-        prof = stationarity_profile(log, sched.beta, sched.K)
+        prof = stationarity_profile(log, sched.beta, sched.K) if profile is None else profile
         valid = prof[~np.isnan(prof)]
         tail = valid[int(len(valid) * (1 - TRAILING_FRACTION)):]
         best_t = int(np.nanargmin(prof)) + 1

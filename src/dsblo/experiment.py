@@ -16,7 +16,7 @@ import numpy as np
 
 from .algorithm import (DsbloParams, ManualMode, RunLog, TheoryMode,
                         run_dsblo, run_igd_baseline, schedule)
-from .diagnostics import build_report, stationarity_profile
+from .diagnostics import build_report, eval_F_exact, stationarity_profile
 from .errors import ConfigError, GeneratorError, ScheduleInfeasible
 from .problem import QuadraticBilevel, generate_instance, load_instance
 
@@ -210,12 +210,20 @@ def _fmt(v) -> str:
     return repr(v)
 
 
-def write_csv(log: RunLog, path) -> None:
+def _profile(log: RunLog) -> Optional[np.ndarray]:
+    """The run's window norms (``stationarity_profile``), or None for a run
+    without a schedule."""
+    sched = log.schedule
+    return None if sched is None else stationarity_profile(log, sched.beta, sched.K)
+
+
+def write_csv(log: RunLog, path, profile: Optional[np.ndarray] = None) -> None:
     """One row per iterate with the pinned column schema; F and the window
-    norm are blank where not evaluated / not yet defined."""
-    if log.schedule is not None:
-        prof = stationarity_profile(log, log.schedule.beta, log.schedule.K)
-    else:
+    norm are blank where not evaluated / not yet defined. ``profile`` is the
+    run's ``stationarity_profile`` when the caller has it; otherwise it is
+    computed here. A run without a schedule logs its momentum norms there."""
+    prof = _profile(log) if profile is None else profile
+    if prof is None:
         prof = np.asarray([r.m_norm for r in log.records])
     lines = [CSV_HEADER]
     for rec, st in zip(log.records, prof):
@@ -304,20 +312,25 @@ def write_objective_svg(series: List[dict], path, title="objective vs wall time"
 
 def _run_one(inst: QuadraticBilevel, spec: AlgorithmSpec, seed: int,
              eval_every: int, cancel, progress=None):
-    """One run and its diagnostics report."""
+    """One run, its window norms (``_profile``) and its diagnostics report."""
     if spec.name == "dsblo":
         log = run_dsblo(inst, replace(spec.params, seed=seed), eval_every=eval_every,
                         cancel=cancel, progress=progress)
     else:
         log = run_igd_baseline(inst, **spec.params, seed=seed, eval_every=eval_every,
                                cancel=cancel, progress=progress)
-    return log, build_report(log)
+    prof = _profile(log)
+    return log, prof, build_report(log, prof)
 
 
-def _live_printer(label: str, seed: int, every: int):
+def _live_printer(label: str, seed: int, every: int, inst: QuadraticBilevel,
+                  eval_every: int):
+    """Progress lines every ``every`` steps. A record's F is filled in only
+    after the run, so the lines that show F (``eval_every`` > 0) solve it
+    here, cold."""
     def cb(rec):
         if rec.t == 1 or rec.t % every == 0:
-            f_part = f" F={rec.F_exact:.6g}" if rec.F_exact is not None else ""
+            f_part = f" F={eval_F_exact(inst, rec.x):.6g}" if eval_every else ""
             print(f"{label} seed={seed} t={rec.t} |m|={rec.m_norm:.4g} "
                   f"eta={rec.eta:.3g}{f_part}", flush=True)
     return cb
@@ -351,9 +364,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         entry = {"label": spec.label, "seed": seed}
         live = None
         if cfg.progress_every > 0:
-            live = _live_printer(spec.label, seed, cfg.progress_every)
+            live = _live_printer(spec.label, seed, cfg.progress_every, inst, eval_every)
         try:
-            log, report = _run_one(inst, spec, seed, eval_every, cancel, progress=live)
+            log, prof, report = _run_one(inst, spec, seed, eval_every, cancel, progress=live)
         except Exception:  # recorded in the summary; the other runs go on
             entry.update(status="error", error=traceback.format_exc(limit=8))
             summary["failed"] = True
@@ -361,7 +374,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             continue
         csv_path = out_dir / f"{stem}.csv"
         if "csv" in cfg.formats:
-            write_csv(log, csv_path)
+            write_csv(log, csv_path, prof)
             entry["csv"] = str(csv_path)
         meta = {
             "algorithm": log.algorithm,

@@ -224,6 +224,23 @@ class TestRunDsblo:
         assert log.truncated
         assert len(log.records) == len(seen) == 17
 
+    def test_exact_F_filled_in_after_the_loop(self):
+        # progress sees every record before its F is evaluated; the due
+        # records get theirs from one batched evaluation at the end
+        inst = generate_instance(4, 4, 2, seed=6)
+        params = DsbloParams(
+            T=23, mode=ManualMode(beta=0.9, gamma1=5.0, gamma2=20.0, K=5, delta_y=1e-8),
+            seed=6,
+        )
+        seen = []
+        log = run_dsblo(inst, params, eval_every=5,
+                        progress=lambda rec: seen.append(rec.F_exact))
+        assert seen == [None] * 23
+        assert [r.t for r in log.records if r.F_exact is not None] == [1, 6, 11, 16, 21, 23]
+        for r in log.records:
+            if r.F_exact is not None:
+                assert type(r.F_exact) is float and r.F_exact == eval_F_exact(inst, r.x)
+
     def test_degenerate_resample_then_abort(self, monkeypatch):
         inst = generate_instance(4, 4, 2, seed=8)
         draws = []
@@ -312,13 +329,14 @@ class TestRunDsblo:
             assert t["total_s"] == pytest.approx(parts, abs=1e-6)
 
     def test_invariants_survive_optimize_flag(self):
-        # under python -O a Hessian below mu_g and an oversized step must
-        # still raise their typed errors
+        # under python -O a Hessian below mu_g, an oversized step and a NaN
+        # point among the exact-F rows must still raise their typed errors
         script = """
 import sys
 import numpy as np
 import dsblo.algorithm as algo
-from dsblo.errors import NotSPD, WindowViolation
+from dsblo.diagnostics import eval_F_exact_rows
+from dsblo.errors import NonFinite, NotSPD, WindowViolation
 from dsblo.lower_level import solve_ll_oracle
 from dsblo.problem import ProblemOracle, empty_polyhedron, generate_instance
 
@@ -338,12 +356,19 @@ try:
     algo.run_dsblo(generate_instance(6, 6, 3, seed=1), params, eval_every=0)
 except WindowViolation:
     print("WindowViolation")
+X = np.zeros((3, 6))
+X[1, 0] = np.nan
+try:
+    eval_F_exact_rows(generate_instance(6, 6, 3, seed=1), X, [(), (), ()])
+except NonFinite:
+    print("NonFinite")
 """
         src = str(Path(dsblo.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                              text=True, timeout=120, env={"PYTHONPATH": src})
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split("\n")[:3] == ["optimize 1", "NotSPD", "WindowViolation"]
+        assert out.stdout.split("\n")[:4] == ["optimize 1", "NotSPD", "WindowViolation",
+                                               "NonFinite"]
 
 
 class TestWarmStartedSolves:
@@ -372,13 +397,13 @@ class TestWarmStartedSolves:
     def test_each_solve_starts_from_previous_sample(self, monkeypatch):
         inst, x0 = self._setup()
         calls, f_starts = [], []
-        real_F = algo.eval_F_exact
+        real_F = algo.eval_F_exact_rows
 
-        def recording_F(problem, x, start=()):
-            f_starts.append(tuple(start))
-            return real_F(problem, x, start)
+        def recording_F(problem, xs, starts):
+            f_starts.extend(tuple(start) for start in starts)
+            return real_F(problem, xs, starts)
 
-        monkeypatch.setattr(algo, "eval_F_exact", recording_F)
+        monkeypatch.setattr(algo, "eval_F_exact_rows", recording_F)
         log = run_dsblo(self._recording(inst, calls), self.PARAMS, x0=x0, eval_every=5)
         assert len(calls) == len(log.records) == 40
         assert calls[0][0] == ()
@@ -442,8 +467,9 @@ class TestInteriorFastPath:
         monkeypatch.setattr(ll, "solve_qp", general)
         monkeypatch.setattr(ll, "diagonal_solver", counting)
         forced = runs()
-        # each run makes one gradient-sample and one exact-F solve per record
-        assert counts[0] == counts[1] == 800
+        # each run makes one gradient-sample solve per record; its exact F
+        # rows are all interior, so the batched evaluation solves none
+        assert counts[0] == counts[1] == 400
         for a, b in zip(plain, forced):
             assert len(a.records) == len(b.records) == 200
             assert a.lower_level == b.lower_level

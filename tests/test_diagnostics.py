@@ -1,16 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dsblo.diagnostics as diag_mod
 from dsblo.algorithm import DsbloParams, ManualMode, run_dsblo, run_igd_baseline
 from dsblo.diagnostics import (_draws, _mc_solves, build_report, eval_F_exact,
-                               fd_gradient_oracle, perturbation_error_check,
-                               stationarity_profile, stationarity_window,
-                               window_weights)
-from dsblo.errors import DsbloError, WindowIncomplete
+                               eval_F_exact_rows, fd_gradient_oracle,
+                               perturbation_error_check, stationarity_profile,
+                               stationarity_window, window_weights)
+from dsblo.errors import DsbloError, NonFinite, WindowIncomplete
 from dsblo.lower_level import _ball_draw, solve_ll_bruteforce, solve_ll_quadratic
-from dsblo.problem import eval_f, eval_f_rows, generate_instance
+from dsblo.problem import empty_polyhedron, eval_f, eval_f_rows, generate_instance
 from dsblo.verify import mc_window_logs, mc_window_reference
 
 from conftest import make_1d_instance
@@ -61,6 +64,77 @@ class TestEvalF:
             ref = solve_ll_bruteforce(inst, x, None)
             assert eval_F_exact(inst, x) == pytest.approx(
                 eval_f(inst, x, ref.y_hat), abs=1e-10)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _random_starts(rng, k: int, d: int, n: int) -> list:
+    return [tuple(sorted(rng.choice(k, size=rng.integers(0, min(k, d) + 1),
+                                    replace=False).tolist())) for _ in range(n)]
+
+
+class TestEvalFRows:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), k=st.integers(0, 8), seed=st.integers(0, 10_000),
+           no_rows=st.booleans(), n=st.integers(1, 12))
+    def test_rows_equal_single_evaluations_bit_for_bit(self, d, k, seed, no_rows, n):
+        # interior and binding points, each with a random start; no_rows
+        # drops the box rows too, so the instance has no constraint at all
+        inst = generate_instance(d, d, k, seed=seed)
+        if no_rows:
+            inst = replace(inst, constraints=empty_polyhedron(d, d))
+        rng = np.random.default_rng(seed)
+        X = rng.choice([0.0, 0.3, 1.0, 3.0], size=(n, 1)) * rng.standard_normal((n, d))
+        starts = _random_starts(rng, inst.constraints.k, d, n)
+        expected = []
+        for x, start in zip(X, starts):
+            try:
+                expected.append(eval_F_exact(inst, x, start))
+            except DsbloError as exc:  # the routine raises the first row's error
+                with pytest.raises(type(exc)):
+                    eval_F_exact_rows(inst, X, starts)
+                return
+        assert np.array_equal(_bits(eval_F_exact_rows(inst, X, starts)), _bits(expected))
+
+    def test_fallback_rows_receive_their_own_start(self, monkeypatch):
+        # more points than one block, so the start of a fallback row in the
+        # second block is looked up at its own index too
+        inst = generate_instance(6, 6, 8, seed=3)
+        rng = np.random.default_rng(3)
+        n = diag_mod.F_BLOCK + 40
+        X = rng.choice([0.0, 0.3, 1.0], size=(n, 1)) * rng.standard_normal((n, 6))
+        starts = _random_starts(rng, inst.constraints.k, 6, n)
+        binding = [i for i, x in enumerate(X) if solve_ll_quadratic(inst, x, None).active_set]
+        assert 0 < len(binding) < n and binding[-1] >= diag_mod.F_BLOCK
+        expected = [eval_F_exact(inst, x, start) for x, start in zip(X, starts)]
+        seen = []
+        real = diag_mod.eval_F_exact
+
+        def recording(inst_, x, start=()):
+            seen.append((x.tolist(), start))
+            return real(inst_, x, start)
+
+        monkeypatch.setattr(diag_mod, "eval_F_exact", recording)
+        got = eval_F_exact_rows(inst, list(X), starts)
+        assert seen == [(X[i].tolist(), starts[i]) for i in binding]
+        assert np.array_equal(_bits(got), _bits(expected))
+
+    def test_nan_row_raises_nonfinite(self):
+        inst = generate_instance(4, 4, 3, seed=1)
+        X = np.zeros((3, 4))
+        X[1, 2] = np.nan
+        with pytest.raises(NonFinite):
+            eval_F_exact_rows(inst, X, [(), (0,), ()])
+        inst0 = replace(inst, constraints=empty_polyhedron(4, 4))
+        X[1, 2] = np.inf
+        with pytest.raises(NonFinite):
+            eval_F_exact_rows(inst0, X, [(), (), ()])
+
+    def test_no_rows(self):
+        inst = generate_instance(3, 3, 2, seed=1)
+        assert eval_F_exact_rows(inst, [], []).shape == (0,)
 
 
 class TestFbarMC:

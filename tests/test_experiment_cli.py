@@ -196,6 +196,48 @@ class TestRunExperiment:
             assert c["repairs"] == sum(s["repairs"] for s in part)
         assert counts[0]["pivots"] > 0
 
+    def test_progress_lines_show_the_csv_F(self, tmp_path, capsys):
+        # F is filled in after the loop, so the live line solves it itself
+        doc = tiny_config(tmp_path, progress_every=7)
+        summary = run_experiment(config_from_dict(doc))
+        assert not summary["failed"]
+        lines = capsys.readouterr().out.splitlines()
+        out = Path(summary["output_dir"])
+        for label in ("dsblo", "igd"):
+            rows = [r.split(",") for r in (out / f"{label}.csv").read_text().splitlines()[1:]]
+            csv_F = {int(r[0]): float(r[2]) for r in rows}
+            printed = [ln for ln in lines if ln.startswith(f"{label} seed=1 ")]
+            assert [int(ln.split(" t=")[1].split()[0]) for ln in printed] == [1, 7, 14, 21, 28]
+            for ln in printed:
+                t = int(ln.split(" t=")[1].split()[0])
+                assert ln.split(" F=")[1] == f"{csv_F[t]:.6g}"
+
+    def test_progress_lines_without_F(self, tmp_path, capsys):
+        run_experiment(config_from_dict(tiny_config(tmp_path, progress_every=10,
+                                                    eval_every=0)))
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 8 and not any(" F=" in ln for ln in lines)
+
+    def test_one_stationarity_profile_per_run(self, tmp_path, monkeypatch):
+        import dsblo.diagnostics as diag_mod
+        calls = []
+        real = diag_mod.stationarity_profile
+
+        def counting(log, beta, K):
+            calls.append(log.algorithm)
+            return real(log, beta, K)
+
+        monkeypatch.setattr(diag_mod, "stationarity_profile", counting)
+        monkeypatch.setattr(exp_mod, "stationarity_profile", counting)
+        summary = run_experiment(config_from_dict(tiny_config(tmp_path)))
+        # the CSV's window norms and the report's come from that one profile
+        assert calls == ["dsblo"]
+        out = Path(summary["output_dir"])
+        meta = json.loads((out / "dsblo.runlog.json").read_text())
+        rows = [r.split(",") for r in (out / "dsblo.csv").read_text().splitlines()[1:]]
+        norms = [float(r[5]) for r in rows if r[5]]
+        assert meta["diagnostics"]["stationarity"]["min_window_norm"] == min(norms)
+
     def test_seed_suffixed_filenames(self, tmp_path):
         cfg = config_from_dict(tiny_config(tmp_path, seeds=[1, 2, 3]))
         summary = run_experiment(cfg)
