@@ -17,14 +17,15 @@ import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .diagnostics import check_windows, eval_F_exact_rows
+from .diagnostics import check_windows, eval_F_exact_rows, stationarity_profile
 from .errors import DegenerateActiveSet, DsbloError, ScheduleInfeasible
 from .implicit_grad import implicit_gradient, sampled_implicit_gradient
-from .lower_level import sample_perturbation
+from .lower_level import _ball_draw
 from .problem import Problem, sample_component
 
 
@@ -164,6 +165,16 @@ class RunLog:
     # gradient-sample lower-level solves, with their pivots and repairs
     lower_level: dict = field(default_factory=dict)
 
+    @cached_property
+    def stationarity(self) -> np.ndarray:
+        """The CSV's stationarity column, computed once, after the run: the
+        window norms (``stationarity_profile``, NaN where the window is
+        incomplete) of a run with a schedule, the momentum norms otherwise."""
+        sched = self.schedule
+        if sched is None:
+            return np.asarray([r.m_norm for r in self.records])
+        return stationarity_profile(self, sched.beta, sched.K)
+
 
 ProgressFn = Callable[[IterateRecord], None]
 CancelFn = Callable[[], bool]
@@ -199,7 +210,8 @@ def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
     ``progress`` sees F_exact None. Every lower-level solve, the exact-F
     ones included, starts from the active set of the latest gradient
     sample; the solves, pivots and repairs of the gradient samples go to
-    ``log.lower_level``. A run with a schedule checks its windows."""
+    ``log.lower_level``. The window check (``check_windows``) goes to
+    ``log.windows``; a run without a schedule checks nothing."""
     x = np.zeros(problem.d_u) if x0 is None else np.asarray(x0, dtype=float).copy()
     q_rng, seg_rng, xi_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
@@ -216,7 +228,7 @@ def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
         gradient call. Returns q, the gradient and the solve."""
         last = None
         for _ in range(5):
-            q = sample_perturbation(radius, q_rng, problem.d_l)
+            q = _ball_draw(radius, q_rng, problem.d_l)
             try:
                 sol = ll.call(problem.solve_ll, x_pt, q, tol, start)
                 if option == "sampled":
@@ -246,8 +258,8 @@ def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
             due.append(t - 1)
             starts.append(sol.active_set)
         rec = IterateRecord(
-            t=t, x=x, x_bar=x_bar, q_norm=q.norm, eta=eta, m_norm=float(np.linalg.norm(m)),
-            grad=g, wall_time=time.monotonic() - t_start,
+            t=t, x=x, x_bar=x_bar, q_norm=float(np.linalg.norm(q)), eta=eta,
+            m_norm=float(np.linalg.norm(m)), grad=g, wall_time=time.monotonic() - t_start,
         )
         log.records.append(rec)
         if progress is not None:
@@ -269,8 +281,7 @@ def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
         F = diag.call(eval_F_exact_rows, problem, [log.records[i].x for i in due], starts)
         for i, f in zip(due, F.tolist()):
             log.records[i].F_exact = f
-    if log.schedule is not None:
-        log.windows = check_windows(log)
+    log.windows = check_windows(log)
     total = time.monotonic() - t_start
     log.timings = {"total_s": total, "ll_solve_s": ll.total, "implicit_grad_s": ig.total,
                    "diagnostics_s": diag.total,

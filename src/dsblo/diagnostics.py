@@ -120,7 +120,6 @@ class StationarityWindow:
     subdifferential at the window anchor x_{t-K}. ``mc_fallbacks`` counts the
     Monte-Carlo draws that fell back to a solve of their own."""
 
-    weights: np.ndarray
     combined: np.ndarray
     norm: float
     mc_fallbacks: int = 0
@@ -168,8 +167,8 @@ def stationarity_window(log, t: int, beta: float, K: int,
     else:
         # stationarity_profile's product, so the two agree bit for bit
         combined = w @ np.asarray([records[i - 1].grad for i in idx])
-    return StationarityWindow(weights=w, combined=combined,
-                              norm=float(np.linalg.norm(combined)), mc_fallbacks=fallbacks)
+    return StationarityWindow(combined=combined, norm=float(np.linalg.norm(combined)),
+                              mc_fallbacks=fallbacks)
 
 
 def stationarity_profile(log, beta: float, K: int) -> np.ndarray:
@@ -265,25 +264,23 @@ def perturbation_error_check(inst: QuadraticBilevel, x: np.ndarray, radius: floa
 TRAILING_FRACTION = 0.25
 
 
-def build_report(log, profile: Optional[np.ndarray] = None) -> dict:
+def build_report(log) -> dict:
     """Structured per-run diagnostics document.
 
     Reports both the min-norm window and the trailing average of window
-    norms over the last ``TRAILING_FRACTION`` of the windows (no single
-    canonical choice exists, so both are labeled), plus the
-    window-invariant check the run already made (``RunLog.windows``).
-    ``profile`` is the run's ``stationarity_profile`` when the caller has
-    it; otherwise it is computed here.
+    norms (``RunLog.stationarity``) over the last ``TRAILING_FRACTION`` of
+    the windows (no single canonical choice exists, so both are labeled),
+    plus the window-invariant check the run made (``RunLog.windows``).
     """
     sched = log.schedule
     doc = {
         "algorithm": log.algorithm,
         "iterations": len(log.records),
         "truncated": log.truncated,
-        "displacement": log.windows if log.windows is not None else check_windows(log),
+        "displacement": log.windows,
     }
     if sched is not None and len(log.records) > sched.K:
-        prof = stationarity_profile(log, sched.beta, sched.K) if profile is None else profile
+        prof = log.stationarity
         valid = prof[~np.isnan(prof)]
         tail = valid[int(len(valid) * (1 - TRAILING_FRACTION)):]
         best_t = int(np.nanargmin(prof)) + 1

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algorithm import (DsbloParams, ManualMode, RunLog, TheoryMode,
                         run_dsblo, run_igd_baseline, schedule)
-from .diagnostics import build_report, eval_F_exact, stationarity_profile
+from .diagnostics import build_report, eval_F_exact
 from .errors import ConfigError, GeneratorError, ScheduleInfeasible
 from .problem import QuadraticBilevel, generate_instance, load_instance
 
@@ -113,12 +113,16 @@ def _parse_algorithm(doc: dict, idx: int) -> AlgorithmSpec:
     if name == "dsblo":
         params = _dsblo_params(doc, where)
     else:
-        params = {"step": _number(doc, "step", where),
+        params = {"step": _number(doc, "step", where, low=0),
                   "T": _number(doc, "T", where, integer=True, low=1),
-                  "ll_tol": _number(doc, "ll_tol", where, 1e-8),
+                  "ll_tol": _number(doc, "ll_tol", where, 1e-8, positive=True),
                   "perturb_radius": _number(doc, "perturb_radius", where, 1e-3,
                                             positive=True)}
-    return AlgorithmSpec(name=name, label=doc.get("label", name), params=params)
+    # the label names the run's output files inside output_dir
+    label = doc.get("label", name)
+    if not isinstance(label, str) or label in ("", ".", "..") or Path(label).name != label:
+        raise ConfigError(f"{where}: label must be a plain file name, got {label!r}")
+    return AlgorithmSpec(name=name, label=label, params=params)
 
 
 def _instance(d: dict, base_dir: Path) -> QuadraticBilevel:
@@ -210,23 +214,13 @@ def _fmt(v) -> str:
     return repr(v)
 
 
-def _profile(log: RunLog) -> Optional[np.ndarray]:
-    """The run's window norms (``stationarity_profile``), or None for a run
-    without a schedule."""
-    sched = log.schedule
-    return None if sched is None else stationarity_profile(log, sched.beta, sched.K)
-
-
-def write_csv(log: RunLog, path, profile: Optional[np.ndarray] = None) -> None:
+def write_csv(log: RunLog, path) -> None:
     """One row per iterate with the pinned column schema; F and the window
-    norm are blank where not evaluated / not yet defined. ``profile`` is the
-    run's ``stationarity_profile`` when the caller has it; otherwise it is
-    computed here. A run without a schedule logs its momentum norms there."""
-    prof = _profile(log) if profile is None else profile
-    if prof is None:
-        prof = np.asarray([r.m_norm for r in log.records])
+    norm are blank where not evaluated / not yet defined. The stationarity
+    column is ``log.stationarity``: a run without a schedule logs its
+    momentum norms there."""
     lines = [CSV_HEADER]
-    for rec, st in zip(log.records, prof):
+    for rec, st in zip(log.records, log.stationarity):
         lines.append(",".join([
             str(rec.t),
             repr(float(rec.wall_time)),
@@ -311,16 +305,13 @@ def write_objective_svg(series: List[dict], path, title="objective vs wall time"
 
 
 def _run_one(inst: QuadraticBilevel, spec: AlgorithmSpec, seed: int,
-             eval_every: int, cancel, progress=None):
-    """One run, its window norms (``_profile``) and its diagnostics report."""
+             eval_every: int, cancel, progress=None) -> RunLog:
+    """One run of ``spec`` with the given seed."""
     if spec.name == "dsblo":
-        log = run_dsblo(inst, replace(spec.params, seed=seed), eval_every=eval_every,
-                        cancel=cancel, progress=progress)
-    else:
-        log = run_igd_baseline(inst, **spec.params, seed=seed, eval_every=eval_every,
-                               cancel=cancel, progress=progress)
-    prof = _profile(log)
-    return log, prof, build_report(log, prof)
+        return run_dsblo(inst, replace(spec.params, seed=seed), eval_every=eval_every,
+                         cancel=cancel, progress=progress)
+    return run_igd_baseline(inst, **spec.params, seed=seed, eval_every=eval_every,
+                            cancel=cancel, progress=progress)
 
 
 def _live_printer(label: str, seed: int, every: int, inst: QuadraticBilevel,
@@ -366,7 +357,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         if cfg.progress_every > 0:
             live = _live_printer(spec.label, seed, cfg.progress_every, inst, eval_every)
         try:
-            log, prof, report = _run_one(inst, spec, seed, eval_every, cancel, progress=live)
+            log = _run_one(inst, spec, seed, eval_every, cancel, progress=live)
+            report = build_report(log)
         except Exception:  # recorded in the summary; the other runs go on
             entry.update(status="error", error=traceback.format_exc(limit=8))
             summary["failed"] = True
@@ -374,7 +366,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             continue
         csv_path = out_dir / f"{stem}.csv"
         if "csv" in cfg.formats:
-            write_csv(log, csv_path, prof)
+            write_csv(log, csv_path)
             entry["csv"] = str(csv_path)
         meta = {
             "algorithm": log.algorithm,

@@ -130,7 +130,6 @@ class QuadraticBilevel:
     cx: np.ndarray
     cy: np.ndarray
     constraints: Polyhedron
-    mu_g: float = 2.0
     seed: Optional[int] = None
     box_radius: Optional[float] = DEFAULT_BOX_RADIUS
     generator_version: int = GENERATOR_VERSION
@@ -190,22 +189,21 @@ class QuadraticBilevel:
 
     def grad_f(self, x: np.ndarray, y: np.ndarray):
         """Full-batch (grad_x f, grad_y f)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        self._check_dims(x, y)
-        gx = 2.0 * x + 0.1 * (self.Q1 @ y) + self.cx_mean
-        gy = 0.1 * (self.Q1.T @ x) + 2.0 * y + self.cy_mean
-        return gx, gy
+        return self._grad_f(x, y, self.cx_mean, self.cy_mean)
 
     def sampled_grad_f(self, x: np.ndarray, y: np.ndarray, xi: int):
         """(grad_x, grad_y) of component ``xi``."""
         if not 0 <= xi < self.n_components:
             raise IndexError(f"component index {xi} out of range")
+        return self._grad_f(x, y, self.cx[xi], self.cy[xi])
+
+    def _grad_f(self, x, y, cx: np.ndarray, cy: np.ndarray):
+        """(grad_x f, grad_y f) with the linear terms cx and cy."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         self._check_dims(x, y)
-        gx = 2.0 * x + 0.1 * (self.Q1 @ y) + self.cx[xi]
-        gy = 0.1 * (self.Q1.T @ x) + 2.0 * y + self.cy[xi]
+        gx = 2.0 * x + 0.1 * (self.Q1 @ y) + cx
+        gy = 0.1 * (self.Q1.T @ x) + 2.0 * y + cy
         return gx, gy
 
     # -- lower level -------------------------------------------------------
@@ -213,21 +211,28 @@ class QuadraticBilevel:
     def grad_y_g(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.Q2.T @ np.asarray(x, dtype=float) + 2.0 * np.asarray(y, dtype=float)
 
-    def hess_yy_g(self, x=None, y=None) -> np.ndarray:
-        return 2.0 * np.eye(self.d_l)
-
     @cached_property
     def hess_yy_diag(self) -> np.ndarray:
-        """The diagonal of ``hess_yy_g``, constant 2."""
+        """The diagonal of the constant Hessian 2I of g in y; ``hess_yy_g``,
+        ``mu_g`` and ``lip_grad_y`` are read from it."""
         return _freeze(np.full(self.d_l, 2.0))
+
+    def hess_yy_g(self, x=None, y=None) -> np.ndarray:
+        return np.diag(self.hess_yy_diag)
 
     def jac_xy_g(self, x=None, y=None) -> np.ndarray:
         """d(grad_y g)/dx, constant and equal to Q2' (a read-only view)."""
         return self.Q2.T
 
     @property
+    def mu_g(self) -> float:
+        """Strong-convexity modulus of g in y, the Hessian's least eigenvalue."""
+        return float(self.hess_yy_diag.min())
+
+    @property
     def lip_grad_y(self) -> float:
-        return 2.0
+        """Lipschitz constant of grad_y g, the Hessian's largest eigenvalue."""
+        return float(self.hess_yy_diag.max())
 
     def _check_dims(self, x: np.ndarray, y: np.ndarray):
         if x.shape != (self.d_u,) or y.shape != (self.d_l,):
@@ -434,6 +439,9 @@ def instance_from_dict(doc: dict) -> QuadraticBilevel:
     a missing key or a mistyped field included, raises ``ValueError``."""
     if not isinstance(doc, dict) or doc.get("format") != "dsblo-instance":
         raise ValueError("not an instance document")
+    if "mu_g" in doc and doc["mu_g"] != 2.0:
+        raise ValueError(f"mu_g must be 2.0, the family's g has Hessian 2I; "
+                         f"got {doc['mu_g']!r}")
     try:
         poly = Polyhedron(
             np.array(doc["A"], dtype=float).reshape(-1, doc["d_l"]),
@@ -447,7 +455,6 @@ def instance_from_dict(doc: dict) -> QuadraticBilevel:
             cx=np.array(doc["cx"], dtype=float),
             cy=np.array(doc["cy"], dtype=float),
             constraints=poly,
-            mu_g=doc.get("mu_g", 2.0),
             seed=doc.get("seed"),
             box_radius=doc.get("box_radius"),
             generator_version=doc.get("generator_version", GENERATOR_VERSION),

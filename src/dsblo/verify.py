@@ -27,7 +27,7 @@ from .diagnostics import (build_report, fd_gradient_oracle, perturbation_error_c
 from .errors import Infeasible
 from .experiment import config_from_dict, run_experiment
 from .implicit_grad import implicit_gradient, jacobians, sampled_implicit_gradient
-from .lower_level import (KKT_TOL, sample_perturbation, sc_margin, solve_ll_bruteforce,
+from .lower_level import (KKT_TOL, TAU_FEAS, _ball_draw, sc_margin, solve_ll_bruteforce,
                           solve_ll_quadratic)
 from .problem import Polyhedron, QuadraticBilevel, eval_f, generate_instance
 
@@ -62,7 +62,7 @@ def check_ll_bruteforce(n_instances: int = 100) -> CheckResult:
             inst = generate_instance(3, 3, k=(i % 6) + 1, seed=1000 + i)
             rng = np.random.default_rng(500 + i)
             x = 0.5 * rng.standard_normal(inst.d_u)
-            q = sample_perturbation(1e-3, rng, inst.d_l)
+            q = _ball_draw(1e-3, rng, inst.d_l)
             try:
                 fast = solve_ll_quadratic(inst, x, q)
             except Infeasible:
@@ -109,7 +109,7 @@ def check_kkt_certification(n_instances: int = 50, points_per: int = 3) -> Check
             start = ()
             for _ in range(points_per):
                 x = 0.5 * rng.standard_normal(inst.d_u)
-                q = sample_perturbation(1e-3, rng, inst.d_l)
+                q = _ball_draw(1e-3, rng, inst.d_l)
                 try:
                     # cold, and warm from the previous point's active set
                     sols = [solve_ll_quadratic(inst, x, q),
@@ -123,9 +123,9 @@ def check_kkt_certification(n_instances: int = 50, points_per: int = 3) -> Check
                     max_viol = max(max_viol, sol.max_violation)
                     if sol.active_set:
                         min_lam = min(min_lam, float(np.min(sol.lam[list(sol.active_set)])))
-        ok = max_kkt <= KKT_TOL and max_viol <= 1e-9 and min_lam >= 0.0
+        ok = max_kkt <= KKT_TOL and max_viol <= TAU_FEAS and min_lam >= 0.0
         return ok, (f"{n_solves} solves: max kkt={max_kkt:.2e} (<={KKT_TOL:g}), "
-                    f"max violation={max_viol:.2e} (<=1e-9), "
+                    f"max violation={max_viol:.2e} (<={TAU_FEAS:g}), "
                     f"min active multiplier={min_lam:.2e} (>=0)")
 
     return _timed("kkt_certification", body)
@@ -163,7 +163,7 @@ def check_implicit_fd(n_instances: int = 10, n_points: int = 10,
             inst = generate_instance(10, 10, 5, seed=1 + i)
             rng = np.random.default_rng(42 + i)
             for _ in range(n_points):
-                q = sample_perturbation(1e-3, rng, inst.d_l)
+                q = _ball_draw(1e-3, rng, inst.d_l)
                 x, sol = margin_point(inst, q, rng)
                 ig = implicit_gradient(inst, x, sol)
                 if sol.active_set:
@@ -213,7 +213,7 @@ def check_strict_complementarity(n_draws: int = 1000) -> CheckResult:
         bad = 0
         worst = np.inf
         for _ in range(n_draws):
-            q = sample_perturbation(1e-3, rng, 2)
+            q = _ball_draw(1e-3, rng, 2)
             sol = solve_ll_quadratic(inst, x, q)
             m = sc_margin(sol)
             worst = min(worst, m)
@@ -238,7 +238,7 @@ def mc_window_reference(log, t: int, beta: float, K: int, inst: QuadraticBilevel
     for rec in log.records[t - K:t]:
         grads = []
         for _ in range(mc_samples):
-            q = sample_perturbation(radius, rng, inst.d_l)
+            q = _ball_draw(radius, rng, inst.d_l)
             sol = solve_ll_quadratic(inst, rec.x_bar, q)
             grads.append(implicit_gradient(inst, rec.x_bar, sol).grad)
             active.append(len(sol.active_set))
@@ -400,7 +400,7 @@ def check_option2_unbiasedness(n_points: int = 20) -> CheckResult:
         done = 0
         while done < n_points:
             x = 0.5 * rng.standard_normal(inst.d_u)
-            q = sample_perturbation(1e-3, rng, inst.d_l)
+            q = _ball_draw(1e-3, rng, inst.d_l)
             try:
                 sol = solve_ll_quadratic(inst, x, q)
                 full = implicit_gradient(inst, x, sol).grad

@@ -244,9 +244,9 @@ class TestRunDsblo:
     def test_degenerate_resample_then_abort(self, monkeypatch):
         inst = generate_instance(4, 4, 2, seed=8)
         draws = []
-        orig = algo.sample_perturbation
+        orig = algo._ball_draw
 
-        def counting_sample(radius, rng, d):
+        def counting_draw(radius, rng, d):
             draws.append(radius)
             return orig(radius, rng, d)
 
@@ -255,7 +255,7 @@ class TestRunDsblo:
         def always_degenerate(problem, x, sol):
             raise DegenerateActiveSet("forced")
 
-        monkeypatch.setattr(algo, "sample_perturbation", counting_sample)
+        monkeypatch.setattr(algo, "_ball_draw", counting_draw)
         monkeypatch.setattr(algo, "implicit_gradient", always_degenerate)
         params = DsbloParams(
             T=10, mode=ManualMode(beta=0.9, gamma1=5.0, gamma2=20.0, K=2, delta_y=1e-8),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dsblo.algorithm as algo_mod
 import dsblo.diagnostics as diag_mod
 from dsblo.algorithm import DsbloParams, ManualMode, run_dsblo, run_igd_baseline
 from dsblo.diagnostics import (_draws, _mc_solves, build_report, eval_F_exact,
@@ -12,6 +13,7 @@ from dsblo.diagnostics import (_draws, _mc_solves, build_report, eval_F_exact,
                                perturbation_error_check, stationarity_profile,
                                stationarity_window, window_weights)
 from dsblo.errors import DsbloError, NonFinite, WindowIncomplete
+from dsblo.experiment import write_csv
 from dsblo.lower_level import _ball_draw, solve_ll_bruteforce, solve_ll_quadratic
 from dsblo.problem import empty_polyhedron, eval_f, eval_f_rows, generate_instance
 from dsblo.verify import mc_window_logs, mc_window_reference
@@ -379,7 +381,7 @@ class TestStationarityWindow:
         log = self._log_with_grads([[1.0], [2.0], [5.0]])
         w = stationarity_window(log, t=3, beta=0.7, K=1)
         assert w.combined[0] == 5.0
-        assert w.weights == pytest.approx([1.0])
+        assert window_weights(0.7, 1) == pytest.approx([1.0])
 
     def test_weights_formula(self):
         from fractions import Fraction
@@ -388,7 +390,7 @@ class TestStationarityWindow:
         beta = Fraction(9, 10)
         scale = (1 - beta) / (1 - beta ** 3)
         expected = [float(beta ** p * scale) for p in (2, 1, 0)]
-        assert w.weights == pytest.approx(expected, rel=1e-14)
+        assert window_weights(0.9, 3) == pytest.approx(expected, rel=1e-14)
         assert w.combined[0] == pytest.approx(
             expected[0] * 1 + expected[1] * 2 + expected[2] * 3, rel=1e-12)
 
@@ -466,6 +468,31 @@ class TestReport:
         for t in (5, 12, 25):
             w = stationarity_window(log, t=t, beta=0.8, K=4)
             assert prof[t - 1] == w.norm
+
+    def test_run_log_stationarity_computed_once(self, small_instance, monkeypatch, tmp_path):
+        calls = []
+
+        def counting(log, beta, K):
+            calls.append(log.algorithm)
+            return stationarity_profile(log, beta, K)
+
+        monkeypatch.setattr(algo_mod, "stationarity_profile", counting)
+        params = DsbloParams(
+            T=25, mode=ManualMode(beta=0.8, gamma1=5.0, gamma2=20.0, K=4, delta_y=1e-8),
+            seed=5,
+        )
+        log = run_dsblo(small_instance, params, eval_every=0)
+        assert calls == []
+        prof = log.stationarity
+        build_report(log)
+        write_csv(log, tmp_path / "run.csv")
+        assert log.stationarity is prof and calls == ["dsblo"]
+        ref = stationarity_profile(log, 0.8, 4)
+        assert np.all(np.isnan(prof[:4])) and np.all(np.isnan(ref[:4]))
+        assert np.all(prof[4:] == ref[4:])
+        igd = run_igd_baseline(small_instance, step=0.02, T=15, seed=2, eval_every=0)
+        assert np.all(igd.stationarity == [r.m_norm for r in igd.records])
+        assert calls == ["dsblo"]
 
     def test_igd_report(self, small_instance):
         log = run_igd_baseline(small_instance, step=0.02, T=15, seed=2, eval_every=1)

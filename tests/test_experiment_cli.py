@@ -112,12 +112,24 @@ class TestConfig:
         (lambda doc: doc["algorithms"][0].update(beta=1.5), "beta=1.5 outside"),
         (lambda doc: doc["algorithms"][0].update(T=5), "T=5 must exceed K=5"),
         (lambda doc: doc.update(seeds=[1, 1]), "seeds are not unique"),
+        (lambda doc: doc["algorithms"][1].update(label="../escaped"),
+         "label must be a plain file name"),
+        (lambda doc: doc["algorithms"][1].update(label="a/b"), "label must be a plain file name"),
+        (lambda doc: doc["algorithms"][1].update(label=7), "label must be a plain file name"),
+        (lambda doc: doc["algorithms"][1].update(label=None), "label must be a plain file name"),
+        (lambda doc: doc["algorithms"][1].update(label=""), "label must be a plain file name"),
+        (lambda doc: doc["algorithms"][1].update(label=".."), "label must be a plain file name"),
+        (lambda doc: doc["algorithms"][1].update(step=-0.1), "step must be a number >= 0"),
+        (lambda doc: doc["algorithms"][1].update(ll_tol=0), "ll_tol must be a number > 0"),
+        (lambda doc: doc["algorithms"][1].update(ll_tol=-1), "ll_tol must be a number > 0"),
     ], ids=["dsblo-without-beta", "eval-every-string", "seeds-string", "seeds-int",
             "instance-k-negative", "mode-string", "dsblo-ll-tol", "manual-epsilon",
             "manual-delta-bar", "instance-path-int",
             "output-dir-int", "formats-int", "formats-string", "instance-unbounded",
             "option-unknown", "dsblo-radius-zero", "igd-radius-zero", "beta-out-of-range",
-            "t-not-beyond-k", "seeds-repeated"])
+            "t-not-beyond-k", "seeds-repeated", "label-escapes-output-dir",
+            "label-with-slash", "label-int", "label-null", "label-empty", "label-dot-dot",
+            "igd-step-negative", "igd-ll-tol-zero", "igd-ll-tol-negative"])
     def test_rejected_at_load(self, tmp_path, capsys, edit, match):
         doc = tiny_config(tmp_path)
         edit(doc)
@@ -228,7 +240,7 @@ class TestRunExperiment:
             return real(log, beta, K)
 
         monkeypatch.setattr(diag_mod, "stationarity_profile", counting)
-        monkeypatch.setattr(exp_mod, "stationarity_profile", counting)
+        monkeypatch.setattr(algo, "stationarity_profile", counting)
         summary = run_experiment(config_from_dict(tiny_config(tmp_path)))
         # the CSV's window norms and the report's come from that one profile
         assert calls == ["dsblo"]
@@ -246,9 +258,11 @@ class TestRunExperiment:
         assert names == ["dsblo_seed1.csv", "dsblo_seed2.csv", "dsblo_seed3.csv"]
 
     def test_failure_recorded_others_proceed(self, tmp_path):
-        doc = tiny_config(tmp_path)
-        doc["algorithms"][1]["step"] = -1.0  # invalid; must not sink the dsblo run
-        summary = run_experiment(config_from_dict(doc))
+        cfg = config_from_dict(tiny_config(tmp_path))
+        # past the config check, run_igd_baseline rejects the step; that run
+        # fails, and must not sink the dsblo run
+        cfg.algorithms[1].params["step"] = -1.0
+        summary = run_experiment(cfg)
         assert summary["failed"]
         by_label = {r["label"]: r for r in summary["runs"]}
         assert by_label["dsblo"]["status"] == "ok"

@@ -47,8 +47,8 @@ class TestGenerator:
     def test_scalar_instance(self):
         inst = generate_instance(1, 1, 1, seed=0)
         assert inst.Q2.shape == (1, 1)
-        assert np.allclose(inst.hess_yy_g(), [[2.0]])
-        assert inst.mu_g == 2.0
+        assert np.array_equal(inst.hess_yy_g(), [[2.0]])
+        assert inst.mu_g == inst.lip_grad_y == 2.0
 
     def test_determinism(self):
         a = generate_instance(4, 3, 2, seed=42)
@@ -221,6 +221,23 @@ class TestSerialization:
         edit(doc)
         with pytest.raises(ValueError):
             instance_from_dict(doc)
+
+    @pytest.mark.parametrize("mu_g", [1000, 1.0, None, "2.0"],
+                             ids=["1000", "1.0", "null", "string"])
+    def test_mu_g_other_than_two_rejected(self, small_instance, mu_g):
+        # the family's g has Hessian 2I, so a document cannot claim another modulus
+        doc = instance_to_dict(small_instance)
+        doc["mu_g"] = mu_g
+        with pytest.raises(ValueError, match="mu_g must be 2.0"):
+            instance_from_dict(doc)
+
+    @pytest.mark.parametrize("d, k, fp", [
+        (10, 5, "770dcc9e8789e95f"),
+        (50, 10, "815e033767604d72"),
+        (200, 40, "7e50f64a9b0e9ad7"),
+    ])
+    def test_pinned_fingerprints(self, d, k, fp):
+        assert generate_instance(d, d, k, seed=1).fingerprint == fp
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
