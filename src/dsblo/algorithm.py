@@ -3,12 +3,12 @@ baseline, which share one loop body.
 
 One outer iteration: step x along the momentum direction with the
 norm-adaptive step 1/(gamma1*||m|| + gamma2), draw a uniform point on the
-traversed segment, re-perturb the lower level with a fresh q, solve it to
-the scheduled accuracy delta_y, evaluate the (optionally sampled) implicit
-gradient there, and fold it into the momentum average. The q draws, the
-segment draws and the component draws each consume an independent RNG
-stream, so runs are reproducible and the three randomizations can be
-reasoned about separately.
+traversed segment, re-perturb the lower level with a fresh q, solve it
+exactly (KKT residual certified to 1e-10), evaluate the (optionally
+sampled) implicit gradient there, and fold it into the momentum average.
+The q draws, the segment draws and the component draws each consume an
+independent RNG stream, so runs are reproducible and the three
+randomizations can be reasoned about separately.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .diagnostics import check_windows, eval_F_exact_rows, stationarity_profile
 from .errors import DegenerateActiveSet, DsbloError, ScheduleInfeasible
 from .implicit_grad import implicit_gradient, sampled_implicit_gradient
 from .lower_level import _ball_draw
-from .problem import Problem, sample_component
+from .problem import QuadraticBilevel, sample_component
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ class DsbloParams:
 
 def schedule(params: DsbloParams) -> ManualMode:
     """The outer-loop constants: a manual mode itself once validated, or a
-    theory mode's resolved constants. Also checks T > K and the option.
+    theory mode's resolved constants. Also checks T > K, the option and
+    batch_size >= 1.
 
     Theory mode, for target accuracy eps and radius delta_bar:
 
@@ -87,6 +88,8 @@ def schedule(params: DsbloParams) -> ManualMode:
     """
     if params.option not in ("deterministic", "sampled"):
         raise ValueError(f"unknown option {params.option!r}")
+    if params.batch_size < 1:
+        raise ValueError(f"batch_size={params.batch_size!r} must be at least 1")
     mode = params.mode
     if isinstance(mode, ManualMode):
         if not 0.0 < mode.beta < 1.0:
@@ -194,9 +197,9 @@ class _Stopwatch:
             self.total += time.monotonic() - t0
 
 
-def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
+def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
                 eta_of: Callable[[np.ndarray], float], beta: float, segment: bool,
-                radius: float, tol: float, option: str, batch_size: int,
+                radius: float, option: str, batch_size: int,
                 progress: Optional[ProgressFn], cancel: Optional[CancelFn],
                 eval_every: int) -> RunLog:
     """The loop both runs share. Iteration t logs x_t, steps
@@ -204,13 +207,12 @@ def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
     point of the step segment (``segment``) or at x_{t+1}, and folds it into
     the momentum m with weight 1 - beta. The q, segment and component draws
     use the three streams of ``SeedSequence(seed).spawn(3)``. Exact F is
-    logged every ``eval_every`` iterations and at T, for problems that
-    expose ``eval_f``; nothing in the loop reads it, so the due records are
-    evaluated together after the loop (``eval_F_exact_rows``) and
-    ``progress`` sees F_exact None. Every lower-level solve, the exact-F
-    ones included, starts from the active set of the latest gradient
-    sample; the solves, pivots and repairs of the gradient samples go to
-    ``log.lower_level``. The window check (``check_windows``) goes to
+    logged every ``eval_every`` iterations and at T; nothing in the loop
+    reads it, so the due records are evaluated together after the loop
+    (``eval_F_exact_rows``) and ``progress`` sees F_exact None. Every
+    lower-level solve, the exact-F ones included, starts from the active set
+    of the latest gradient sample; the solves, pivots and repairs of the
+    gradient samples go to ``log.lower_level``. The window check (``check_windows``) goes to
     ``log.windows``; a run without a schedule checks nothing."""
     x = np.zeros(problem.d_u) if x0 is None else np.asarray(x0, dtype=float).copy()
     q_rng, seg_rng, xi_rng = (
@@ -230,7 +232,7 @@ def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
         for _ in range(5):
             q = _ball_draw(radius, q_rng, problem.d_l)
             try:
-                sol = ll.call(problem.solve_ll, x_pt, q, tol, start)
+                sol = ll.call(problem.solve_ll, x_pt, q, start)
                 if option == "sampled":
                     xi = [sample_component(problem, xi_rng) for _ in range(batch_size)]
                     g = ig.call(sampled_implicit_gradient, problem, x_pt, sol, xi).grad
@@ -240,8 +242,8 @@ def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
                 last = exc
                 continue
             counts["solves"] += 1
-            counts["pivots"] += sol.stats.get("pivots", 0)
-            counts["repairs"] += sol.stats.get("repairs", 0)
+            counts["pivots"] += sol.stats["pivots"]
+            counts["repairs"] += sol.stats["repairs"]
             return q, g, sol
         raise DsbloError(
             "degenerate active set persisted through 5 perturbation resamples"
@@ -250,11 +252,10 @@ def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
     q, g, sol = sample(x, ())
     m = g
     x_bar = x.copy()
-    log_F = eval_every and hasattr(problem, "eval_f")
     due, starts = [], []  # the records owed an exact F, and their solves' starts
     for t in range(1, T + 1):
         eta = eta_of(m)
-        if log_F and ((t - 1) % eval_every == 0 or t == T):
+        if eval_every and ((t - 1) % eval_every == 0 or t == T):
             due.append(t - 1)
             starts.append(sol.active_set)
         rec = IterateRecord(
@@ -289,12 +290,13 @@ def _outer_loop(problem: Problem, log: RunLog, T: int, seed: int, x0,
     return log
 
 
-def run_dsblo(problem: Problem, params: DsbloParams, x0=None,
+def run_dsblo(problem: QuadraticBilevel, params: DsbloParams, x0=None,
               progress: Optional[ProgressFn] = None,
               cancel: Optional[CancelFn] = None,
               eval_every: int = 1) -> RunLog:
     """Run the doubly stochastic loop for T iterations and log every iterate.
-    Every lower-level solve is made to the schedule's accuracy ``delta_y``.
+    Every lower-level solve is exact, its KKT residual certified to 1e-10,
+    so it meets any accuracy ``delta_y`` the schedule asks for.
 
     After the loop, ``diagnostics.check_windows`` checks over the records
     that every trailing window keeps its step budget
@@ -311,12 +313,12 @@ def run_dsblo(problem: Problem, params: DsbloParams, x0=None,
     )
     return _outer_loop(problem, log, params.T, params.seed, x0,
                        lambda m: step_size(m, sched.gamma1, sched.gamma2), sched.beta, True,
-                       params.perturb_radius, sched.delta_y, params.option,
+                       params.perturb_radius, params.option,
                        params.batch_size, progress, cancel, eval_every)
 
 
-def run_igd_baseline(problem: Problem, step: float, T: int, ll_tol: float = 1e-8,
-                     seed: int = 0, perturb_radius: float = 1e-3, x0=None,
+def run_igd_baseline(problem: QuadraticBilevel, step: float, T: int, seed: int = 0,
+                     perturb_radius: float = 1e-3, x0=None,
                      progress: Optional[ProgressFn] = None,
                      cancel: Optional[CancelFn] = None,
                      eval_every: int = 1) -> RunLog:
@@ -330,10 +332,9 @@ def run_igd_baseline(problem: Problem, step: float, T: int, ll_tol: float = 1e-8
         raise ValueError("T must be at least 1")
     log = RunLog(
         algorithm="igd",
-        params={"step": step, "T": T, "ll_tol": ll_tol, "seed": seed,
-                "perturb_radius": perturb_radius},
+        params={"step": step, "T": T, "seed": seed, "perturb_radius": perturb_radius},
         schedule=None,
     )
     return _outer_loop(problem, log, T, seed, x0, lambda m: step, 0.0, False,
-                       perturb_radius, ll_tol, "deterministic", 1,
+                       perturb_radius, "deterministic", 1,
                        progress, cancel, eval_every)

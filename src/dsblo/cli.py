@@ -13,6 +13,13 @@ from .experiment import load_config, run_experiment
 from .problem import generate_instance, load_instance, save_instance
 
 
+def _count(text: str) -> int:
+    """An integer >= 0, as the config key ``progress_every`` takes."""
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _cmd_generate(args) -> int:
     box = None if args.no_box else args.box_radius
     try:
@@ -111,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="run a configured experiment")
     r.add_argument("--config", required=True, help="experiment config (JSON)")
     r.add_argument("--out-dir", help="override the configured output directory")
-    r.add_argument("--progress", type=int, default=0, metavar="N",
-                   help="print a live line every N iterations (serial runs)")
+    r.add_argument("--progress", type=_count, default=0, metavar="N",
+                   help="print a live line every N iterations (default 0: none)")
     r.add_argument("-v", "--verbose", action="store_true")
     r.set_defaults(fn=_cmd_run)
 

@@ -162,7 +162,7 @@ def stationarity_window(log, t: int, beta: float, K: int,
         G = np.empty_like(X)
         for active, rows in groups.items():
             gx, gy = grad_f_rows(inst, X[rows], Y[rows])
-            G[rows] = _adjoint(inst, X[rows], Y[rows], Lam[rows], active, gx, gy)
+            G[rows] = _adjoint(inst, Lam[rows], active, gx, gy)
         combined = np.einsum("i,ij->j", w, G.reshape(K, mc_samples, -1).mean(axis=1))
     else:
         # stationarity_profile's product, so the two agree bit for bit

@@ -13,15 +13,6 @@ class MaxPivots(DsbloError):
     """Active-set QP exceeded its pivot budget (cycling guard tripped)."""
 
 
-class MaxIter(DsbloError):
-    """Projected-gradient solve hit its iteration cap before certifying the
-    requested accuracy. Carries the best certified bound reached."""
-
-    def __init__(self, message, delta_cert=None):
-        super().__init__(message)
-        self.delta_cert = delta_cert
-
-
 class DegenerateActiveSet(DsbloError):
     """Active constraint rows are rank deficient, or strict complementarity
     fails (a zero multiplier on an active row)."""

@@ -69,9 +69,6 @@ def _number(doc: dict, key: str, where: str, default=_REQUIRED,
 def _dsblo_params(doc: dict, where: str) -> DsbloParams:
     """Flat manual constants, or ``"mode": {"kind": "theory", ...}`` with
     top-level ``epsilon`` and ``delta_bar``, which only a theory entry takes."""
-    if "ll_tol" in doc:
-        raise ConfigError(f"{where}: ll_tol is an igd setting; dsblo solves the "
-                          "lower level to delta_y")
     mode_doc = doc.get("mode")
     if mode_doc is None:
         for key in ("epsilon", "delta_bar"):
@@ -110,12 +107,14 @@ def _parse_algorithm(doc: dict, idx: int) -> AlgorithmSpec:
     if name not in ("dsblo", "igd"):
         raise ConfigError(f"algorithm #{idx}: unknown name {name!r}")
     where = f"algorithm #{idx} ({name})"
+    if "ll_tol" in doc:
+        raise ConfigError(f"{where}: ll_tol was removed; every lower-level solve is "
+                          "exact, its KKT residual certified to 1e-10")
     if name == "dsblo":
         params = _dsblo_params(doc, where)
     else:
         params = {"step": _number(doc, "step", where, low=0),
                   "T": _number(doc, "T", where, integer=True, low=1),
-                  "ll_tol": _number(doc, "ll_tol", where, 1e-8, positive=True),
                   "perturb_radius": _number(doc, "perturb_radius", where, 1e-3,
                                             positive=True)}
     # the label names the run's output files inside output_dir

@@ -1,7 +1,8 @@
 """Implicit gradients through the lower-level KKT system.
 
-With H = hess_yy g, M = jac_xy g and (Abar, Bbar) the active constraint
-rows, the solution-map Jacobians solve
+With H = hess_yy g (the constant diagonal ``hess_yy_diag``), M = jac_xy g
+(the constant Q2') and (Abar, Bbar) the active constraint rows, the
+solution-map Jacobians solve
 
     H @ jac_y + M + Abar' @ jac_lambda = 0
     Abar @ jac_y + Bbar = 0.
@@ -27,9 +28,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateActiveSet, NotSPD
+from .errors import DegenerateActiveSet
 from .lower_level import LLSolution, RANK_TOL, check_rank, diagonal_solver, equality_solve
-from .problem import Problem
+from .problem import QuadraticBilevel
 
 
 @dataclass(frozen=True)
@@ -39,24 +40,7 @@ class ImplicitGradient:
     grad: np.ndarray
 
 
-def _hessian_solver(problem: Problem, x: np.ndarray, y: np.ndarray):
-    """H^-1 application for H = hess_yy g at (x, y), once H is checked SPD:
-    a division where the problem states a diagonal Hessian, a dense solve
-    after a Cholesky check otherwise."""
-    diag = problem.hess_yy_diag
-    if diag is not None:
-        if diag.min() <= 0:
-            raise NotSPD("hess_yy_g has a nonpositive diagonal entry")
-        return diagonal_solver(diag)
-    H = np.asarray(problem.hess_yy_g(x, y), dtype=float)
-    try:
-        np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as exc:
-        raise NotSPD("hess_yy_g is not positive definite") from exc
-    return lambda Z: np.linalg.solve(H, Z)
-
-
-def _active_rows(problem: Problem, active: tuple, lam: np.ndarray, smin: Optional[float]):
+def _active_rows(inst: QuadraticBilevel, active: tuple, lam: np.ndarray, smin: Optional[float]):
     """(Abar, Bbar) of a nonempty active set, after checking strict
     complementarity on every row of multipliers in ``lam`` and the rank of
     the active rows (reusing the solver's rank check ``smin`` where it made
@@ -67,7 +51,7 @@ def _active_rows(problem: Problem, active: tuple, lam: np.ndarray, smin: Optiona
         raise DegenerateActiveSet(
             f"strict complementarity fails (smallest active multiplier {margin:.2e})"
         )
-    poly = problem.constraints
+    poly = inst.constraints
     Abar = poly.A[active]
     smin = check_rank(Abar) if smin is None else smin
     if smin < RANK_TOL:
@@ -77,30 +61,24 @@ def _active_rows(problem: Problem, active: tuple, lam: np.ndarray, smin: Optiona
     return Abar, poly.B[active]
 
 
-def _adjoint(problem: Problem, x, y, lam, active: tuple, gx, gy,
+def _adjoint(inst: QuadraticBilevel, lam, active: tuple, gx, gy,
              smin: Optional[float] = None) -> np.ndarray:
     """gx + jac_y' gy from one reduced KKT solve (see the module docstring)
-    at the lower-level solution y with multipliers lam and active rows
-    ``active`` (smallest singular value ``smin`` where the solver checked it).
+    at a lower-level solution with multipliers lam and active rows
+    ``active`` (smallest singular value ``smin`` where the solver checked
+    it). H is the constant diagonal ``hess_yy_diag`` and M the constant Q2',
+    so the solution itself is not needed.
 
-    For n draws that share the active set, x, y, lam, gx and gy hold one row
-    per draw and the result one gradient row per draw, all from one solve;
-    ``hess_yy_g`` and ``jac_xy_g`` are then taken at the first draw, so rows
-    need a problem whose lower level states a constant diagonal Hessian
-    (``hess_yy_diag``; ``ValueError`` otherwise). Every row's multipliers
-    are checked."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 2 and problem.hess_yy_diag is None:
-        raise ValueError("draws as rows need a constant diagonal hess_yy_g")
-    at = (x, y) if y.ndim == 1 else (x[0], y[0])
-    hsolve = _hessian_solver(problem, *at)
-    M = np.asarray(problem.jac_xy_g(*at), dtype=float)
+    For n draws that share the active set, lam, gx and gy hold one row per
+    draw and the result one gradient row per draw, all from one solve.
+    Every row's multipliers are checked."""
+    hsolve = diagonal_solver(inst.hess_yy_diag)
+    M = inst.Q2.T
     gx = np.asarray(gx, dtype=float)
     gy = np.asarray(gy, dtype=float).T
     if not active:
         return gx - (M.T @ hsolve(gy)).T
-    Abar, Bbar = _active_rows(problem, active, np.asarray(lam), smin)
+    Abar, Bbar = _active_rows(inst, active, np.asarray(lam), smin)
     try:
         _, w, v = equality_solve(hsolve, hsolve(gy), Abar, 0.0)
     except np.linalg.LinAlgError as exc:
@@ -108,16 +86,14 @@ def _adjoint(problem: Problem, x, y, lam, active: tuple, gx, gy,
     return gx + (M.T @ v).T + (Bbar.T @ w).T
 
 
-def jacobians(problem: Problem, x: np.ndarray, sol: LLSolution):
+def jacobians(inst: QuadraticBilevel, x: np.ndarray, sol: LLSolution):
     """Solution-map Jacobians (jac_y, jac_lambda) at a certified LL solve,
     the dense reference for the adjoint gradient; same checks and errors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(sol.y_hat, dtype=float)
-    hsolve = _hessian_solver(problem, x, y)
-    M = np.asarray(problem.jac_xy_g(x, y), dtype=float)
+    hsolve = diagonal_solver(inst.hess_yy_diag)
+    M = inst.Q2.T
     if not sol.active_set:
         return -hsolve(M), np.zeros((0, M.shape[1]))
-    Abar, Bbar = _active_rows(problem, sol.active_set, sol.lam, sol.rank_smin)
+    Abar, Bbar = _active_rows(inst, sol.active_set, sol.lam, sol.rank_smin)
     Hinv_M = hsolve(M)
     Hinv_At = hsolve(Abar.T)
     try:
@@ -128,16 +104,16 @@ def jacobians(problem: Problem, x: np.ndarray, sol: LLSolution):
     return jac_y, jac_lambda
 
 
-def implicit_gradient(problem: Problem, x: np.ndarray, sol: LLSolution) -> ImplicitGradient:
+def implicit_gradient(inst: QuadraticBilevel, x: np.ndarray, sol: LLSolution) -> ImplicitGradient:
     """Full-batch implicit gradient grad_x f + jac_y' grad_y f at (x, y_hat)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(sol.y_hat)
-    gx, gy = problem.grad_f(x, y)
-    return ImplicitGradient(grad=_adjoint(problem, x, y, sol.lam, sol.active_set, gx, gy,
+    gx, gy = inst.grad_f(x, y)
+    return ImplicitGradient(grad=_adjoint(inst, sol.lam, sol.active_set, gx, gy,
                                           sol.rank_smin))
 
 
-def sampled_implicit_gradient(problem: Problem, x: np.ndarray, sol: LLSolution,
+def sampled_implicit_gradient(inst: QuadraticBilevel, x: np.ndarray, sol: LLSolution,
                               xi: Union[int, Sequence[int]]) -> ImplicitGradient:
     """Implicit gradient of component ``xi``; averaging over all components
     recovers ``implicit_gradient`` exactly (finite sum).
@@ -147,11 +123,9 @@ def sampled_implicit_gradient(problem: Problem, x: np.ndarray, sol: LLSolution,
     averaged first.
     """
     x = np.asarray(x, dtype=float)
-    if problem.sampled_grad_f is None:
-        raise ValueError("problem provides no sampled gradient")
     y = np.asarray(sol.y_hat)
-    parts = [problem.sampled_grad_f(x, y, int(i)) for i in np.atleast_1d(xi)]
+    parts = [inst.sampled_grad_f(x, y, int(i)) for i in np.atleast_1d(xi)]
     gx = np.mean([p[0] for p in parts], axis=0)
     gy = np.mean([p[1] for p in parts], axis=0)
-    return ImplicitGradient(grad=_adjoint(problem, x, y, sol.lam, sol.active_set, gx, gy,
+    return ImplicitGradient(grad=_adjoint(inst, sol.lam, sol.active_set, gx, gy,
                                           sol.rank_smin))

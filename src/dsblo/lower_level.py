@@ -2,30 +2,28 @@
 
     min_y  g(x, y) + q'y   s.t.  A y + B x <= b.
 
-Three routes are provided:
+Two routes are provided:
 
 * ``solve_ll_quadratic`` -- dual active-set method for the strictly convex
   QP; certifies KKT residual <= 1e-10, the exact active set and nonnegative
   multipliers.
 * ``solve_ll_bruteforce`` -- exhaustive enumeration of candidate active sets
   (reference oracle; shares no code path with the active-set method).
-* ``solve_ll_oracle`` -- projected gradient descent for callback-defined
-  lower levels, with a strong-convexity accuracy certificate; each
-  projection is itself a QP solved by the active-set route.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from .errors import DegenerateActiveSet, Infeasible, MaxIter, MaxPivots, NonFinite, NotSPD
+from .errors import DegenerateActiveSet, Infeasible, MaxPivots, NonFinite, NotSPD
 
 if TYPE_CHECKING:  # problem.py imports this module
-    from .problem import ProblemOracle, QuadraticBilevel
+    from .problem import QuadraticBilevel
 
 # Constraint i counts as active when its slack b_i - A_i y - B_i x falls to
 # this tolerance or below.
@@ -252,7 +250,12 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     y = -Hic
     slack = u - A @ y if k else np.zeros(0)
     if not len(start) and (k == 0 or slack.min() > TAU_ACT):
-        return _certified(y, np.zeros(k), (), H * y + c, slack, mu,
+        if math.isfinite(y @ y):
+            residual = H * y + c
+        else:  # an infinite c makes this inf - inf; _certified raises NonFinite
+            with np.errstate(invalid="ignore"):
+                residual = H * y + c
+        return _certified(y, np.zeros(k), (), residual, slack, mu,
                           {"pivots": 0, "repairs": 0}, float("inf"))
 
     hinv = diagonal_solver(H)
@@ -483,84 +486,4 @@ def solve_ll_bruteforce(inst: QuadraticBilevel, x: np.ndarray,
         kkt_residual=kkt_res,
         max_violation=float(np.max(-slack)) if k else float("-inf"),
         delta_cert=kkt_res / 2.0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# projected gradient (oracle path)
-# ---------------------------------------------------------------------------
-
-
-def solve_ll_oracle(oracle: ProblemOracle, x: np.ndarray,
-                    q: Union[Perturbation, np.ndarray, None], tol_delta: float,
-                    max_iter: int = 200_000) -> LLSolution:
-    """Projected gradient descent with step 1/L on the perturbed lower level.
-
-    Terminates once the strong-convexity certificate
-    ``||y - proj(y - grad/L)|| * (L/mu)`` drops to ``tol_delta``; the active
-    set is read off the final iterate's tight rows and multipliers are
-    recovered by a clamped least-squares fit of the stationarity condition.
-    Each projection onto {y : A y <= u} is a QP solved by ``solve_qp``,
-    started from the rows active at the previous one.
-    """
-    if tol_delta <= 0:
-        raise ValueError("tol_delta must be positive")
-    x = np.asarray(x, dtype=float)
-    poly = oracle.constraints
-    A, u = poly.A, poly.rhs(x)
-    d = poly.d_l
-    qv = _qvec(q, d)
-    L = float(oracle.lip_grad_y)
-    mu = float(oracle.mu_g)
-    ratio = L / mu
-
-    proj = solve_qp(np.ones(d), np.zeros(d), A, u)
-    y = proj.y_hat
-    hess = np.asarray(oracle.hess_yy_g(x, y), dtype=float)
-    lo = np.linalg.eigvalsh(0.5 * (hess + hess.T))[0]
-    if lo < mu - 1e-9:
-        raise NotSPD(f"Hessian smallest eigenvalue {lo:.3e} < mu_g={mu}")
-
-    cert = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        grad = np.asarray(oracle.grad_y_g(x, y), dtype=float) + qv
-        proj = solve_qp(np.ones(d), grad / L - y, A, u, proj.active_set)
-        cert = float(np.linalg.norm(y - proj.y_hat)) * ratio
-        y = proj.y_hat
-        if cert <= tol_delta:
-            break
-    else:
-        raise MaxIter(
-            f"no certificate <= {tol_delta:.2e} within {max_iter} iterations",
-            delta_cert=cert,
-        )
-
-    slack = u - A @ y if poly.k else np.zeros(0)
-    active = _tight_rows(slack)
-    grad = np.asarray(oracle.grad_y_g(x, y), dtype=float) + qv
-    lam = np.zeros(poly.k)
-    if active:
-        A_act = A[list(active)]
-        smin = check_rank(A_act)
-        fit, *_ = np.linalg.lstsq(A_act.T, -grad, rcond=None)
-        lam[list(active)] = np.maximum(fit, 0.0)
-        kkt = float(np.linalg.norm(grad + A_act.T @ lam[list(active)]))
-    else:
-        smin = float("inf")
-        kkt = float(np.linalg.norm(grad))
-        # interior iterate: the gradient itself need not vanish, only the
-        # projected step; keep the certificate as the accuracy statement
-    lam.flags.writeable = False
-    y = y.copy()
-    y.flags.writeable = False
-    return LLSolution(
-        y_hat=y,
-        lam=lam,
-        active_set=active,
-        kkt_residual=kkt,
-        max_violation=float(np.max(-slack)) if poly.k else float("-inf"),
-        delta_cert=cert,
-        stats={"iterations": it},
-        rank_smin=smin,
     )

@@ -1,7 +1,6 @@
-"""Bilevel problem model: coupled polyhedral constraints, the ``Problem``
-protocol the solver works against, the quadratic instance family used by the
-benchmark, a callback oracle for non-quadratic lower levels, and instance
-generation / serialization.
+"""Bilevel problem model: coupled polyhedral constraints, the quadratic
+instance family the solver works against, and instance generation /
+serialization.
 
 The quadratic family is
 
@@ -18,7 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar, Optional, Protocol
+from typing import Optional
 
 import numpy as np
 
@@ -88,34 +87,6 @@ def empty_polyhedron(d_l: int, d_u: int) -> Polyhedron:
     return Polyhedron(np.zeros((0, d_l)), np.zeros((0, d_u)), np.zeros(0))
 
 
-class Problem(Protocol):
-    """What the outer loop and the implicit gradient use of a bilevel
-    problem; ``QuadraticBilevel`` and ``ProblemOracle`` both provide it.
-    ``solve_ll(x, q, tol, start)`` is a certified solve of the lower level
-    perturbed by q at x, with ||y* - y_hat|| <= tol where the solve is
-    inexact; ``start`` names constraint rows the solve may start from, such
-    as the active set of the previous solve, and does not change the result
-    beyond round-off.
-    ``hess_yy_diag`` is the diagonal of a constant diagonal ``hess_yy_g``
-    of a quadratic lower level, whose ``jac_xy_g`` is then constant too, or
-    None when the Hessian is a general matrix."""
-
-    constraints: Polyhedron
-    n_components: int
-    hess_yy_diag: Optional[np.ndarray]
-
-    @property
-    def d_u(self) -> int: ...
-    @property
-    def d_l(self) -> int: ...
-    def solve_ll(self, x: np.ndarray, q, tol: float,
-                 start=()) -> "lower_level.LLSolution": ...
-    def grad_f(self, x: np.ndarray, y: np.ndarray) -> tuple: ...
-    def sampled_grad_f(self, x: np.ndarray, y: np.ndarray, xi: int) -> tuple: ...
-    def hess_yy_g(self, x: np.ndarray, y: np.ndarray) -> np.ndarray: ...
-    def jac_xy_g(self, x: np.ndarray, y: np.ndarray) -> np.ndarray: ...
-
-
 @dataclass(frozen=True)
 class QuadraticBilevel:
     """Concrete quadratic instance; immutable, every array read-only.
@@ -176,10 +147,11 @@ class QuadraticBilevel:
         """``fingerprint(self)``, computed once: the instance cannot change."""
         return fingerprint(self)
 
-    def solve_ll(self, x: np.ndarray, q, tol: float,
-                 start=()) -> "lower_level.LLSolution":
-        """Exact active-set solve from the rows in ``start``; ``tol`` is
-        unused (KKT is certified to 1e-10)."""
+    def solve_ll(self, x: np.ndarray, q, start=()) -> "lower_level.LLSolution":
+        """Certified solve of the lower level perturbed by q at x (KKT
+        residual <= 1e-10), started from the rows in ``start``, such as the
+        active set of the previous solve; the start does not change the
+        result beyond round-off."""
         return lower_level.solve_ll_quadratic(self, x, q, start)
 
     # -- upper level -------------------------------------------------------
@@ -242,58 +214,6 @@ class QuadraticBilevel:
             )
 
 
-@dataclass(frozen=True)
-class ProblemOracle:
-    """Callback view of a bilevel problem with a non-quadratic lower level.
-
-    ``hess_yy_g`` must be symmetric positive definite with smallest
-    eigenvalue >= mu_g wherever it is queried; the projected-gradient solver
-    checks this at its starting point and raises ``NotSPD`` otherwise.
-    """
-
-    grad_f: Callable[[np.ndarray, np.ndarray], tuple]
-    grad_y_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    hess_yy_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jac_xy_g: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    constraints: Polyhedron
-    mu_g: float
-    lip_grad_y: float
-    sampled_grad_f: Optional[Callable[[np.ndarray, np.ndarray, int], tuple]] = None
-    n_components: int = 1
-
-    @property
-    def d_u(self) -> int:
-        return self.constraints.d_u
-
-    @property
-    def d_l(self) -> int:
-        return self.constraints.d_l
-
-    hess_yy_diag: ClassVar[None] = None  # hess_yy_g is a general matrix
-
-    def solve_ll(self, x: np.ndarray, q, tol: float,
-                 start=()) -> "lower_level.LLSolution":
-        """Projected-gradient solve certified to ||y* - y_hat|| <= tol;
-        ``start`` is unused (the projections chain their own)."""
-        return lower_level.solve_ll_oracle(self, x, q, tol)
-
-
-def oracle_from_quadratic(inst: QuadraticBilevel) -> ProblemOracle:
-    """Wrap a quadratic instance behind the callback interface (test plumbing
-    for the inexact lower-level path)."""
-    return ProblemOracle(
-        grad_f=inst.grad_f,
-        grad_y_g=inst.grad_y_g,
-        hess_yy_g=inst.hess_yy_g,
-        jac_xy_g=inst.jac_xy_g,
-        constraints=inst.constraints,
-        mu_g=inst.mu_g,
-        lip_grad_y=inst.lip_grad_y,
-        sampled_grad_f=inst.sampled_grad_f,
-        n_components=inst.n_components,
-    )
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -328,7 +248,7 @@ def grad_f_rows(inst: QuadraticBilevel, X: np.ndarray, Y: np.ndarray) -> tuple:
     return gx, gy
 
 
-def sample_component(problem: Problem, rng: np.random.Generator) -> int:
+def sample_component(problem: QuadraticBilevel, rng: np.random.Generator) -> int:
     """Uniform component index; the finite-sum mean of per-component
     gradients equals the full-batch gradient exactly."""
     return int(rng.integers(problem.n_components))

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,16 @@ class TestRunDsblo:
         with pytest.raises(ValueError):
             run_dsblo(inst, DsbloParams(T=10, mode=self.PARAMS.mode, option="bogus"))
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        inst = shared_min_instance()
+        params = DsbloParams(T=10, mode=self.PARAMS.mode, option="sampled",
+                             batch_size=batch_size)
+        with pytest.raises(ValueError, match="batch_size"):
+            schedule(params)
+        with pytest.raises(ValueError, match="batch_size"):
+            run_dsblo(inst, params)
+
     def test_progress_and_cancel(self):
         inst = generate_instance(4, 4, 2, seed=6)
         seen = []
@@ -265,19 +276,6 @@ class TestRunDsblo:
             run_dsblo(inst, params, eval_every=0)
         assert len(draws) == 5
 
-    def test_runs_on_callback_oracle(self):
-        # inexact lower-level route end to end (certified solves per step)
-        from dsblo.problem import oracle_from_quadratic
-        inst = generate_instance(4, 4, 2, seed=12)
-        oracle = oracle_from_quadratic(inst)
-        params = DsbloParams(
-            T=25, mode=ManualMode(beta=0.9, gamma1=5.0, gamma2=20.0, K=5, delta_y=1e-8),
-            seed=12,
-        )
-        log_oracle = run_dsblo(oracle, params, eval_every=0)
-        log_exact = run_dsblo(inst, params, eval_every=0)
-        assert np.linalg.norm(log_oracle.records[-1].x - log_exact.records[-1].x) <= 1e-5
-
     def test_library_run_computes_no_fingerprint(self, monkeypatch):
         # provenance belongs to run_experiment; the solver never hashes
         import dsblo.problem as problem_mod
@@ -293,27 +291,32 @@ class TestRunDsblo:
         assert calls == []
 
     def test_theory_schedule_sets_ll_tolerance(self):
-        # every lower-level solve of a dsblo run is made to the schedule's delta_y
+        # the theory schedule resolves the lower-level accuracy delta_y; every
+        # solve of a run is exact and certified well inside it, and the run's
+        # params (the runlog's "params") record it
         inst = generate_instance(4, 4, 2, seed=11)
-        tols = []
+        certs = []
 
         class Recording:
             def __getattr__(self, name):
                 return getattr(inst, name)
 
-            def solve_ll(self, x, q, tol, start=()):
-                tols.append(tol)
-                return inst.solve_ll(x, q, tol, start)
+            def solve_ll(self, x, q, start=()):
+                sol = inst.solve_ll(x, q, start)
+                certs.append(sol.delta_cert)
+                return sol
 
         params = DsbloParams(T=10**9, mode=TheoryMode(epsilon=1.0, delta_bar=0.5,
                                                       delta_v=0.0, l_f_bar=5.0), seed=11)
-        delta_y = schedule(params).delta_y
-        assert delta_y == pytest.approx(1.0 / 12_800.0)
-        seen = []
-        log = run_dsblo(Recording(), params, eval_every=0, progress=seen.append,
-                        cancel=lambda: len(seen) >= 4)
-        assert log.truncated and len(log.records) == 4
-        assert len(tols) == 4 and all(t == delta_y for t in tols)
+        sched = schedule(params)
+        assert sched.delta_y == pytest.approx(1.0 / 12_800.0)
+        for mode in (params.mode, sched):
+            seen, certs[:] = [], []
+            log = run_dsblo(Recording(), replace(params, mode=mode), eval_every=0,
+                            progress=seen.append, cancel=lambda: len(seen) >= 4)
+            assert log.truncated and len(log.records) == 4 and log.schedule == sched
+            assert len(certs) == 4 and all(c <= ll.KKT_TOL < sched.delta_y for c in certs)
+        assert log.params["mode"]["delta_y"] == sched.delta_y
 
     def test_timings_split(self):
         inst = generate_instance(4, 4, 2, seed=9)
@@ -329,24 +332,20 @@ class TestRunDsblo:
             assert t["total_s"] == pytest.approx(parts, abs=1e-6)
 
     def test_invariants_survive_optimize_flag(self):
-        # under python -O a Hessian below mu_g, an oversized step and a NaN
-        # point among the exact-F rows must still raise their typed errors
+        # under python -O a nonpositive Hessian diagonal, an oversized step and
+        # a NaN point among the exact-F rows must still raise their typed errors
         script = """
 import sys
 import numpy as np
 import dsblo.algorithm as algo
 from dsblo.diagnostics import eval_F_exact_rows
 from dsblo.errors import NonFinite, NotSPD, WindowViolation
-from dsblo.lower_level import solve_ll_oracle
-from dsblo.problem import ProblemOracle, empty_polyhedron, generate_instance
+from dsblo.lower_level import solve_qp
+from dsblo.problem import generate_instance
 
 print("optimize", sys.flags.optimize)
-weak = ProblemOracle(
-    grad_f=lambda x, y: (np.zeros(1), np.zeros(2)), grad_y_g=lambda x, y: y,
-    hess_yy_g=lambda x, y: np.eye(2), jac_xy_g=lambda x, y: np.zeros((2, 1)),
-    constraints=empty_polyhedron(2, 1), mu_g=2.0, lip_grad_y=2.0)
 try:
-    solve_ll_oracle(weak, np.zeros(1), None, tol_delta=1e-6)
+    solve_qp(np.array([1.0, 0.0]), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
 except NotSPD:
     print("NotSPD")
 algo.step_size = lambda m, gamma1, gamma2: 2.0 / (gamma1 * np.linalg.norm(m))
@@ -383,8 +382,8 @@ class TestWarmStartedSolves:
             def __getattr__(self, name):
                 return getattr(inst, name)
 
-            def solve_ll(self, x, q, tol, start=()):
-                sol = inst.solve_ll(x, q, tol, start if use_start else ())
+            def solve_ll(self, x, q, start=()):
+                sol = inst.solve_ll(x, q, start if use_start else ())
                 calls.append((tuple(start), sol))
                 return sol
 
@@ -503,13 +502,13 @@ class TestIgdBaseline:
     def test_matches_reference_loop(self, seed1_instance):
         # igd is x_{t+1} = x_t - step g_t with every q drawn from stream 0
         inst, step, seed = seed1_instance, 0.05, 3
-        log = run_igd_baseline(inst, step=step, T=50, ll_tol=1e-7, seed=seed, eval_every=1)
+        log = run_igd_baseline(inst, step=step, T=50, seed=seed, eval_every=1)
         q_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[0])
         x = np.zeros(inst.d_u)
         assert len(log.records) == 50
         for t, rec in enumerate(log.records, start=1):
             q = sample_perturbation(1e-3, q_rng, inst.d_l)
-            g = implicit_gradient(inst, x, inst.solve_ll(x, q, 1e-7)).grad
+            g = implicit_gradient(inst, x, inst.solve_ll(x, q)).grad
             assert rec.t == t and rec.eta == step and rec.q_norm == q.norm
             assert np.array_equal(rec.x, x) and np.array_equal(rec.x_bar, x)
             assert np.array_equal(rec.grad, g) and rec.m_norm == float(np.linalg.norm(g))

@@ -92,7 +92,7 @@ class TestConfig:
         (lambda doc: doc.update(seeds=3), "seeds must be a nonempty list"),
         (lambda doc: doc["instance"].update(k=-1), "k must be an integer >= 0"),
         (lambda doc: doc["algorithms"][0].update(mode="manual"), "unknown dsblo mode"),
-        (lambda doc: doc["algorithms"][0].update(ll_tol=1e-6), "ll_tol is an igd setting"),
+        (lambda doc: doc["algorithms"][0].update(ll_tol=1e-6), "ll_tol was removed"),
         (lambda doc: doc["algorithms"][0].update(epsilon=1.0),
          "epsilon is a theory-mode target"),
         (lambda doc: doc["algorithms"][0].update(delta_bar=0.01),
@@ -120,8 +120,9 @@ class TestConfig:
         (lambda doc: doc["algorithms"][1].update(label=""), "label must be a plain file name"),
         (lambda doc: doc["algorithms"][1].update(label=".."), "label must be a plain file name"),
         (lambda doc: doc["algorithms"][1].update(step=-0.1), "step must be a number >= 0"),
-        (lambda doc: doc["algorithms"][1].update(ll_tol=0), "ll_tol must be a number > 0"),
-        (lambda doc: doc["algorithms"][1].update(ll_tol=-1), "ll_tol must be a number > 0"),
+        (lambda doc: doc["algorithms"][1].update(ll_tol=0), "ll_tol was removed"),
+        (lambda doc: doc["algorithms"][1].update(ll_tol=-1), "ll_tol was removed"),
+        (lambda doc: doc["algorithms"][1].update(ll_tol=1e-8), "ll_tol was removed"),
     ], ids=["dsblo-without-beta", "eval-every-string", "seeds-string", "seeds-int",
             "instance-k-negative", "mode-string", "dsblo-ll-tol", "manual-epsilon",
             "manual-delta-bar", "instance-path-int",
@@ -129,7 +130,8 @@ class TestConfig:
             "option-unknown", "dsblo-radius-zero", "igd-radius-zero", "beta-out-of-range",
             "t-not-beyond-k", "seeds-repeated", "label-escapes-output-dir",
             "label-with-slash", "label-int", "label-null", "label-empty", "label-dot-dot",
-            "igd-step-negative", "igd-ll-tol-zero", "igd-ll-tol-negative"])
+            "igd-step-negative", "igd-ll-tol-zero", "igd-ll-tol-negative",
+            "igd-ll-tol-positive"])
     def test_rejected_at_load(self, tmp_path, capsys, edit, match):
         doc = tiny_config(tmp_path)
         edit(doc)
@@ -404,6 +406,17 @@ class TestCli:
         assert f"outputs in {other}" in capsys.readouterr().out
         assert sorted(p.name for p in other.glob("*.csv")) == ["dsblo.csv", "igd.csv"]
         assert json.loads((other / "summary.json").read_text())["output_dir"] == str(other)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "two"])
+    def test_run_progress_must_be_a_count(self, tmp_path, capsys, value):
+        # the config key progress_every takes an integer >= 0; so does --progress
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(tmp_path)))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path), "--progress", value])
+        assert exc.value.code == 2
+        assert "--progress: must be an integer >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_run_bad_config(self, tmp_path, capsys):

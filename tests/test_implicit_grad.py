@@ -4,12 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dsblo.diagnostics import fd_gradient_oracle
-from dsblo.errors import DegenerateActiveSet, Infeasible, NotSPD
+from dsblo.errors import DegenerateActiveSet, Infeasible
 from dsblo.implicit_grad import _adjoint, implicit_gradient, jacobians, sampled_implicit_gradient
-from dsblo.lower_level import (sample_perturbation, solve_ll_oracle, solve_ll_quadratic,
-                               solve_qp_batch)
-from dsblo.problem import (Polyhedron, ProblemOracle, eval_f, generate_instance, grad_f_rows,
-                           oracle_from_quadratic)
+from dsblo.lower_level import sample_perturbation, solve_ll_quadratic, solve_qp_batch
+from dsblo.problem import Polyhedron, eval_f, generate_instance, grad_f_rows
 from dsblo.verify import degenerate_instance, margin_point
 
 from conftest import make_1d_instance
@@ -57,32 +55,23 @@ class TestJacobiansHandChecked:
 
 
 class TestImplicitGradientHandChecked:
-    def _oracle_f_is_y_sq(self, inst):
-        # upper objective ||y||^2 only, lower level from the instance
-        return ProblemOracle(
-            grad_f=lambda x, y: (np.zeros(1), 2.0 * y),
-            grad_y_g=inst.grad_y_g,
-            hess_yy_g=inst.hess_yy_g,
-            jac_xy_g=inst.jac_xy_g,
-            constraints=inst.constraints,
-            mu_g=2.0,
-            lip_grad_y=2.0,
-        )
+    # f = x^2 + y^2 over g = (y - x)^2 with y <= 0
 
     def test_flat_branch(self):
         inst = _constrained_1d()
         x = np.array([1.0])
         sol = solve_ll_quadratic(inst, x, None)
-        g = implicit_gradient(self._oracle_f_is_y_sq(inst), x, sol)
-        assert g.grad == pytest.approx(np.array([0.0]), abs=1e-12)
+        g = implicit_gradient(inst, x, sol)
+        # y*(x) = 0, so F(x) = x^2 on this branch
+        assert g.grad == pytest.approx(np.array([2.0]), abs=1e-12)
 
     def test_sloped_branch(self):
         inst = _constrained_1d()
         x = np.array([-1.0])
         sol = solve_ll_quadratic(inst, x, None)
-        g = implicit_gradient(self._oracle_f_is_y_sq(inst), x, sol)
-        # F(x) = x^2 on this branch
-        assert g.grad == pytest.approx(np.array([-2.0]), abs=1e-12)
+        g = implicit_gradient(inst, x, sol)
+        # y*(x) = x, so F(x) = 2x^2 on this branch
+        assert g.grad == pytest.approx(np.array([-4.0]), abs=1e-12)
 
 
 class TestFiniteDifferenceAgreement:
@@ -128,11 +117,10 @@ class TestAdjointMatchesReference:
         found = _active_margin_point(inst, np.random.default_rng(seed))
         assume(found is not None)
         x, _q, sol = found
-        for problem in (inst, oracle_from_quadratic(inst)):
-            gx, gy = problem.grad_f(x, sol.y_hat)
-            ref = gx + jacobians(problem, x, sol)[0].T @ gy
-            g = implicit_gradient(problem, x, sol).grad
-            assert np.linalg.norm(g - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-9)
+        gx, gy = inst.grad_f(x, sol.y_hat)
+        ref = gx + jacobians(inst, x, sol)[0].T @ gy
+        g = implicit_gradient(inst, x, sol).grad
+        assert np.linalg.norm(g - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-9)
 
     def test_directional_fd_with_many_active_rows(self):
         # the benchmark-sized instance at a point where at least 20 rows bind
@@ -190,21 +178,6 @@ class TestStructuralInvariants:
         sol2 = solve_ll_quadratic(shuffled, x, q)
         g2 = implicit_gradient(shuffled, x, sol2).grad
         assert np.linalg.norm(g - g2) <= 1e-12 * max(1.0, np.linalg.norm(g))
-
-    def test_bias_monotone_in_ll_tolerance(self):
-        inst = generate_instance(6, 6, 4, seed=13)
-        oracle = oracle_from_quadratic(inst)
-        rng = np.random.default_rng(13)
-        q = sample_perturbation(1e-3, rng, 6)
-        x, sol_exact = margin_point(inst, q, rng)
-        g_exact = implicit_gradient(inst, x, sol_exact).grad
-        errs = []
-        for tol in (1e-2, 1e-4, 1e-6):
-            sol = solve_ll_oracle(oracle, x, q, tol_delta=tol)
-            assert sol.active_set == sol_exact.active_set
-            g = implicit_gradient(oracle, x, sol)
-            errs.append(np.linalg.norm(g.grad - g_exact))
-        assert errs[0] >= errs[1] >= errs[2]
 
 
 class TestSampledGradient:
@@ -273,12 +246,12 @@ class TestAdjointRows:
         assume(len(X) >= 2)
         gx, gy = grad_f_rows(inst, X, Y)
         try:
-            rows = _adjoint(inst, X, Y, Lam, active, gx, gy)
+            rows = _adjoint(inst, Lam, active, gx, gy)
         except DegenerateActiveSet:
             assume(False)
         assert rows.shape == X.shape
         for i in range(len(X)):
-            one = _adjoint(inst, X[i], Y[i], Lam[i], active, gx[i], gy[i])
+            one = _adjoint(inst, Lam[i], active, gx[i], gy[i])
             assert np.allclose(rows[i], one, rtol=1e-12, atol=1e-12 * np.abs(one).max())
 
     def test_one_row_is_implicit_gradient(self, seed1_instance):
@@ -287,7 +260,7 @@ class TestAdjointRows:
         found = _active_margin_point(inst, rng)
         x, _q, sol = found
         gx, gy = inst.grad_f(x, sol.y_hat)
-        g = _adjoint(inst, x, sol.y_hat, sol.lam, sol.active_set, gx, gy, sol.rank_smin)
+        g = _adjoint(inst, sol.lam, sol.active_set, gx, gy, sol.rank_smin)
         assert np.array_equal(g, implicit_gradient(inst, x, sol).grad)
 
     def test_zero_margin_row_rejected(self):
@@ -298,21 +271,13 @@ class TestAdjointRows:
         X, Y, Lam, active = _rows_on_one_active_set(inst, rng.standard_normal(50), 6, rng)
         assert len(X) >= 3 and active
         gx, gy = grad_f_rows(inst, X, Y)
-        _adjoint(inst, X, Y, Lam, active, gx, gy)
+        _adjoint(inst, Lam, active, gx, gy)
         Lam = Lam.copy()
         Lam[2, active[-1]] = 0.0
         with pytest.raises(DegenerateActiveSet, match="strict complementarity"):
-            _adjoint(inst, X, Y, Lam, active, gx, gy)
+            _adjoint(inst, Lam, active, gx, gy)
         with pytest.raises(DegenerateActiveSet):
-            _adjoint(inst, X[2], Y[2], Lam[2], active, gx[2], gy[2])
-
-    def test_rows_need_a_constant_diagonal_hessian(self):
-        inst = generate_instance(4, 4, 2, seed=1)
-        oracle = oracle_from_quadratic(inst)
-        X, Y = np.zeros((2, 4)), np.zeros((2, 4))
-        gx, gy = grad_f_rows(inst, X, Y)
-        with pytest.raises(ValueError, match="constant diagonal"):
-            _adjoint(oracle, X, Y, np.zeros((2, 2)), (), gx, gy)
+            _adjoint(inst, Lam[2], active, gx[2], gy[2])
 
 
 class TestErrors:
@@ -324,21 +289,3 @@ class TestErrors:
             jacobians(inst, np.zeros(2), sol)
         with pytest.raises(DegenerateActiveSet):
             implicit_gradient(inst, np.zeros(2), sol)
-
-    def test_not_spd(self):
-        inst = _constrained_1d()
-        sol = solve_ll_quadratic(inst, np.array([1.0]), None)
-        bad = ProblemOracle(
-            grad_f=lambda x, y: (np.zeros(1), np.zeros(1)),
-            grad_y_g=inst.grad_y_g,
-            hess_yy_g=lambda x, y: -np.eye(1),
-            jac_xy_g=inst.jac_xy_g,
-            constraints=inst.constraints,
-            mu_g=2.0,
-            lip_grad_y=2.0,
-        )
-        # sol comes from a quadratic solve; the Hessian checked is the oracle's
-        with pytest.raises(NotSPD):
-            jacobians(bad, np.array([1.0]), sol)
-        with pytest.raises(NotSPD):
-            implicit_gradient(bad, np.array([1.0]), sol)
