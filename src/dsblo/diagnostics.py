@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import WindowIncomplete, WindowViolation
+from .errors import NonFinite, WindowIncomplete, WindowViolation
 from .implicit_grad import _adjoint
 from .lower_level import TAU_ACT, _ball_draw, solve_ll_quadratic, solve_qp_batch
 from .problem import QuadraticBilevel, eval_f, eval_f_rows, grad_f_rows
@@ -53,9 +53,12 @@ def eval_F_exact_rows(inst: QuadraticBilevel, xs, starts) -> np.ndarray:
     F = np.empty(len(xs))
     for lo in range(0, len(xs), F_BLOCK):
         X = np.array(xs[lo:lo + F_BLOCK], dtype=float)
-        C = _mv(inst.Q2.T, X) + 0.0  # solve_ll_quadratic adds a zero q
-        Y = -(C / inst.hess_yy_diag)
-        slack = (poly.b - _mv(poly.B, X)) - _mv(poly.A, Y)
+        try:  # as in solve_qp: only an infinite point warns here
+            C = _mv(inst.Q2.T, X) + 0.0  # solve_ll_quadratic adds a zero q
+            Y = -(C / inst.hess_yy_diag)
+            slack = (poly.b - _mv(poly.B, X)) - _mv(poly.A, Y)
+        except RuntimeWarning as exc:
+            raise NonFinite(f"non-finite point: {exc}") from exc
         fast = np.isfinite(Y).all(axis=1) & (slack > TAU_ACT).all(axis=1)
         Xf, Yf = X[fast], Y[fast]
         base = _dots(Xf, Xf) + 0.1 * _dots(Xf, _mv(inst.Q1, Yf)) + _dots(Yf, Yf)

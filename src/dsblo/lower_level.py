@@ -14,7 +14,6 @@ Two routes are provided:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -248,15 +247,13 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     k = A.shape[0]
     Hic = c / H
     y = -Hic
-    slack = u - A @ y if k else np.zeros(0)
-    if not len(start) and (k == 0 or slack.min() > TAU_ACT):
-        if math.isfinite(y @ y):
-            residual = H * y + c
-        else:  # an infinite c makes this inf - inf; _certified raises NonFinite
-            with np.errstate(invalid="ignore"):
-                residual = H * y + c
-        return _certified(y, np.zeros(k), (), residual, slack, mu,
-                          {"pivots": 0, "repairs": 0}, float("inf"))
+    try:  # only an infinite c warns here, and only warnings-as-errors raise
+        slack = u - A @ y if k else np.zeros(0)
+        if not len(start) and (k == 0 or slack.min() > TAU_ACT):
+            return _certified(y, np.zeros(k), (), H * y + c, slack, mu,
+                              {"pivots": 0, "repairs": 0}, float("inf"))
+    except RuntimeWarning as exc:
+        raise NonFinite(f"non-finite input: {exc}") from exc
 
     hinv = diagonal_solver(H)
     max_pivots = 100 + 50 * (k + d)
@@ -415,8 +412,12 @@ def solve_ll_quadratic(inst: QuadraticBilevel, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     poly = inst.constraints
     qv = _qvec(q, inst.d_l)
-    c = inst.Q2.T @ x + qv
-    return solve_qp(inst.hess_yy_diag, c, poly.A, poly.rhs(x), start)
+    try:  # as in solve_qp: only an infinite x or q warns here
+        c = inst.Q2.T @ x + qv
+        u = poly.rhs(x)
+    except RuntimeWarning as exc:
+        raise NonFinite(f"non-finite input: {exc}") from exc
+    return solve_qp(inst.hess_yy_diag, c, poly.A, u, start)
 
 
 # ---------------------------------------------------------------------------

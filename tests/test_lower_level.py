@@ -403,13 +403,14 @@ class TestNonFinite:
 
     def test_nonfinite_under_warnings_as_errors(self):
         # with warnings raised as errors an infinite input must still surface
-        # as NonFinite, not as a RuntimeWarning from the arithmetic before it
+        # as NonFinite, not as a RuntimeWarning from the arithmetic before it;
+        # the box rows' zero entries meet the infinity in products
         script = """
 from dataclasses import replace
 import numpy as np
 from dsblo.diagnostics import eval_F_exact_rows
 from dsblo.errors import NonFinite
-from dsblo.lower_level import solve_qp
+from dsblo.lower_level import solve_ll_quadratic, solve_qp
 from dsblo.problem import empty_polyhedron, generate_instance
 
 def expect_nonfinite(fn, *args):
@@ -418,17 +419,22 @@ def expect_nonfinite(fn, *args):
     except NonFinite:
         print("NonFinite")
 
-expect_nonfinite(solve_qp, np.ones(2), np.array([np.inf, 0.0]), np.zeros((0, 2)), np.zeros(0))
-inst = replace(generate_instance(4, 4, 3, seed=1), constraints=empty_polyhedron(4, 4))
+inf_c = np.array([np.inf, 0.0])
+expect_nonfinite(solve_qp, np.ones(2), inf_c, np.zeros((0, 2)), np.zeros(0))
+expect_nonfinite(solve_qp, np.ones(2), inf_c, np.eye(2), np.ones(2))
+boxed = generate_instance(4, 4, 3, seed=1)
 X = np.zeros((3, 4))
 X[1, 2] = np.inf
-expect_nonfinite(eval_F_exact_rows, inst, X, [(), (), ()])
+for inst in (replace(boxed, constraints=empty_polyhedron(4, 4)), boxed):
+    expect_nonfinite(eval_F_exact_rows, inst, X, [(), (), ()])
+expect_nonfinite(solve_ll_quadratic, boxed, X[1], None)
+expect_nonfinite(solve_ll_quadratic, boxed, X[0], X[1])
 """
         src = str(Path(ll.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True,
                              text=True, timeout=120, env={"PYTHONPATH": src})
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["NonFinite", "NonFinite"]
+        assert out.stdout.split() == ["NonFinite"] * 6
 
     def test_nan_hessian(self):
         with pytest.raises(NonFinite):
