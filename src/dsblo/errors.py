@@ -21,7 +21,8 @@ class DegenerateActiveSet(DsbloError):
 class NonFinite(DsbloError):
     """A lower-level solve's KKT residual or constraint violation came out
     NaN or infinite, so no returned point could be certified; typically a
-    NaN or infinite entry in x, q or the instance."""
+    NaN or infinite entry in x, q or the instance. With warnings raised as
+    errors, the numpy warning such an entry causes becomes this error."""
 
 
 class NotSPD(DsbloError):
