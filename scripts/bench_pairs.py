@@ -8,9 +8,12 @@ workload in ``BENCHMARK.json``, each of ``PAIRS`` pairs runs
 ``perfbench/run.py --trace 0`` once per commit for the benchmark's
 ``run_seconds``, the order swapping from pair to pair (parent first, then
 change first), so that slow drift of the host's speed falls on both sides
-alike. After the pairs, one ``--trace 1`` run per commit records the
-per-layer figures. The file holds every run's last-line JSON, per-metric
-medians and quartiles, and how many pairs the change won.
+alike. After the pairs, ``TRACE_RUNS`` rounds of ``--trace 1`` runs of
+``TRACE_SECONDS`` record the per-layer figures, one run per commit and
+round, alternated in the same way. The file holds every run's last-line
+JSON, per-metric medians and quartiles of the pairs and how many of them
+the change won, and per side the median of each per-layer metric over the
+traced runs.
 
 Usage:
     python scripts/bench_pairs.py PARENT_REV CHANGE_REV BENCH_N.json
@@ -33,6 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
 SEED = 2
 TRACE_SECONDS = 10
+TRACE_RUNS = 3
 
 
 def export(rev: str, dest: Path) -> str:
@@ -80,6 +84,21 @@ def summarize(pairs: list, better: dict) -> dict:
     return out
 
 
+def trace_medians(traced: dict) -> dict:
+    """Per metric of the traced runs, each side's median over its runs."""
+    names = traced["parent"][0]["metrics"]
+    return {name: {side: float(np.median([run["metrics"][name]["value"] for run in runs]))
+                   for side, runs in traced.items()}
+            for name in names}
+
+
+def alternating(rounds: int):
+    """The order of the two sides in each of ``rounds`` rounds, parent first
+    in the even ones."""
+    for i in range(rounds):
+        yield i, ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="the commit to compare against")
@@ -98,6 +117,7 @@ def main() -> int:
             "seed": SEED,
             "seconds": seconds,
             "trace_seconds": TRACE_SECONDS,
+            "trace_runs": TRACE_RUNS,
             "parent": {"commit": commits["parent"]},
             "change": {"commit": commits["change"]},
             "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
@@ -107,18 +127,19 @@ def main() -> int:
         }
         for wl in (w["name"] for w in bench["workloads"]):
             pairs = []
-            for i in range(PAIRS):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for i, order in alternating(PAIRS):
                 pair = {}
                 for side in order:
                     pair[side] = run_once(sides[side], wl, SEED, seconds, 0)
                     print(f"{wl} pair {i + 1} {side}: correct={pair[side]['correct']} "
                           f"run_s={pair[side]['metrics']['run_s']['value']:.4f}", flush=True)
                 pairs.append({"parent": pair["parent"], "change": pair["change"]})
-            traced = {side: run_once(sides[side], wl, SEED, TRACE_SECONDS, 1)
-                      for side in ("parent", "change")}
+            traced = {"parent": [], "change": []}
+            for _, order in alternating(TRACE_RUNS):
+                for side in order:
+                    traced[side].append(run_once(sides[side], wl, SEED, TRACE_SECONDS, 1))
             doc["workloads"][wl] = {"pairs": pairs, "summary": summarize(pairs, better),
-                                    "trace": traced}
+                                    "trace": {"runs": traced, "median": trace_medians(traced)}}
             args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

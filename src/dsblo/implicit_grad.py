@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DegenerateActiveSet
-from .lower_level import LLSolution, RANK_TOL, check_rank, diagonal_solver, equality_solve
+from .lower_level import LLSolution, RANK_TOL, diagonal_solver, equality_solve
 from .problem import QuadraticBilevel
 
 
@@ -44,7 +44,7 @@ def _active_rows(inst: QuadraticBilevel, active: tuple, lam: np.ndarray, smin: O
     """(Abar, Bbar) of a nonempty active set, after checking strict
     complementarity on every row of multipliers in ``lam`` and the rank of
     the active rows (reusing the solver's rank check ``smin`` where it made
-    one)."""
+    one, and the instance's ``active_set_cache`` otherwise)."""
     active = list(active)
     margin = float(np.min(lam[..., active]))
     if not margin > 0.0:
@@ -53,7 +53,7 @@ def _active_rows(inst: QuadraticBilevel, active: tuple, lam: np.ndarray, smin: O
         )
     poly = inst.constraints
     Abar = poly.A[active]
-    smin = check_rank(Abar) if smin is None else smin
+    smin = inst.active_set_cache.check_rank(tuple(active)) if smin is None else smin
     if smin < RANK_TOL:
         raise DegenerateActiveSet(
             f"active rows nearly rank deficient (smallest singular value {smin:.2e})"
@@ -67,7 +67,8 @@ def _adjoint(inst: QuadraticBilevel, lam, active: tuple, gx, gy,
     at a lower-level solution with multipliers lam and active rows
     ``active`` (smallest singular value ``smin`` where the solver checked
     it). H is the constant diagonal ``hess_yy_diag`` and M the constant Q2',
-    so the solution itself is not needed.
+    so the solution itself is not needed, and S comes from the instance's
+    ``active_set_cache``.
 
     For n draws that share the active set, lam, gx and gy hold one row per
     draw and the result one gradient row per draw, all from one solve.
@@ -80,7 +81,8 @@ def _adjoint(inst: QuadraticBilevel, lam, active: tuple, gx, gy,
         return gx - (M.T @ hsolve(gy)).T
     Abar, Bbar = _active_rows(inst, active, np.asarray(lam), smin)
     try:
-        _, w, v = equality_solve(hsolve, hsolve(gy), Abar, 0.0)
+        _, w, v = equality_solve(hsolve, hsolve(gy), Abar, 0.0,
+                                 inst.active_set_cache.reduced(tuple(active)))
     except np.linalg.LinAlgError as exc:
         raise DegenerateActiveSet("singular reduced KKT system") from exc
     return gx + (M.T @ v).T + (Bbar.T @ w).T

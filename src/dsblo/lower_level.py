@@ -65,7 +65,10 @@ def _ball_draw(radius: float, rng: np.random.Generator, d_l: int) -> np.ndarray:
         v = rng.standard_normal(d)
         n = np.linalg.norm(v)
     scale = radius * rng.random() ** (1.0 / d)
-    return v * (scale / n)
+    try:  # only warnings-as-errors raise, for a radius near the float limit
+        return v * (scale / n)
+    except RuntimeWarning as exc:
+        raise NonFinite(f"perturbation draw overflowed: {exc}") from exc
 
 
 def sample_perturbation(radius: float, rng: np.random.Generator, d_l: int) -> Perturbation:
@@ -115,23 +118,6 @@ def _tight_rows(slacks: np.ndarray) -> tuple:
     return tuple(int(i) for i in np.flatnonzero(slacks <= TAU_ACT))
 
 
-def check_rank(A_act: np.ndarray) -> float:
-    """Smallest singular value of the active rows (+inf when there are none);
-    raises ``DegenerateActiveSet`` when they are nearly dependent."""
-    if A_act.shape[0] == 0:
-        return float("inf")
-    if A_act.shape[0] > A_act.shape[1]:
-        raise DegenerateActiveSet(
-            f"{A_act.shape[0]} active rows in dimension {A_act.shape[1]}"
-        )
-    smin = np.linalg.svd(A_act, compute_uv=False)[-1]
-    if smin < RANK_TOL:
-        raise DegenerateActiveSet(
-            f"active rows nearly rank deficient (smallest singular value {smin:.2e})"
-        )
-    return float(smin)
-
-
 def _certified(y: np.ndarray, lam: np.ndarray, active: tuple, residual: np.ndarray,
                slack: np.ndarray, mu: float, stats: dict, smin: float) -> LLSolution:
     """The frozen ``solve_qp`` result at y with multipliers lam, certified by
@@ -158,40 +144,122 @@ def diagonal_solver(H: np.ndarray):
     return lambda Z: Z / H if Z.ndim == 1 else Z / H[:, None]
 
 
-def equality_solve(hinv, Hic: np.ndarray, Aw: np.ndarray, uw) -> tuple:
+def equality_solve(hinv, Hic: np.ndarray, Aw: np.ndarray, uw, S=None) -> tuple:
     """(S, lam, y) of the equality KKT system H y + c + Aw' lam = 0,
     Aw y = uw, from ``hinv`` (Z -> H^-1 Z) and Hic = H^-1 c by one solve with
     the reduced matrix S = Aw H^-1 Aw', one column of lam and y per column of
     ``Hic`` when it is a matrix; raises ``np.linalg.LinAlgError`` when S is
-    singular. The active-set solver and the adjoint gradient share it."""
+    singular. ``S`` is formed here unless the caller passes it
+    (``ActiveSetCache.reduced``). The active-set solver and the adjoint
+    gradient share it."""
     HiA = hinv(Aw.T)
-    S = Aw @ HiA
+    if S is None:
+        S = Aw @ HiA
     lam = np.linalg.solve(S, -(uw + (Aw @ Hic).T).T)
     return S, lam, -(Hic + HiA @ lam)
 
 
-def _start_solve(hinv, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
+# Most row tuples an ActiveSetCache holds; a full cache is emptied before
+# the next tuple goes in. At 64 tuples of 100 rows that is 5 MB of S.
+ACTIVE_SET_CACHE_SIZE = 64
+
+
+class ActiveSetCache:
+    """What a solve needs of a tuple of rows of A that depends on the rows
+    alone, for one positive Hessian diagonal H and one constraint matrix A,
+    computed once per tuple: the reduced matrix S = A_W H^-1 A_W' with its
+    rows in the tuple's order, the smallest singular value of the rows, and
+    whether they are a usable start. A tuple asked for again gets the same
+    bits, so a solve gives the same result whatever the cache held before.
+
+    ``QuadraticBilevel.active_set_cache`` keeps one per instance, since H and
+    A never change; ``solve_qp`` and ``solve_qp_batch`` on bare arrays use
+    one per call. It holds at most ``ACTIVE_SET_CACHE_SIZE`` tuples."""
+
+    def __init__(self, H: np.ndarray, A: np.ndarray):
+        self.H = H
+        self.A = A
+        self._rows: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def _entry(self, rows: tuple) -> dict:
+        entry = self._rows.get(rows)
+        if entry is None:
+            if len(self._rows) >= ACTIVE_SET_CACHE_SIZE:
+                self._rows.clear()
+            entry = self._rows[rows] = {}
+        return entry
+
+    def reduced(self, rows: tuple) -> np.ndarray:
+        """S = A_W H^-1 A_W' for the rows W in ``rows``, in that order, as
+        ``equality_solve`` forms it (read-only)."""
+        entry = self._entry(rows)
+        S = entry.get("S")
+        if S is None:
+            Aw = self.A[list(rows)]
+            S = entry["S"] = Aw @ (Aw.T / self.H[:, None])  # diagonal_solver's H^-1
+            S.flags.writeable = False
+        return S
+
+    def check_rank(self, rows: tuple) -> float:
+        """Smallest singular value of the rows in ``rows`` (+inf when there
+        are none); raises ``DegenerateActiveSet``, on every call, when they
+        are more than the dimension or nearly dependent."""
+        if not rows:
+            return float("inf")
+        if len(rows) > self.A.shape[1]:
+            raise DegenerateActiveSet(f"{len(rows)} active rows in dimension {self.A.shape[1]}")
+        entry = self._entry(rows)
+        smin = entry.get("smin")
+        if smin is None:
+            smin = entry["smin"] = float(np.linalg.svd(self.A[list(rows)], compute_uv=False)[-1])
+        if smin < RANK_TOL:
+            raise DegenerateActiveSet(
+                f"active rows nearly rank deficient (smallest singular value {smin:.2e})"
+            )
+        return smin
+
+    def start_ok(self, rows: tuple) -> bool:
+        """Whether S on ``rows`` passes a Cholesky factorization and no row
+        has less than ``_START_INDEP`` of its H^-1-norm outside the span of
+        the other rows (a squared pivot of the factor is that part)."""
+        entry = self._entry(rows)
+        ok = entry.get("start_ok")
+        if ok is None:
+            S = self.reduced(rows)
+            try:
+                L = np.linalg.cholesky(S)
+            except np.linalg.LinAlgError:
+                ok = False
+            else:
+                ok = not np.any(np.diag(L) ** 2 <= _START_INDEP * np.diag(S))
+            entry["start_ok"] = ok
+        return ok
+
+
+def _start_solve(cache: ActiveSetCache, hinv, Hic: np.ndarray, u: np.ndarray,
                  work: list) -> Optional[tuple]:
     """The multipliers and point of ``equality_solve`` on the sorted rows in
     ``work``, or None when those rows are not a usable start: an index out
-    of range, more rows than the dimension, or an S that fails a Cholesky
-    factorization or is nearly singular. ``u`` is one right-hand side, or
-    one row of them per column of ``Hic``."""
+    of range, more rows than the dimension, or rows that fail
+    ``cache.start_ok``. ``u`` is one right-hand side, or one row of them per
+    column of ``Hic``."""
+    A = cache.A
     if len(work) > A.shape[1] or work[0] < 0 or work[-1] >= A.shape[0]:
         return None
-    try:
-        S, lam_w, y = equality_solve(hinv, Hic, A[work], u[..., work])
-        L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
+    rows = tuple(work)
+    if not cache.start_ok(rows):
         return None
-    # a squared pivot of L is the part of its row's H^-1-norm that the
-    # earlier rows do not span
-    if np.any(np.diag(L) ** 2 <= _START_INDEP * np.diag(S)):
+    try:
+        _, lam_w, y = equality_solve(hinv, Hic, A[work], u[..., work], cache.reduced(rows))
+    except np.linalg.LinAlgError:
         return None
     return lam_w, y
 
 
-def _hot_start(hinv, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
+def _hot_start(cache: ActiveSetCache, hinv, Hic: np.ndarray, u: np.ndarray,
                start) -> Optional[tuple]:
     """Dual-feasible starting point from the rows in ``start``: the equality
     KKT solution on those rows, dropping the row with the most negative
@@ -200,7 +268,7 @@ def _hot_start(hinv, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
     the start is unusable (see ``_start_solve``)."""
     work = sorted({int(i) for i in start})
     while work:
-        solved = _start_solve(hinv, Hic, A, u, work)
+        solved = _start_solve(cache, hinv, Hic, u, work)
         if solved is None:
             return None
         lam_w, y = solved
@@ -211,7 +279,7 @@ def _hot_start(hinv, Hic: np.ndarray, A: np.ndarray, u: np.ndarray,
 
 
 def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
-             start=()) -> LLSolution:
+             start=(), cache: Optional[ActiveSetCache] = None) -> LLSolution:
     """Minimize 0.5 y'diag(H)y + c'y subject to A y <= u, where ``H`` is the
     positive diagonal of the Hessian as a 1-D array.
 
@@ -232,7 +300,12 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     answer (no pivot, no active row, zero multipliers, ``rank_smin`` +inf)
     and the result equals the one the iteration below would return, field
     for field. A NaN or infinite input raises ``NonFinite`` instead of
-    returning an uncertified point.
+    returning an uncertified point; so does, where numpy's warnings are
+    raised as errors, one large enough to overflow the arithmetic.
+
+    ``cache`` is the ``ActiveSetCache`` of this H and A, such as an
+    instance's ``active_set_cache``; by default the call makes its own. It
+    changes no bit of the result.
     """
     H = np.asarray(H, dtype=float)
     if H.ndim != 1:
@@ -243,22 +316,34 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     c = np.asarray(c, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    d = H.shape[0]
     k = A.shape[0]
-    Hic = c / H
-    y = -Hic
-    try:  # only an infinite c warns here, and only warnings-as-errors raise
+    # a NaN or infinite input, or one so large that the arithmetic
+    # overflows, warns somewhere below; only warnings-as-errors raise
+    try:
+        Hic = c / H
+        y = -Hic
         slack = u - A @ y if k else np.zeros(0)
         if not len(start) and (k == 0 or slack.min() > TAU_ACT):
             return _certified(y, np.zeros(k), (), H * y + c, slack, mu,
                               {"pivots": 0, "repairs": 0}, float("inf"))
+        if cache is None:
+            cache = ActiveSetCache(H, A)
+        return _dual_active_set(H, c, A, u, Hic, mu, start, cache)
     except RuntimeWarning as exc:
-        raise NonFinite(f"non-finite input: {exc}") from exc
+        raise NonFinite(f"non-finite arithmetic: {exc}") from exc
 
+
+def _dual_active_set(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
+                     Hic: np.ndarray, mu: float, start, cache: ActiveSetCache) -> LLSolution:
+    """The iteration of ``solve_qp`` from the unconstrained minimum -Hic, or
+    from the rows in ``start``, with mu the smallest entry of H."""
+    d = H.shape[0]
+    k = A.shape[0]
+    y = -Hic
     hinv = diagonal_solver(H)
     max_pivots = 100 + 50 * (k + d)
     bland_after = 8 + 3 * max(k, 1)
-    hot = _hot_start(hinv, Hic, A, u, start) if len(start) else None
+    hot = _hot_start(cache, hinv, Hic, u, start) if len(start) else None
     work, lam_w, y = hot if hot is not None else ([], np.zeros(0), y)
     # y is the equality solve on the working set until a pivot moves it
     polished = True
@@ -275,7 +360,8 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
                 # polish: exact equality solve on the working set
                 if work:
                     try:
-                        _, lam_w, y = equality_solve(hinv, Hic, A[work], u[work])
+                        _, lam_w, y = equality_solve(hinv, Hic, A[work], u[work],
+                                                     cache.reduced(tuple(work)))
                     except np.linalg.LinAlgError as exc:
                         raise DegenerateActiveSet("singular working-set system") from exc
                 else:
@@ -320,7 +406,8 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
             dlam, z = np.zeros(0), -Hia_p
             if work:
                 try:
-                    _, dlam, z = equality_solve(hinv, Hia_p, A[work], 0.0)
+                    _, dlam, z = equality_solve(hinv, Hia_p, A[work], 0.0,
+                                                cache.reduced(tuple(work)))
                 except np.linalg.LinAlgError as exc:
                     raise DegenerateActiveSet("singular working-set system") from exc
             curv = float(z @ (H * z))
@@ -357,17 +444,16 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     lam = np.zeros(k)
     if work:
         lam[work] = np.maximum(lam_w, 0.0)
-    A_act = A[list(active)] if active else np.zeros((0, d))
-    smin = check_rank(A_act)
+    smin = cache.check_rank(active)
     residual = H * y + c
     if active:
-        residual = residual + A_act.T @ lam[list(active)]
+        residual = residual + A[list(active)].T @ lam[list(active)]
     return _certified(y, lam, active, residual, slack, mu,
                       {"pivots": pivots, "repairs": repairs}, smin)
 
 
 def solve_qp_batch(H: np.ndarray, C: np.ndarray, A: np.ndarray, U: np.ndarray,
-                   work) -> tuple:
+                   work, cache: Optional[ActiveSetCache] = None) -> tuple:
     """``solve_qp(H, c, A, u, start=work)`` for every draw, a row c of ``C``
     with its row u of ``U`` (one vector ``U`` serves every draw), where that
     solve makes no pivot and no repair: one equality KKT solve on ``work``
@@ -376,29 +462,38 @@ def solve_qp_batch(H: np.ndarray, C: np.ndarray, A: np.ndarray, U: np.ndarray,
     nonnegative, no row is violated by more than ``_VIOL_TOL``, its tight
     rows are exactly ``work`` and its KKT residual is at most ``KKT_TOL``;
     its y and multipliers then equal the single solve's to round-off.
+    ``cache`` is as in ``solve_qp``.
 
     Returns (ok, Y, Lam): the pass mask, and per draw one row of y and one
     of the k multipliers (zero off ``work``), NaN for a draw that fails.
-    Every draw fails when ``work`` is not a usable start."""
+    Every draw fails when ``work`` is not a usable start. A NaN or
+    infinite draw fails, or raises ``NonFinite`` where numpy's warnings are
+    raised as errors, as the single solve does."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
     n, d = C.shape
     k = A.shape[0]
     U = np.broadcast_to(U, (n, k))
     work = sorted({int(i) for i in work})
+    if cache is None:
+        cache = ActiveSetCache(H, A)
     Y = np.full((n, d), np.nan)
     Lam = np.full((n, k), np.nan)
     HiC = C.T / H[:, None]
-    solved = _start_solve(diagonal_solver(H), HiC, A, U, work) if work else (np.zeros((0, n)), -HiC)
-    if solved is None:
-        return np.zeros(n, dtype=bool), Y, Lam
-    lam_w, Yc = solved
-    slack = U.T - A @ Yc
+    try:  # only a NaN or infinite draw warns here
+        solved = (_start_solve(cache, diagonal_solver(H), HiC, U, work) if work
+                  else (np.zeros((0, n)), -HiC))
+        if solved is None:
+            return np.zeros(n, dtype=bool), Y, Lam
+        lam_w, Yc = solved
+        slack = U.T - A @ Yc
+        kkt = np.linalg.norm(H[:, None] * Yc + C.T + A[work].T @ lam_w, axis=0)
+    except RuntimeWarning as exc:
+        raise NonFinite(f"non-finite draw: {exc}") from exc
     in_work = np.isin(np.arange(k), work)
-    kkt = np.linalg.norm(H[:, None] * Yc + C.T + A[work].T @ lam_w, axis=0)
     ok = ((lam_w >= 0.0).all(axis=0) & (slack >= -_VIOL_TOL).all(axis=0)
           & ((slack <= TAU_ACT) == in_work[:, None]).all(axis=0) & (kkt <= KKT_TOL))
     if ok.any():  # rank-deficient rows raise, as in the single solve
-        check_rank(A[work])
+        cache.check_rank(tuple(work))
     Y[ok] = Yc.T[ok]
     Lam[ok] = 0.0
     Lam[np.ix_(ok, work)] = lam_w.T[ok]
@@ -417,7 +512,7 @@ def solve_ll_quadratic(inst: QuadraticBilevel, x: np.ndarray,
         u = poly.rhs(x)
     except RuntimeWarning as exc:
         raise NonFinite(f"non-finite input: {exc}") from exc
-    return solve_qp(inst.hess_yy_diag, c, poly.A, u, start)
+    return solve_qp(inst.hess_yy_diag, c, poly.A, u, start, cache=inst.active_set_cache)
 
 
 # ---------------------------------------------------------------------------

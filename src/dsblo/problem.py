@@ -147,6 +147,12 @@ class QuadraticBilevel:
         """``fingerprint(self)``, computed once: the instance cannot change."""
         return fingerprint(self)
 
+    @cached_property
+    def active_set_cache(self) -> "lower_level.ActiveSetCache":
+        """The instance's ``lower_level.ActiveSetCache``, shared by its solves
+        and implicit gradients: H and A cannot change."""
+        return lower_level.ActiveSetCache(self.hess_yy_diag, self.constraints.A)
+
     def solve_ll(self, x: np.ndarray, q, start=()) -> "lower_level.LLSolution":
         """Certified solve of the lower level perturbed by q at x (KKT
         residual <= 1e-10), started from the rows in ``start``, such as the

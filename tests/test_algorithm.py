@@ -332,16 +332,17 @@ class TestRunDsblo:
             assert t["total_s"] == pytest.approx(parts, abs=1e-6)
 
     def test_invariants_survive_optimize_flag(self):
-        # under python -O a nonpositive Hessian diagonal, an oversized step and
-        # a NaN point among the exact-F rows must still raise their typed errors
+        # under python -O a nonpositive Hessian diagonal, an oversized step,
+        # a NaN point among the exact-F rows and nearly dependent active rows
+        # (a cache miss, then a hit) must still raise their typed errors
         script = """
 import sys
 import numpy as np
 import dsblo.algorithm as algo
 from dsblo.diagnostics import eval_F_exact_rows
-from dsblo.errors import NonFinite, NotSPD, WindowViolation
-from dsblo.lower_level import solve_qp
-from dsblo.problem import generate_instance
+from dsblo.errors import DegenerateActiveSet, NonFinite, NotSPD, WindowViolation
+from dsblo.lower_level import solve_ll_quadratic, solve_qp
+from dsblo.problem import Polyhedron, QuadraticBilevel, generate_instance
 
 print("optimize", sys.flags.optimize)
 try:
@@ -361,13 +362,23 @@ try:
     eval_F_exact_rows(generate_instance(6, 6, 3, seed=1), X, [(), (), ()])
 except NonFinite:
     print("NonFinite")
+# rows y1 <= -1 and y1 + 1e-9 y2 <= -1 both bind at the solution (-1, 0)
+poly = Polyhedron(np.array([[1.0, 0.0], [1.0, 1e-9]]), np.zeros((2, 2)), np.array([-1.0, -1.0]))
+inst = QuadraticBilevel(Q1=np.zeros((2, 2)), Q2=np.zeros((2, 2)), cx=np.ones((1, 2)),
+                        cy=np.ones((1, 2)), constraints=poly, box_radius=None)
+for _ in range(2):
+    try:
+        solve_ll_quadratic(inst, np.zeros(2), None)
+    except DegenerateActiveSet:
+        print("DegenerateActiveSet")
 """
         src = str(Path(dsblo.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                              text=True, timeout=120, env={"PYTHONPATH": src})
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split("\n")[:4] == ["optimize 1", "NotSPD", "WindowViolation",
-                                               "NonFinite"]
+        assert out.stdout.split("\n")[:6] == ["optimize 1", "NotSPD", "WindowViolation",
+                                               "NonFinite", "DegenerateActiveSet",
+                                               "DegenerateActiveSet"]
 
 
 class TestWarmStartedSolves:
@@ -455,9 +466,9 @@ class TestInteriorFastPath:
         plain = runs()
         real_solve, real_solver, counts = ll.solve_qp, ll.diagonal_solver, [0, 0]
 
-        def general(H, c, A, u, start=()):
+        def general(H, c, A, u, start=(), cache=None):
             counts[0] += 1
-            return real_solve(H, c, A, u, start if len(start) else (0,))
+            return real_solve(H, c, A, u, start if len(start) else (0,), cache)
 
         def counting(H):
             counts[1] += 1

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 import dsblo.lower_level as ll
 from dsblo.errors import DegenerateActiveSet, DsbloError, Infeasible, NonFinite
-from dsblo.lower_level import (KKT_TOL, TAU_ACT, Perturbation, diagonal_solver, equality_solve,
+from dsblo.implicit_grad import implicit_gradient
+from dsblo.lower_level import (ACTIVE_SET_CACHE_SIZE, KKT_TOL, TAU_ACT, ActiveSetCache,
+                               Perturbation, diagonal_solver, equality_solve,
                                sample_perturbation, sc_margin, solve_ll_bruteforce,
                                solve_ll_quadratic, solve_qp, solve_qp_batch)
-from dsblo.problem import generate_instance
+from dsblo.problem import Polyhedron, QuadraticBilevel, generate_instance
 
 from conftest import make_1d_instance
 
@@ -402,15 +404,19 @@ class TestNonFinite:
             solve_qp(np.ones(2), np.array([np.inf, 0.0]), np.zeros((0, 2)), np.zeros(0))
 
     def test_nonfinite_under_warnings_as_errors(self):
-        # with warnings raised as errors an infinite input must still surface
-        # as NonFinite, not as a RuntimeWarning from the arithmetic before it;
-        # the box rows' zero entries meet the infinity in products
+        # with warnings raised as errors an infinite input, or a perturbation
+        # so large that the solve overflows, must still surface as NonFinite,
+        # not as a RuntimeWarning from the arithmetic before it; the box
+        # rows' zero entries meet the infinity in products
         script = """
+import json, tempfile
 from dataclasses import replace
 import numpy as np
+from dsblo.algorithm import DsbloParams, ManualMode, run_dsblo
 from dsblo.diagnostics import eval_F_exact_rows
 from dsblo.errors import NonFinite
-from dsblo.lower_level import solve_ll_quadratic, solve_qp
+from dsblo.experiment import config_from_dict, run_experiment
+from dsblo.lower_level import solve_ll_quadratic, solve_qp, solve_qp_batch
 from dsblo.problem import empty_polyhedron, generate_instance
 
 def expect_nonfinite(fn, *args):
@@ -429,12 +435,25 @@ for inst in (replace(boxed, constraints=empty_polyhedron(4, 4)), boxed):
     expect_nonfinite(eval_F_exact_rows, inst, X, [(), (), ()])
 expect_nonfinite(solve_ll_quadratic, boxed, X[1], None)
 expect_nonfinite(solve_ll_quadratic, boxed, X[0], X[1])
+expect_nonfinite(solve_qp_batch, boxed.hess_yy_diag, [[np.inf, 0.0, 0.0, 0.0]],
+                 boxed.constraints.A, boxed.constraints.b, (0,))
+mode = dict(beta=0.9, gamma1=20.0, gamma2=20.0, K=10, delta_y=1e-8)
+expect_nonfinite(run_dsblo, boxed, DsbloParams(T=12, mode=ManualMode(**mode),
+                                               perturb_radius=1e308, seed=1))
+with tempfile.TemporaryDirectory() as out:
+    summary = run_experiment(config_from_dict({
+        "instance": {"d_u": 4, "d_l": 4, "k": 3, "seed": 1}, "seeds": [1], "output_dir": out,
+        "algorithms": [{"name": "dsblo", "label": "dsblo", "T": 12, "perturb_radius": 1e308,
+                        **mode}]}))
+    run, = json.load(open(out + "/summary.json"))["runs"]
+    if run["status"] == "error" and "dsblo.errors.NonFinite" in run["error"]:
+        print("NonFinite")
 """
         src = str(Path(ll.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True,
                              text=True, timeout=120, env={"PYTHONPATH": src})
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["NonFinite"] * 6
+        assert out.stdout.split() == ["NonFinite"] * 9
 
     def test_nan_hessian(self):
         with pytest.raises(NonFinite):
@@ -585,4 +604,86 @@ class TestCertifyAndMargin:
         sol = solve_ll_quadratic(small_instance, np.zeros(3), None)
         assert sol.active_set == ()
         assert sc_margin(sol) == float("inf")
+
+
+def _solve_and_grad(inst, x, q, start):
+    """(solve, gradient) at x, or the type of the error either raised."""
+    try:
+        sol = solve_ll_quadratic(inst, x, q, start)
+        return sol, implicit_gradient(inst, x, sol).grad
+    except DsbloError as exc:
+        return type(exc), None
+
+
+class TestActiveSetCache:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 2 ** 16),
+           st.sampled_from([0.2, 0.5]), st.integers(1, 6))
+    def test_filled_cache_changes_no_bit(self, d, k, seed, radius, n_other):
+        # the same solve and gradient on a fresh instance and on one whose
+        # cache other solves have filled; small boxes make rows bind
+        rng = np.random.default_rng(seed)
+        fresh, filled = (generate_instance(d, d, k, seed=seed, box_radius=radius)
+                         for _ in range(2))
+        points = [(rng.standard_normal(d), 0.3 * rng.standard_normal(d))
+                  for _ in range(n_other + 1)]
+        start = ()
+        for x, q in points[1:]:
+            sol, _ = _solve_and_grad(filled, x, q, start)
+            start = sol.active_set if isinstance(sol, ll.LLSolution) else ()
+        assume(len(filled.active_set_cache))
+        x, q = points[0]
+        for first in ((), start):
+            a, ga = _solve_and_grad(fresh, x, q, first)
+            b, gb = _solve_and_grad(filled, x, q, first)
+            if not isinstance(a, ll.LLSolution):
+                assert a is b
+                continue
+            assert np.array_equal(a.y_hat, b.y_hat) and np.array_equal(a.lam, b.lam)
+            assert (ga is None) == (gb is None) and (ga is None or np.array_equal(ga, gb))
+            assert a.active_set == b.active_set and a.stats == b.stats
+            assert a.rank_smin == b.rank_smin
+
+    def test_rank_deficient_rows_raise_on_a_hit_as_on_a_miss(self):
+        # rows y1 <= -1 and y1 + 1e-9 y2 <= -1 both bind at the solution
+        # (-1, 0); their smallest singular value is about 7e-10
+        poly = Polyhedron(np.array([[1.0, 0.0], [1.0, 1e-9]]), np.zeros((2, 2)),
+                          np.array([-1.0, -1.0]))
+        inst = QuadraticBilevel(Q1=np.zeros((2, 2)), Q2=np.zeros((2, 2)), cx=np.ones((1, 2)),
+                                cy=np.ones((1, 2)), constraints=poly, box_radius=None)
+        for _ in range(2):
+            with pytest.raises(DegenerateActiveSet, match="rank deficient"):
+                solve_ll_quadratic(inst, np.zeros(2), None)
+        for _ in range(2):
+            with pytest.raises(DegenerateActiveSet, match="rank deficient"):
+                inst.active_set_cache.check_rank((0, 1))
+        assert len(inst.active_set_cache) == 2  # (0,) from the pivot, (0, 1)
+
+    def test_rejected_start_falls_back_to_a_cold_solve_on_a_hit(self):
+        # S on rows 0 and 1 passes a Cholesky factorization, but row 1 has
+        # only 1e-10 of its H^-1-norm outside row 0's span; row 0 binds
+        H, c = np.array([2.0, 2.0]), np.zeros(2)
+        A, u = np.array([[1.0, 0.0], [1.0, 1e-5]]), np.array([-1.0, 5.0])
+        cache = ActiveSetCache(H, A)
+        np.linalg.cholesky(cache.reduced((0, 1)))
+        cold = solve_qp(H, c, A, u)
+        for _ in range(2):
+            hot = solve_qp(H, c, A, u, (0, 1), cache)
+            assert cache.start_ok((0, 1)) is False
+            assert hot.stats == cold.stats == {"pivots": 1, "repairs": 0}
+            assert np.array_equal(hot.y_hat, cold.y_hat) and np.array_equal(hot.lam, cold.lam)
+            assert hot.active_set == cold.active_set == (0,)
+
+    def test_never_holds_more_than_its_bound(self):
+        rng = np.random.default_rng(0)
+        H, A = rng.uniform(0.5, 2.0, 5), rng.standard_normal((30, 5))
+        cache = ActiveSetCache(H, A)
+        tuples = [(i, j) for i in range(30) for j in range(30) if i != j][:3 * ACTIVE_SET_CACHE_SIZE]
+        first = {}
+        for rows in tuples + tuples:
+            S = cache.reduced(rows)
+            assert len(cache) <= ACTIVE_SET_CACHE_SIZE
+            # an evicted tuple asked for again gets the same bits
+            assert np.array_equal(first.setdefault(rows, S), S)
+            assert not S.flags.writeable
 
