@@ -224,7 +224,7 @@ class ActiveSetCache:
     def start_ok(self, rows: tuple) -> bool:
         """Whether S on ``rows`` passes a Cholesky factorization and no row
         has less than ``_START_INDEP`` of its H^-1-norm outside the span of
-        the other rows (a squared pivot of the factor is that part)."""
+        the rows before it (a squared pivot of the factor is that part)."""
         entry = self._entry(rows)
         ok = entry.get("start_ok")
         if ok is None:
