@@ -25,6 +25,12 @@ class NonFinite(DsbloError):
     errors, the numpy warning such an entry causes becomes this error."""
 
 
+class Uncertified(DsbloError):
+    """A lower-level solve ended at a finite point whose KKT residual
+    exceeds ``lower_level.KKT_TOL``, so it cannot be certified; typically a
+    perturbation or x so large that round-off swamps the tolerance."""
+
+
 class NotSPD(DsbloError):
     """Lower-level Hessian is not symmetric positive definite."""
 

@@ -11,25 +11,26 @@ The outer loop needs only grad_x f + jac_y' grad_y f. The KKT matrix is
 symmetric, so one adjoint solve with right-hand side (grad_y f, 0) gives
 it without forming jac_y (the QP-layer backward pass of Amos & Kolter,
 2017). That solve is the lower level's equality KKT solve
-``lower_level.equality_solve`` with c = grad_y f and u = 0, whose point v
-and multipliers w give
+``ActiveSetCache.equality_solve`` on the instance's ``active_set_cache``
+with c = grad_y f and u = 0, whose point v and multipliers w give
 
     grad = grad_x f + M' v + Bbar' w.
 
-``jacobians`` forms jac_y and jac_lambda; it is the reference the tests and
-``verify`` check against. Both need strict complementarity and independent
-active rows, and check both.
+``jacobians`` forms jac_y and jac_lambda, the same solve with c = M and
+u = -Bbar; it is the reference the tests and ``verify`` check against. Both
+need strict complementarity and independent active rows, and check both;
+the rank check is the cache's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DegenerateActiveSet
-from .lower_level import LLSolution, RANK_TOL, diagonal_solver, equality_solve
+from .lower_level import LLSolution
 from .problem import QuadraticBilevel
 
 
@@ -40,69 +41,60 @@ class ImplicitGradient:
     grad: np.ndarray
 
 
-def _active_rows(inst: QuadraticBilevel, active: tuple, lam: np.ndarray, smin: Optional[float]):
-    """(Abar, Bbar) of a nonempty active set, after checking strict
-    complementarity on every row of multipliers in ``lam`` and the rank of
-    the active rows (reusing the solver's rank check ``smin`` where it made
-    one, and the instance's ``active_set_cache`` otherwise)."""
+def diagonal_solver(H: np.ndarray):
+    """Z -> H^-1 Z, Z a vector or a matrix, for a positive Hessian diagonal H."""
+    return lambda Z: Z / H if Z.ndim == 1 else Z / H[:, None]
+
+
+def _active_rows(inst: QuadraticBilevel, active: tuple, lam: np.ndarray) -> np.ndarray:
+    """Bbar of a nonempty active set, after checking strict complementarity
+    on every row of multipliers in ``lam`` and, through the instance's
+    ``active_set_cache``, the rank of the active rows."""
     active = list(active)
     margin = float(np.min(lam[..., active]))
     if not margin > 0.0:
         raise DegenerateActiveSet(
             f"strict complementarity fails (smallest active multiplier {margin:.2e})"
         )
-    poly = inst.constraints
-    Abar = poly.A[active]
-    smin = inst.active_set_cache.check_rank(tuple(active)) if smin is None else smin
-    if smin < RANK_TOL:
-        raise DegenerateActiveSet(
-            f"active rows nearly rank deficient (smallest singular value {smin:.2e})"
-        )
-    return Abar, poly.B[active]
+    inst.active_set_cache.check_rank(tuple(active))
+    return inst.constraints.B[active]
 
 
-def _adjoint(inst: QuadraticBilevel, lam, active: tuple, gx, gy,
-             smin: Optional[float] = None) -> np.ndarray:
+def _kkt_solve(inst: QuadraticBilevel, active: tuple, Hic: np.ndarray, uw) -> tuple:
+    """``ActiveSetCache.equality_solve`` on the active rows, a singular
+    system raised as ``DegenerateActiveSet``."""
+    try:
+        return inst.active_set_cache.equality_solve(tuple(active), Hic, uw)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateActiveSet("singular reduced KKT system") from exc
+
+
+def _adjoint(inst: QuadraticBilevel, lam, active: tuple, gx, gy) -> np.ndarray:
     """gx + jac_y' gy from one reduced KKT solve (see the module docstring)
     at a lower-level solution with multipliers lam and active rows
-    ``active`` (smallest singular value ``smin`` where the solver checked
-    it). H is the constant diagonal ``hess_yy_diag`` and M the constant Q2',
-    so the solution itself is not needed, and S comes from the instance's
-    ``active_set_cache``.
+    ``active``. H and M are constant, so the solution itself is not needed.
 
     For n draws that share the active set, lam, gx and gy hold one row per
     draw and the result one gradient row per draw, all from one solve.
     Every row's multipliers are checked."""
-    hsolve = diagonal_solver(inst.hess_yy_diag)
     M = inst.Q2.T
     gx = np.asarray(gx, dtype=float)
-    gy = np.asarray(gy, dtype=float).T
+    Higy = diagonal_solver(inst.hess_yy_diag)(np.asarray(gy, dtype=float).T)
     if not active:
-        return gx - (M.T @ hsolve(gy)).T
-    Abar, Bbar = _active_rows(inst, active, np.asarray(lam), smin)
-    try:
-        _, w, v = equality_solve(hsolve, hsolve(gy), Abar, 0.0,
-                                 inst.active_set_cache.reduced(tuple(active)))
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateActiveSet("singular reduced KKT system") from exc
+        return gx - (M.T @ Higy).T
+    Bbar = _active_rows(inst, active, np.asarray(lam))
+    w, v = _kkt_solve(inst, active, Higy, 0.0)
     return gx + (M.T @ v).T + (Bbar.T @ w).T
 
 
-def jacobians(inst: QuadraticBilevel, x: np.ndarray, sol: LLSolution):
+def jacobians(inst: QuadraticBilevel, sol: LLSolution):
     """Solution-map Jacobians (jac_y, jac_lambda) at a certified LL solve,
     the dense reference for the adjoint gradient; same checks and errors."""
-    hsolve = diagonal_solver(inst.hess_yy_diag)
-    M = inst.Q2.T
+    HiM = diagonal_solver(inst.hess_yy_diag)(inst.Q2.T)
     if not sol.active_set:
-        return -hsolve(M), np.zeros((0, M.shape[1]))
-    Abar, Bbar = _active_rows(inst, sol.active_set, sol.lam, sol.rank_smin)
-    Hinv_M = hsolve(M)
-    Hinv_At = hsolve(Abar.T)
-    try:
-        jac_lambda = -np.linalg.solve(Abar @ Hinv_At, Abar @ Hinv_M - Bbar)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateActiveSet("singular reduced KKT system") from exc
-    jac_y = -Hinv_M - Hinv_At @ jac_lambda
+        return -HiM, np.zeros((0, HiM.shape[1]))
+    Bbar = _active_rows(inst, sol.active_set, sol.lam)
+    jac_lambda, jac_y = _kkt_solve(inst, sol.active_set, HiM, -Bbar.T)
     return jac_y, jac_lambda
 
 
@@ -111,8 +103,7 @@ def implicit_gradient(inst: QuadraticBilevel, x: np.ndarray, sol: LLSolution) ->
     x = np.asarray(x, dtype=float)
     y = np.asarray(sol.y_hat)
     gx, gy = inst.grad_f(x, y)
-    return ImplicitGradient(grad=_adjoint(inst, sol.lam, sol.active_set, gx, gy,
-                                          sol.rank_smin))
+    return ImplicitGradient(grad=_adjoint(inst, sol.lam, sol.active_set, gx, gy))
 
 
 def sampled_implicit_gradient(inst: QuadraticBilevel, x: np.ndarray, sol: LLSolution,
@@ -129,5 +120,4 @@ def sampled_implicit_gradient(inst: QuadraticBilevel, x: np.ndarray, sol: LLSolu
     parts = [inst.sampled_grad_f(x, y, int(i)) for i in np.atleast_1d(xi)]
     gx = np.mean([p[0] for p in parts], axis=0)
     gy = np.mean([p[1] for p in parts], axis=0)
-    return ImplicitGradient(grad=_adjoint(inst, sol.lam, sol.active_set, gx, gy,
-                                          sol.rank_smin))
+    return ImplicitGradient(grad=_adjoint(inst, sol.lam, sol.active_set, gx, gy))

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from .errors import DegenerateActiveSet, Infeasible, MaxPivots, NonFinite, NotSPD
+from .errors import DegenerateActiveSet, Infeasible, MaxPivots, NonFinite, NotSPD, Uncertified
 
 if TYPE_CHECKING:  # problem.py imports this module
     from .problem import QuadraticBilevel
@@ -90,10 +90,7 @@ class LLSolution:
 
     ``lam`` is the full k-vector of multipliers (zeros off the active set);
     ``active_set`` lists the rows whose slack is within ``TAU_ACT``;
-    ``delta_cert`` is a certified upper bound on ||y* - y_hat||;
-    ``rank_smin`` is the smallest singular value of the active rows as the
-    solver checked it (+inf when none is active), or None where the solver
-    made no rank check.
+    ``delta_cert`` is a certified upper bound on ||y* - y_hat||.
     """
 
     y_hat: np.ndarray
@@ -103,7 +100,6 @@ class LLSolution:
     max_violation: float
     delta_cert: float
     stats: dict = field(default_factory=dict)
-    rank_smin: Optional[float] = None
 
 
 def sc_margin(sol: LLSolution) -> float:
@@ -119,44 +115,26 @@ def _tight_rows(slacks: np.ndarray) -> tuple:
 
 
 def _certified(y: np.ndarray, lam: np.ndarray, active: tuple, residual: np.ndarray,
-               slack: np.ndarray, mu: float, stats: dict, smin: float) -> LLSolution:
+               slack: np.ndarray, mu: float, stats: dict) -> LLSolution:
     """The frozen ``solve_qp`` result at y with multipliers lam, certified by
     the stationarity residual H y + c + A' lam and the slacks u - A y, the
     smallest Hessian entry mu turning the residual into a distance bound;
-    raises ``NonFinite`` when either certificate is NaN or +inf."""
+    raises ``NonFinite`` when either certificate is NaN or +inf, and
+    ``Uncertified`` when the residual exceeds ``KKT_TOL``."""
     kkt = float(np.linalg.norm(residual))
     max_viol = float(-slack.min()) if slack.size else float("-inf")
     if not (kkt < np.inf and max_viol < np.inf):
         raise NonFinite(f"uncertifiable solve: KKT residual {kkt}, violation {max_viol}")
+    if kkt > KKT_TOL:
+        raise Uncertified(f"KKT residual {kkt:.2e} exceeds {KKT_TOL:.0e}")
     y.flags.writeable = lam.flags.writeable = False
     return LLSolution(y_hat=y, lam=lam, active_set=active, kkt_residual=kkt,
-                      max_violation=max_viol, delta_cert=kkt / mu, stats=stats,
-                      rank_smin=smin)
+                      max_violation=max_viol, delta_cert=kkt / mu, stats=stats)
 
 
 # ---------------------------------------------------------------------------
 # dual active-set QP
 # ---------------------------------------------------------------------------
-
-
-def diagonal_solver(H: np.ndarray):
-    """Z -> H^-1 Z, Z a vector or a matrix, for a positive Hessian diagonal H."""
-    return lambda Z: Z / H if Z.ndim == 1 else Z / H[:, None]
-
-
-def equality_solve(hinv, Hic: np.ndarray, Aw: np.ndarray, uw, S=None) -> tuple:
-    """(S, lam, y) of the equality KKT system H y + c + Aw' lam = 0,
-    Aw y = uw, from ``hinv`` (Z -> H^-1 Z) and Hic = H^-1 c by one solve with
-    the reduced matrix S = Aw H^-1 Aw', one column of lam and y per column of
-    ``Hic`` when it is a matrix; raises ``np.linalg.LinAlgError`` when S is
-    singular. ``S`` is formed here unless the caller passes it
-    (``ActiveSetCache.reduced``). The active-set solver and the adjoint
-    gradient share it."""
-    HiA = hinv(Aw.T)
-    if S is None:
-        S = Aw @ HiA
-    lam = np.linalg.solve(S, -(uw + (Aw @ Hic).T).T)
-    return S, lam, -(Hic + HiA @ lam)
 
 
 # Most row tuples an ActiveSetCache holds; a full cache is emptied before
@@ -171,6 +149,8 @@ class ActiveSetCache:
     rows in the tuple's order, the smallest singular value of the rows, and
     whether they are a usable start. A tuple asked for again gets the same
     bits, so a solve gives the same result whatever the cache held before.
+    ``equality_solve`` solves the equality KKT system on a tuple with its S;
+    the active-set solver and the implicit gradient both solve through it.
 
     ``QuadraticBilevel.active_set_cache`` keeps one per instance, since H and
     A never change; ``solve_qp`` and ``solve_qp_batch`` on bare arrays use
@@ -193,15 +173,26 @@ class ActiveSetCache:
         return entry
 
     def reduced(self, rows: tuple) -> np.ndarray:
-        """S = A_W H^-1 A_W' for the rows W in ``rows``, in that order, as
-        ``equality_solve`` forms it (read-only)."""
+        """S = A_W H^-1 A_W' for the rows W in ``rows``, in that order
+        (read-only)."""
         entry = self._entry(rows)
         S = entry.get("S")
         if S is None:
             Aw = self.A[list(rows)]
-            S = entry["S"] = Aw @ (Aw.T / self.H[:, None])  # diagonal_solver's H^-1
+            S = entry["S"] = Aw @ (Aw.T / self.H[:, None])
             S.flags.writeable = False
         return S
+
+    def equality_solve(self, rows: tuple, Hic: np.ndarray, uw) -> tuple:
+        """(lam, y) of the equality KKT system H y + c + A_W' lam = 0,
+        A_W y = uw on the rows W in ``rows``, from Hic = H^-1 c by one solve
+        with S = ``reduced(rows)``. When ``Hic`` is a matrix, lam and y have
+        one column per column of it, and ``uw`` is one vector for all of them
+        or one row per column. Raises ``np.linalg.LinAlgError`` when S is
+        singular."""
+        Aw = self.A[list(rows)]
+        lam = np.linalg.solve(self.reduced(rows), -(uw + (Aw @ Hic).T).T)
+        return lam, -(Hic + (Aw.T / self.H[:, None]) @ lam)
 
     def check_rank(self, rows: tuple) -> float:
         """Smallest singular value of the rows in ``rows`` (+inf when there
@@ -239,11 +230,11 @@ class ActiveSetCache:
         return ok
 
 
-def _start_solve(cache: ActiveSetCache, hinv, Hic: np.ndarray, u: np.ndarray,
+def _start_solve(cache: ActiveSetCache, Hic: np.ndarray, u: np.ndarray,
                  work: list) -> Optional[tuple]:
-    """The multipliers and point of ``equality_solve`` on the sorted rows in
-    ``work``, or None when those rows are not a usable start: an index out
-    of range, more rows than the dimension, or rows that fail
+    """The multipliers and point of ``cache.equality_solve`` on the sorted
+    rows in ``work``, or None when those rows are not a usable start: an
+    index out of range, more rows than the dimension, or rows that fail
     ``cache.start_ok``. ``u`` is one right-hand side, or one row of them per
     column of ``Hic``."""
     A = cache.A
@@ -253,13 +244,12 @@ def _start_solve(cache: ActiveSetCache, hinv, Hic: np.ndarray, u: np.ndarray,
     if not cache.start_ok(rows):
         return None
     try:
-        _, lam_w, y = equality_solve(hinv, Hic, A[work], u[..., work], cache.reduced(rows))
+        return cache.equality_solve(rows, Hic, u[..., work])
     except np.linalg.LinAlgError:
         return None
-    return lam_w, y
 
 
-def _hot_start(cache: ActiveSetCache, hinv, Hic: np.ndarray, u: np.ndarray,
+def _hot_start(cache: ActiveSetCache, Hic: np.ndarray, u: np.ndarray,
                start) -> Optional[tuple]:
     """Dual-feasible starting point from the rows in ``start``: the equality
     KKT solution on those rows, dropping the row with the most negative
@@ -268,7 +258,7 @@ def _hot_start(cache: ActiveSetCache, hinv, Hic: np.ndarray, u: np.ndarray,
     the start is unusable (see ``_start_solve``)."""
     work = sorted({int(i) for i in start})
     while work:
-        solved = _start_solve(cache, hinv, Hic, u, work)
+        solved = _start_solve(cache, Hic, u, work)
         if solved is None:
             return None
         lam_w, y = solved
@@ -297,7 +287,7 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
 
     Interior solves return at once: with no ``start``, when there are no
     rows or every slack of y = -H^-1 c exceeds ``TAU_ACT``, that y is the
-    answer (no pivot, no active row, zero multipliers, ``rank_smin`` +inf)
+    answer (no pivot, no active row, zero multipliers)
     and the result equals the one the iteration below would return, field
     for field. A NaN or infinite input raises ``NonFinite`` instead of
     returning an uncertified point; so does, where numpy's warnings are
@@ -325,7 +315,7 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
         slack = u - A @ y if k else np.zeros(0)
         if not len(start) and (k == 0 or slack.min() > TAU_ACT):
             return _certified(y, np.zeros(k), (), H * y + c, slack, mu,
-                              {"pivots": 0, "repairs": 0}, float("inf"))
+                              {"pivots": 0, "repairs": 0})
         if cache is None:
             cache = ActiveSetCache(H, A)
         return _dual_active_set(H, c, A, u, Hic, mu, start, cache)
@@ -340,10 +330,9 @@ def _dual_active_set(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     d = H.shape[0]
     k = A.shape[0]
     y = -Hic
-    hinv = diagonal_solver(H)
     max_pivots = 100 + 50 * (k + d)
     bland_after = 8 + 3 * max(k, 1)
-    hot = _hot_start(cache, hinv, Hic, u, start) if len(start) else None
+    hot = _hot_start(cache, Hic, u, start) if len(start) else None
     work, lam_w, y = hot if hot is not None else ([], np.zeros(0), y)
     # y is the equality solve on the working set until a pivot moves it
     polished = True
@@ -360,8 +349,7 @@ def _dual_active_set(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
                 # polish: exact equality solve on the working set
                 if work:
                     try:
-                        _, lam_w, y = equality_solve(hinv, Hic, A[work], u[work],
-                                                     cache.reduced(tuple(work)))
+                        lam_w, y = cache.equality_solve(tuple(work), Hic, u[work])
                     except np.linalg.LinAlgError as exc:
                         raise DegenerateActiveSet("singular working-set system") from exc
                 else:
@@ -406,8 +394,7 @@ def _dual_active_set(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
             dlam, z = np.zeros(0), -Hia_p
             if work:
                 try:
-                    _, dlam, z = equality_solve(hinv, Hia_p, A[work], 0.0,
-                                                cache.reduced(tuple(work)))
+                    dlam, z = cache.equality_solve(tuple(work), Hia_p, 0.0)
                 except np.linalg.LinAlgError as exc:
                     raise DegenerateActiveSet("singular working-set system") from exc
             curv = float(z @ (H * z))
@@ -444,12 +431,12 @@ def _dual_active_set(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     lam = np.zeros(k)
     if work:
         lam[work] = np.maximum(lam_w, 0.0)
-    smin = cache.check_rank(active)
+    cache.check_rank(active)
     residual = H * y + c
     if active:
         residual = residual + A[list(active)].T @ lam[list(active)]
     return _certified(y, lam, active, residual, slack, mu,
-                      {"pivots": pivots, "repairs": repairs}, smin)
+                      {"pivots": pivots, "repairs": repairs})
 
 
 def solve_qp_batch(H: np.ndarray, C: np.ndarray, A: np.ndarray, U: np.ndarray,
@@ -480,7 +467,7 @@ def solve_qp_batch(H: np.ndarray, C: np.ndarray, A: np.ndarray, U: np.ndarray,
     Lam = np.full((n, k), np.nan)
     HiC = C.T / H[:, None]
     try:  # only a NaN or infinite draw warns here
-        solved = (_start_solve(cache, diagonal_solver(H), HiC, U, work) if work
+        solved = (_start_solve(cache, HiC, U, work) if work
                   else (np.zeros((0, n)), -HiC))
         if solved is None:
             return np.zeros(n, dtype=bool), Y, Lam

@@ -162,9 +162,6 @@ class QuadraticBilevel:
 
     # -- upper level -------------------------------------------------------
 
-    def eval_f(self, x: np.ndarray, y: np.ndarray) -> float:
-        return eval_f(self, x, y)
-
     def grad_f(self, x: np.ndarray, y: np.ndarray):
         """Full-batch (grad_x f, grad_y f)."""
         return self._grad_f(x, y, self.cx_mean, self.cy_mean)
@@ -191,26 +188,14 @@ class QuadraticBilevel:
 
     @cached_property
     def hess_yy_diag(self) -> np.ndarray:
-        """The diagonal of the constant Hessian 2I of g in y; ``hess_yy_g``,
-        ``mu_g`` and ``lip_grad_y`` are read from it."""
+        """The diagonal of the constant Hessian 2I of g in y; ``mu_g`` is
+        read from it. The cross Jacobian d(grad_y g)/dx is the constant Q2'."""
         return _freeze(np.full(self.d_l, 2.0))
-
-    def hess_yy_g(self, x=None, y=None) -> np.ndarray:
-        return np.diag(self.hess_yy_diag)
-
-    def jac_xy_g(self, x=None, y=None) -> np.ndarray:
-        """d(grad_y g)/dx, constant and equal to Q2' (a read-only view)."""
-        return self.Q2.T
 
     @property
     def mu_g(self) -> float:
         """Strong-convexity modulus of g in y, the Hessian's least eigenvalue."""
         return float(self.hess_yy_diag.min())
-
-    @property
-    def lip_grad_y(self) -> float:
-        """Lipschitz constant of grad_y g, the Hessian's largest eigenvalue."""
-        return float(self.hess_yy_diag.max())
 
     def _check_dims(self, x: np.ndarray, y: np.ndarray):
         if x.shape != (self.d_u,) or y.shape != (self.d_l,):

@@ -169,7 +169,7 @@ def check_implicit_fd(n_instances: int = 10, n_points: int = 10,
                 if sol.active_set:
                     Abar = inst.constraints.A[list(sol.active_set)]
                     Bbar = inst.constraints.B[list(sol.active_set)]
-                    jac_y, _ = jacobians(inst, x, sol)
+                    jac_y, _ = jacobians(inst, sol)
                     worst_tan = max(worst_tan, float(np.linalg.norm(Abar @ jac_y + Bbar)))
 
                 def F_q(xp):

@@ -464,18 +464,18 @@ class TestInteriorFastPath:
                                      perturb_radius=1e-3))
 
         plain = runs()
-        real_solve, real_solver, counts = ll.solve_qp, ll.diagonal_solver, [0, 0]
+        real_solve, real_iteration, counts = ll.solve_qp, ll._dual_active_set, [0, 0]
 
         def general(H, c, A, u, start=(), cache=None):
             counts[0] += 1
             return real_solve(H, c, A, u, start if len(start) else (0,), cache)
 
-        def counting(H):
+        def counting(*args):
             counts[1] += 1
-            return real_solver(H)
+            return real_iteration(*args)
 
         monkeypatch.setattr(ll, "solve_qp", general)
-        monkeypatch.setattr(ll, "diagonal_solver", counting)
+        monkeypatch.setattr(ll, "_dual_active_set", counting)
         forced = runs()
         # each run makes one gradient-sample solve per record; its exact F
         # rows are all interior, so the batched evaluation solves none

@@ -39,7 +39,7 @@ class TestJacobiansHandChecked:
         sol = solve_ll_quadratic(inst, x, None)
         assert sol.active_set == (0,)
         assert sol.lam[0] == pytest.approx(2.0, abs=1e-12)
-        jac_y, jac_lam = jacobians(inst, x, sol)
+        jac_y, jac_lam = jacobians(inst, sol)
         # y*(x) = 0 for x > 0: flat primal map, dual slope 2
         assert jac_lam == pytest.approx(np.array([[2.0]]), abs=1e-12)
         assert jac_y == pytest.approx(np.array([[0.0]]), abs=1e-12)
@@ -49,7 +49,7 @@ class TestJacobiansHandChecked:
         x = np.array([-1.0])
         sol = solve_ll_quadratic(inst, x, None)
         assert sol.active_set == ()
-        jac_y, jac_lam = jacobians(inst, x, sol)
+        jac_y, jac_lam = jacobians(inst, sol)
         assert jac_y == pytest.approx(np.array([[1.0]]), abs=1e-12)  # y*(x) = x
         assert jac_lam.shape == (0, 1)
 
@@ -96,7 +96,7 @@ class TestFiniteDifferenceAgreement:
         rng = np.random.default_rng(3)
         q = sample_perturbation(1e-3, rng, 6)
         x, sol = margin_point(inst, q, rng)
-        jac_y, _ = jacobians(inst, x, sol)
+        jac_y, _ = jacobians(inst, sol)
         h = 1e-5
         fd = np.zeros_like(jac_y)
         for j in range(inst.d_u):
@@ -118,7 +118,7 @@ class TestAdjointMatchesReference:
         assume(found is not None)
         x, _q, sol = found
         gx, gy = inst.grad_f(x, sol.y_hat)
-        ref = gx + jacobians(inst, x, sol)[0].T @ gy
+        ref = gx + jacobians(inst, sol)[0].T @ gy
         g = implicit_gradient(inst, x, sol).grad
         assert np.linalg.norm(g - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-9)
 
@@ -151,7 +151,7 @@ class TestStructuralInvariants:
                 sol = solve_ll_quadratic(inst, x, q)
                 if not sol.active_set:
                     continue
-                jac_y, _ = jacobians(inst, x, sol)
+                jac_y, _ = jacobians(inst, sol)
             except DegenerateActiveSet:
                 continue
             act = list(sol.active_set)
@@ -260,7 +260,7 @@ class TestAdjointRows:
         found = _active_margin_point(inst, rng)
         x, _q, sol = found
         gx, gy = inst.grad_f(x, sol.y_hat)
-        g = _adjoint(inst, sol.lam, sol.active_set, gx, gy, sol.rank_smin)
+        g = _adjoint(inst, sol.lam, sol.active_set, gx, gy)
         assert np.array_equal(g, implicit_gradient(inst, x, sol).grad)
 
     def test_zero_margin_row_rejected(self):
@@ -286,6 +286,6 @@ class TestErrors:
         sol = solve_ll_quadratic(inst, np.zeros(2), None)
         assert sol.active_set and sol.lam[0] == 0.0
         with pytest.raises(DegenerateActiveSet):
-            jacobians(inst, np.zeros(2), sol)
+            jacobians(inst, sol)
         with pytest.raises(DegenerateActiveSet):
             implicit_gradient(inst, np.zeros(2), sol)

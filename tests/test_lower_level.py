@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -8,12 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dsblo.lower_level as ll
-from dsblo.errors import DegenerateActiveSet, DsbloError, Infeasible, NonFinite
-from dsblo.implicit_grad import implicit_gradient
+from dsblo.errors import (DegenerateActiveSet, DsbloError, Infeasible, NonFinite,
+                          Uncertified)
+from dsblo.experiment import config_from_dict, run_experiment
+from dsblo.implicit_grad import implicit_gradient, jacobians
 from dsblo.lower_level import (ACTIVE_SET_CACHE_SIZE, KKT_TOL, TAU_ACT, ActiveSetCache,
-                               Perturbation, diagonal_solver, equality_solve,
-                               sample_perturbation, sc_margin, solve_ll_bruteforce,
-                               solve_ll_quadratic, solve_qp, solve_qp_batch)
+                               LLSolution, Perturbation, sample_perturbation, sc_margin,
+                               solve_ll_bruteforce, solve_ll_quadratic, solve_qp,
+                               solve_qp_batch)
 from dsblo.problem import Polyhedron, QuadraticBilevel, generate_instance
 
 from conftest import make_1d_instance
@@ -43,52 +46,57 @@ class TestBruteForceOracle:
             solve_ll_bruteforce(inst, np.array([0.0]), None)
 
 
-def _hessian(dense: bool, d: int, rng):
-    """A dense SPD Hessian with its solver, or a positive diagonal one."""
-    if dense:
-        R = rng.standard_normal((d, d))
-        H = R @ R.T + 0.5 * np.eye(d)
-        return H, lambda Z: np.linalg.solve(H, Z)
-    h = rng.uniform(0.2, 5.0, d)
-    return np.diag(h), diagonal_solver(h)
-
-
 # the reduced KKT solve behind the hot start, the polish, the pivot step,
 # the Monte-Carlo batch and the adjoint gradient
 class TestEqualitySolve:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 7), st.integers(0, 7), st.integers(0, 3), st.booleans(),
            st.booleans(), st.integers(0, 2 ** 16))
-    def test_matches_dense_kkt_solve(self, d, m, n_rhs, dense, zero_u, seed):
+    def test_matches_dense_kkt_solve(self, d, m, n_rhs, hit, zero_u, seed):
         # [[H, Aw'], [Aw, 0]] [y; lam] = [-c; uw], with one column per
-        # right-hand side when c is a matrix (n_rhs > 0)
+        # right-hand side when c is a matrix (n_rhs > 0); the rows are taken
+        # in any order from a larger A, and S is cached first on a hit
         assume(m <= d)
         rng = np.random.default_rng(seed)
-        H, hinv = _hessian(dense, d, rng)
-        Aw = rng.standard_normal((m, d))
+        h = rng.uniform(0.2, 5.0, d)
+        A = rng.standard_normal((m + 2, d))
+        rows = tuple(int(i) for i in rng.permutation(m + 2)[:m])
+        Aw = A[list(rows)]
         assume(m == 0 or np.linalg.svd(Aw, compute_uv=False)[-1] > 0.1)
         c = rng.standard_normal((d, n_rhs) if n_rhs else d)
         uw = 0.0 if zero_u else rng.standard_normal(m)
-        S, lam, y = equality_solve(hinv, hinv(c), Aw, uw)
-        kkt = np.block([[H, Aw.T], [Aw, np.zeros((m, m))]])
+        Hic = c / h if c.ndim == 1 else c / h[:, None]
+        cache = ActiveSetCache(h, A)
+        if hit:
+            cache.reduced(rows)
+        lam, y = cache.equality_solve(rows, Hic, uw)
+        kkt = np.block([[np.diag(h), Aw.T], [Aw, np.zeros((m, m))]])
         rhs_u = np.zeros((m,) + c.shape[1:]) + (np.reshape(uw, (-1, 1)) if n_rhs else uw)
         ref = np.linalg.solve(kkt, np.concatenate([-c, rhs_u]))
         assert lam.shape == (m,) + c.shape[1:] and y.shape == c.shape
         tol = 1e-9 * (1.0 + np.abs(ref).max())
         assert np.allclose(y, ref[:d], rtol=0, atol=tol)
         assert np.allclose(lam, ref[d:], rtol=0, atol=tol)
-        assert np.allclose(S, Aw @ np.linalg.solve(H, Aw.T), rtol=1e-12, atol=1e-12)
+        assert np.allclose(cache.reduced(rows), Aw @ np.linalg.solve(np.diag(h), Aw.T),
+                           rtol=1e-12, atol=1e-12)
+        # a fresh cache gives the same bits
+        lam0, y0 = ActiveSetCache(h, A).equality_solve(rows, Hic, uw)
+        assert np.array_equal(lam, lam0) and np.array_equal(y, y0)
 
-    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("hit", [False, True])
     @pytest.mark.parametrize("bad_row", ["repeated", "zero"])
-    def test_singular_reduced_matrix_raises(self, dense, bad_row):
+    def test_singular_reduced_matrix_raises(self, hit, bad_row):
         rng = np.random.default_rng(3)
-        _, hinv = _hessian(dense, 4, rng)
+        h = rng.uniform(0.2, 5.0, 4)
         Aw = rng.standard_normal((2, 4))
         Aw = np.vstack([Aw, Aw[:1] if bad_row == "repeated" else np.zeros((1, 4))])
+        cache = ActiveSetCache(h, Aw)
+        if hit:
+            cache.reduced((0, 1, 2))
         c = rng.standard_normal(4)
-        with pytest.raises(np.linalg.LinAlgError):
-            equality_solve(hinv, hinv(c), Aw, rng.standard_normal(3))
+        for _ in range(2):
+            with pytest.raises(np.linalg.LinAlgError):
+                cache.equality_solve((0, 1, 2), c / h, rng.standard_normal(3))
 
 
 class TestActiveSetQP:
@@ -152,13 +160,13 @@ class TestActiveSetQP:
         for _ in range(20):
             x = 2.0 * rng.standard_normal(6)
             sol = solve_ll_quadratic(inst, x, None)
+            smin = inst.active_set_cache.check_rank(sol.active_set)
             if sol.active_set:
                 A_act = inst.constraints.A[list(sol.active_set)]
-                smin = np.linalg.svd(A_act, compute_uv=False)[-1]
-                assert sol.rank_smin == pytest.approx(smin, rel=1e-12)
+                assert smin == pytest.approx(np.linalg.svd(A_act, compute_uv=False)[-1],
+                                             rel=1e-12)
             else:
-                assert sol.rank_smin == float("inf")
-        assert solve_ll_bruteforce(inst, x, None).rank_smin is None
+                assert smin == float("inf")
 
     def test_degenerate_duplicate_rows(self):
         # two copies of y_1 <= 0, objective pushing onto that face
@@ -248,7 +256,7 @@ class TestWarmStart:
         assert warm.active_set == cold.active_set
         # both end in an equality solve on the same rows, so they agree to
         # that solve's round-off, which grows with its condition number
-        assume(cold.rank_smin >= 0.1)
+        assume(ActiveSetCache(H, A).check_rank(cold.active_set) >= 0.1)
         assert np.max(np.abs(warm.y_hat - cold.y_hat)) <= 1e-12 * (1 + np.max(np.abs(cold.y_hat)))
         assert np.max(np.abs(warm.lam - cold.lam), initial=0.0) <= \
             1e-12 * (1 + np.max(cold.lam, initial=0.0))
@@ -339,13 +347,13 @@ class TestInteriorFastPath:
         A = rng.standard_normal((k, d))
         u = A @ -(c / H) + np.array([_SLACKS[kind] for kind in kinds[:k]])
         interior = k == 0 or (u - A @ -(c / H)).min() > TAU_ACT
-        real, calls = ll.diagonal_solver, []
+        real, calls = ll._dual_active_set, []
 
-        def spy(h):
-            calls.append(h)
-            return real(h)
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
 
-        ll.diagonal_solver = spy
+        ll._dual_active_set = spy
         try:
             fast = _solve_or_error(H, c, A, u)
             took_fast_path = not calls
@@ -353,7 +361,7 @@ class TestInteriorFastPath:
             # cold; with no rows the start is out of range and unusable
             general = _solve_or_error(H, c, A, u, (0,))
         finally:
-            ll.diagonal_solver = real
+            ll._dual_active_set = real
         assert took_fast_path == interior
         assert len(calls) == 1 + (not interior)
         if isinstance(fast, DsbloError):  # more rows at the threshold than d
@@ -361,19 +369,20 @@ class TestInteriorFastPath:
             return
         assert np.array_equal(fast.y_hat, general.y_hat)
         assert np.array_equal(fast.lam, general.lam)
-        for name in ("active_set", "kkt_residual", "max_violation", "delta_cert", "stats",
-                     "rank_smin"):
+        for name in ("active_set", "kkt_residual", "max_violation", "delta_cert", "stats"):
             assert getattr(fast, name) == getattr(general, name), name
+        cache = ActiveSetCache(H, A)
+        assert cache.check_rank(fast.active_set) == cache.check_rank(general.active_set)
         if interior:
-            assert fast.active_set == () and fast.rank_smin == np.inf
+            assert fast.active_set == () and cache.check_rank(fast.active_set) == np.inf
             assert fast.stats == {"pivots": 0, "repairs": 0}
             assert not fast.y_hat.flags.writeable and not fast.lam.flags.writeable
 
     def test_returns_before_the_active_set_machinery(self, monkeypatch):
-        def unreachable(H):
+        def unreachable(*args):
             raise AssertionError("interior solve reached the active-set set-up")
 
-        monkeypatch.setattr(ll, "diagonal_solver", unreachable)
+        monkeypatch.setattr(ll, "_dual_active_set", unreachable)
         H, c = np.array([2.0, 4.0]), np.array([-2.0, 4.0])
         sol = solve_qp(H, c, np.array([[1.0, 0.0]]), np.array([2.0]))
         assert sol.y_hat.tolist() == [1.0, -1.0] and sol.active_set == ()
@@ -384,6 +393,37 @@ class TestInteriorFastPath:
             solve_qp(H, c, np.array([[1.0, 0.0]]), np.array([1.0 + TAU_ACT / 2]))
         with pytest.raises(AssertionError, match="active-set set-up"):
             solve_qp(H, c, np.array([[1.0, 0.0]]), np.array([2.0]), (0,))
+
+
+class TestUncertified:
+    # a finite solve whose KKT residual exceeds KKT_TOL must raise, never
+    # return a point the certificate does not cover
+    def test_huge_perturbations_raise_or_certify(self):
+        inst = generate_instance(4, 4, 3, seed=1)
+        for scale in (1e6, 1e12):
+            rng = np.random.default_rng(0)
+            uncertified = 0
+            for _ in range(50):
+                try:
+                    sol = solve_ll_quadratic(inst, np.zeros(4), scale * rng.standard_normal(4))
+                except Uncertified:
+                    uncertified += 1
+                except DsbloError:
+                    continue
+                else:
+                    assert sol.kkt_residual <= KKT_TOL
+            assert uncertified > 0, scale
+
+    def test_run_experiment_records_the_error(self, tmp_path):
+        summary = run_experiment(config_from_dict({
+            "instance": {"d_u": 4, "d_l": 4, "k": 3, "seed": 1}, "seeds": [1],
+            "output_dir": str(tmp_path),
+            "algorithms": [{"name": "dsblo", "label": "dsblo", "T": 12, "perturb_radius": 1e12,
+                            "beta": 0.9, "gamma1": 20.0, "gamma2": 20.0, "K": 10,
+                            "delta_y": 1e-8}]}))
+        assert summary["failed"]
+        run, = json.loads((tmp_path / "summary.json").read_text())["runs"]
+        assert run["status"] == "error" and "dsblo.errors.Uncertified" in run["error"]
 
 
 class TestNonFinite:
@@ -606,6 +646,13 @@ class TestCertifyAndMargin:
         assert sc_margin(sol) == float("inf")
 
 
+def _two_row_instance(rows):
+    """Rows A y <= -1 in two dimensions with B = 0, Q2 = 0 and c = q."""
+    poly = Polyhedron(np.array(rows), np.zeros((2, 2)), np.array([-1.0, -1.0]))
+    return QuadraticBilevel(Q1=np.zeros((2, 2)), Q2=np.zeros((2, 2)), cx=np.ones((1, 2)),
+                            cy=np.ones((1, 2)), constraints=poly, box_radius=None)
+
+
 def _solve_and_grad(inst, x, q, start):
     """(solve, gradient) at x, or the type of the error either raised."""
     try:
@@ -642,15 +689,13 @@ class TestActiveSetCache:
             assert np.array_equal(a.y_hat, b.y_hat) and np.array_equal(a.lam, b.lam)
             assert (ga is None) == (gb is None) and (ga is None or np.array_equal(ga, gb))
             assert a.active_set == b.active_set and a.stats == b.stats
-            assert a.rank_smin == b.rank_smin
+            assert (fresh.active_set_cache.check_rank(a.active_set)
+                    == filled.active_set_cache.check_rank(b.active_set))
 
     def test_rank_deficient_rows_raise_on_a_hit_as_on_a_miss(self):
         # rows y1 <= -1 and y1 + 1e-9 y2 <= -1 both bind at the solution
         # (-1, 0); their smallest singular value is about 7e-10
-        poly = Polyhedron(np.array([[1.0, 0.0], [1.0, 1e-9]]), np.zeros((2, 2)),
-                          np.array([-1.0, -1.0]))
-        inst = QuadraticBilevel(Q1=np.zeros((2, 2)), Q2=np.zeros((2, 2)), cx=np.ones((1, 2)),
-                                cy=np.ones((1, 2)), constraints=poly, box_radius=None)
+        inst = _two_row_instance([[1.0, 0.0], [1.0, 1e-9]])
         for _ in range(2):
             with pytest.raises(DegenerateActiveSet, match="rank deficient"):
                 solve_ll_quadratic(inst, np.zeros(2), None)
@@ -658,6 +703,38 @@ class TestActiveSetCache:
             with pytest.raises(DegenerateActiveSet, match="rank deficient"):
                 inst.active_set_cache.check_rank((0, 1))
         assert len(inst.active_set_cache) == 2  # (0,) from the pivot, (0, 1)
+        # the gradient and the Jacobians read the same check, on a solve
+        # built by hand with positive multipliers on both rows
+        sol = LLSolution(y_hat=np.array([-1.0, 0.0]), lam=np.ones(2), active_set=(0, 1),
+                         kkt_residual=0.0, max_violation=0.0, delta_cert=0.0)
+        for grad in (lambda i: implicit_gradient(i, np.zeros(2), sol),
+                     lambda i: jacobians(i, sol)):
+            fresh = _two_row_instance([[1.0, 0.0], [1.0, 1e-9]])
+            for _ in range(2):  # a miss, then a hit
+                with pytest.raises(DegenerateActiveSet, match="rank deficient"):
+                    grad(fresh)
+            assert len(fresh.active_set_cache) == 1
+
+    def test_one_svd_per_new_row_tuple(self, monkeypatch):
+        # rows y1 <= -1 and y2 <= -1: with q = 0 both bind, with q = (0, 10)
+        # only row 0 does; each solve is followed by its gradient and
+        # Jacobians, and only a row tuple the cache has not seen costs an SVD
+        inst = _two_row_instance([[1.0, 0.0], [0.0, 1.0]])
+        real_svd, svds = np.linalg.svd, []
+
+        def svd(*args, **kwargs):
+            svds.append(args[0].shape)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for q, active, count in ((None, (0, 1), 1), ([0.0, 10.0], (0,), 2),
+                                 (None, (0, 1), 2), ([0.0, 10.0], (0,), 2)):
+            sol = solve_ll_quadratic(inst, np.zeros(2), q)
+            assert sol.active_set == active
+            implicit_gradient(inst, np.zeros(2), sol)
+            jacobians(inst, sol)
+            assert len(svds) == count
+        assert svds == [(2, 2), (1, 2)]
 
     def test_rejected_start_falls_back_to_a_cold_solve_on_a_hit(self):
         # S on rows 0 and 1 passes a Cholesky factorization, but row 1 has

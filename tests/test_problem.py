@@ -47,8 +47,8 @@ class TestGenerator:
     def test_scalar_instance(self):
         inst = generate_instance(1, 1, 1, seed=0)
         assert inst.Q2.shape == (1, 1)
-        assert np.array_equal(inst.hess_yy_g(), [[2.0]])
-        assert inst.mu_g == inst.lip_grad_y == 2.0
+        assert np.array_equal(inst.hess_yy_diag, [2.0])
+        assert inst.mu_g == 2.0
 
     def test_determinism(self):
         a = generate_instance(4, 3, 2, seed=42)
@@ -142,18 +142,18 @@ class TestGradients:
         inst = seed1_instance
         rng = np.random.default_rng(3)
         h = 1e-6
+        assert np.array_equal(inst.hess_yy_diag, np.full(10, 2.0))
         for _ in range(10):
             x = rng.standard_normal(10)
             y = rng.standard_normal(10)
-            assert np.array_equal(inst.hess_yy_g(x, y), 2.0 * np.eye(10))
-            assert np.array_equal(inst.jac_xy_g(x, y), inst.Q2.T)
-            # finite differences of grad_y_g confirm both constants
+            # finite differences of grad_y_g confirm the Hessian diagonal
+            # hess_yy_diag and the cross Jacobian Q2', both constant
             j = int(rng.integers(10))
             e = np.zeros(10)
             e[j] = h
             col_y = (inst.grad_y_g(x, y + e) - inst.grad_y_g(x, y - e)) / (2 * h)
             col_x = (inst.grad_y_g(x + e, y) - inst.grad_y_g(x - e, y)) / (2 * h)
-            assert np.allclose(col_y, 2.0 * np.eye(10)[:, j], atol=1e-6)
+            assert np.allclose(col_y, np.diag(inst.hess_yy_diag)[:, j], atol=1e-6)
             assert np.allclose(col_x, inst.Q2.T[:, j], atol=1e-6)
 
 
