@@ -287,11 +287,12 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
 
     Interior solves return at once: with no ``start``, when there are no
     rows or every slack of y = -H^-1 c exceeds ``TAU_ACT``, that y is the
-    answer (no pivot, no active row, zero multipliers)
-    and the result equals the one the iteration below would return, field
-    for field. A NaN or infinite input raises ``NonFinite`` instead of
-    returning an uncertified point; so does, where numpy's warnings are
-    raised as errors, one large enough to overflow the arithmetic.
+    answer (no pivot, no active row, zero multipliers) and the result
+    equals the one the iteration below would return, field for field. A
+    NaN or infinite input raises ``NonFinite`` instead of returning an
+    uncertified point; so does, where numpy's warnings are raised as
+    errors, one large enough to overflow the arithmetic. A finite point
+    whose KKT residual exceeds ``KKT_TOL`` raises ``Uncertified``.
 
     ``cache`` is the ``ActiveSetCache`` of this H and A, such as an
     instance's ``active_set_cache``; by default the call makes its own. It
