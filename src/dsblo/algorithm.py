@@ -140,7 +140,7 @@ def step_size(m: np.ndarray, gamma1: float, gamma2: float) -> float:
     eta * ||m|| <= 1/gamma1 and eta <= 1/gamma2."""
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValueError("gamma1 and gamma2 must be positive")
-    return 1.0 / (gamma1 * float(np.linalg.norm(m)) + gamma2)
+    return 1.0 / (gamma1 * math.sqrt(m @ m) + gamma2)
 
 
 @dataclass
@@ -259,8 +259,8 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
             due.append(t - 1)
             starts.append(sol.active_set)
         rec = IterateRecord(
-            t=t, x=x, x_bar=x_bar, q_norm=float(np.linalg.norm(q)), eta=eta,
-            m_norm=float(np.linalg.norm(m)), grad=g, wall_time=time.monotonic() - t_start,
+            t=t, x=x, x_bar=x_bar, q_norm=math.sqrt(q @ q), eta=eta,
+            m_norm=math.sqrt(m @ m), grad=g, wall_time=time.monotonic() - t_start,
         )
         log.records.append(rec)
         if progress is not None:

@@ -171,7 +171,7 @@ def stationarity_window(log, t: int, beta: float, K: int,
     else:
         # stationarity_profile's product, so the two agree bit for bit
         combined = w @ np.asarray([records[i - 1].grad for i in idx])
-    return StationarityWindow(combined=combined, norm=float(np.linalg.norm(combined)),
+    return StationarityWindow(combined=combined, norm=math.sqrt(combined @ combined),
                               mc_fallbacks=fallbacks)
 
 
@@ -186,7 +186,7 @@ def stationarity_profile(log, beta: float, K: int) -> np.ndarray:
     windows = sliding_window_view(grads, K, axis=0)[1:].transpose(0, 2, 1)
     combined = window_weights(beta, K) @ windows
     # sqrt(c @ c) is bit for bit the 1-D norm; a norm along axis 1 is not
-    out[K:] = [math.sqrt(c @ c) for c in combined]
+    out[K:] = np.sqrt(_dots(combined, combined))
     return out
 
 

@@ -4,7 +4,6 @@ objective-vs-time SVG, and the (algorithm, seed) runs, one after another."""
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import time
 import traceback
@@ -204,32 +203,26 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(doc, base_dir=path.parent)
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    v = float(v)
-    if math.isnan(v):
-        return ""
-    return repr(v)
+def _floats(values) -> list:
+    return list(map(repr, map(float, values)))
+
+
+def _blank_or_floats(values) -> list:
+    return ["" if v is None or v != v else repr(float(v)) for v in values]
 
 
 def write_csv(log: RunLog, path) -> None:
     """One row per iterate with the pinned column schema; F and the window
     norm are blank where not evaluated / not yet defined. The stationarity
     column is ``log.stationarity``: a run without a schedule logs its
-    momentum norms there."""
-    lines = [CSV_HEADER]
-    for rec, st in zip(log.records, log.stationarity):
-        lines.append(",".join([
-            str(rec.t),
-            repr(float(rec.wall_time)),
-            _fmt(rec.F_exact),
-            repr(float(rec.eta)),
-            repr(float(rec.m_norm)),
-            _fmt(st),
-            repr(float(rec.q_norm)),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    momentum norms there. Each column is formatted in one pass, a number
+    as the ``repr`` of its float."""
+    recs = log.records
+    rows = zip([str(r.t) for r in recs], _floats([r.wall_time for r in recs]),
+               _blank_or_floats([r.F_exact for r in recs]), _floats([r.eta for r in recs]),
+               _floats([r.m_norm for r in recs]), _blank_or_floats(log.stationarity.tolist()),
+               _floats([r.q_norm for r in recs]))
+    Path(path).write_text("\n".join([CSV_HEADER, *map(",".join, rows)]) + "\n")
 
 
 def _svg_escape(s: str) -> str:
@@ -262,7 +255,7 @@ def write_objective_svg(series: List[dict], path, title="objective vs wall time"
         if y1 <= y0:
             y1 = y0 + 1.0
 
-        def px(x):
+        def px(x):  # also maps an array, for the polylines
             return ml + (x - x0) / (x1 - x0) * (W - ml - mr)
 
         def py(y):
@@ -289,10 +282,9 @@ def write_objective_svg(series: List[dict], path, title="objective vs wall time"
             f'F(x_t)</text>')
         for i, s in enumerate(plotted):
             color = _PALETTE[i % len(_PALETTE)]
-            pts = " ".join(
-                f"{px(float(t)):.2f},{py(float(v)):.2f}"
-                for t, v in zip(s["time"], s["value"])
-            )
+            pts = " ".join([f"{a:.2f},{b:.2f}" for a, b in zip(
+                px(np.asarray(s["time"], dtype=float)).tolist(),
+                py(np.asarray(s["value"], dtype=float)).tolist())])
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
             ly = mt + 16 + 16 * i
             parts.append(f'<line x1="{W - mr - 150}" y1="{ly - 4}" x2="{W - mr - 122}" y2="{ly - 4}" '

@@ -76,15 +76,14 @@ def _adjoint(inst: QuadraticBilevel, lam, active: tuple, gx, gy) -> np.ndarray:
 
     For n draws that share the active set, lam, gx and gy hold one row per
     draw and the result one gradient row per draw, all from one solve.
-    Every row's multipliers are checked."""
-    M = inst.Q2.T
+    Every row's multipliers are checked. M' is Q2 itself."""
     gx = np.asarray(gx, dtype=float)
     Higy = diagonal_solver(inst.hess_yy_diag)(np.asarray(gy, dtype=float).T)
     if not active:
-        return gx - (M.T @ Higy).T
+        return gx - (inst.Q2 @ Higy).T
     Bbar = _active_rows(inst, active, np.asarray(lam))
     w, v = _kkt_solve(inst, active, Higy, 0.0)
-    return gx + (M.T @ v).T + (Bbar.T @ w).T
+    return gx + (inst.Q2 @ v).T + (Bbar.T @ w).T
 
 
 def jacobians(inst: QuadraticBilevel, sol: LLSolution):

@@ -14,6 +14,7 @@ Two routes are provided:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -51,7 +52,7 @@ class Perturbation:
         q = np.ascontiguousarray(np.asarray(self.q, dtype=float))
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "norm", float(np.linalg.norm(q)))
+        object.__setattr__(self, "norm", math.sqrt(q @ q))
 
 
 def _ball_draw(radius: float, rng: np.random.Generator, d_l: int) -> np.ndarray:
@@ -60,12 +61,14 @@ def _ball_draw(radius: float, rng: np.random.Generator, d_l: int) -> np.ndarray:
         raise ValueError("perturbation radius must be positive")
     d = int(d_l)
     v = rng.standard_normal(d)
-    n = np.linalg.norm(v)
+    n = np.sqrt(v @ v)
     while n == 0.0:  # pragma: no cover - probability zero
         v = rng.standard_normal(d)
-        n = np.linalg.norm(v)
+        n = np.sqrt(v @ v)
     scale = radius * rng.random() ** (1.0 / d)
-    try:  # only warnings-as-errors raise, for a radius near the float limit
+    # n is a numpy scalar, so an overflowing scale / n warns (a Python float
+    # gives inf); only warnings-as-errors raise, for a radius near 1e308
+    try:
         return v * (scale / n)
     except RuntimeWarning as exc:
         raise NonFinite(f"perturbation draw overflowed: {exc}") from exc
@@ -111,18 +114,18 @@ def sc_margin(sol: LLSolution) -> float:
 
 
 def _tight_rows(slacks: np.ndarray) -> tuple:
-    return tuple(int(i) for i in np.flatnonzero(slacks <= TAU_ACT))
+    return tuple(np.flatnonzero(slacks <= TAU_ACT).tolist())
 
 
 def _certified(y: np.ndarray, lam: np.ndarray, active: tuple, residual: np.ndarray,
-               slack: np.ndarray, mu: float, stats: dict) -> LLSolution:
+               max_viol: float, mu: float, stats: dict) -> LLSolution:
     """The frozen ``solve_qp`` result at y with multipliers lam, certified by
-    the stationarity residual H y + c + A' lam and the slacks u - A y, the
-    smallest Hessian entry mu turning the residual into a distance bound;
-    raises ``NonFinite`` when either certificate is NaN or +inf, and
-    ``Uncertified`` when the residual exceeds ``KKT_TOL``."""
-    kkt = float(np.linalg.norm(residual))
-    max_viol = float(-slack.min()) if slack.size else float("-inf")
+    the stationarity residual H y + c + A' lam and the largest violation
+    max(A y - u) (-inf without rows), the smallest Hessian entry mu turning
+    the residual into a distance bound; raises ``NonFinite`` when either
+    certificate is NaN or +inf, and ``Uncertified`` when the residual
+    exceeds ``KKT_TOL``."""
+    kkt = math.sqrt(residual @ residual)  # bit for bit the 1-D norm
     if not (kkt < np.inf and max_viol < np.inf):
         raise NonFinite(f"uncertifiable solve: KKT residual {kkt}, violation {max_viol}")
     if kkt > KKT_TOL:
@@ -154,11 +157,19 @@ class ActiveSetCache:
 
     ``QuadraticBilevel.active_set_cache`` keeps one per instance, since H and
     A never change; ``solve_qp`` and ``solve_qp_batch`` on bare arrays use
-    one per call. It holds at most ``ACTIVE_SET_CACHE_SIZE`` tuples."""
+    one per call. It holds at most ``ACTIVE_SET_CACHE_SIZE`` tuples. It checks
+    H once: a 2-D H raises ``ValueError`` and a nonpositive entry ``NotSPD``;
+    ``mu`` is H's smallest entry, and ``A`` a 2-D float array."""
 
     def __init__(self, H: np.ndarray, A: np.ndarray):
+        H = np.asarray(H, dtype=float)
+        if H.ndim != 1:
+            raise ValueError("the Hessian diagonal H must be a 1-D array")
+        self.mu = float(H.min())
+        if self.mu <= 0:
+            raise NotSPD("nonpositive diagonal Hessian entry")
         self.H = H
-        self.A = A
+        self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self._rows: dict = {}
 
     def __len__(self) -> int:
@@ -295,17 +306,13 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     whose KKT residual exceeds ``KKT_TOL`` raises ``Uncertified``.
 
     ``cache`` is the ``ActiveSetCache`` of this H and A, such as an
-    instance's ``active_set_cache``; by default the call makes its own. It
-    changes no bit of the result.
+    instance's ``active_set_cache``; by default the call makes its own. The
+    solve reads H, A and mu from it, and it changes no bit of the result.
     """
-    H = np.asarray(H, dtype=float)
-    if H.ndim != 1:
-        raise ValueError("solve_qp takes the Hessian diagonal as a 1-D array")
-    mu = float(H.min())
-    if mu <= 0:
-        raise NotSPD("nonpositive diagonal Hessian entry")
+    if cache is None:
+        cache = ActiveSetCache(H, A)
+    H, A, mu = cache.H, cache.A, cache.mu
     c = np.asarray(c, dtype=float)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     k = A.shape[0]
     # a NaN or infinite input, or one so large that the arithmetic
@@ -313,12 +320,12 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     try:
         Hic = c / H
         y = -Hic
-        slack = u - A @ y if k else np.zeros(0)
-        if not len(start) and (k == 0 or slack.min() > TAU_ACT):
-            return _certified(y, np.zeros(k), (), H * y + c, slack, mu,
-                              {"pivots": 0, "repairs": 0})
-        if cache is None:
-            cache = ActiveSetCache(H, A)
+        if not len(start):
+            # one reduction of the slacks u - A y decides and certifies it
+            smin = float(np.minimum.reduce(u - A @ y)) if k else np.inf
+            if smin > TAU_ACT:
+                return _certified(y, np.zeros(k), (), H * y + c, -smin, mu,
+                                  {"pivots": 0, "repairs": 0})
         return _dual_active_set(H, c, A, u, Hic, mu, start, cache)
     except RuntimeWarning as exc:
         raise NonFinite(f"non-finite arithmetic: {exc}") from exc
@@ -436,7 +443,7 @@ def _dual_active_set(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     residual = H * y + c
     if active:
         residual = residual + A[list(active)].T @ lam[list(active)]
-    return _certified(y, lam, active, residual, slack, mu,
+    return _certified(y, lam, active, residual, float(-slack.min()) if k else -np.inf, mu,
                       {"pivots": pivots, "repairs": repairs})
 
 
@@ -457,13 +464,14 @@ def solve_qp_batch(H: np.ndarray, C: np.ndarray, A: np.ndarray, U: np.ndarray,
     Every draw fails when ``work`` is not a usable start. A NaN or
     infinite draw fails, or raises ``NonFinite`` where numpy's warnings are
     raised as errors, as the single solve does."""
+    if cache is None:
+        cache = ActiveSetCache(H, A)
+    H, A = cache.H, cache.A
     C = np.atleast_2d(np.asarray(C, dtype=float))
     n, d = C.shape
     k = A.shape[0]
     U = np.broadcast_to(U, (n, k))
     work = sorted({int(i) for i in work})
-    if cache is None:
-        cache = ActiveSetCache(H, A)
     Y = np.full((n, d), np.nan)
     Lam = np.full((n, k), np.nan)
     HiC = C.T / H[:, None]

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import dsblo.algorithm as algo_mod
 import dsblo.diagnostics as diag_mod
 from dsblo.algorithm import DsbloParams, ManualMode, run_dsblo, run_igd_baseline
-from dsblo.diagnostics import (_draws, _mc_solves, build_report, eval_F_exact,
+from dsblo.diagnostics import (_dots, _draws, _mc_solves, build_report, eval_F_exact,
                                eval_F_exact_rows, fd_gradient_oracle,
                                perturbation_error_check, stationarity_profile,
                                stationarity_window, window_weights)
@@ -355,6 +356,42 @@ class TestFbarMC:
             assert abs(ratio - np.sqrt(10)) <= 0.2 * np.sqrt(10)
 
 
+def _scaled(rng, shape, exponent: int, spread: float) -> np.ndarray:
+    """Normal draws scaled by 10 ** (exponent +- spread), entry by entry."""
+    return rng.standard_normal(shape) * 10.0 ** (exponent + rng.uniform(-spread, spread, shape))
+
+
+_EXPONENTS = st.sampled_from([-150, -149, -100, -8, 0, 8, 100, 149, 150]) | st.integers(-150, 150)
+
+
+class TestDotProductNorms:
+    # the loop, the certificate and the windows take sqrt(v @ v) for the
+    # 1-D norm, and stationarity_profile takes it row by row through _dots;
+    # outputs stay byte-identical only while these hold bit for bit
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 600), st.integers(0, 2 ** 32 - 1), _EXPONENTS,
+           st.sampled_from([0.0, 0.5, 2.0]))
+    def test_sqrt_of_dot_is_the_norm(self, n, seed, exponent, spread):
+        v = _scaled(np.random.default_rng(seed), n, exponent, spread)
+        norm = float(np.linalg.norm(v))
+        assert math.sqrt(v @ v) == norm
+        assert float(np.sqrt(v @ v)) == norm
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=600))
+    def test_sqrt_of_dot_is_the_norm_on_drawn_floats(self, values):
+        v = np.array(values)
+        assert math.sqrt(v @ v) == float(np.linalg.norm(v))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 600), st.integers(0, 2 ** 32 - 1), _EXPONENTS)
+    def test_row_norms_through_dots(self, rows, cols, seed, exponent):
+        C = _scaled(np.random.default_rng(seed), (rows, cols), exponent, 1.0)
+        expected = np.array([math.sqrt(c @ c) for c in C])
+        assert np.sqrt(_dots(C, C)).tobytes() == expected.tobytes()
+
+
 class TestStationarityWindow:
     def _log_with_grads(self, grads):
         class _Rec:
@@ -369,6 +406,16 @@ class TestStationarityWindow:
         log = _Log()
         log.records = [_Rec(t + 1, g) for t, g in enumerate(grads)]
         return log
+
+    @pytest.mark.parametrize("d", [1, 10, 50, 257])
+    def test_profile_equals_every_window_norm(self, d):
+        # the profile's row norms (sqrt of _dots) against each window's
+        # 1-D norm, bit for bit, at sizes where a pairwise sum would differ
+        grads = _scaled(np.random.default_rng(d), (60, d), 0, 3.0)
+        log = self._log_with_grads(grads)
+        prof = stationarity_profile(log, 0.9, 10)
+        norms = [stationarity_window(log, t, 0.9, 10).norm for t in range(11, 61)]
+        assert prof[10:].tobytes() == np.array(norms).tobytes()
 
     def test_constant_gradients(self):
         v = np.array([2.0, -1.0])

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -319,7 +320,41 @@ class TestRunExperiment:
         assert summary["instance_fingerprint"] == fingerprint(inst)
 
 
+class TestCsvBytes:
+    def test_golden_bytes(self, tmp_path):
+        # a None and a NaN F are blank, and so is the window norm before the
+        # first full window; an integer eta (igd's step 1) prints as 1.0
+        z = np.zeros(2)
+        recs = [
+            algo.IterateRecord(t=1, x=z, x_bar=z, q_norm=1e-3, eta=1, m_norm=2.5,
+                               grad=np.array([1.0, 0.0]), F_exact=None, wall_time=0.25),
+            algo.IterateRecord(t=2, x=z, x_bar=z, q_norm=0.000123, eta=1, m_norm=1 / 3,
+                               grad=np.array([3.0, 4.0]), F_exact=-0.1, wall_time=1.5),
+            algo.IterateRecord(t=3, x=z, x_bar=z, q_norm=1e-7, eta=1, m_norm=2 / 3,
+                               grad=np.array([1.0, 1.0]), F_exact=float("nan"), wall_time=2),
+        ]
+        sched = algo.ManualMode(beta=0.5, gamma1=1.0, gamma2=1.0, K=1, delta_y=1e-8)
+        path = tmp_path / "run.csv"
+        exp_mod.write_csv(algo.RunLog("igd", {}, sched, recs), path)
+        assert path.read_text() == (
+            "t,wall_time_s,F,eta,m_norm,stationarity_norm,q_norm\n"
+            "1,0.25,,1.0,2.5,,0.001\n"
+            "2,1.5,-0.1,1.0,0.3333333333333333,5.0,0.000123\n"
+            "3,2.0,,1.0,0.6666666666666666,1.4142135623730951,1e-07\n")
+
+
 class TestSvg:
+    def test_polyline_golden_bytes(self, tmp_path):
+        # the output check skips SVGs (their x axis is wall time), so this
+        # pins the polyline bytes: x0 = 0, x1 = 2, y0 = -1, y1 = 3
+        p = tmp_path / "plot.svg"
+        write_objective_svg(
+            [{"label": "dsblo", "time": [0.0, 0.5, 2.0], "value": [3.0, 1.0, 0.5]},
+             {"label": "igd", "time": [0.25, 1.0, 1.75], "value": [2.0, -1.0, 1 / 3]}], p)
+        assert re.findall(r'points="[^"]*"', p.read_text()) == [
+            'points="70.00,40.00 237.50,225.00 740.00,271.25"',
+            'points="153.75,132.50 405.00,410.00 656.25,286.67"']
+
     def test_polyline_and_legend(self, tmp_path):
         p = tmp_path / "plot.svg"
         write_objective_svg(

@@ -154,6 +154,25 @@ class TestActiveSetQP:
             with pytest.raises(ValueError, match="1-D"):
                 solve_qp(H, np.zeros(2), np.zeros((0, 2)), np.zeros(0))
 
+    def test_hessian_checked_by_the_cache(self):
+        # ActiveSetCache checks H for every solve, so a bare cache and the
+        # batch raise what solve_qp raises, whatever the draws or rows
+        from dsblo.errors import NotSPD
+        A, C = np.eye(2), np.zeros((3, 2))
+        for H in (-np.ones(2), np.array([1.0, 0.0])):
+            with pytest.raises(NotSPD):
+                ActiveSetCache(H, A)
+            for work in ((), (0,)):
+                with pytest.raises(NotSPD):
+                    solve_qp_batch(H, C, A, np.ones(2), work)
+        for H in (2.0 * np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])):
+            with pytest.raises(ValueError, match="1-D"):
+                ActiveSetCache(H, A)
+            with pytest.raises(ValueError, match="1-D"):
+                solve_qp_batch(H, C, A, np.ones(2), (0,))
+        cache = ActiveSetCache([3.0, 0.5], [1.0, 2.0])
+        assert cache.mu == 0.5 and cache.A.shape == (1, 2) and cache.A.dtype == float
+
     def test_rank_recorded(self):
         inst = generate_instance(6, 6, 4, seed=3)
         rng = np.random.default_rng(3)
@@ -378,6 +397,30 @@ class TestInteriorFastPath:
             assert fast.stats == {"pivots": 0, "repairs": 0}
             assert not fast.y_hat.flags.writeable and not fast.lam.flags.writeable
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 6), st.integers(0, 2 ** 16),
+           st.sampled_from([0.0, 0.1, 1.0, 4.0]), st.booleans())
+    def test_bare_arrays_equal_the_instance_cache(self, d, k, seed, scale, tight):
+        # a solve reads H, A and mu from its cache: one made per call from
+        # copies of the arrays gives every field the bits of the solve
+        # through the instance's cache, on the interior path and off it
+        inst = generate_instance(d, d, k, seed=seed, box_radius=0.2 if tight else 10.0)
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal(d)
+        q = 1e-3 * rng.standard_normal(d)
+        cached = _solve_or_error(inst.hess_yy_diag, inst.Q2.T @ x + q, inst.constraints.A,
+                                 inst.constraints.rhs(x), (), inst.active_set_cache)
+        bare = _solve_or_error(inst.hess_yy_diag.copy(), inst.Q2.T @ x + q,
+                               inst.constraints.A.copy(), inst.constraints.rhs(x))
+        assert type(bare) is type(cached)
+        if isinstance(bare, DsbloError):
+            return
+        for other in (bare, solve_ll_quadratic(inst, x, q)):
+            assert other.y_hat.tobytes() == cached.y_hat.tobytes()
+            assert other.lam.tobytes() == cached.lam.tobytes()
+            for name in ("active_set", "kkt_residual", "max_violation", "delta_cert", "stats"):
+                assert getattr(other, name) == getattr(cached, name), name
+
     def test_returns_before_the_active_set_machinery(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("interior solve reached the active-set set-up")
@@ -456,7 +499,7 @@ from dsblo.algorithm import DsbloParams, ManualMode, run_dsblo
 from dsblo.diagnostics import eval_F_exact_rows
 from dsblo.errors import NonFinite
 from dsblo.experiment import config_from_dict, run_experiment
-from dsblo.lower_level import solve_ll_quadratic, solve_qp, solve_qp_batch
+from dsblo.lower_level import _ball_draw, solve_ll_quadratic, solve_qp, solve_qp_batch
 from dsblo.problem import empty_polyhedron, generate_instance
 
 def expect_nonfinite(fn, *args):
@@ -488,12 +531,24 @@ with tempfile.TemporaryDirectory() as out:
     run, = json.load(open(out + "/summary.json"))["runs"]
     if run["status"] == "error" and "dsblo.errors.NonFinite" in run["error"]:
         print("NonFinite")
+# near the float limit, scale / ||v|| overflows for some draws: each must
+# raise, and none may return an infinite q
+raised = returned_inf = 0
+for s in range(200):
+    try:
+        v = _ball_draw(1.7e308, np.random.default_rng(s), 1)
+    except NonFinite:
+        raised += 1
+    else:
+        returned_inf += not np.isfinite(v).all()
+print(f"draws-raised={raised > 0} draws-non-finite={returned_inf}")
 """
         src = str(Path(ll.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True,
                              text=True, timeout=120, env={"PYTHONPATH": src})
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["NonFinite"] * 9
+        assert out.stdout.split() == ["NonFinite"] * 9 + ["draws-raised=True",
+                                                          "draws-non-finite=0"]
 
     def test_nan_hessian(self):
         with pytest.raises(NonFinite):
