@@ -25,7 +25,7 @@ import numpy as np
 from .diagnostics import check_windows, eval_F_exact_rows, stationarity_profile
 from .errors import DegenerateActiveSet, DsbloError, ScheduleInfeasible
 from .implicit_grad import implicit_gradient, sampled_implicit_gradient
-from .lower_level import _ball_draw
+from .lower_level import _ball_draw, solve_ll_quadratic
 from .problem import QuadraticBilevel, sample_component
 
 
@@ -135,12 +135,12 @@ def schedule(params: DsbloParams) -> ManualMode:
     return sched
 
 
-def step_size(m: np.ndarray, gamma1: float, gamma2: float) -> float:
-    """Norm-adaptive step 1/(gamma1 ||m|| + gamma2); always satisfies
-    eta * ||m|| <= 1/gamma1 and eta <= 1/gamma2."""
+def step_size(m_norm: float, gamma1: float, gamma2: float) -> float:
+    """Norm-adaptive step 1/(gamma1 ||m|| + gamma2) from m_norm = ||m||;
+    always satisfies eta * ||m|| <= 1/gamma1 and eta <= 1/gamma2."""
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValueError("gamma1 and gamma2 must be positive")
-    return 1.0 / (gamma1 * math.sqrt(m @ m) + gamma2)
+    return 1.0 / (gamma1 * m_norm + gamma2)
 
 
 @dataclass
@@ -198,12 +198,12 @@ class _Stopwatch:
 
 
 def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
-                eta_of: Callable[[np.ndarray], float], beta: float, segment: bool,
+                eta_of: Callable[[float], float], beta: float, segment: bool,
                 radius: float, option: str, batch_size: int,
                 progress: Optional[ProgressFn], cancel: Optional[CancelFn],
                 eval_every: int) -> RunLog:
     """The loop both runs share. Iteration t logs x_t, steps
-    x_{t+1} = x_t - eta_of(m_t) m_t, samples the next gradient at a uniform
+    x_{t+1} = x_t - eta_of(||m_t||) m_t, samples the next gradient at a uniform
     point of the step segment (``segment``) or at x_{t+1}, and folds it into
     the momentum m with weight 1 - beta. The q, segment and component draws
     use the three streams of ``SeedSequence(seed).spawn(3)``. Exact F is
@@ -232,7 +232,7 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
         for _ in range(5):
             q = _ball_draw(radius, q_rng, problem.d_l)
             try:
-                sol = ll.call(problem.solve_ll, x_pt, q, start)
+                sol = ll.call(solve_ll_quadratic, problem, x_pt, q, start)
                 if option == "sampled":
                     xi = [sample_component(problem, xi_rng) for _ in range(batch_size)]
                     g = ig.call(sampled_implicit_gradient, problem, x_pt, sol, xi).grad
@@ -254,13 +254,14 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
     x_bar = x.copy()
     due, starts = [], []  # the records owed an exact F, and their solves' starts
     for t in range(1, T + 1):
-        eta = eta_of(m)
+        m_norm = math.sqrt(m @ m)
+        eta = eta_of(m_norm)
         if eval_every and ((t - 1) % eval_every == 0 or t == T):
             due.append(t - 1)
             starts.append(sol.active_set)
         rec = IterateRecord(
             t=t, x=x, x_bar=x_bar, q_norm=math.sqrt(q @ q), eta=eta,
-            m_norm=math.sqrt(m @ m), grad=g, wall_time=time.monotonic() - t_start,
+            m_norm=m_norm, grad=g, wall_time=time.monotonic() - t_start,
         )
         log.records.append(rec)
         if progress is not None:
@@ -312,8 +313,8 @@ def run_dsblo(problem: QuadraticBilevel, params: DsbloParams, x0=None,
         schedule=sched,
     )
     return _outer_loop(problem, log, params.T, params.seed, x0,
-                       lambda m: step_size(m, sched.gamma1, sched.gamma2), sched.beta, True,
-                       params.perturb_radius, params.option,
+                       lambda m_norm: step_size(m_norm, sched.gamma1, sched.gamma2),
+                       sched.beta, True, params.perturb_radius, params.option,
                        params.batch_size, progress, cancel, eval_every)
 
 
@@ -335,6 +336,6 @@ def run_igd_baseline(problem: QuadraticBilevel, step: float, T: int, seed: int =
         params={"step": step, "T": T, "seed": seed, "perturb_radius": perturb_radius},
         schedule=None,
     )
-    return _outer_loop(problem, log, T, seed, x0, lambda m: step, 0.0, False,
+    return _outer_loop(problem, log, T, seed, x0, lambda m_norm: step, 0.0, False,
                        perturb_radius, "deterministic", 1,
                        progress, cancel, eval_every)

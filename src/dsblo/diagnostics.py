@@ -99,8 +99,7 @@ def _mc_solves(inst: QuadraticBilevel, X: np.ndarray, Q: np.ndarray, start=None)
 
     def batch(idx: np.ndarray, work: tuple) -> np.ndarray:
         nonlocal fallbacks
-        ok, Y[idx], Lam[idx] = solve_qp_batch(inst.hess_yy_diag, C[idx], poly.A, U[idx], work,
-                                              inst.active_set_cache)
+        ok, Y[idx], Lam[idx] = solve_qp_batch(inst.active_set_cache, C[idx], U[idx], work)
         groups.setdefault(tuple(sorted(work)), []).extend(idx[ok].tolist())
         fallbacks += not ok.all()
         return idx[~ok]

@@ -19,7 +19,8 @@ with c = grad_y f and u = 0, whose point v and multipliers w give
 ``jacobians`` forms jac_y and jac_lambda, the same solve with c = M and
 u = -Bbar; it is the reference the tests and ``verify`` check against. Both
 need strict complementarity and independent active rows, and check both;
-the rank check is the cache's.
+the rank check, and the ``DegenerateActiveSet`` a singular solve raises,
+are the cache's.
 """
 
 from __future__ import annotations
@@ -41,11 +42,6 @@ class ImplicitGradient:
     grad: np.ndarray
 
 
-def diagonal_solver(H: np.ndarray):
-    """Z -> H^-1 Z, Z a vector or a matrix, for a positive Hessian diagonal H."""
-    return lambda Z: Z / H if Z.ndim == 1 else Z / H[:, None]
-
-
 def _active_rows(inst: QuadraticBilevel, active: tuple, lam: np.ndarray) -> np.ndarray:
     """Bbar of a nonempty active set, after checking strict complementarity
     on every row of multipliers in ``lam`` and, through the instance's
@@ -60,15 +56,6 @@ def _active_rows(inst: QuadraticBilevel, active: tuple, lam: np.ndarray) -> np.n
     return inst.constraints.B[active]
 
 
-def _kkt_solve(inst: QuadraticBilevel, active: tuple, Hic: np.ndarray, uw) -> tuple:
-    """``ActiveSetCache.equality_solve`` on the active rows, a singular
-    system raised as ``DegenerateActiveSet``."""
-    try:
-        return inst.active_set_cache.equality_solve(tuple(active), Hic, uw)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateActiveSet("singular reduced KKT system") from exc
-
-
 def _adjoint(inst: QuadraticBilevel, lam, active: tuple, gx, gy) -> np.ndarray:
     """gx + jac_y' gy from one reduced KKT solve (see the module docstring)
     at a lower-level solution with multipliers lam and active rows
@@ -78,30 +65,30 @@ def _adjoint(inst: QuadraticBilevel, lam, active: tuple, gx, gy) -> np.ndarray:
     draw and the result one gradient row per draw, all from one solve.
     Every row's multipliers are checked. M' is Q2 itself."""
     gx = np.asarray(gx, dtype=float)
-    Higy = diagonal_solver(inst.hess_yy_diag)(np.asarray(gy, dtype=float).T)
+    gy = np.asarray(gy, dtype=float).T
+    H = inst.hess_yy_diag
+    Higy = gy / H if gy.ndim == 1 else gy / H[:, None]
     if not active:
         return gx - (inst.Q2 @ Higy).T
     Bbar = _active_rows(inst, active, np.asarray(lam))
-    w, v = _kkt_solve(inst, active, Higy, 0.0)
+    w, v = inst.active_set_cache.equality_solve(tuple(active), Higy, 0.0)
     return gx + (inst.Q2 @ v).T + (Bbar.T @ w).T
 
 
 def jacobians(inst: QuadraticBilevel, sol: LLSolution):
     """Solution-map Jacobians (jac_y, jac_lambda) at a certified LL solve,
     the dense reference for the adjoint gradient; same checks and errors."""
-    HiM = diagonal_solver(inst.hess_yy_diag)(inst.Q2.T)
+    HiM = inst.Q2.T / inst.hess_yy_diag[:, None]
     if not sol.active_set:
         return -HiM, np.zeros((0, HiM.shape[1]))
     Bbar = _active_rows(inst, sol.active_set, sol.lam)
-    jac_lambda, jac_y = _kkt_solve(inst, sol.active_set, HiM, -Bbar.T)
+    jac_lambda, jac_y = inst.active_set_cache.equality_solve(sol.active_set, HiM, -Bbar.T)
     return jac_y, jac_lambda
 
 
 def implicit_gradient(inst: QuadraticBilevel, x: np.ndarray, sol: LLSolution) -> ImplicitGradient:
     """Full-batch implicit gradient grad_x f + jac_y' grad_y f at (x, y_hat)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(sol.y_hat)
-    gx, gy = inst.grad_f(x, y)
+    gx, gy = inst.grad_f(x, sol.y_hat)
     return ImplicitGradient(grad=_adjoint(inst, sol.lam, sol.active_set, gx, gy))
 
 
@@ -114,9 +101,7 @@ def sampled_implicit_gradient(inst: QuadraticBilevel, x: np.ndarray, sol: LLSolu
     solve: the gradient is linear in (grad_x f, grad_y f), so those are
     averaged first.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(sol.y_hat)
-    parts = [inst.sampled_grad_f(x, y, int(i)) for i in np.atleast_1d(xi)]
+    parts = [inst.sampled_grad_f(x, sol.y_hat, int(i)) for i in np.atleast_1d(xi)]
     gx = np.mean([p[0] for p in parts], axis=0)
     gy = np.mean([p[1] for p in parts], axis=0)
     return ImplicitGradient(grad=_adjoint(inst, sol.lam, sol.active_set, gx, gy))

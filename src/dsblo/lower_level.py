@@ -6,7 +6,10 @@ Two routes are provided:
 
 * ``solve_ll_quadratic`` -- dual active-set method for the strictly convex
   QP; certifies KKT residual <= 1e-10, the exact active set and nonnegative
-  multipliers.
+  multipliers. It forms c and u at x and calls ``solve_qp(cache, c, u,
+  start)`` (or ``solve_qp_batch(cache, C, U, work)`` for many draws), where
+  the ``ActiveSetCache`` is the one owner of the Hessian diagonal H, the
+  rows A and their equality KKT solve.
 * ``solve_ll_bruteforce`` -- exhaustive enumeration of candidate active sets
   (reference oracle; shares no code path with the active-set method).
 """
@@ -155,11 +158,12 @@ class ActiveSetCache:
     ``equality_solve`` solves the equality KKT system on a tuple with its S;
     the active-set solver and the implicit gradient both solve through it.
 
+    It is the one carrier of H, A and ``mu``: ``solve_qp`` and
+    ``solve_qp_batch`` take it in their place.
     ``QuadraticBilevel.active_set_cache`` keeps one per instance, since H and
-    A never change; ``solve_qp`` and ``solve_qp_batch`` on bare arrays use
-    one per call. It holds at most ``ACTIVE_SET_CACHE_SIZE`` tuples. It checks
-    H once: a 2-D H raises ``ValueError`` and a nonpositive entry ``NotSPD``;
-    ``mu`` is H's smallest entry, and ``A`` a 2-D float array."""
+    A never change. It holds at most ``ACTIVE_SET_CACHE_SIZE`` tuples. It
+    checks H once: a 2-D H raises ``ValueError`` and a nonpositive entry
+    ``NotSPD``; ``mu`` is H's smallest entry, and ``A`` a 2-D float array."""
 
     def __init__(self, H: np.ndarray, A: np.ndarray):
         H = np.asarray(H, dtype=float)
@@ -199,10 +203,13 @@ class ActiveSetCache:
         A_W y = uw on the rows W in ``rows``, from Hic = H^-1 c by one solve
         with S = ``reduced(rows)``. When ``Hic`` is a matrix, lam and y have
         one column per column of it, and ``uw`` is one vector for all of them
-        or one row per column. Raises ``np.linalg.LinAlgError`` when S is
+        or one row per column. Raises ``DegenerateActiveSet`` when S is
         singular."""
         Aw = self.A[list(rows)]
-        lam = np.linalg.solve(self.reduced(rows), -(uw + (Aw @ Hic).T).T)
+        try:
+            lam = np.linalg.solve(self.reduced(rows), -(uw + (Aw @ Hic).T).T)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateActiveSet("singular reduced KKT system") from exc
         return lam, -(Hic + (Aw.T / self.H[:, None]) @ lam)
 
     def check_rank(self, rows: tuple) -> float:
@@ -256,7 +263,7 @@ def _start_solve(cache: ActiveSetCache, Hic: np.ndarray, u: np.ndarray,
         return None
     try:
         return cache.equality_solve(rows, Hic, u[..., work])
-    except np.linalg.LinAlgError:
+    except DegenerateActiveSet:
         return None
 
 
@@ -279,10 +286,11 @@ def _hot_start(cache: ActiveSetCache, Hic: np.ndarray, u: np.ndarray,
     return None
 
 
-def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
-             start=(), cache: Optional[ActiveSetCache] = None) -> LLSolution:
-    """Minimize 0.5 y'diag(H)y + c'y subject to A y <= u, where ``H`` is the
-    positive diagonal of the Hessian as a 1-D array.
+def solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start=()) -> LLSolution:
+    """Minimize 0.5 y'diag(H)y + c'y subject to A y <= u, with the positive
+    Hessian diagonal H, the rows A and H's smallest entry mu read from
+    ``cache``, such as an instance's ``active_set_cache``; a caller with
+    bare arrays passes ``ActiveSetCache(H, A)``.
 
     Dual active-set iteration: starts from the unconstrained minimum and
     incorporates violated constraints one at a time, dropping working rows
@@ -303,15 +311,10 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     NaN or infinite input raises ``NonFinite`` instead of returning an
     uncertified point; so does, where numpy's warnings are raised as
     errors, one large enough to overflow the arithmetic. A finite point
-    whose KKT residual exceeds ``KKT_TOL`` raises ``Uncertified``.
-
-    ``cache`` is the ``ActiveSetCache`` of this H and A, such as an
-    instance's ``active_set_cache``; by default the call makes its own. The
-    solve reads H, A and mu from it, and it changes no bit of the result.
+    whose KKT residual exceeds ``KKT_TOL`` raises ``Uncertified``. What the
+    cache held before changes no bit of the result.
     """
-    if cache is None:
-        cache = ActiveSetCache(H, A)
-    H, A, mu = cache.H, cache.A, cache.mu
+    H, A = cache.H, cache.A
     c = np.asarray(c, dtype=float)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     k = A.shape[0]
@@ -324,17 +327,18 @@ def solve_qp(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
             # one reduction of the slacks u - A y decides and certifies it
             smin = float(np.minimum.reduce(u - A @ y)) if k else np.inf
             if smin > TAU_ACT:
-                return _certified(y, np.zeros(k), (), H * y + c, -smin, mu,
+                return _certified(y, np.zeros(k), (), H * y + c, -smin, cache.mu,
                                   {"pivots": 0, "repairs": 0})
-        return _dual_active_set(H, c, A, u, Hic, mu, start, cache)
+        return _dual_active_set(cache, c, u, Hic, start)
     except RuntimeWarning as exc:
         raise NonFinite(f"non-finite arithmetic: {exc}") from exc
 
 
-def _dual_active_set(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
-                     Hic: np.ndarray, mu: float, start, cache: ActiveSetCache) -> LLSolution:
+def _dual_active_set(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray,
+                     Hic: np.ndarray, start) -> LLSolution:
     """The iteration of ``solve_qp`` from the unconstrained minimum -Hic, or
-    from the rows in ``start``, with mu the smallest entry of H."""
+    from the rows in ``start``."""
+    H, A = cache.H, cache.A
     d = H.shape[0]
     k = A.shape[0]
     y = -Hic
@@ -356,10 +360,7 @@ def _dual_active_set(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
             if not polished:
                 # polish: exact equality solve on the working set
                 if work:
-                    try:
-                        lam_w, y = cache.equality_solve(tuple(work), Hic, u[work])
-                    except np.linalg.LinAlgError as exc:
-                        raise DegenerateActiveSet("singular working-set system") from exc
+                    lam_w, y = cache.equality_solve(tuple(work), Hic, u[work])
                 else:
                     lam_w = np.zeros(0)
                     y = -Hic
@@ -401,10 +402,7 @@ def _dual_active_set(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
             Hia_p = a_p / H
             dlam, z = np.zeros(0), -Hia_p
             if work:
-                try:
-                    dlam, z = cache.equality_solve(tuple(work), Hia_p, 0.0)
-                except np.linalg.LinAlgError as exc:
-                    raise DegenerateActiveSet("singular working-set system") from exc
+                dlam, z = cache.equality_solve(tuple(work), Hia_p, 0.0)
             curv = float(z @ (H * z))
             dependent = curv <= 1e-14 * float(a_p @ Hia_p)
             if dependent:
@@ -443,13 +441,12 @@ def _dual_active_set(H: np.ndarray, c: np.ndarray, A: np.ndarray, u: np.ndarray,
     residual = H * y + c
     if active:
         residual = residual + A[list(active)].T @ lam[list(active)]
-    return _certified(y, lam, active, residual, float(-slack.min()) if k else -np.inf, mu,
-                      {"pivots": pivots, "repairs": repairs})
+    return _certified(y, lam, active, residual, float(-slack.min()) if k else -np.inf,
+                      cache.mu, {"pivots": pivots, "repairs": repairs})
 
 
-def solve_qp_batch(H: np.ndarray, C: np.ndarray, A: np.ndarray, U: np.ndarray,
-                   work, cache: Optional[ActiveSetCache] = None) -> tuple:
-    """``solve_qp(H, c, A, u, start=work)`` for every draw, a row c of ``C``
+def solve_qp_batch(cache: ActiveSetCache, C: np.ndarray, U: np.ndarray, work) -> tuple:
+    """``solve_qp(cache, c, u, start=work)`` for every draw, a row c of ``C``
     with its row u of ``U`` (one vector ``U`` serves every draw), where that
     solve makes no pivot and no repair: one equality KKT solve on ``work``
     with one factorization of S for all draws, then one vectorised
@@ -457,15 +454,12 @@ def solve_qp_batch(H: np.ndarray, C: np.ndarray, A: np.ndarray, U: np.ndarray,
     nonnegative, no row is violated by more than ``_VIOL_TOL``, its tight
     rows are exactly ``work`` and its KKT residual is at most ``KKT_TOL``;
     its y and multipliers then equal the single solve's to round-off.
-    ``cache`` is as in ``solve_qp``.
 
     Returns (ok, Y, Lam): the pass mask, and per draw one row of y and one
     of the k multipliers (zero off ``work``), NaN for a draw that fails.
     Every draw fails when ``work`` is not a usable start. A NaN or
     infinite draw fails, or raises ``NonFinite`` where numpy's warnings are
     raised as errors, as the single solve does."""
-    if cache is None:
-        cache = ActiveSetCache(H, A)
     H, A = cache.H, cache.A
     C = np.atleast_2d(np.asarray(C, dtype=float))
     n, d = C.shape
@@ -508,7 +502,7 @@ def solve_ll_quadratic(inst: QuadraticBilevel, x: np.ndarray,
         u = poly.rhs(x)
     except RuntimeWarning as exc:
         raise NonFinite(f"non-finite input: {exc}") from exc
-    return solve_qp(inst.hess_yy_diag, c, poly.A, u, start, cache=inst.active_set_cache)
+    return solve_qp(inst.active_set_cache, c, u, start)
 
 
 # ---------------------------------------------------------------------------

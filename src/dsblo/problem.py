@@ -153,13 +153,6 @@ class QuadraticBilevel:
         and implicit gradients: H and A cannot change."""
         return lower_level.ActiveSetCache(self.hess_yy_diag, self.constraints.A)
 
-    def solve_ll(self, x: np.ndarray, q, start=()) -> "lower_level.LLSolution":
-        """Certified solve of the lower level perturbed by q at x (KKT
-        residual <= 1e-10), started from the rows in ``start``, such as the
-        active set of the previous solve; the start does not change the
-        result beyond round-off."""
-        return lower_level.solve_ll_quadratic(self, x, q, start)
-
     # -- upper level -------------------------------------------------------
 
     def grad_f(self, x: np.ndarray, y: np.ndarray):
@@ -198,10 +191,11 @@ class QuadraticBilevel:
         return float(self.hess_yy_diag.min())
 
     def _check_dims(self, x: np.ndarray, y: np.ndarray):
-        if x.shape != (self.d_u,) or y.shape != (self.d_l,):
+        d_u, d_l = self.Q1.shape
+        if x.shape != (d_u,) or y.shape != (d_l,):
             raise ValueError(
-                f"expected x of shape ({self.d_u},) and y of shape "
-                f"({self.d_l},), got {x.shape} and {y.shape}"
+                f"expected x of shape ({d_u},) and y of shape "
+                f"({d_l},), got {x.shape} and {y.shape}"
             )
 
 

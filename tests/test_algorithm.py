@@ -17,7 +17,7 @@ from dsblo.algorithm import (DsbloParams, ManualMode, TheoryMode, run_dsblo,
 from dsblo.diagnostics import check_windows, eval_F_exact
 from dsblo.errors import DsbloError, NonFinite, ScheduleInfeasible
 from dsblo.implicit_grad import implicit_gradient
-from dsblo.lower_level import sample_perturbation
+from dsblo.lower_level import sample_perturbation, solve_ll_quadratic
 from dsblo.problem import generate_instance
 from dsblo.verify import schedule_recompute_mp
 
@@ -88,20 +88,24 @@ class TestSchedule:
 
 class TestStepSize:
     def test_arithmetic(self):
-        m = np.array([3.0, 0.0])
-        assert step_size(m, 2.0, 4.0) == pytest.approx(0.1, abs=1e-15)
+        assert step_size(3.0, 2.0, 4.0) == pytest.approx(0.1, abs=1e-15)
 
     def test_zero_momentum(self):
-        assert step_size(np.zeros(3), 2.0, 4.0) == 0.25
+        assert step_size(0.0, 2.0, 4.0) == 0.25
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
            st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
     def test_bounds(self, m, g1, g2):
-        m = np.asarray(m)
-        eta = step_size(m, g1, g2)
+        m_norm = float(np.linalg.norm(m))
+        eta = step_size(m_norm, g1, g2)
         assert 0.0 < eta <= 1.0 / g2
-        assert eta * np.linalg.norm(m) <= 1.0 / g1 + 1e-12
+        assert eta * m_norm <= 1.0 / g1 + 1e-12
+
+    def test_gammas_checked(self):
+        for gammas in ((0.0, 1.0), (1.0, -1.0)):
+            with pytest.raises(ValueError, match="positive"):
+                step_size(1.0, *gammas)
 
 
 class TestRunDsblo:
@@ -290,29 +294,26 @@ class TestRunDsblo:
         run_igd_baseline(inst, step=0.02, T=12, seed=12, eval_every=1)
         assert calls == []
 
-    def test_theory_schedule_sets_ll_tolerance(self):
+    def test_theory_schedule_sets_ll_tolerance(self, monkeypatch):
         # the theory schedule resolves the lower-level accuracy delta_y; every
         # solve of a run is exact and certified well inside it, and the run's
         # params (the runlog's "params") record it
         inst = generate_instance(4, 4, 2, seed=11)
         certs = []
 
-        class Recording:
-            def __getattr__(self, name):
-                return getattr(inst, name)
+        def recording(problem, x, q, start=()):
+            sol = ll.solve_ll_quadratic(problem, x, q, start)
+            certs.append(sol.delta_cert)
+            return sol
 
-            def solve_ll(self, x, q, start=()):
-                sol = inst.solve_ll(x, q, start)
-                certs.append(sol.delta_cert)
-                return sol
-
+        monkeypatch.setattr(algo, "solve_ll_quadratic", recording)
         params = DsbloParams(T=10**9, mode=TheoryMode(epsilon=1.0, delta_bar=0.5,
                                                       delta_v=0.0, l_f_bar=5.0), seed=11)
         sched = schedule(params)
         assert sched.delta_y == pytest.approx(1.0 / 12_800.0)
         for mode in (params.mode, sched):
             seen, certs[:] = [], []
-            log = run_dsblo(Recording(), replace(params, mode=mode), eval_every=0,
+            log = run_dsblo(inst, replace(params, mode=mode), eval_every=0,
                             progress=seen.append, cancel=lambda: len(seen) >= 4)
             assert log.truncated and len(log.records) == 4 and log.schedule == sched
             assert len(certs) == 4 and all(c <= ll.KKT_TOL < sched.delta_y for c in certs)
@@ -341,15 +342,15 @@ import numpy as np
 import dsblo.algorithm as algo
 from dsblo.diagnostics import eval_F_exact_rows
 from dsblo.errors import DegenerateActiveSet, NonFinite, NotSPD, WindowViolation
-from dsblo.lower_level import solve_ll_quadratic, solve_qp
+from dsblo.lower_level import ActiveSetCache, solve_ll_quadratic, solve_qp
 from dsblo.problem import Polyhedron, QuadraticBilevel, generate_instance
 
 print("optimize", sys.flags.optimize)
 try:
-    solve_qp(np.array([1.0, 0.0]), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
+    solve_qp(ActiveSetCache(np.array([1.0, 0.0]), np.zeros((0, 2))), np.zeros(2), np.zeros(0))
 except NotSPD:
     print("NotSPD")
-algo.step_size = lambda m, gamma1, gamma2: 2.0 / (gamma1 * np.linalg.norm(m))
+algo.step_size = lambda m_norm, gamma1, gamma2: 2.0 / (gamma1 * m_norm)
 params = algo.DsbloParams(
     T=30, mode=algo.ManualMode(beta=0.9, gamma1=10.0, gamma2=30.0, K=5, delta_y=1e-8))
 try:
@@ -388,17 +389,15 @@ class TestWarmStartedSolves:
     )
 
     @staticmethod
-    def _recording(inst, calls, use_start=True):
-        class Recording:
-            def __getattr__(self, name):
-                return getattr(inst, name)
+    def _recording(monkeypatch, calls, use_start=True):
+        """Have the loop's solves recorded in ``calls`` as (start, solve),
+        each solved from its start, or cold when ``use_start`` is false."""
+        def recording(problem, x, q, start=()):
+            sol = ll.solve_ll_quadratic(problem, x, q, start if use_start else ())
+            calls.append((tuple(start), sol))
+            return sol
 
-            def solve_ll(self, x, q, start=()):
-                sol = inst.solve_ll(x, q, start if use_start else ())
-                calls.append((tuple(start), sol))
-                return sol
-
-        return Recording()
+        monkeypatch.setattr(algo, "solve_ll_quadratic", recording)
 
     def _setup(self):
         inst = generate_instance(8, 8, 8, seed=1)
@@ -414,7 +413,8 @@ class TestWarmStartedSolves:
             return real_F(problem, xs, starts)
 
         monkeypatch.setattr(algo, "eval_F_exact_rows", recording_F)
-        log = run_dsblo(self._recording(inst, calls), self.PARAMS, x0=x0, eval_every=5)
+        self._recording(monkeypatch, calls)
+        log = run_dsblo(inst, self.PARAMS, x0=x0, eval_every=5)
         assert len(calls) == len(log.records) == 40
         assert calls[0][0] == ()
         assert all(start == prev.active_set for (start, _), (_, prev) in zip(calls[1:], calls))
@@ -427,12 +427,13 @@ class TestWarmStartedSolves:
             "solves": 40, "pivots": sum(sol.stats["pivots"] for _, sol in calls),
             "repairs": sum(sol.stats["repairs"] for _, sol in calls)}
 
-    def test_warm_run_matches_cold_run(self):
+    def test_warm_run_matches_cold_run(self, monkeypatch):
         inst, x0 = self._setup()
         warm_calls, cold_calls = [], []
-        warm = run_dsblo(self._recording(inst, warm_calls), self.PARAMS, x0=x0, eval_every=0)
-        cold = run_dsblo(self._recording(inst, cold_calls, use_start=False), self.PARAMS,
-                         x0=x0, eval_every=0)
+        self._recording(monkeypatch, warm_calls)
+        warm = run_dsblo(inst, self.PARAMS, x0=x0, eval_every=0)
+        self._recording(monkeypatch, cold_calls, use_start=False)
+        cold = run_dsblo(inst, self.PARAMS, x0=x0, eval_every=0)
         assert [s.active_set for _, s in warm_calls] == [s.active_set for _, s in cold_calls]
         for a, b in zip(warm.records, cold.records):
             assert np.max(np.abs(a.x - b.x)) <= 1e-12
@@ -466,9 +467,9 @@ class TestInteriorFastPath:
         plain = runs()
         real_solve, real_iteration, counts = ll.solve_qp, ll._dual_active_set, [0, 0]
 
-        def general(H, c, A, u, start=(), cache=None):
+        def general(cache, c, u, start=()):
             counts[0] += 1
-            return real_solve(H, c, A, u, start if len(start) else (0,), cache)
+            return real_solve(cache, c, u, start if len(start) else (0,))
 
         def counting(*args):
             counts[1] += 1
@@ -519,7 +520,7 @@ class TestIgdBaseline:
         assert len(log.records) == 50
         for t, rec in enumerate(log.records, start=1):
             q = sample_perturbation(1e-3, q_rng, inst.d_l)
-            g = implicit_gradient(inst, x, inst.solve_ll(x, q)).grad
+            g = implicit_gradient(inst, x, solve_ll_quadratic(inst, x, q)).grad
             assert rec.t == t and rec.eta == step and rec.q_norm == q.norm
             assert np.array_equal(rec.x, x) and np.array_equal(rec.x_bar, x)
             assert np.array_equal(rec.grad, g) and rec.m_norm == float(np.linalg.norm(g))

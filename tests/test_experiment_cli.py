@@ -198,7 +198,7 @@ class TestRunExperiment:
             stats.append(sol.stats)
             return sol
 
-        monkeypatch.setattr(ll, "solve_ll_quadratic", recording)
+        monkeypatch.setattr(algo, "solve_ll_quadratic", recording)
         doc = tiny_config(tmp_path, eval_every=0)
         doc["instance"]["k"] = 12  # a row binds along the dsblo run
         summary = run_experiment(config_from_dict(doc))
@@ -274,7 +274,7 @@ class TestRunExperiment:
     def test_window_violation_recorded_in_summary(self, tmp_path, monkeypatch):
         # an oversized step breaks the window step budget of the dsblo run only
         monkeypatch.setattr(algo, "step_size",
-                            lambda m, gamma1, gamma2: 2.0 / (gamma1 * np.linalg.norm(m)))
+                            lambda m_norm, gamma1, gamma2: 2.0 / (gamma1 * m_norm))
         summary = run_experiment(config_from_dict(tiny_config(tmp_path)))
         doc = json.loads((Path(summary["output_dir"]) / "summary.json").read_text())
         by_label = {r["label"]: r for r in doc["runs"]}

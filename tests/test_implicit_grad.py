@@ -224,8 +224,8 @@ def _rows_on_one_active_set(inst, x, n, rng, spread=1e-3):
     X = x + spread * rng.standard_normal((n, inst.d_u))
     Q = np.array([sample_perturbation(1e-3, rng, inst.d_l).q for _ in range(n)])
     active = solve_ll_quadratic(inst, X[0], Q[0]).active_set
-    ok, Y, Lam = solve_qp_batch(inst.hess_yy_diag, X @ inst.Q2 + Q, poly.A,
-                                poly.b - X @ poly.B.T, active)
+    ok, Y, Lam = solve_qp_batch(inst.active_set_cache, X @ inst.Q2 + Q, poly.b - X @ poly.B.T,
+                                active)
     return X[ok], Y[ok], Lam[ok], active
 
 

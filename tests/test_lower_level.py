@@ -95,22 +95,22 @@ class TestEqualitySolve:
             cache.reduced((0, 1, 2))
         c = rng.standard_normal(4)
         for _ in range(2):
-            with pytest.raises(np.linalg.LinAlgError):
+            with pytest.raises(DegenerateActiveSet, match="singular"):
                 cache.equality_solve((0, 1, 2), c / h, rng.standard_normal(3))
 
 
 class TestActiveSetQP:
     def test_bound_active(self):
-        sol = solve_qp(np.array([2.0]), np.array([-2.0]),
-                       np.array([[1.0]]), np.array([0.5]))
+        sol = solve_qp(ActiveSetCache(np.array([2.0]), np.array([[1.0]])), np.array([-2.0]),
+                       np.array([0.5]))
         assert sol.y_hat[0] == pytest.approx(0.5, abs=1e-12)
         assert sol.active_set == (0,)
         assert sol.lam[0] == pytest.approx(1.0, abs=1e-12)
         assert sol.kkt_residual <= 1e-10
 
     def test_interior(self):
-        sol = solve_qp(np.array([2.0]), np.array([-2.0]),
-                       np.array([[1.0]]), np.array([2.0]))
+        sol = solve_qp(ActiveSetCache(np.array([2.0]), np.array([[1.0]])), np.array([-2.0]),
+                       np.array([2.0]))
         assert sol.y_hat[0] == pytest.approx(1.0, abs=1e-12)
         assert sol.active_set == ()
         assert sol.lam[0] == 0.0
@@ -125,8 +125,8 @@ class TestActiveSetQP:
     def test_anisotropic_bound_active(self):
         # H = diag(2, 6): the unconstrained minimum (0.5, -1/3) violates
         # y_1 <= 0.2, so KKT by hand gives y = (0.2, -1/3) and lam = 0.6
-        sol = solve_qp(np.array([2.0, 6.0]), np.array([-1.0, 2.0]),
-                       np.array([[1.0, 0.0]]), np.array([0.2]))
+        sol = solve_qp(ActiveSetCache(np.array([2.0, 6.0]), np.array([[1.0, 0.0]])),
+                       np.array([-1.0, 2.0]), np.array([0.2]))
         assert sol.y_hat == pytest.approx(np.array([0.2, -1.0 / 3.0]), abs=1e-12)
         assert sol.active_set == (0,)
         assert sol.lam[0] == pytest.approx(0.6, abs=1e-12)
@@ -140,36 +140,32 @@ class TestActiveSetQP:
 
     def test_infeasible(self):
         with pytest.raises(Infeasible):
-            solve_qp(np.ones(1), np.zeros(1), np.array([[1.0], [-1.0]]),
+            solve_qp(ActiveSetCache(np.ones(1), np.array([[1.0], [-1.0]])), np.zeros(1),
                      np.array([-1.0, -1.0]))
 
     def test_not_spd_hessian(self):
         from dsblo.errors import NotSPD
         with pytest.raises(NotSPD):
-            solve_qp(-np.ones(2), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
+            solve_qp(ActiveSetCache(-np.ones(2), np.zeros((0, 2))), np.zeros(2), np.zeros(0))
         with pytest.raises(NotSPD):
-            solve_qp(np.array([1.0, 0.0]), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
+            solve_qp(ActiveSetCache(np.array([1.0, 0.0]), np.zeros((0, 2))), np.zeros(2),
+                     np.zeros(0))
         # H is the diagonal only; a matrix, even an SPD one, is rejected
         for H in (2.0 * np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])):
             with pytest.raises(ValueError, match="1-D"):
-                solve_qp(H, np.zeros(2), np.zeros((0, 2)), np.zeros(0))
+                solve_qp(ActiveSetCache(H, np.zeros((0, 2))), np.zeros(2), np.zeros(0))
 
     def test_hessian_checked_by_the_cache(self):
-        # ActiveSetCache checks H for every solve, so a bare cache and the
-        # batch raise what solve_qp raises, whatever the draws or rows
+        # the cache is the only way H reaches solve_qp and solve_qp_batch,
+        # so its check is theirs, whatever the draws or rows
         from dsblo.errors import NotSPD
-        A, C = np.eye(2), np.zeros((3, 2))
+        A = np.eye(2)
         for H in (-np.ones(2), np.array([1.0, 0.0])):
             with pytest.raises(NotSPD):
                 ActiveSetCache(H, A)
-            for work in ((), (0,)):
-                with pytest.raises(NotSPD):
-                    solve_qp_batch(H, C, A, np.ones(2), work)
         for H in (2.0 * np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])):
             with pytest.raises(ValueError, match="1-D"):
                 ActiveSetCache(H, A)
-            with pytest.raises(ValueError, match="1-D"):
-                solve_qp_batch(H, C, A, np.ones(2), (0,))
         cache = ActiveSetCache([3.0, 0.5], [1.0, 2.0])
         assert cache.mu == 0.5 and cache.A.shape == (1, 2) and cache.A.dtype == float
 
@@ -190,8 +186,8 @@ class TestActiveSetQP:
     def test_degenerate_duplicate_rows(self):
         # two copies of y_1 <= 0, objective pushing onto that face
         with pytest.raises(DegenerateActiveSet):
-            solve_qp(np.full(2, 2.0), np.array([-2.0, 0.0]),
-                     np.array([[1.0, 0.0], [1.0, 0.0]]), np.zeros(2))
+            solve_qp(ActiveSetCache(np.full(2, 2.0), np.array([[1.0, 0.0], [1.0, 0.0]])),
+                     np.array([-2.0, 0.0]), np.zeros(2))
 
     def test_matches_bruteforce_batch(self):
         for i in range(30):
@@ -243,9 +239,11 @@ def _random_qp(d: int, k: int, seed: int, pair: str):
     return H, c, A, u
 
 
-def _solve_or_error(*args):
+def _solve_or_error(H, c, A, u, start=()):
+    """``solve_qp`` on a cache of the bare arrays, or the error that either
+    raises."""
     try:
-        return solve_qp(*args)
+        return solve_qp(ActiveSetCache(H, A), c, u, start)
     except DsbloError as exc:
         return exc
 
@@ -287,17 +285,17 @@ class TestWarmStart:
         c = np.array([-2.0, -2.0])
         A = np.array([[1.0, 0.0], [1.0, 1e-6], [0.0, 1.0]])
         u = np.array([0.5, 0.501, 0.5])
-        cold = solve_qp(H, c, A, u)
+        cold = solve_qp(ActiveSetCache(H, A), c, u)
         assert cold.active_set == (0, 2) and cold.stats["pivots"] == 2
         for start in ((0, 1), (0, 1, 2), (1, 1, 0), (0, 1, 2, 0)):
-            warm = solve_qp(H, c, A, u, start)
+            warm = solve_qp(ActiveSetCache(H, A), c, u, start)
             assert warm.stats["pivots"] == cold.stats["pivots"]
             assert np.array_equal(warm.y_hat, cold.y_hat)
         # an exactly duplicated half-space that binds: same error warm or cold
         A2, u2 = np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([0.5, 1.0])
         for start in ((), (0,), (0, 1)):
             with pytest.raises(DegenerateActiveSet):
-                solve_qp(H, c, A2, u2, start)
+                solve_qp(ActiveSetCache(H, A2), c, u2, start)
 
     def test_start_rows_with_negative_multipliers_dropped(self):
         # min y'y - 2y_1 under y_1 <= 2, y_1 <= 0.5, y_2 <= 1: forcing rows 0
@@ -306,9 +304,9 @@ class TestWarmStart:
         H, c = np.array([2.0, 2.0]), np.array([-2.0, 0.0])
         A = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         u = np.array([2.0, 0.5, 1.0])
-        sol = solve_qp(H, c, A[[0, 2]], u[[0, 2]], (0, 1))
+        sol = solve_qp(ActiveSetCache(H, A[[0, 2]]), c, u[[0, 2]], (0, 1))
         assert sol.active_set == () and sol.stats["pivots"] == sol.stats["repairs"] == 0
-        sol = solve_qp(H, c, A[1:], u[1:], (0, 1))
+        sol = solve_qp(ActiveSetCache(H, A[1:]), c, u[1:], (0, 1))
         assert sol.active_set == (0,) and sol.stats["pivots"] == sol.stats["repairs"] == 0
         assert sol.y_hat.tolist() == [0.5, 0.0] and sol.lam.tolist() == [1.0, 0.0]
 
@@ -401,17 +399,19 @@ class TestInteriorFastPath:
     @given(st.integers(1, 8), st.integers(0, 6), st.integers(0, 2 ** 16),
            st.sampled_from([0.0, 0.1, 1.0, 4.0]), st.booleans())
     def test_bare_arrays_equal_the_instance_cache(self, d, k, seed, scale, tight):
-        # a solve reads H, A and mu from its cache: one made per call from
+        # a solve reads H, A and mu from its cache: a fresh one built on
         # copies of the arrays gives every field the bits of the solve
         # through the instance's cache, on the interior path and off it
         inst = generate_instance(d, d, k, seed=seed, box_radius=0.2 if tight else 10.0)
         rng = np.random.default_rng(seed)
         x = scale * rng.standard_normal(d)
         q = 1e-3 * rng.standard_normal(d)
-        cached = _solve_or_error(inst.hess_yy_diag, inst.Q2.T @ x + q, inst.constraints.A,
-                                 inst.constraints.rhs(x), (), inst.active_set_cache)
-        bare = _solve_or_error(inst.hess_yy_diag.copy(), inst.Q2.T @ x + q,
-                               inst.constraints.A.copy(), inst.constraints.rhs(x))
+        c, u = inst.Q2.T @ x + q, inst.constraints.rhs(x)
+        try:
+            cached = solve_qp(inst.active_set_cache, c, u)
+        except DsbloError as exc:
+            cached = exc
+        bare = _solve_or_error(inst.hess_yy_diag.copy(), c, inst.constraints.A.copy(), u)
         assert type(bare) is type(cached)
         if isinstance(bare, DsbloError):
             return
@@ -427,15 +427,17 @@ class TestInteriorFastPath:
 
         monkeypatch.setattr(ll, "_dual_active_set", unreachable)
         H, c = np.array([2.0, 4.0]), np.array([-2.0, 4.0])
-        sol = solve_qp(H, c, np.array([[1.0, 0.0]]), np.array([2.0]))
+        row = ActiveSetCache(H, np.array([[1.0, 0.0]]))
+        sol = solve_qp(row, c, np.array([2.0]))
         assert sol.y_hat.tolist() == [1.0, -1.0] and sol.active_set == ()
         assert sol.kkt_residual == 0.0 and sol.max_violation == -1.0
-        assert solve_qp(H, c, np.zeros((0, 2)), np.zeros(0)).y_hat.tolist() == [1.0, -1.0]
+        assert solve_qp(ActiveSetCache(H, np.zeros((0, 2))), c,
+                        np.zeros(0)).y_hat.tolist() == [1.0, -1.0]
         # a bound within the threshold, or a start, takes the general path
         with pytest.raises(AssertionError, match="active-set set-up"):
-            solve_qp(H, c, np.array([[1.0, 0.0]]), np.array([1.0 + TAU_ACT / 2]))
+            solve_qp(row, c, np.array([1.0 + TAU_ACT / 2]))
         with pytest.raises(AssertionError, match="active-set set-up"):
-            solve_qp(H, c, np.array([[1.0, 0.0]]), np.array([2.0]), (0,))
+            solve_qp(row, c, np.array([2.0]), (0,))
 
 
 class TestUncertified:
@@ -484,7 +486,8 @@ class TestNonFinite:
 
     def test_inf_c_without_rows(self):
         with pytest.raises(NonFinite):
-            solve_qp(np.ones(2), np.array([np.inf, 0.0]), np.zeros((0, 2)), np.zeros(0))
+            solve_qp(ActiveSetCache(np.ones(2), np.zeros((0, 2))), np.array([np.inf, 0.0]),
+                     np.zeros(0))
 
     def test_nonfinite_under_warnings_as_errors(self):
         # with warnings raised as errors an infinite input, or a perturbation
@@ -499,7 +502,8 @@ from dsblo.algorithm import DsbloParams, ManualMode, run_dsblo
 from dsblo.diagnostics import eval_F_exact_rows
 from dsblo.errors import NonFinite
 from dsblo.experiment import config_from_dict, run_experiment
-from dsblo.lower_level import _ball_draw, solve_ll_quadratic, solve_qp, solve_qp_batch
+from dsblo.lower_level import (ActiveSetCache, _ball_draw, solve_ll_quadratic, solve_qp,
+                               solve_qp_batch)
 from dsblo.problem import empty_polyhedron, generate_instance
 
 def expect_nonfinite(fn, *args):
@@ -509,8 +513,8 @@ def expect_nonfinite(fn, *args):
         print("NonFinite")
 
 inf_c = np.array([np.inf, 0.0])
-expect_nonfinite(solve_qp, np.ones(2), inf_c, np.zeros((0, 2)), np.zeros(0))
-expect_nonfinite(solve_qp, np.ones(2), inf_c, np.eye(2), np.ones(2))
+expect_nonfinite(solve_qp, ActiveSetCache(np.ones(2), np.zeros((0, 2))), inf_c, np.zeros(0))
+expect_nonfinite(solve_qp, ActiveSetCache(np.ones(2), np.eye(2)), inf_c, np.ones(2))
 boxed = generate_instance(4, 4, 3, seed=1)
 X = np.zeros((3, 4))
 X[1, 2] = np.inf
@@ -518,8 +522,8 @@ for inst in (replace(boxed, constraints=empty_polyhedron(4, 4)), boxed):
     expect_nonfinite(eval_F_exact_rows, inst, X, [(), (), ()])
 expect_nonfinite(solve_ll_quadratic, boxed, X[1], None)
 expect_nonfinite(solve_ll_quadratic, boxed, X[0], X[1])
-expect_nonfinite(solve_qp_batch, boxed.hess_yy_diag, [[np.inf, 0.0, 0.0, 0.0]],
-                 boxed.constraints.A, boxed.constraints.b, (0,))
+expect_nonfinite(solve_qp_batch, boxed.active_set_cache, [[np.inf, 0.0, 0.0, 0.0]],
+                 boxed.constraints.b, (0,))
 mode = dict(beta=0.9, gamma1=20.0, gamma2=20.0, K=10, delta_y=1e-8)
 expect_nonfinite(run_dsblo, boxed, DsbloParams(T=12, mode=ManualMode(**mode),
                                                perturb_radius=1e308, seed=1))
@@ -552,7 +556,8 @@ print(f"draws-raised={raised > 0} draws-non-finite={returned_inf}")
 
     def test_nan_hessian(self):
         with pytest.raises(NonFinite):
-            solve_qp(np.array([1.0, np.nan]), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
+            solve_qp(ActiveSetCache(np.array([1.0, np.nan]), np.zeros((0, 2))), np.zeros(2),
+                     np.zeros(0))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 5), st.integers(0, 6), st.integers(0, 2 ** 16),
@@ -577,8 +582,7 @@ class TestBatch:
     def _draws(inst, x, radius, n, seed):
         rng = np.random.default_rng(seed)
         qs = np.array([sample_perturbation(radius, rng, inst.d_l).q for _ in range(n)])
-        poly = inst.constraints
-        return inst.hess_yy_diag, inst.Q2.T @ x + qs, poly.A, poly.rhs(x)
+        return inst.active_set_cache, inst.Q2.T @ x + qs, inst.constraints.rhs(x)
 
     @pytest.mark.parametrize("radius", [1e-3, 0.3, 3.0])
     def test_accepts_exactly_the_solves_without_pivots(self, radius):
@@ -587,13 +591,13 @@ class TestBatch:
         # a draw that fails holds NaN
         inst = generate_instance(50, 50, 10, seed=1)
         x = np.random.default_rng(1).standard_normal(50)
-        H, C, A, u = self._draws(inst, x, radius, 24, 5)
-        W = solve_qp(H, C[0], A, u).active_set
+        cache, C, u = self._draws(inst, x, radius, 24, 5)
+        W = solve_qp(cache, C[0], u).active_set
         assert len(W) >= 3
-        ok, Y, Lam = solve_qp_batch(H, C, A, u, W)
-        assert ok.shape == (24,) and Y.shape == (24, 50) and Lam.shape == (24, A.shape[0])
+        ok, Y, Lam = solve_qp_batch(cache, C, u, W)
+        assert ok.shape == (24,) and Y.shape == (24, 50) and Lam.shape == (24, cache.A.shape[0])
         for c, passed, y, lam in zip(C, ok, Y, Lam):
-            ref = solve_qp(H, c, A, u, W)
+            ref = solve_qp(cache, c, u, W)
             hot = (ref.stats == {"pivots": 0, "repairs": 0} and ref.active_set == W
                    and ref.kkt_residual <= KKT_TOL)
             assert passed == hot
@@ -610,7 +614,8 @@ class TestBatch:
         # y <= 0 with y* = -c/2 and nothing in the working set: slack 0.5
         # passes, slack 5e-8 leaves the row tight outside the working set,
         # and slack -5e-10 is a violation
-        ok, Y, Lam = solve_qp_batch(np.array([2.0]), [[c]], np.array([[1.0]]), np.zeros(1), ())
+        cache = ActiveSetCache(np.array([2.0]), np.array([[1.0]]))
+        ok, Y, Lam = solve_qp_batch(cache, [[c]], np.zeros(1), ())
         assert ok.tolist() == [accepted]
         if accepted:
             assert Y.tolist() == [[-c / 2]] and Lam.tolist() == [[0.0]]
@@ -619,30 +624,30 @@ class TestBatch:
         import dsblo.lower_level as ll
         inst = generate_instance(50, 50, 10, seed=1)
         x = np.random.default_rng(1).standard_normal(50)
-        H, C, A, u = self._draws(inst, x, 1e-3, 6, 0)
-        W = solve_qp(H, C[0], A, u).active_set
-        assert W and solve_qp_batch(H, C, A, u, W)[0].all()
+        cache, C, u = self._draws(inst, x, 1e-3, 6, 0)
+        W = solve_qp(cache, C[0], u).active_set
+        assert W and solve_qp_batch(cache, C, u, W)[0].all()
         monkeypatch.setattr(ll, "KKT_TOL", 0.0)
-        assert not solve_qp_batch(H, C, A, u, W)[0].any()
+        assert not solve_qp_batch(cache, C, u, W)[0].any()
 
     def test_unusable_start_rejects_every_row(self):
         inst = generate_instance(4, 4, 8, seed=2)
-        H, C, A, u = self._draws(inst, np.zeros(4), 1e-3, 3, 0)
+        cache, C, u = self._draws(inst, np.zeros(4), 1e-3, 3, 0)
         for W in ([8], [-1], range(5)):
-            ok, Y, Lam = solve_qp_batch(H, C, A, u, W)
+            ok, Y, Lam = solve_qp_batch(cache, C, u, W)
             assert not ok.any() and np.isnan(Y).all() and np.isnan(Lam).all()
         # a row repeated up to sign fails the independence test
-        A2 = np.vstack([A, -A[:1]])
+        A2 = np.vstack([cache.A, -cache.A[:1]])
         u2 = np.append(u, -u[0])
-        assert not solve_qp_batch(H, C, A2, u2, [0, 8])[0].any()
+        assert not solve_qp_batch(ActiveSetCache(cache.H, A2), C, u2, [0, 8])[0].any()
 
     def test_no_rows(self):
-        H = np.full(3, 2.0)
+        cache = ActiveSetCache(np.full(3, 2.0), np.zeros((0, 3)))
         C = np.arange(6.0).reshape(2, 3)
-        ok, Y, Lam = solve_qp_batch(H, C, np.zeros((0, 3)), np.zeros(0), ())
+        ok, Y, Lam = solve_qp_batch(cache, C, np.zeros(0), ())
         assert ok.all() and Lam.shape == (2, 0)
         for c, y in zip(C, Y):
-            assert np.array_equal(y, solve_qp(H, c, np.zeros((0, 3)), np.zeros(0)).y_hat)
+            assert np.array_equal(y, solve_qp(cache, c, np.zeros(0)).y_hat)
 
     def test_one_rhs_row_per_draw(self):
         # draws at different x carry their own u; each passing row equals
@@ -655,16 +660,17 @@ class TestBatch:
         Q = np.array([sample_perturbation(1e-3, rng, 50).q for _ in range(8)])
         C = X @ inst.Q2 + Q
         U = poly.b - X @ poly.B.T
-        W = solve_qp(inst.hess_yy_diag, C[0], poly.A, U[0]).active_set
+        cache = inst.active_set_cache
+        W = solve_qp(cache, C[0], U[0]).active_set
         assert W
-        ok, Y, Lam = solve_qp_batch(inst.hess_yy_diag, C, poly.A, U, W)
+        ok, Y, Lam = solve_qp_batch(cache, C, U, W)
         assert ok.all()
         for c, u, y, lam in zip(C, U, Y, Lam):
-            ref = solve_qp(inst.hess_yy_diag, c, poly.A, u)
+            ref = solve_qp(cache, c, u)
             assert ref.active_set == W
             assert np.allclose(y, ref.y_hat, rtol=1e-12, atol=1e-12)
             assert np.allclose(lam, ref.lam, rtol=1e-12, atol=1e-12)
-        shared = solve_qp_batch(inst.hess_yy_diag, C, poly.A, U[0], W)
+        shared = solve_qp_batch(cache, C, U[0], W)
         assert np.array_equal(shared[1][0], Y[0])
         assert not np.array_equal(shared[1][1:], Y[1:])
 
@@ -798,9 +804,9 @@ class TestActiveSetCache:
         A, u = np.array([[1.0, 0.0], [1.0, 1e-5]]), np.array([-1.0, 5.0])
         cache = ActiveSetCache(H, A)
         np.linalg.cholesky(cache.reduced((0, 1)))
-        cold = solve_qp(H, c, A, u)
+        cold = solve_qp(ActiveSetCache(H, A), c, u)
         for _ in range(2):
-            hot = solve_qp(H, c, A, u, (0, 1), cache)
+            hot = solve_qp(cache, c, u, (0, 1))
             assert cache.start_ok((0, 1)) is False
             assert hot.stats == cold.stats == {"pivots": 1, "repairs": 0}
             assert np.array_equal(hot.y_hat, cold.y_hat) and np.array_equal(hot.lam, cold.lam)
