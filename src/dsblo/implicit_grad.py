@@ -63,14 +63,14 @@ def _adjoint(inst: QuadraticBilevel, lam, active: tuple, gx, gy) -> np.ndarray:
 
     For n draws that share the active set, lam, gx and gy hold one row per
     draw and the result one gradient row per draw, all from one solve.
-    Every row's multipliers are checked. M' is Q2 itself."""
-    gx = np.asarray(gx, dtype=float)
-    gy = np.asarray(gy, dtype=float).T
+    Every row's multipliers are checked. M' is Q2 itself. lam, gx and gy
+    are float arrays, taken as given."""
+    gy = gy.T
     H = inst.hess_yy_diag
     Higy = gy / H if gy.ndim == 1 else gy / H[:, None]
     if not active:
         return gx - (inst.Q2 @ Higy).T
-    Bbar = _active_rows(inst, active, np.asarray(lam))
+    Bbar = _active_rows(inst, active, lam)
     w, v = inst.active_set_cache.equality_solve(tuple(active), Higy, 0.0)
     return gx + (inst.Q2 @ v).T + (Bbar.T @ w).T
 
@@ -88,7 +88,7 @@ def jacobians(inst: QuadraticBilevel, sol: LLSolution):
 
 def implicit_gradient(inst: QuadraticBilevel, x: np.ndarray, sol: LLSolution) -> ImplicitGradient:
     """Full-batch implicit gradient grad_x f + jac_y' grad_y f at (x, y_hat)."""
-    gx, gy = inst.grad_f(x, sol.y_hat)
+    gx, gy = inst._grad_f(np.asarray(x, dtype=float), sol.y_hat, inst.cx_mean, inst.cy_mean)
     return ImplicitGradient(grad=_adjoint(inst, sol.lam, sol.active_set, gx, gy))
 
 

@@ -143,27 +143,36 @@ def _certified(y: np.ndarray, lam: np.ndarray, active: tuple, residual: np.ndarr
 # ---------------------------------------------------------------------------
 
 
-# Most row tuples an ActiveSetCache holds; a full cache is emptied before
-# the next tuple goes in. At 64 tuples of 100 rows that is 5 MB of S.
-ACTIVE_SET_CACHE_SIZE = 64
+# Bytes of operands an ActiveSetCache holds. A tuple of n rows in dimension
+# d is charged 8 (2 n d + n^2) bytes when it goes in, for its A_W, A_W'/H
+# and S, and a tuple that would pass the budget empties the cache first. A
+# pass of the d=200/k=40 benchmark charges 3.1-3.3 MB over 44-46 tuples and
+# one of the d=50/k=10 Monte-Carlo benchmark 0.13 MB, so neither empties
+# it. A larger budget would mostly keep the one-off working sets that a
+# cold solve's pivots pass through, one new tuple per pivot.
+ACTIVE_SET_CACHE_BYTES = 4 * 2 ** 20
 
 
 class ActiveSetCache:
     """What a solve needs of a tuple of rows of A that depends on the rows
     alone, for one positive Hessian diagonal H and one constraint matrix A,
-    computed once per tuple: the reduced matrix S = A_W H^-1 A_W' with its
-    rows in the tuple's order, the smallest singular value of the rows, and
-    whether they are a usable start. A tuple asked for again gets the same
-    bits, so a solve gives the same result whatever the cache held before.
-    ``equality_solve`` solves the equality KKT system on a tuple with its S;
-    the active-set solver and the implicit gradient both solve through it.
+    computed once per tuple, each on first use and read-only: the rows
+    A_W (``gathered``), A_W'/H and the reduced matrix S = A_W H^-1 A_W'
+    (``reduced``), all in the tuple's order, the smallest singular value of
+    the rows, and whether they are a usable start. A tuple asked for again
+    gets the same bits, so a solve gives the same result whatever the cache
+    held before. ``equality_solve`` solves the equality KKT system on a
+    tuple with its operands; the active-set solver and the implicit gradient
+    both solve through it.
 
     It is the one carrier of H, A and ``mu``: ``solve_qp`` and
     ``solve_qp_batch`` take it in their place.
     ``QuadraticBilevel.active_set_cache`` keeps one per instance, since H and
-    A never change. It holds at most ``ACTIVE_SET_CACHE_SIZE`` tuples. It
-    checks H once: a 2-D H raises ``ValueError`` and a nonpositive entry
-    ``NotSPD``; ``mu`` is H's smallest entry, and ``A`` a 2-D float array."""
+    A never change. It holds at most ``ACTIVE_SET_CACHE_BYTES`` of operands
+    (``nbytes`` is what its tuples are charged), except that a tuple larger
+    than that is held alone. It checks H once: a 2-D H raises
+    ``ValueError`` and a nonpositive entry ``NotSPD``; ``mu`` is H's
+    smallest entry, and ``A`` a 2-D float array."""
 
     def __init__(self, H: np.ndarray, A: np.ndarray):
         H = np.asarray(H, dtype=float)
@@ -175,6 +184,7 @@ class ActiveSetCache:
         self.H = H
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self._rows: dict = {}
+        self.nbytes = 0
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -182,21 +192,40 @@ class ActiveSetCache:
     def _entry(self, rows: tuple) -> dict:
         entry = self._rows.get(rows)
         if entry is None:
-            if len(self._rows) >= ACTIVE_SET_CACHE_SIZE:
+            n = len(rows)
+            charge = 8 * n * (2 * self.A.shape[1] + n)
+            if self.nbytes + charge > ACTIVE_SET_CACHE_BYTES:
                 self._rows.clear()
+                self.nbytes = 0
+            self.nbytes += charge
             entry = self._rows[rows] = {}
         return entry
+
+    def gathered(self, rows: tuple) -> np.ndarray:
+        """A_W, the rows of A in ``rows``, in that order (read-only)."""
+        entry = self._entry(rows)
+        Aw = entry.get("Aw")
+        if Aw is None:
+            Aw = entry["Aw"] = self.A[list(rows)]
+            Aw.flags.writeable = False
+        return Aw
+
+    def _operands(self, rows: tuple) -> tuple:
+        """(A_W, A_W'/H, S) for the rows in ``rows`` (read-only)."""
+        entry = self._entry(rows)
+        ops = entry.get("kkt")
+        if ops is None:
+            Aw = self.gathered(rows)
+            AwHi = Aw.T / self.H[:, None]
+            S = Aw @ AwHi
+            AwHi.flags.writeable = S.flags.writeable = False
+            ops = entry["kkt"] = (Aw, AwHi, S)
+        return ops
 
     def reduced(self, rows: tuple) -> np.ndarray:
         """S = A_W H^-1 A_W' for the rows W in ``rows``, in that order
         (read-only)."""
-        entry = self._entry(rows)
-        S = entry.get("S")
-        if S is None:
-            Aw = self.A[list(rows)]
-            S = entry["S"] = Aw @ (Aw.T / self.H[:, None])
-            S.flags.writeable = False
-        return S
+        return self._operands(rows)[2]
 
     def equality_solve(self, rows: tuple, Hic: np.ndarray, uw) -> tuple:
         """(lam, y) of the equality KKT system H y + c + A_W' lam = 0,
@@ -205,12 +234,12 @@ class ActiveSetCache:
         one column per column of it, and ``uw`` is one vector for all of them
         or one row per column. Raises ``DegenerateActiveSet`` when S is
         singular."""
-        Aw = self.A[list(rows)]
+        Aw, AwHi, S = self._operands(rows)
         try:
-            lam = np.linalg.solve(self.reduced(rows), -(uw + (Aw @ Hic).T).T)
+            lam = np.linalg.solve(S, -(uw + (Aw @ Hic).T).T)
         except np.linalg.LinAlgError as exc:
             raise DegenerateActiveSet("singular reduced KKT system") from exc
-        return lam, -(Hic + (Aw.T / self.H[:, None]) @ lam)
+        return lam, -(Hic + AwHi @ lam)
 
     def check_rank(self, rows: tuple) -> float:
         """Smallest singular value of the rows in ``rows`` (+inf when there
@@ -223,7 +252,7 @@ class ActiveSetCache:
         entry = self._entry(rows)
         smin = entry.get("smin")
         if smin is None:
-            smin = entry["smin"] = float(np.linalg.svd(self.A[list(rows)], compute_uv=False)[-1])
+            smin = entry["smin"] = float(np.linalg.svd(self.gathered(rows), compute_uv=False)[-1])
         if smin < RANK_TOL:
             raise DegenerateActiveSet(
                 f"active rows nearly rank deficient (smallest singular value {smin:.2e})"
@@ -294,10 +323,12 @@ def solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start=()) -> L
 
     Dual active-set iteration: starts from the unconstrained minimum and
     incorporates violated constraints one at a time, dropping working rows
-    whose multiplier would cross zero. Needs no feasibility phase and
-    detects infeasibility when the dual ray is unbounded. The final working
-    set is re-solved as an equality KKT system, so the returned stationarity
-    residual sits at solver precision.
+    whose multiplier would cross zero. Needs no feasibility phase. When the
+    dual ray is unbounded it raises ``Infeasible`` only if the ray r passes
+    a Farkas check (r >= 0, ||A'r|| <= ``_RAY_TOL`` ||r|| ||A|| and
+    u'r < 0), and ``Uncertified``, naming the failed condition, otherwise.
+    The final working set is re-solved as an equality KKT system, so the
+    returned stationarity residual sits at solver precision.
 
     ``start`` optionally names rows to start from instead, typically the
     active set of a nearby solve (see ``_hot_start``); when the start is
@@ -314,9 +345,14 @@ def solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start=()) -> L
     whose KKT residual exceeds ``KKT_TOL`` raises ``Uncertified``. What the
     cache held before changes no bit of the result.
     """
+    return _solve_qp(cache, np.asarray(c, dtype=float),
+                     np.atleast_1d(np.asarray(u, dtype=float)), start)
+
+
+def _solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start) -> LLSolution:
+    """``solve_qp`` on a float vector c and a float k-vector u, taken as
+    given."""
     H, A = cache.H, cache.A
-    c = np.asarray(c, dtype=float)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     k = A.shape[0]
     # a NaN or infinite input, or one so large that the arithmetic
     # overflows, warns somewhere below; only warnings-as-errors raise
@@ -332,6 +368,39 @@ def solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start=()) -> L
         return _dual_active_set(cache, c, u, Hic, start)
     except RuntimeWarning as exc:
         raise NonFinite(f"non-finite arithmetic: {exc}") from exc
+
+
+# A dual ray r certifies infeasibility when ||A'r|| is at most this share
+# of ||r|| ||A||. An unbounded ray of the iteration meets it with ||A'r||
+# about 1e-7 ||A|| at most, the dependence test's bound on the primal step.
+_RAY_TOL = 1e-6
+
+
+def _unbounded_ray(A: np.ndarray, u: np.ndarray, p: int, work: list,
+                   dlam: np.ndarray) -> Infeasible | Uncertified:
+    """The error for a dual ray that is unbounded on adding row p to the
+    rows in ``work``: r is 1 on p and the working multipliers' step dlam
+    (clipped at 0) on ``work``. ``Infeasible`` when r passes the Farkas
+    check (r >= 0, ||A'r|| <= ``_RAY_TOL`` ||r|| ||A||, u'r < 0), so that
+    no y satisfies A y <= u; ``Uncertified``, naming the failed condition,
+    otherwise."""
+    r = np.zeros(A.shape[0])
+    r[work] = np.maximum(dlam, 0.0)
+    r[p] = 1.0
+    Ar = A.T @ r
+    res = math.sqrt(Ar @ Ar)
+    bound = _RAY_TOL * math.sqrt(r @ r) * float(np.linalg.norm(A))
+    ur = float(u @ r)
+    if not np.all(r >= 0.0):
+        failed = "the ray r has a NaN entry, so r >= 0 fails"
+    elif not res <= bound:
+        failed = f"||A'r|| = {res:.2e} exceeds {_RAY_TOL:.0e} ||r|| ||A|| = {bound:.2e}"
+    elif not ur < 0.0:
+        failed = f"u'r = {ur:.2e} is not negative"
+    else:
+        return Infeasible(f"dual ray unbounded: rows {sorted(work + [p])} are "
+                          f"inconsistent (Farkas ray with u'r = {ur:.2e})")
+    return Uncertified(f"dual ray unbounded, but its Farkas certificate fails: {failed}")
 
 
 def _dual_active_set(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray,
@@ -353,9 +422,9 @@ def _dual_active_set(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray,
 
     while True:
         slack = u - A @ y if k else np.zeros(0)
-        in_work = np.zeros(k, dtype=bool)
-        in_work[work] = True
-        viol = np.flatnonzero((-slack > _VIOL_TOL) & ~in_work)
+        bad = slack < -_VIOL_TOL
+        bad[work] = False
+        viol = np.flatnonzero(bad)
         if viol.size == 0:
             if not polished:
                 # polish: exact equality solve on the working set
@@ -368,15 +437,14 @@ def _dual_active_set(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray,
                 polished = True
             # the polish may expose a marginal violation or a stray negative
             # multiplier; repair by re-entering the loop
-            neg = [j for j, lj in enumerate(lam_w) if lj < -1e-12]
-            dirty = bool(neg) or (k and np.max(-slack) > _VIOL_TOL)
-            if dirty:
+            neg = np.flatnonzero(lam_w < -1e-12)
+            if neg.size or (k and np.max(-slack) > _VIOL_TOL):
                 if repairs >= 5:
                     raise MaxPivots("post-solve repair loop did not settle")
                 repairs += 1
-                for j in sorted(neg, reverse=True):
-                    work.pop(j)
-                if neg:
+                if neg.size:
+                    for j in neg[::-1]:
+                        work.pop(j)
                     lam_w = np.delete(lam_w, neg)
                     polished = False
                 continue
@@ -418,7 +486,7 @@ def _dual_active_set(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray,
                     t_dual = float(np.min(ratios))
                     j_drop = int(pos[np.flatnonzero(ratios <= t_dual)[0]])
             if not np.isfinite(t_full) and not np.isfinite(t_dual):
-                raise Infeasible("dual ray unbounded: constraints are inconsistent")
+                raise _unbounded_ray(A, u, p, work, dlam)
 
             t = min(t_full, t_dual)
             if t > 0:
@@ -440,7 +508,7 @@ def _dual_active_set(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray,
     cache.check_rank(active)
     residual = H * y + c
     if active:
-        residual = residual + A[list(active)].T @ lam[list(active)]
+        residual = residual + cache.gathered(active).T @ lam[list(active)]
     return _certified(y, lam, active, residual, float(-slack.min()) if k else -np.inf,
                       cache.mu, {"pivots": pivots, "repairs": repairs})
 
@@ -476,10 +544,12 @@ def solve_qp_batch(cache: ActiveSetCache, C: np.ndarray, U: np.ndarray, work) ->
             return np.zeros(n, dtype=bool), Y, Lam
         lam_w, Yc = solved
         slack = U.T - A @ Yc
-        kkt = np.linalg.norm(H[:, None] * Yc + C.T + A[work].T @ lam_w, axis=0)
+        kkt = np.linalg.norm(H[:, None] * Yc + C.T + cache.gathered(tuple(work)).T @ lam_w,
+                             axis=0)
     except RuntimeWarning as exc:
         raise NonFinite(f"non-finite draw: {exc}") from exc
-    in_work = np.isin(np.arange(k), work)
+    in_work = np.zeros(k, dtype=bool)
+    in_work[work] = True
     ok = ((lam_w >= 0.0).all(axis=0) & (slack >= -_VIOL_TOL).all(axis=0)
           & ((slack <= TAU_ACT) == in_work[:, None]).all(axis=0) & (kkt <= KKT_TOL))
     if ok.any():  # rank-deficient rows raise, as in the single solve
@@ -502,7 +572,7 @@ def solve_ll_quadratic(inst: QuadraticBilevel, x: np.ndarray,
         u = poly.rhs(x)
     except RuntimeWarning as exc:
         raise NonFinite(f"non-finite input: {exc}") from exc
-    return solve_qp(inst.active_set_cache, c, u, start)
+    return _solve_qp(inst.active_set_cache, c, u, start)
 
 
 # ---------------------------------------------------------------------------

@@ -157,18 +157,19 @@ class QuadraticBilevel:
 
     def grad_f(self, x: np.ndarray, y: np.ndarray):
         """Full-batch (grad_x f, grad_y f)."""
-        return self._grad_f(x, y, self.cx_mean, self.cy_mean)
+        return self._grad_f(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                            self.cx_mean, self.cy_mean)
 
     def sampled_grad_f(self, x: np.ndarray, y: np.ndarray, xi: int):
         """(grad_x, grad_y) of component ``xi``."""
         if not 0 <= xi < self.n_components:
             raise IndexError(f"component index {xi} out of range")
-        return self._grad_f(x, y, self.cx[xi], self.cy[xi])
+        return self._grad_f(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                            self.cx[xi], self.cy[xi])
 
-    def _grad_f(self, x, y, cx: np.ndarray, cy: np.ndarray):
-        """(grad_x f, grad_y f) with the linear terms cx and cy."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+    def _grad_f(self, x: np.ndarray, y: np.ndarray, cx: np.ndarray, cy: np.ndarray):
+        """(grad_x f, grad_y f) with the linear terms cx and cy, at the float
+        arrays x and y taken as given; their shapes are checked."""
         self._check_dims(x, y)
         gx = 2.0 * x + 0.1 * (self.Q1 @ y) + cx
         gy = 0.1 * (self.Q1.T @ x) + 2.0 * y + cy

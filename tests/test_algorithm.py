@@ -465,9 +465,10 @@ class TestInteriorFastPath:
                                      perturb_radius=1e-3))
 
         plain = runs()
-        real_solve, real_iteration, counts = ll.solve_qp, ll._dual_active_set, [0, 0]
+        real_solve, real_iteration, counts = ll._solve_qp, ll._dual_active_set, [0, 0]
 
-        def general(cache, c, u, start=()):
+        # solve_ll_quadratic calls solve_qp's body, _solve_qp, directly
+        def general(cache, c, u, start):
             counts[0] += 1
             return real_solve(cache, c, u, start if len(start) else (0,))
 
@@ -475,7 +476,7 @@ class TestInteriorFastPath:
             counts[1] += 1
             return real_iteration(*args)
 
-        monkeypatch.setattr(ll, "solve_qp", general)
+        monkeypatch.setattr(ll, "_solve_qp", general)
         monkeypatch.setattr(ll, "_dual_active_set", counting)
         forced = runs()
         # each run makes one gradient-sample solve per record; its exact F

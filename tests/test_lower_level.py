@@ -13,7 +13,7 @@ from dsblo.errors import (DegenerateActiveSet, DsbloError, Infeasible, NonFinite
                           Uncertified)
 from dsblo.experiment import config_from_dict, run_experiment
 from dsblo.implicit_grad import implicit_gradient, jacobians
-from dsblo.lower_level import (ACTIVE_SET_CACHE_SIZE, KKT_TOL, TAU_ACT, ActiveSetCache,
+from dsblo.lower_level import (KKT_TOL, TAU_ACT, ActiveSetCache,
                                LLSolution, Perturbation, sample_perturbation, sc_margin,
                                solve_ll_bruteforce, solve_ll_quadratic, solve_qp,
                                solve_qp_batch)
@@ -459,6 +459,42 @@ class TestUncertified:
                     assert sol.kkt_residual <= KKT_TOL
             assert uncertified > 0, scale
 
+    def test_feasible_problem_is_never_reported_infeasible(self):
+        # box rows keep every lower level of this instance feasible; under
+        # huge perturbations the iteration can still find an unbounded dual
+        # ray, whose Farkas check then fails (u'r >= 0), so the solve
+        # raises Uncertified and names the failed check, never Infeasible
+        inst = generate_instance(4, 4, 3, seed=1)
+        for scale in (1e50, 1e150):
+            rng = np.random.default_rng(0)
+            farkas = 0
+            for _ in range(200):
+                try:
+                    solve_ll_quadratic(inst, np.zeros(4), scale * rng.standard_normal(4))
+                except Infeasible as exc:
+                    pytest.fail(f"feasible lower level reported infeasible: {exc}")
+                except Uncertified as exc:
+                    farkas += "Farkas certificate fails: u'r" in str(exc)
+                except DsbloError:
+                    continue
+            assert farkas > 0, scale
+
+    @pytest.mark.parametrize("dlam, u, failed", [
+        ([np.nan], [-1.0, -1.0], "NaN entry"),
+        ([0.5], [-1.0, -1.0], "||A'r||"),
+        ([1.0], [1.0, 1.0], "u'r = 2.00e+00 is not negative"),
+        ([1.0 - 1e-9], [-1.0, -1.0], None),
+        ([1.0], [-1.0, 0.5], None),
+    ])
+    def test_unbounded_ray_checks_its_farkas_certificate(self, dlam, u, failed):
+        # y <= u0 and -y <= u1, row 1 added to the working row 0
+        err = ll._unbounded_ray(np.array([[1.0], [-1.0]]), np.array(u), 1, [0],
+                                np.array(dlam))
+        if failed is None:
+            assert isinstance(err, Infeasible) and "Farkas ray" in str(err)
+        else:
+            assert isinstance(err, Uncertified) and failed in str(err)
+
     def test_run_experiment_records_the_error(self, tmp_path):
         summary = run_experiment(config_from_dict({
             "instance": {"d_u": 4, "d_l": 4, "k": 3, "seed": 1}, "seeds": [1],
@@ -714,6 +750,13 @@ def _two_row_instance(rows):
                             cy=np.ones((1, 2)), constraints=poly, box_radius=None)
 
 
+def _held_bytes(cache):
+    """Bytes of the distinct arrays the cache holds."""
+    arrays = {id(a): a for entry in cache._rows.values()
+              for a in (entry.get("Aw"), *entry.get("kkt", ())) if a is not None}
+    return sum(a.nbytes for a in arrays.values())
+
+
 def _solve_and_grad(inst, x, q, start):
     """(solve, gradient) at x, or the type of the error either raised."""
     try:
@@ -812,16 +855,98 @@ class TestActiveSetCache:
             assert np.array_equal(hot.y_hat, cold.y_hat) and np.array_equal(hot.lam, cold.lam)
             assert hot.active_set == cold.active_set == (0,)
 
-    def test_never_holds_more_than_its_bound(self):
+    def test_never_holds_more_than_its_bound(self, monkeypatch):
+        # a budget with room for 64 row pairs, each charged 8 (2 n d + n^2)
+        # bytes for its A_W, A_W'/H and S; 192 pairs asked for twice
         rng = np.random.default_rng(0)
         H, A = rng.uniform(0.5, 2.0, 5), rng.standard_normal((30, 5))
+        budget = 64 * 8 * 2 * (2 * 5 + 2)
+        monkeypatch.setattr(ll, "ACTIVE_SET_CACHE_BYTES", budget)
         cache = ActiveSetCache(H, A)
-        tuples = [(i, j) for i in range(30) for j in range(30) if i != j][:3 * ACTIVE_SET_CACHE_SIZE]
-        first = {}
+        tuples = [(i, j) for i in range(30) for j in range(30) if i != j][:192]
+        first, emptied = {}, 0
         for rows in tuples + tuples:
+            held = len(cache)
             S = cache.reduced(rows)
-            assert len(cache) <= ACTIVE_SET_CACHE_SIZE
+            emptied += len(cache) < held
+            assert cache.nbytes <= budget and _held_bytes(cache) <= cache.nbytes
             # an evicted tuple asked for again gets the same bits
             assert np.array_equal(first.setdefault(rows, S), S)
             assert not S.flags.writeable
+        assert emptied == 5 and len(cache) == 64
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 12), st.integers(0, 2 ** 16), st.booleans())
+    def test_operands_equal_fresh_gathers(self, d, k, seed, cached_first):
+        # A_W, A_W'/H and S of any tuple of distinct rows in any order equal
+        # a fresh gather and its products bit for bit, stay read-only, and
+        # are computed once; the equality solve equals one on the fresh ones
+        rng = np.random.default_rng(seed)
+        H, A = rng.uniform(0.1, 10.0, d), rng.standard_normal((k + 1, d))
+        rows = tuple(rng.permutation(k + 1)[:rng.integers(1, min(d, k + 1) + 1)].tolist())
+        cache = ActiveSetCache(H, A)
+        if cached_first:  # gathers A_W alone first
+            try:
+                cache.check_rank(rows)
+            except DegenerateActiveSet:
+                pass
+        Aw = A[list(rows)]
+        AwHi = Aw.T / H[:, None]
+        S = Aw @ AwHi
+        got = cache._operands(rows)
+        for fresh, op in zip((Aw, AwHi, S), got):
+            assert op.shape == fresh.shape and op.tobytes() == fresh.tobytes()
+            assert not op.flags.writeable
+        assert cache.gathered(rows) is got[0] and cache.reduced(rows) is got[2]
+        assert all(a is b for a, b in zip(cache._operands(rows), got))
+        Hic, uw = rng.standard_normal((d, 3)), rng.standard_normal(len(rows))
+        try:
+            lam = np.linalg.solve(S, -(uw + (Aw @ Hic).T).T)
+        except np.linalg.LinAlgError:
+            with pytest.raises(DegenerateActiveSet):
+                cache.equality_solve(rows, Hic, uw)
+            return
+        y = -(Hic + AwHi @ lam)
+        got_lam, got_y = cache.equality_solve(rows, Hic, uw)
+        assert got_lam.tobytes() == lam.tobytes() and got_y.tobytes() == y.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.integers(1, 6), st.integers(0, 2 ** 16),
+           st.sampled_from([0.2, 0.5]), st.integers(2, 6))
+    def test_emptied_at_every_insert_changes_no_bit(self, d, k, seed, radius, n_points):
+        # warm-started solves, their gradients and a batch of draws through
+        # a cache whose budget empties it at every new tuple equal those
+        # through a fresh cache with the default budget, byte for byte
+        rng = np.random.default_rng(seed)
+        points = [(rng.standard_normal(d), 0.3 * rng.standard_normal(d))
+                  for _ in range(n_points)]
+        draws = 0.3 * rng.standard_normal((5, d))
+
+        def outcomes(inst):
+            out, start = [], ()
+            for x, q in points:
+                sol, g = _solve_and_grad(inst, x, q, start)
+                if not isinstance(sol, ll.LLSolution):
+                    out.append((sol, g))
+                    continue
+                out.append((sol.y_hat.tobytes(), sol.lam.tobytes(), sol.active_set,
+                            sol.stats, None if g is None else g.tobytes()))
+                start = sol.active_set
+            x0 = points[0][0]
+            try:
+                ok, Y, Lam = solve_qp_batch(inst.active_set_cache, inst.Q2.T @ x0 + draws,
+                                            inst.constraints.rhs(x0), start)
+            except DsbloError as exc:
+                out.append(type(exc))
+            else:
+                out.append((ok.tobytes(), Y.tobytes(), Lam.tobytes()))
+            return out
+
+        fresh = outcomes(generate_instance(d, d, k, seed=seed, box_radius=radius))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ll, "ACTIVE_SET_CACHE_BYTES", 0)
+            starved = generate_instance(d, d, k, seed=seed, box_radius=radius)
+            assert outcomes(starved) == fresh
+            # at most one tuple of rows, and the empty tuple, which costs 0
+            assert len(starved.active_set_cache) <= 2
 
