@@ -27,7 +27,9 @@ class NonFinite(DsbloError):
 
 class Uncertified(DsbloError):
     """A lower-level solve ended at a finite point whose KKT residual
-    exceeds ``lower_level.KKT_TOL``, so it cannot be certified; typically a
+    exceeds ``lower_level.KKT_TOL``, whose post-solve repairs left a
+    violated row or a negative multiplier, or whose unbounded dual ray
+    failed its Farkas check, so it cannot be certified; typically a
     perturbation or x so large that round-off swamps the tolerance."""
 
 

@@ -17,10 +17,11 @@ with c = grad_y f and u = 0, whose point v and multipliers w give
     grad = grad_x f + M' v + Bbar' w.
 
 ``jacobians`` forms jac_y and jac_lambda, the same solve with c = M and
-u = -Bbar; it is the reference the tests and ``verify`` check against. Both
-need strict complementarity and independent active rows, and check both;
-the rank check, and the ``DegenerateActiveSet`` a singular solve raises,
-are the cache's.
+u = -Bbar but made with ``np.linalg.solve`` of S, where the adjoint
+multiplies by the cached S^-1; it is the reference the tests and
+``verify`` check against. Both need strict complementarity and independent
+active rows, and check both; the rank check, and the
+``DegenerateActiveSet`` a singular solve raises, are the cache's.
 """
 
 from __future__ import annotations
@@ -77,12 +78,15 @@ def _adjoint(inst: QuadraticBilevel, lam, active: tuple, gx, gy) -> np.ndarray:
 
 def jacobians(inst: QuadraticBilevel, sol: LLSolution):
     """Solution-map Jacobians (jac_y, jac_lambda) at a certified LL solve,
-    the dense reference for the adjoint gradient; same checks and errors."""
+    the dense reference for the adjoint gradient, solved with
+    ``np.linalg.solve`` rather than the cached inverse; same checks and
+    errors."""
     HiM = inst.Q2.T / inst.hess_yy_diag[:, None]
     if not sol.active_set:
         return -HiM, np.zeros((0, HiM.shape[1]))
     Bbar = _active_rows(inst, sol.active_set, sol.lam)
-    jac_lambda, jac_y = inst.active_set_cache.equality_solve(sol.active_set, HiM, -Bbar.T)
+    jac_lambda, jac_y = inst.active_set_cache.equality_solve(sol.active_set, HiM, -Bbar.T,
+                                                             exact=True)
     return jac_y, jac_lambda
 
 

@@ -144,12 +144,13 @@ def _certified(y: np.ndarray, lam: np.ndarray, active: tuple, residual: np.ndarr
 
 
 # Bytes of operands an ActiveSetCache holds. A tuple of n rows in dimension
-# d is charged 8 (2 n d + n^2) bytes when it goes in, for its A_W, A_W'/H
-# and S, and a tuple that would pass the budget empties the cache first. A
-# pass of the d=200/k=40 benchmark charges 3.1-3.3 MB over 44-46 tuples and
-# one of the d=50/k=10 Monte-Carlo benchmark 0.13 MB, so neither empties
-# it. A larger budget would mostly keep the one-off working sets that a
-# cold solve's pivots pass through, one new tuple per pivot.
+# d is charged 8 (2 n d + 2 n^2) bytes when it goes in, for its A_W, A_W'/H,
+# S and S^-1, and a tuple that would pass the budget empties the cache
+# first. Only the tuples that solves start from and end on go in: a pivot
+# borders or downdates the working set's inverse instead (``_border``,
+# ``_drop``). A pass of the d=200/k=40 benchmark charges 1.5-1.9 MB over
+# 14-17 tuples and one of the d=50/k=10 Monte-Carlo benchmark 0.06 MB over
+# 11, so neither empties it.
 ACTIVE_SET_CACHE_BYTES = 4 * 2 ** 20
 
 
@@ -157,13 +158,13 @@ class ActiveSetCache:
     """What a solve needs of a tuple of rows of A that depends on the rows
     alone, for one positive Hessian diagonal H and one constraint matrix A,
     computed once per tuple, each on first use and read-only: the rows
-    A_W (``gathered``), A_W'/H and the reduced matrix S = A_W H^-1 A_W'
-    (``reduced``), all in the tuple's order, the smallest singular value of
-    the rows, and whether they are a usable start. A tuple asked for again
-    gets the same bits, so a solve gives the same result whatever the cache
-    held before. ``equality_solve`` solves the equality KKT system on a
-    tuple with its operands; the active-set solver and the implicit gradient
-    both solve through it.
+    A_W (``gathered``), A_W'/H, the reduced matrix S = A_W H^-1 A_W'
+    (``reduced``) and its inverse (``inverse``), all in the tuple's order,
+    the smallest singular value of the rows, and whether they are a usable
+    start. A tuple asked for again gets the same bits, so a solve gives the
+    same result whatever the cache held before. ``equality_solve`` solves
+    the equality KKT system on a tuple with its operands; the active-set
+    solver and the implicit gradient both solve through it.
 
     It is the one carrier of H, A and ``mu``: ``solve_qp`` and
     ``solve_qp_batch`` take it in their place.
@@ -193,7 +194,7 @@ class ActiveSetCache:
         entry = self._rows.get(rows)
         if entry is None:
             n = len(rows)
-            charge = 8 * n * (2 * self.A.shape[1] + n)
+            charge = 16 * n * (self.A.shape[1] + n)
             if self.nbytes + charge > ACTIVE_SET_CACHE_BYTES:
                 self._rows.clear()
                 self.nbytes = 0
@@ -227,18 +228,37 @@ class ActiveSetCache:
         (read-only)."""
         return self._operands(rows)[2]
 
-    def equality_solve(self, rows: tuple, Hic: np.ndarray, uw) -> tuple:
+    def inverse(self, rows: tuple) -> np.ndarray:
+        """S^-1, ``np.linalg.inv`` of ``reduced(rows)`` (read-only); raises
+        ``DegenerateActiveSet``, on every call, when S is singular."""
+        entry = self._entry(rows)
+        Si = entry.get("inv")
+        if Si is None:
+            try:
+                Si = np.linalg.inv(self.reduced(rows))
+            except np.linalg.LinAlgError as exc:
+                raise DegenerateActiveSet("singular reduced KKT system") from exc
+            Si.flags.writeable = False
+            entry["inv"] = Si
+        return Si
+
+    def equality_solve(self, rows: tuple, Hic: np.ndarray, uw, exact: bool = False) -> tuple:
         """(lam, y) of the equality KKT system H y + c + A_W' lam = 0,
-        A_W y = uw on the rows W in ``rows``, from Hic = H^-1 c by one solve
-        with S = ``reduced(rows)``. When ``Hic`` is a matrix, lam and y have
-        one column per column of it, and ``uw`` is one vector for all of them
-        or one row per column. Raises ``DegenerateActiveSet`` when S is
-        singular."""
+        A_W y = uw on the rows W in ``rows``, from Hic = H^-1 c by one
+        product with ``inverse(rows)``, or, when ``exact``, by one
+        ``np.linalg.solve`` with S = ``reduced(rows)``. When ``Hic`` is a
+        matrix, lam and y have one column per column of it, and ``uw`` is one
+        vector for all of them or one row per column. Raises
+        ``DegenerateActiveSet`` when S is singular."""
         Aw, AwHi, S = self._operands(rows)
-        try:
-            lam = np.linalg.solve(S, -(uw + (Aw @ Hic).T).T)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateActiveSet("singular reduced KKT system") from exc
+        r = -(uw + (Aw @ Hic).T).T
+        if exact:
+            try:
+                lam = np.linalg.solve(S, r)
+            except np.linalg.LinAlgError as exc:
+                raise DegenerateActiveSet("singular reduced KKT system") from exc
+        else:
+            lam = self.inverse(rows) @ r
         return lam, -(Hic + AwHi @ lam)
 
     def check_rank(self, rows: tuple) -> float:
@@ -278,7 +298,7 @@ class ActiveSetCache:
 
 
 def _start_solve(cache: ActiveSetCache, Hic: np.ndarray, u: np.ndarray,
-                 work: list) -> Optional[tuple]:
+                 work: list, exact: bool) -> Optional[tuple]:
     """The multipliers and point of ``cache.equality_solve`` on the sorted
     rows in ``work``, or None when those rows are not a usable start: an
     index out of range, more rows than the dimension, or rows that fail
@@ -291,13 +311,13 @@ def _start_solve(cache: ActiveSetCache, Hic: np.ndarray, u: np.ndarray,
     if not cache.start_ok(rows):
         return None
     try:
-        return cache.equality_solve(rows, Hic, u[..., work])
+        return cache.equality_solve(rows, Hic, u[..., work], exact)
     except DegenerateActiveSet:
         return None
 
 
 def _hot_start(cache: ActiveSetCache, Hic: np.ndarray, u: np.ndarray,
-               start) -> Optional[tuple]:
+               start, exact: bool) -> Optional[tuple]:
     """Dual-feasible starting point from the rows in ``start``: the equality
     KKT solution on those rows, dropping the row with the most negative
     multiplier until none is negative (the hot start of the Goldfarb-Idnani
@@ -305,7 +325,7 @@ def _hot_start(cache: ActiveSetCache, Hic: np.ndarray, u: np.ndarray,
     the start is unusable (see ``_start_solve``)."""
     work = sorted({int(i) for i in start})
     while work:
-        solved = _start_solve(cache, Hic, u, work)
+        solved = _start_solve(cache, Hic, u, work, exact)
         if solved is None:
             return None
         lam_w, y = solved
@@ -329,6 +349,16 @@ def solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start=()) -> L
     u'r < 0), and ``Uncertified``, naming the failed condition, otherwise.
     The final working set is re-solved as an equality KKT system, so the
     returned stationarity residual sits at solver precision.
+
+    Each equality solve of a tuple of rows is one product with its cached
+    inverse (``ActiveSetCache.inverse``), and a pivot borders or downdates
+    the working set's inverse in O(n d + n^2) for n working rows. A solve
+    that raises ``Uncertified`` this way is repeated once with
+    ``np.linalg.solve`` for the hot start and the polish; a result of the
+    repeat carries ``"repeats": 1`` in its ``stats``. A polish that leaves a
+    violated row or a negative multiplier after five repairs raises
+    ``Uncertified`` naming both; ``MaxPivots`` means only that the pivot
+    budget ran out.
 
     ``start`` optionally names rows to start from instead, typically the
     active set of a nearby solve (see ``_hot_start``); when the start is
@@ -365,7 +395,12 @@ def _solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start) -> LLS
             if smin > TAU_ACT:
                 return _certified(y, np.zeros(k), (), H * y + c, -smin, cache.mu,
                                   {"pivots": 0, "repairs": 0})
-        return _dual_active_set(cache, c, u, Hic, start)
+        try:
+            return _dual_active_set(cache, c, u, Hic, start, False)
+        except Uncertified:
+            sol = _dual_active_set(cache, c, u, Hic, start, True)
+            sol.stats["repeats"] = 1
+            return sol
     except RuntimeWarning as exc:
         raise NonFinite(f"non-finite arithmetic: {exc}") from exc
 
@@ -403,18 +438,40 @@ def _unbounded_ray(A: np.ndarray, u: np.ndarray, p: int, work: list,
     return Uncertified(f"dual ray unbounded, but its Farkas certificate fails: {failed}")
 
 
+def _border(Si: np.ndarray, dlam: np.ndarray, curv: float) -> np.ndarray:
+    """The inverse of S bordered by a row p, from Si = S^-1, the step
+    dlam = -S^-1 s with s = A_W H^-1 a_p, and curv = a_p'H^-1 a_p - s'S^-1 s,
+    the Schur complement of S in the bordered matrix."""
+    n = dlam.shape[0]
+    v = dlam / curv
+    out = np.empty((n + 1, n + 1))
+    out[:n, :n] = Si + np.outer(v, dlam)
+    out[:n, n] = out[n, :n] = v
+    out[n, n] = 1.0 / curv
+    return out
+
+
+def _drop(Si: np.ndarray, j: int) -> np.ndarray:
+    """The inverse of S without its row and column j, from Si = S^-1."""
+    keep = np.r_[0:j, j + 1:Si.shape[0]]
+    return Si[np.ix_(keep, keep)] - np.outer(Si[keep, j], Si[j, keep] / Si[j, j])
+
+
 def _dual_active_set(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray,
-                     Hic: np.ndarray, start) -> LLSolution:
+                     Hic: np.ndarray, start, exact: bool) -> LLSolution:
     """The iteration of ``solve_qp`` from the unconstrained minimum -Hic, or
-    from the rows in ``start``."""
+    from the rows in ``start``; ``exact`` makes the hot start and the polish
+    solve with ``np.linalg.solve``. ``Si`` is the inverse of S on the
+    working rows ``work``, in their order."""
     H, A = cache.H, cache.A
     d = H.shape[0]
     k = A.shape[0]
     y = -Hic
     max_pivots = 100 + 50 * (k + d)
     bland_after = 8 + 3 * max(k, 1)
-    hot = _hot_start(cache, Hic, u, start) if len(start) else None
+    hot = _hot_start(cache, Hic, u, start, exact) if len(start) else None
     work, lam_w, y = hot if hot is not None else ([], np.zeros(0), y)
+    Si = cache.inverse(tuple(work)) if work else np.zeros((0, 0))
     # y is the equality solve on the working set until a pivot moves it
     polished = True
     pivots = 0
@@ -429,7 +486,9 @@ def _dual_active_set(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray,
             if not polished:
                 # polish: exact equality solve on the working set
                 if work:
-                    lam_w, y = cache.equality_solve(tuple(work), Hic, u[work])
+                    rows = tuple(work)
+                    lam_w, y = cache.equality_solve(rows, Hic, u[work], exact)
+                    Si = cache.inverse(rows)
                 else:
                     lam_w = np.zeros(0)
                     y = -Hic
@@ -440,11 +499,15 @@ def _dual_active_set(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray,
             neg = np.flatnonzero(lam_w < -1e-12)
             if neg.size or (k and np.max(-slack) > _VIOL_TOL):
                 if repairs >= 5:
-                    raise MaxPivots("post-solve repair loop did not settle")
+                    raise Uncertified(
+                        "post-solve repair loop did not settle: largest violation "
+                        f"{np.max(-slack):.2e}, most negative multiplier "
+                        f"{lam_w.min() if lam_w.size else 0.0:.2e}")
                 repairs += 1
                 if neg.size:
                     for j in neg[::-1]:
                         work.pop(j)
+                        Si = _drop(Si, j)
                     lam_w = np.delete(lam_w, neg)
                     polished = False
                 continue
@@ -470,7 +533,9 @@ def _dual_active_set(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray,
             Hia_p = a_p / H
             dlam, z = np.zeros(0), -Hia_p
             if work:
-                dlam, z = cache.equality_solve(tuple(work), Hia_p, 0.0)
+                Aw = A[work]
+                dlam = -(Si @ (Aw @ Hia_p))
+                z = -(Hia_p + (dlam @ Aw) / H)
             curv = float(z @ (H * z))
             dependent = curv <= 1e-14 * float(a_p @ Hia_p)
             if dependent:
@@ -496,9 +561,11 @@ def _dual_active_set(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray,
                 s_p = float(a_p @ y - u[p])
             if t_full <= t_dual:
                 work.append(p)
+                Si = _border(Si, dlam, curv)
                 lam_w = np.append(lam_w, lam_p)
                 break
             work.pop(j_drop)
+            Si = _drop(Si, j_drop)
             lam_w = np.delete(lam_w, j_drop)
 
     active = _tight_rows(slack)
@@ -517,7 +584,7 @@ def solve_qp_batch(cache: ActiveSetCache, C: np.ndarray, U: np.ndarray, work) ->
     """``solve_qp(cache, c, u, start=work)`` for every draw, a row c of ``C``
     with its row u of ``U`` (one vector ``U`` serves every draw), where that
     solve makes no pivot and no repair: one equality KKT solve on ``work``
-    with one factorization of S for all draws, then one vectorised
+    with one product by the cached S^-1 for all draws, then one vectorised
     certificate. A draw passes when its multipliers on ``work`` are
     nonnegative, no row is violated by more than ``_VIOL_TOL``, its tight
     rows are exactly ``work`` and its KKT residual is at most ``KKT_TOL``;
@@ -538,7 +605,7 @@ def solve_qp_batch(cache: ActiveSetCache, C: np.ndarray, U: np.ndarray, work) ->
     Lam = np.full((n, k), np.nan)
     HiC = C.T / H[:, None]
     try:  # only a NaN or infinite draw warns here
-        solved = (_start_solve(cache, HiC, U, work) if work
+        solved = (_start_solve(cache, HiC, U, work, False) if work
                   else (np.zeros((0, n)), -HiC))
         if solved is None:
             return np.zeros(n, dtype=bool), Y, Lam

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dsblo.lower_level as ll
-from dsblo.errors import (DegenerateActiveSet, DsbloError, Infeasible, NonFinite,
-                          Uncertified)
+from dsblo.errors import (DegenerateActiveSet, DsbloError, Infeasible, MaxPivots,
+                          NonFinite, Uncertified)
 from dsblo.experiment import config_from_dict, run_experiment
 from dsblo.implicit_grad import implicit_gradient, jacobians
 from dsblo.lower_level import (KKT_TOL, TAU_ACT, ActiveSetCache,
@@ -479,6 +479,34 @@ class TestUncertified:
                     continue
             assert farkas > 0, scale
 
+    @pytest.mark.parametrize("scale, n, warm, floor", [(1e9, 200, False, 81),
+                                                       (1e6, 400, True, 319)])
+    def test_certifies_as_many_as_direct_solves(self, scale, n, warm, floor):
+        # draws q = scale N(0, I) from rng seed 0 at x = 0, each solved cold
+        # or from the last certified active set; with an np.linalg.solve of
+        # S for every equality solve, 81 and 319 of them certified, the
+        # floors here. None is reported infeasible, and none raises
+        # MaxPivots, whose budget they do not spend: a repair loop that does
+        # not settle raises Uncertified, naming what it left
+        inst = generate_instance(4, 4, 3, seed=1)
+        rng = np.random.default_rng(0)
+        certified, unsettled, start = 0, 0, ()
+        for _ in range(n):
+            try:
+                sol = solve_ll_quadratic(inst, np.zeros(4), scale * rng.standard_normal(4),
+                                         start)
+            except (Infeasible, MaxPivots) as exc:
+                pytest.fail(f"{type(exc).__name__}: {exc}")
+            except Uncertified as exc:
+                msg = str(exc)
+                if "repair loop did not settle" in msg:
+                    unsettled += 1
+                    assert "largest violation" in msg and "most negative multiplier" in msg
+                continue
+            certified += 1
+            start = sol.active_set if warm else ()
+        assert certified >= floor and unsettled > 0
+
     @pytest.mark.parametrize("dlam, u, failed", [
         ([np.nan], [-1.0, -1.0], "NaN entry"),
         ([0.5], [-1.0, -1.0], "||A'r||"),
@@ -753,7 +781,8 @@ def _two_row_instance(rows):
 def _held_bytes(cache):
     """Bytes of the distinct arrays the cache holds."""
     arrays = {id(a): a for entry in cache._rows.values()
-              for a in (entry.get("Aw"), *entry.get("kkt", ())) if a is not None}
+              for a in (entry.get("Aw"), *entry.get("kkt", ()), entry.get("inv"))
+              if a is not None}
     return sum(a.nbytes for a in arrays.values())
 
 
@@ -764,6 +793,40 @@ def _solve_and_grad(inst, x, q, start):
         return sol, implicit_gradient(inst, x, sol).grad
     except DsbloError as exc:
         return type(exc), None
+
+
+class TestWorkingInverse:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2 ** 16),
+           st.lists(st.booleans(), min_size=1, max_size=30))
+    def test_border_and_drop_track_the_fresh_inverse(self, d, seed, adds):
+        # adds of a random row, with dlam and curv computed as the pivot
+        # loop computes them, and drops of a random working row keep the
+        # working inverse within 1e-8 relative of np.linalg.inv of the
+        # fresh S; an add that would make S worse conditioned than 1e5 is
+        # skipped
+        rng = np.random.default_rng(seed)
+        H, A = rng.uniform(0.1, 10.0, d), rng.standard_normal((2 * d + 2, d))
+        cache = ActiveSetCache(H, A)
+        work, Si = [], np.zeros((0, 0))
+        for add in adds:
+            if add and len(work) < d:
+                p = int(rng.choice([i for i in range(len(A)) if i not in work]))
+                if np.linalg.cond(cache.reduced(tuple(work + [p]))) > 1e5:
+                    continue
+                Aw, Hia_p = A[work], A[p] / H
+                dlam = -(Si @ (Aw @ Hia_p))
+                z = -(Hia_p + (dlam @ Aw) / H)
+                Si = ll._border(Si, dlam, float(z @ (H * z)))
+                work.append(p)
+            elif work:
+                j = int(rng.integers(len(work)))
+                Si = ll._drop(Si, j)
+                work.pop(j)
+            if work:
+                ref = np.linalg.inv(cache.reduced(tuple(work)))
+                assert Si.shape == ref.shape
+                assert np.abs(Si - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
 class TestActiveSetCache:
@@ -855,32 +918,58 @@ class TestActiveSetCache:
             assert np.array_equal(hot.y_hat, cold.y_hat) and np.array_equal(hot.lam, cold.lam)
             assert hot.active_set == cold.active_set == (0,)
 
+    def test_corrupt_inverse_is_repeated_and_counted(self):
+        # rows y1 <= -1 and y2 <= -1 both bind at (-1, -1); a warm solve
+        # through a cached inverse made 1.5 times too large ends off the
+        # rows and fails its certificate, and its repeat with np.linalg.solve
+        # certifies the point a fresh cache gives, with "repeats" in stats
+        inst = _two_row_instance([[1.0, 0.0], [0.0, 1.0]])
+        cache = inst.active_set_cache
+        bad = 1.5 * cache.inverse((0, 1))
+        bad.flags.writeable = False
+        cache._rows[(0, 1)]["inv"] = bad
+        with pytest.raises(Uncertified):
+            ll._dual_active_set(cache, np.zeros(2), np.array([-1.0, -1.0]), np.zeros(2),
+                                (0, 1), False)
+        sol = solve_ll_quadratic(inst, np.zeros(2), None, (0, 1))
+        fresh = solve_ll_quadratic(_two_row_instance([[1.0, 0.0], [0.0, 1.0]]),
+                                   np.zeros(2), None, (0, 1))
+        assert sol.stats == {"pivots": 0, "repairs": 0, "repeats": 1}
+        assert fresh.stats == {"pivots": 0, "repairs": 0}
+        assert sol.kkt_residual <= KKT_TOL and sol.active_set == fresh.active_set == (0, 1)
+        assert np.allclose(sol.y_hat, [-1.0, -1.0], rtol=0, atol=1e-15)
+        assert np.allclose(sol.lam, fresh.lam, rtol=0, atol=1e-15)
+        assert cache.inverse((0, 1)) is bad  # the repeat reads S, not S^-1
+
     def test_never_holds_more_than_its_bound(self, monkeypatch):
-        # a budget with room for 64 row pairs, each charged 8 (2 n d + n^2)
-        # bytes for its A_W, A_W'/H and S; 192 pairs asked for twice
+        # a budget with room for 64 row pairs, each charged 8 (2 n d + 2 n^2)
+        # bytes for its A_W, A_W'/H, S and S^-1; 192 pairs asked for twice
         rng = np.random.default_rng(0)
         H, A = rng.uniform(0.5, 2.0, 5), rng.standard_normal((30, 5))
-        budget = 64 * 8 * 2 * (2 * 5 + 2)
+        budget = 64 * 8 * 2 * (2 * 5 + 2 * 2)
         monkeypatch.setattr(ll, "ACTIVE_SET_CACHE_BYTES", budget)
         cache = ActiveSetCache(H, A)
         tuples = [(i, j) for i in range(30) for j in range(30) if i != j][:192]
         first, emptied = {}, 0
         for rows in tuples + tuples:
             held = len(cache)
-            S = cache.reduced(rows)
+            S, Si = cache.reduced(rows), cache.inverse(rows)
             emptied += len(cache) < held
-            assert cache.nbytes <= budget and _held_bytes(cache) <= cache.nbytes
+            # every tuple holds all four operands, so the charge is exact
+            assert cache.nbytes <= budget and _held_bytes(cache) == cache.nbytes
             # an evicted tuple asked for again gets the same bits
-            assert np.array_equal(first.setdefault(rows, S), S)
-            assert not S.flags.writeable
+            S0, Si0 = first.setdefault(rows, (S, Si))
+            assert np.array_equal(S0, S) and np.array_equal(Si0, Si)
+            assert not S.flags.writeable and not Si.flags.writeable
         assert emptied == 5 and len(cache) == 64
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 12), st.integers(0, 2 ** 16), st.booleans())
     def test_operands_equal_fresh_gathers(self, d, k, seed, cached_first):
-        # A_W, A_W'/H and S of any tuple of distinct rows in any order equal
-        # a fresh gather and its products bit for bit, stay read-only, and
-        # are computed once; the equality solve equals one on the fresh ones
+        # A_W, A_W'/H, S and S^-1 of any tuple of distinct rows in any order
+        # equal a fresh gather and its products bit for bit, stay read-only,
+        # and are computed once; the equality solve equals the product with
+        # the fresh inverse, and the exact one the solve with the fresh S
         rng = np.random.default_rng(seed)
         H, A = rng.uniform(0.1, 10.0, d), rng.standard_normal((k + 1, d))
         rows = tuple(rng.permutation(k + 1)[:rng.integers(1, min(d, k + 1) + 1)].tolist())
@@ -900,15 +989,21 @@ class TestActiveSetCache:
         assert cache.gathered(rows) is got[0] and cache.reduced(rows) is got[2]
         assert all(a is b for a, b in zip(cache._operands(rows), got))
         Hic, uw = rng.standard_normal((d, 3)), rng.standard_normal(len(rows))
+        r = -(uw + (Aw @ Hic).T).T
         try:
-            lam = np.linalg.solve(S, -(uw + (Aw @ Hic).T).T)
+            Si = np.linalg.inv(S)
         except np.linalg.LinAlgError:
-            with pytest.raises(DegenerateActiveSet):
-                cache.equality_solve(rows, Hic, uw)
+            for exact in (False, True):
+                with pytest.raises(DegenerateActiveSet):
+                    cache.equality_solve(rows, Hic, uw, exact)
             return
-        y = -(Hic + AwHi @ lam)
-        got_lam, got_y = cache.equality_solve(rows, Hic, uw)
-        assert got_lam.tobytes() == lam.tobytes() and got_y.tobytes() == y.tobytes()
+        got_Si = cache.inverse(rows)
+        assert got_Si.tobytes() == Si.tobytes() and not got_Si.flags.writeable
+        assert cache.inverse(rows) is got_Si
+        for exact, lam in ((False, Si @ r), (True, np.linalg.solve(S, r))):
+            y = -(Hic + AwHi @ lam)
+            got_lam, got_y = cache.equality_solve(rows, Hic, uw, exact)
+            assert got_lam.tobytes() == lam.tobytes() and got_y.tobytes() == y.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 8), st.integers(1, 6), st.integers(0, 2 ** 16),
