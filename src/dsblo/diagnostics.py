@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -118,14 +118,15 @@ def _mc_solves(inst: QuadraticBilevel, X: np.ndarray, Q: np.ndarray, start=None)
 
 @dataclass(frozen=True)
 class StationarityWindow:
-    """Geometric convex combination of the last K stored gradients; its norm
-    upper-bounds the distance of 0 to the radius-delta_bar Goldstein
-    subdifferential at the window anchor x_{t-K}. ``mc_fallbacks`` counts the
-    Monte-Carlo draws that fell back to a solve of their own."""
+    """Geometric convex combination of Monte-Carlo gradients at the last K
+    window points; its norm estimates the distance of 0 to the
+    radius-delta_bar Goldstein subdifferential at the window anchor
+    x_{t-K}. ``mc_fallbacks`` counts the draws that fell back to a solve of
+    their own."""
 
     combined: np.ndarray
     norm: float
-    mc_fallbacks: int = 0
+    mc_fallbacks: int
 
 
 def window_weights(beta: float, K: int) -> np.ndarray:
@@ -135,41 +136,32 @@ def window_weights(beta: float, K: int) -> np.ndarray:
     return powers * (1.0 - beta) / (1.0 - beta ** K)
 
 
-def stationarity_window(log, t: int, beta: float, K: int,
-                        inst: Optional[QuadraticBilevel] = None,
-                        mc_samples: int = 0, radius: float = 1e-3,
-                        rng: Optional[np.random.Generator] = None) -> StationarityWindow:
-    """Windowed stationarity estimate at iteration t from a run log.
-
-    By default combines the stored per-perturbation gradients. With
-    ``mc_samples > 0`` each window point is re-evaluated as a Monte-Carlo
-    average of exact implicit gradients over fresh perturbations (the
-    higher-fidelity estimate of the smoothed gradient). The K * mc_samples
-    draws are solved together (``_mc_solves``), and the draws on one active
-    set are differentiated by one adjoint solve.
+def stationarity_window(log, t: int, beta: float, K: int, inst: QuadraticBilevel,
+                        mc_samples: int, radius: float,
+                        rng: np.random.Generator) -> StationarityWindow:
+    """Windowed stationarity estimate at iteration t from a run log: each
+    window point is re-evaluated as a Monte-Carlo average of exact implicit
+    gradients over ``mc_samples`` fresh perturbations of norm at most
+    ``radius`` (the higher-fidelity estimate of the smoothed gradient). The
+    K * mc_samples draws are solved together (``_mc_solves``), and the
+    draws on one active set are differentiated by one adjoint solve.
+    ``stationarity_profile`` gives the window norms of the stored
+    gradients.
     """
     records = log.records
     if t < K:
         raise WindowIncomplete(f"window [t-K+1, t] needs t >= K (got t={t}, K={K})")
     if t > len(records):
         raise WindowIncomplete(f"log has only {len(records)} records (t={t})")
-    w = window_weights(beta, K)
-    idx = range(t - K + 1, t + 1)
-    fallbacks = 0
-    if mc_samples > 0:
-        if inst is None or rng is None:
-            raise ValueError("MC re-evaluation needs the instance and an rng")
-        X = np.repeat([records[i - 1].x_bar for i in idx], mc_samples, axis=0)
-        Q = _draws(radius, rng, inst.d_l, K * mc_samples)
-        Y, Lam, groups, fallbacks = _mc_solves(inst, X, Q)
-        G = np.empty_like(X)
-        for active, rows in groups.items():
-            gx, gy = grad_f_rows(inst, X[rows], Y[rows])
-            G[rows] = _adjoint(inst, Lam[rows], active, gx, gy)
-        combined = np.einsum("i,ij->j", w, G.reshape(K, mc_samples, -1).mean(axis=1))
-    else:
-        # stationarity_profile's product, so the two agree bit for bit
-        combined = w @ np.asarray([records[i - 1].grad for i in idx])
+    X = np.repeat([records[i - 1].x_bar for i in range(t - K + 1, t + 1)], mc_samples, axis=0)
+    Q = _draws(radius, rng, inst.d_l, K * mc_samples)
+    Y, Lam, groups, fallbacks = _mc_solves(inst, X, Q)
+    G = np.empty_like(X)
+    for active, rows in groups.items():
+        gx, gy = grad_f_rows(inst, X[rows], Y[rows])
+        G[rows] = _adjoint(inst, Lam[rows], active, gx, gy)
+    combined = np.einsum("i,ij->j", window_weights(beta, K),
+                         G.reshape(K, mc_samples, -1).mean(axis=1))
     return StationarityWindow(combined=combined, norm=math.sqrt(combined @ combined),
                               mc_fallbacks=fallbacks)
 

@@ -14,8 +14,9 @@ class MaxPivots(DsbloError):
 
 
 class DegenerateActiveSet(DsbloError):
-    """Active constraint rows are rank deficient, or strict complementarity
-    fails (a zero multiplier on an active row)."""
+    """Active constraint rows fail ``ActiveSetCache.check_rank`` or have a
+    singular reduced KKT system, or strict complementarity fails (a zero
+    multiplier on an active row)."""
 
 
 class NonFinite(DsbloError):

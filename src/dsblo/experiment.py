@@ -65,6 +65,20 @@ def _number(doc: dict, key: str, where: str, default=_REQUIRED,
     return int(v) if integer else float(v)
 
 
+# the keys an algorithm entry of each kind takes, and a theory mode section
+_DSBLO_KEYS = {"name", "label", "T", "perturb_radius", "option", "batch_size", "mode"}
+_MANUAL_KEYS = _DSBLO_KEYS | {"beta", "gamma1", "gamma2", "K", "delta_y"}
+_THEORY_KEYS = _DSBLO_KEYS | {"epsilon", "delta_bar"}
+_THEORY_MODE_KEYS = {"kind", "delta_v", "l_f_bar", "lf_delta"}
+_IGD_KEYS = {"name", "label", "T", "perturb_radius", "step"}
+
+
+def _known_keys(doc: dict, keys: set, where: str) -> None:
+    unknown = sorted(set(doc) - keys)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+
+
 def _dsblo_params(doc: dict, where: str) -> DsbloParams:
     """Flat manual constants, or ``"mode": {"kind": "theory", ...}`` with
     top-level ``epsilon`` and ``delta_bar``, which only a theory entry takes."""
@@ -74,12 +88,15 @@ def _dsblo_params(doc: dict, where: str) -> DsbloParams:
             if key in doc:
                 raise ConfigError(f"{where}: {key} is a theory-mode target; a manual "
                                   "entry's window radius is K/gamma1")
+        _known_keys(doc, _MANUAL_KEYS, where)
         mode = ManualMode(
             beta=_number(doc, "beta", where), gamma1=_number(doc, "gamma1", where),
             gamma2=_number(doc, "gamma2", where), K=_number(doc, "K", where, integer=True),
             delta_y=_number(doc, "delta_y", where, 1e-8),
         )
     elif isinstance(mode_doc, dict) and mode_doc.get("kind") == "theory":
+        _known_keys(doc, _THEORY_KEYS, where)
+        _known_keys(mode_doc, _THEORY_MODE_KEYS, f"{where} mode")
         mode = TheoryMode(
             epsilon=_number(doc, "epsilon", where), delta_bar=_number(doc, "delta_bar", where),
             delta_v=_number(mode_doc, "delta_v", where),
@@ -112,6 +129,7 @@ def _parse_algorithm(doc: dict, idx: int) -> AlgorithmSpec:
     if name == "dsblo":
         params = _dsblo_params(doc, where)
     else:
+        _known_keys(doc, _IGD_KEYS, where)
         params = {"step": _number(doc, "step", where, low=0),
                   "T": _number(doc, "T", where, integer=True, low=1),
                   "perturb_radius": _number(doc, "perturb_radius", where, 1e-3,

@@ -9,7 +9,7 @@ Two routes are provided:
   multipliers. It forms c and u at x and calls ``solve_qp(cache, c, u,
   start)`` (or ``solve_qp_batch(cache, C, U, work)`` for many draws), where
   the ``ActiveSetCache`` is the one owner of the Hessian diagonal H, the
-  rows A and their equality KKT solve.
+  rows A, their equality KKT solve and their independence verdict.
 * ``solve_ll_bruteforce`` -- exhaustive enumeration of candidate active sets
   (reference oracle; shares no code path with the active-set method).
 """
@@ -35,13 +35,11 @@ TAU_ACT = 1e-7
 TAU_FEAS = 1e-9
 # Certified KKT stationarity target on the quadratic path.
 KKT_TOL = 1e-10
-# Active rows must be this far from rank deficiency (smallest singular value).
+# Active rows are dependent when one has at most this share of its squared
+# H^-1-norm outside the span of the rows before it (``check_rank``).
 RANK_TOL = 1e-8
 
 _VIOL_TOL = 1e-10
-# A start is rejected when one of its rows has less than this share of its
-# H^-1-norm outside the span of the other start rows.
-_START_INDEP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -157,14 +155,14 @@ ACTIVE_SET_CACHE_BYTES = 4 * 2 ** 20
 class ActiveSetCache:
     """What a solve needs of a tuple of rows of A that depends on the rows
     alone, for one positive Hessian diagonal H and one constraint matrix A,
-    computed once per tuple, each on first use and read-only: the rows
-    A_W (``gathered``), A_W'/H, the reduced matrix S = A_W H^-1 A_W'
-    (``reduced``) and its inverse (``inverse``), all in the tuple's order,
-    the smallest singular value of the rows, and whether they are a usable
-    start. A tuple asked for again gets the same bits, so a solve gives the
-    same result whatever the cache held before. ``equality_solve`` solves
-    the equality KKT system on a tuple with its operands; the active-set
-    solver and the implicit gradient both solve through it.
+    read-only and in the tuple's order. A tuple's rows A_W (``gathered``),
+    A_W'/H and reduced matrix S = A_W H^-1 A_W' (``reduced``) are built
+    together when it goes in; the inverse of S (``inverse``) and the
+    independence verdict (``check_rank``) are computed on first use. A tuple
+    asked for again gets the same bits, so a solve gives the same result
+    whatever the cache held before. ``equality_solve`` solves the equality
+    KKT system on a tuple with its operands; the active-set solver and the
+    implicit gradient both solve through it.
 
     It is the one carrier of H, A and ``mu``: ``solve_qp`` and
     ``solve_qp_batch`` take it in their place.
@@ -199,29 +197,20 @@ class ActiveSetCache:
                 self._rows.clear()
                 self.nbytes = 0
             self.nbytes += charge
-            entry = self._rows[rows] = {}
+            Aw = self.A[list(rows)]
+            AwHi = Aw.T / self.H[:, None]
+            S = Aw @ AwHi
+            Aw.flags.writeable = AwHi.flags.writeable = S.flags.writeable = False
+            entry = self._rows[rows] = {"kkt": (Aw, AwHi, S)}
         return entry
-
-    def gathered(self, rows: tuple) -> np.ndarray:
-        """A_W, the rows of A in ``rows``, in that order (read-only)."""
-        entry = self._entry(rows)
-        Aw = entry.get("Aw")
-        if Aw is None:
-            Aw = entry["Aw"] = self.A[list(rows)]
-            Aw.flags.writeable = False
-        return Aw
 
     def _operands(self, rows: tuple) -> tuple:
         """(A_W, A_W'/H, S) for the rows in ``rows`` (read-only)."""
-        entry = self._entry(rows)
-        ops = entry.get("kkt")
-        if ops is None:
-            Aw = self.gathered(rows)
-            AwHi = Aw.T / self.H[:, None]
-            S = Aw @ AwHi
-            AwHi.flags.writeable = S.flags.writeable = False
-            ops = entry["kkt"] = (Aw, AwHi, S)
-        return ops
+        return self._entry(rows)["kkt"]
+
+    def gathered(self, rows: tuple) -> np.ndarray:
+        """A_W, the rows of A in ``rows``, in that order (read-only)."""
+        return self._operands(rows)[0]
 
     def reduced(self, rows: tuple) -> np.ndarray:
         """S = A_W H^-1 A_W' for the rows W in ``rows``, in that order
@@ -235,7 +224,7 @@ class ActiveSetCache:
         Si = entry.get("inv")
         if Si is None:
             try:
-                Si = np.linalg.inv(self.reduced(rows))
+                Si = np.linalg.inv(entry["kkt"][2])
             except np.linalg.LinAlgError as exc:
                 raise DegenerateActiveSet("singular reduced KKT system") from exc
             Si.flags.writeable = False
@@ -262,55 +251,44 @@ class ActiveSetCache:
         return lam, -(Hic + AwHi @ lam)
 
     def check_rank(self, rows: tuple) -> float:
-        """Smallest singular value of the rows in ``rows`` (+inf when there
-        are none); raises ``DegenerateActiveSet``, on every call, when they
-        are more than the dimension or nearly dependent."""
+        """The smallest share of a row's squared H^-1-norm outside the span
+        of the rows before it in ``rows``, diag(L)^2 / diag(S) for the
+        Cholesky factor L of S (+inf when there are none); raises
+        ``DegenerateActiveSet``, on every call, when the rows are more than
+        the dimension, S fails the factorization or diag(L)^2 <=
+        ``RANK_TOL`` diag(S) in some row."""
         if not rows:
             return float("inf")
         if len(rows) > self.A.shape[1]:
             raise DegenerateActiveSet(f"{len(rows)} active rows in dimension {self.A.shape[1]}")
         entry = self._entry(rows)
-        smin = entry.get("smin")
-        if smin is None:
-            smin = entry["smin"] = float(np.linalg.svd(self.gathered(rows), compute_uv=False)[-1])
-        if smin < RANK_TOL:
-            raise DegenerateActiveSet(
-                f"active rows nearly rank deficient (smallest singular value {smin:.2e})"
-            )
-        return smin
-
-    def start_ok(self, rows: tuple) -> bool:
-        """Whether S on ``rows`` passes a Cholesky factorization and no row
-        has less than ``_START_INDEP`` of its H^-1-norm outside the span of
-        the rows before it (a squared pivot of the factor is that part)."""
-        entry = self._entry(rows)
-        ok = entry.get("start_ok")
-        if ok is None:
-            S = self.reduced(rows)
+        if "rank" not in entry:
+            S = entry["kkt"][2]
             try:
-                L = np.linalg.cholesky(S)
+                pivots, diag = np.diag(np.linalg.cholesky(S)) ** 2, np.diag(S)
+                entry["rank"] = (float(np.min(pivots / diag)), not np.any(pivots <= RANK_TOL * diag))
             except np.linalg.LinAlgError:
-                ok = False
-            else:
-                ok = not np.any(np.diag(L) ** 2 <= _START_INDEP * np.diag(S))
-            entry["start_ok"] = ok
-        return ok
+                entry["rank"] = (0.0, False)
+        share, independent = entry["rank"]
+        if not independent:
+            raise DegenerateActiveSet(
+                f"active rows nearly rank deficient (a row has {share:.2e} of its squared "
+                "H^-1-norm outside the span of the rows before it)"
+            )
+        return share
 
 
 def _start_solve(cache: ActiveSetCache, Hic: np.ndarray, u: np.ndarray,
                  work: list, exact: bool) -> Optional[tuple]:
     """The multipliers and point of ``cache.equality_solve`` on the sorted
     rows in ``work``, or None when those rows are not a usable start: an
-    index out of range, more rows than the dimension, or rows that fail
-    ``cache.start_ok``. ``u`` is one right-hand side, or one row of them per
-    column of ``Hic``."""
-    A = cache.A
-    if len(work) > A.shape[1] or work[0] < 0 or work[-1] >= A.shape[0]:
+    index out of range, or rows that ``cache.check_rank`` rejects. ``u`` is
+    one right-hand side, or one row of them per column of ``Hic``."""
+    if work[0] < 0 or work[-1] >= cache.A.shape[0]:
         return None
     rows = tuple(work)
-    if not cache.start_ok(rows):
-        return None
     try:
+        cache.check_rank(rows)
         return cache.equality_solve(rows, Hic, u[..., work], exact)
     except DegenerateActiveSet:
         return None
@@ -592,7 +570,8 @@ def solve_qp_batch(cache: ActiveSetCache, C: np.ndarray, U: np.ndarray, work) ->
 
     Returns (ok, Y, Lam): the pass mask, and per draw one row of y and one
     of the k multipliers (zero off ``work``), NaN for a draw that fails.
-    Every draw fails when ``work`` is not a usable start. A NaN or
+    Every draw fails when ``work`` is not a usable start, its rows failing
+    ``cache.check_rank`` included (see ``_start_solve``). A NaN or
     infinite draw fails, or raises ``NonFinite`` where numpy's warnings are
     raised as errors, as the single solve does."""
     H, A = cache.H, cache.A
@@ -619,8 +598,6 @@ def solve_qp_batch(cache: ActiveSetCache, C: np.ndarray, U: np.ndarray, work) ->
     in_work[work] = True
     ok = ((lam_w >= 0.0).all(axis=0) & (slack >= -_VIOL_TOL).all(axis=0)
           & ((slack <= TAU_ACT) == in_work[:, None]).all(axis=0) & (kkt <= KKT_TOL))
-    if ok.any():  # rank-deficient rows raise, as in the single solve
-        cache.check_rank(tuple(work))
     Y[ok] = Yc.T[ok]
     Lam[ok] = 0.0
     Lam[np.ix_(ok, work)] = lam_w.T[ok]

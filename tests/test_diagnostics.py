@@ -414,39 +414,38 @@ class TestStationarityWindow:
         grads = _scaled(np.random.default_rng(d), (60, d), 0, 3.0)
         log = self._log_with_grads(grads)
         prof = stationarity_profile(log, 0.9, 10)
-        norms = [stationarity_window(log, t, 0.9, 10).norm for t in range(11, 61)]
-        assert prof[10:].tobytes() == np.array(norms).tobytes()
+        windows = [window_weights(0.9, 10) @ grads[t - 10:t] for t in range(11, 61)]
+        assert prof[10:].tobytes() == np.array([math.sqrt(c @ c) for c in windows]).tobytes()
 
     def test_constant_gradients(self):
         v = np.array([2.0, -1.0])
-        log = self._log_with_grads([v] * 6)
-        w = stationarity_window(log, t=6, beta=0.9, K=4)
-        assert np.allclose(w.combined, v, atol=1e-12)
-        assert w.norm == pytest.approx(np.linalg.norm(v), abs=1e-12)
+        grads = np.array([v] * 6)
+        assert np.allclose(window_weights(0.9, 4) @ grads[2:6], v, atol=1e-12)
+        prof = stationarity_profile(self._log_with_grads(grads), 0.9, 4)
+        assert prof[5] == pytest.approx(np.linalg.norm(v), abs=1e-12)
 
     def test_k_one_returns_last(self):
-        log = self._log_with_grads([[1.0], [2.0], [5.0]])
-        w = stationarity_window(log, t=3, beta=0.7, K=1)
-        assert w.combined[0] == 5.0
+        grads = np.array([[1.0], [2.0], [5.0]])
+        assert (window_weights(0.7, 1) @ grads[2:3])[0] == 5.0
+        assert stationarity_profile(self._log_with_grads(grads), 0.7, 1)[2] == 5.0
         assert window_weights(0.7, 1) == pytest.approx([1.0])
 
     def test_weights_formula(self):
         from fractions import Fraction
-        log = self._log_with_grads([[1.0], [2.0], [3.0]])
-        w = stationarity_window(log, t=3, beta=0.9, K=3)
+        combined = window_weights(0.9, 3) @ np.array([[1.0], [2.0], [3.0]])
         beta = Fraction(9, 10)
         scale = (1 - beta) / (1 - beta ** 3)
         expected = [float(beta ** p * scale) for p in (2, 1, 0)]
         assert window_weights(0.9, 3) == pytest.approx(expected, rel=1e-14)
-        assert w.combined[0] == pytest.approx(
+        assert combined[0] == pytest.approx(
             expected[0] * 1 + expected[1] * 2 + expected[2] * 3, rel=1e-12)
 
-    def test_incomplete_window(self):
+    def test_incomplete_window(self, small_instance):
         log = self._log_with_grads([[1.0]] * 5)
-        with pytest.raises(WindowIncomplete):
-            stationarity_window(log, t=2, beta=0.9, K=3)
-        with pytest.raises(WindowIncomplete):
-            stationarity_window(log, t=9, beta=0.9, K=3)
+        for t in (2, 9):
+            with pytest.raises(WindowIncomplete):
+                stationarity_window(log, t=t, beta=0.9, K=3, inst=small_instance,
+                                    mc_samples=2, radius=1e-3, rng=np.random.default_rng(0))
 
     @settings(max_examples=80, deadline=None)
     @given(st.floats(0.5, 0.9999), st.integers(1, 500))
@@ -463,13 +462,13 @@ class TestStationarityWindow:
             seed=12,
         )
         log = run_dsblo(small_instance, params, eval_every=0)
-        stored = stationarity_window(log, t=20, beta=0.9, K=5)
+        stored = window_weights(0.9, 5) @ np.array([r.grad for r in log.records[15:20]])
         mc = stationarity_window(log, t=20, beta=0.9, K=5, inst=small_instance,
                                  mc_samples=8, radius=1e-3,
                                  rng=np.random.default_rng(1))
         assert np.isfinite(mc.norm)
         # tiny perturbation radius: the two estimators agree closely
-        assert mc.norm == pytest.approx(stored.norm, rel=0.2, abs=1e-3)
+        assert mc.norm == pytest.approx(np.linalg.norm(stored), rel=0.2, abs=1e-3)
 
 
 class TestFdOracle:
@@ -512,9 +511,10 @@ class TestReport:
         log = run_dsblo(small_instance, params, eval_every=0)
         prof = stationarity_profile(log, 0.8, 4)
         assert np.all(np.isnan(prof[:4]))
+        grads = np.array([r.grad for r in log.records])
         for t in (5, 12, 25):
-            w = stationarity_window(log, t=t, beta=0.8, K=4)
-            assert prof[t - 1] == w.norm
+            combined = window_weights(0.8, 4) @ grads[t - 4:t]
+            assert prof[t - 1] == math.sqrt(combined @ combined)
 
     def test_run_log_stationarity_computed_once(self, small_instance, monkeypatch, tmp_path):
         calls = []

@@ -124,6 +124,17 @@ class TestConfig:
         (lambda doc: doc["algorithms"][1].update(ll_tol=0), "ll_tol was removed"),
         (lambda doc: doc["algorithms"][1].update(ll_tol=-1), "ll_tol was removed"),
         (lambda doc: doc["algorithms"][1].update(ll_tol=1e-8), "ll_tol was removed"),
+        (lambda doc: doc["algorithms"][0].update(batchsize=4, perturb_raduis=0.5),
+         r"unknown keys \['batchsize', 'perturb_raduis'\]"),
+        (lambda doc: doc["algorithms"][1].update(beta=0.9), r"\(igd\): unknown keys \['beta'\]"),
+        (lambda doc: doc["algorithms"].__setitem__(0, {
+            "name": "dsblo", "T": 7092, "beta": 0.9, "epsilon": 4.0, "delta_bar": 0.5,
+            "mode": {"kind": "theory", "delta_v": 0.5, "l_f_bar": 2.0}}),
+         r"\(dsblo\): unknown keys \['beta'\]"),
+        (lambda doc: doc["algorithms"].__setitem__(0, {
+            "name": "dsblo", "T": 7092, "epsilon": 4.0, "delta_bar": 0.5,
+            "mode": {"kind": "theory", "delta_v": 0.5, "l_f_bar": 2.0, "lfdelta": 1.0}}),
+         r"\(dsblo\) mode: unknown keys \['lfdelta'\]"),
     ], ids=["dsblo-without-beta", "eval-every-string", "seeds-string", "seeds-int",
             "instance-k-negative", "mode-string", "dsblo-ll-tol", "manual-epsilon",
             "manual-delta-bar", "instance-path-int",
@@ -132,7 +143,8 @@ class TestConfig:
             "t-not-beyond-k", "seeds-repeated", "label-escapes-output-dir",
             "label-with-slash", "label-int", "label-null", "label-empty", "label-dot-dot",
             "igd-step-negative", "igd-ll-tol-zero", "igd-ll-tol-negative",
-            "igd-ll-tol-positive"])
+            "igd-ll-tol-positive", "dsblo-manual-unknown-keys", "igd-unknown-key",
+            "dsblo-theory-unknown-key", "theory-mode-unknown-key"])
     def test_rejected_at_load(self, tmp_path, capsys, edit, match):
         doc = tiny_config(tmp_path)
         edit(doc)

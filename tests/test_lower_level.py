@@ -13,7 +13,7 @@ from dsblo.errors import (DegenerateActiveSet, DsbloError, Infeasible, MaxPivots
                           NonFinite, Uncertified)
 from dsblo.experiment import config_from_dict, run_experiment
 from dsblo.implicit_grad import implicit_gradient, jacobians
-from dsblo.lower_level import (KKT_TOL, TAU_ACT, ActiveSetCache,
+from dsblo.lower_level import (KKT_TOL, RANK_TOL, TAU_ACT, ActiveSetCache,
                                LLSolution, Perturbation, sample_perturbation, sc_margin,
                                solve_ll_bruteforce, solve_ll_quadratic, solve_qp,
                                solve_qp_batch)
@@ -170,24 +170,61 @@ class TestActiveSetQP:
         assert cache.mu == 0.5 and cache.A.shape == (1, 2) and cache.A.dtype == float
 
     def test_rank_recorded(self):
+        # the verdict on a solve's active rows is the smallest share of a
+        # row's squared H^-1-norm outside the span of the rows before it;
+        # these rows are well conditioned, so it is far above RANK_TOL
         inst = generate_instance(6, 6, 4, seed=3)
+        H = inst.hess_yy_diag
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = 2.0 * rng.standard_normal(6)
             sol = solve_ll_quadratic(inst, x, None)
-            smin = inst.active_set_cache.check_rank(sol.active_set)
+            share = inst.active_set_cache.check_rank(sol.active_set)
             if sol.active_set:
                 A_act = inst.constraints.A[list(sol.active_set)]
-                assert smin == pytest.approx(np.linalg.svd(A_act, compute_uv=False)[-1],
-                                             rel=1e-12)
+                assert np.linalg.svd(A_act, compute_uv=False)[-1] > 0.1
+                S = A_act @ (A_act.T / H[:, None])
+                ref = np.min(np.diag(np.linalg.cholesky(S)) ** 2 / np.diag(S))
+                assert share == pytest.approx(ref, rel=1e-12) and share > 1e3 * RANK_TOL
             else:
-                assert smin == float("inf")
+                assert share == float("inf")
 
     def test_degenerate_duplicate_rows(self):
         # two copies of y_1 <= 0, objective pushing onto that face
         with pytest.raises(DegenerateActiveSet):
             solve_qp(ActiveSetCache(np.full(2, 2.0), np.array([[1.0, 0.0], [1.0, 0.0]])),
                      np.array([-2.0, 0.0]), np.zeros(2))
+
+    def test_nearly_parallel_binding_rows_raise(self):
+        # rows y1 <= 0 and y1 + 1e-5 y2 <= 0 both bind at y = 0 with true
+        # multipliers (1, 1); the second row has 1e-10 of its squared
+        # H^-1-norm outside the first's span, so the multipliers are not
+        # determined to working precision (a smallest-singular-value test
+        # at 1e-8 certified (0, 2), a zero on an active row)
+        eps = 1e-5
+        H, c = np.array([2.0, 2.0]), np.array([-2.0, -eps])
+        A = np.array([[1.0, 0.0], [1.0, eps]])
+        for start in ((), (0,), (0, 1)):
+            with pytest.raises(DegenerateActiveSet, match="nearly rank deficient"):
+                solve_qp(ActiveSetCache(H, A), c, np.zeros(2), start)
+        # the gradient and the Jacobians on the true solve, built by hand
+        # (on this instance q = (0, -eps) puts it at (-1, 0))
+        sol = LLSolution(y_hat=np.array([-1.0, 0.0]), lam=np.ones(2), active_set=(0, 1),
+                         kkt_residual=0.0, max_violation=0.0, delta_cert=0.0)
+        inst = _two_row_instance(A)
+        for _ in range(2):
+            with pytest.raises(DegenerateActiveSet, match="nearly rank deficient"):
+                implicit_gradient(inst, np.zeros(2), sol)
+            with pytest.raises(DegenerateActiveSet, match="nearly rank deficient"):
+                jacobians(inst, sol)
+        # as a start the pair is rejected: with row 1 slack the solve takes
+        # the cold path, pivot for pivot
+        u = np.array([0.0, 1.0])
+        cold = solve_qp(ActiveSetCache(H, A), c, u)
+        warm = solve_qp(ActiveSetCache(H, A), c, u, (0, 1))
+        assert cold.active_set == warm.active_set == (0,)
+        assert warm.stats == cold.stats == {"pivots": 1, "repairs": 0}
+        assert np.array_equal(warm.y_hat, cold.y_hat) and np.array_equal(warm.lam, cold.lam)
 
     def test_matches_bruteforce_batch(self):
         for i in range(30):
@@ -273,7 +310,8 @@ class TestWarmStart:
         assert warm.active_set == cold.active_set
         # both end in an equality solve on the same rows, so they agree to
         # that solve's round-off, which grows with its condition number
-        assume(ActiveSetCache(H, A).check_rank(cold.active_set) >= 0.1)
+        assume(not cold.active_set
+               or np.linalg.svd(A[list(cold.active_set)], compute_uv=False)[-1] >= 0.1)
         assert np.max(np.abs(warm.y_hat - cold.y_hat)) <= 1e-12 * (1 + np.max(np.abs(cold.y_hat)))
         assert np.max(np.abs(warm.lam - cold.lam), initial=0.0) <= \
             1e-12 * (1 + np.max(cold.lam, initial=0.0))
@@ -781,8 +819,7 @@ def _two_row_instance(rows):
 def _held_bytes(cache):
     """Bytes of the distinct arrays the cache holds."""
     arrays = {id(a): a for entry in cache._rows.values()
-              for a in (entry.get("Aw"), *entry.get("kkt", ()), entry.get("inv"))
-              if a is not None}
+              for a in (*entry["kkt"], entry.get("inv")) if a is not None}
     return sum(a.nbytes for a in arrays.values())
 
 
@@ -861,7 +898,8 @@ class TestActiveSetCache:
 
     def test_rank_deficient_rows_raise_on_a_hit_as_on_a_miss(self):
         # rows y1 <= -1 and y1 + 1e-9 y2 <= -1 both bind at the solution
-        # (-1, 0); their smallest singular value is about 7e-10
+        # (-1, 0); the second has about 1e-18 of its squared H^-1-norm
+        # outside the first's span
         inst = _two_row_instance([[1.0, 0.0], [1.0, 1e-9]])
         for _ in range(2):
             with pytest.raises(DegenerateActiveSet, match="rank deficient"):
@@ -882,30 +920,65 @@ class TestActiveSetCache:
                     grad(fresh)
             assert len(fresh.active_set_cache) == 1
 
-    def test_one_svd_per_new_row_tuple(self, monkeypatch):
+    def test_one_cholesky_per_new_row_tuple(self, monkeypatch):
         # rows y1 <= -1 and y2 <= -1: with q = 0 both bind, with q = (0, 10)
         # only row 0 does; each solve is followed by its gradient and
-        # Jacobians, and only a row tuple the cache has not seen costs an SVD
+        # Jacobians, and only a row tuple the cache has not seen costs a
+        # Cholesky factorization of its S
         inst = _two_row_instance([[1.0, 0.0], [0.0, 1.0]])
-        real_svd, svds = np.linalg.svd, []
+        real_cholesky, factored = np.linalg.cholesky, []
 
-        def svd(*args, **kwargs):
-            svds.append(args[0].shape)
-            return real_svd(*args, **kwargs)
+        def cholesky(*args, **kwargs):
+            factored.append(args[0].shape)
+            return real_cholesky(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
         for q, active, count in ((None, (0, 1), 1), ([0.0, 10.0], (0,), 2),
                                  (None, (0, 1), 2), ([0.0, 10.0], (0,), 2)):
             sol = solve_ll_quadratic(inst, np.zeros(2), q)
             assert sol.active_set == active
             implicit_gradient(inst, np.zeros(2), sol)
             jacobians(inst, sol)
-            assert len(svds) == count
-        assert svds == [(2, 2), (1, 2)]
+            assert len(factored) == count
+        assert factored == [(2, 2), (1, 1)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2 ** 16),
+           st.integers(0, 12), st.booleans())
+    def test_verdict_is_the_cholesky_share(self, d, k, seed, near, hit):
+        # the last row is a combination of rows 0 and 1 plus a perturbation
+        # of size 10^-near, so a tuple holding all three straddles RANK_TOL
+        # as near grows; the tuple takes any rows in any order, and on a hit
+        # its operands are cached before its verdict
+        rng = np.random.default_rng(seed)
+        H, A = rng.uniform(0.1, 10.0, d), rng.standard_normal((k + 2, d))
+        A[-1] = rng.standard_normal(2) @ A[:2] + 10.0 ** -near * rng.standard_normal(d)
+        rows = tuple(rng.permutation(k + 2)[:rng.integers(1, k + 3)].tolist())
+        Aw = A[list(rows)]
+        S = Aw @ (Aw.T / H[:, None])
+        share = None  # a raise
+        if len(rows) <= d:
+            try:
+                pivots, diag = np.diag(np.linalg.cholesky(S)) ** 2, np.diag(S)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                if np.min(pivots / diag) > RANK_TOL:
+                    share = float(np.min(pivots / diag))
+        cache = ActiveSetCache(H, A)
+        if hit:
+            cache.reduced(rows)
+        for _ in range(2):
+            if share is None:
+                with pytest.raises(DegenerateActiveSet):
+                    cache.check_rank(rows)
+            else:
+                assert cache.check_rank(rows) == share
 
     def test_rejected_start_falls_back_to_a_cold_solve_on_a_hit(self):
         # S on rows 0 and 1 passes a Cholesky factorization, but row 1 has
-        # only 1e-10 of its H^-1-norm outside row 0's span; row 0 binds
+        # only 1e-10 of its squared H^-1-norm outside row 0's span; row 0
+        # binds
         H, c = np.array([2.0, 2.0]), np.zeros(2)
         A, u = np.array([[1.0, 0.0], [1.0, 1e-5]]), np.array([-1.0, 5.0])
         cache = ActiveSetCache(H, A)
@@ -913,7 +986,8 @@ class TestActiveSetCache:
         cold = solve_qp(ActiveSetCache(H, A), c, u)
         for _ in range(2):
             hot = solve_qp(cache, c, u, (0, 1))
-            assert cache.start_ok((0, 1)) is False
+            with pytest.raises(DegenerateActiveSet, match="nearly rank deficient"):
+                cache.check_rank((0, 1))
             assert hot.stats == cold.stats == {"pivots": 1, "repairs": 0}
             assert np.array_equal(hot.y_hat, cold.y_hat) and np.array_equal(hot.lam, cold.lam)
             assert hot.active_set == cold.active_set == (0,)
