@@ -148,6 +148,8 @@ def stationarity_window(log, t: int, beta: float, K: int, inst: QuadraticBilevel
     ``stationarity_profile`` gives the window norms of the stored
     gradients.
     """
+    if mc_samples < 1:
+        raise ValueError("mc_samples must be at least 1")
     records = log.records
     if t < K:
         raise WindowIncomplete(f"window [t-K+1, t] needs t >= K (got t={t}, K={K})")

@@ -469,6 +469,9 @@ class TestStationarityWindow:
         assert np.isfinite(mc.norm)
         # tiny perturbation radius: the two estimators agree closely
         assert mc.norm == pytest.approx(np.linalg.norm(stored), rel=0.2, abs=1e-3)
+        with pytest.raises(ValueError, match="mc_samples must be at least 1"):
+            stationarity_window(log, t=20, beta=0.9, K=5, inst=small_instance, mc_samples=0,
+                                radius=1e-3, rng=np.random.default_rng(1))
 
 
 class TestFdOracle:
