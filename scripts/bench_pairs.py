@@ -12,8 +12,8 @@ alike. After the pairs, ``TRACE_RUNS`` rounds of ``--trace 1`` runs of
 ``TRACE_SECONDS`` record the per-layer figures, one run per commit and
 round, alternated in the same way. The file holds every run's last-line
 JSON, per-metric medians and quartiles of the pairs and how many of them
-the change won, and per side the median of each per-layer metric over the
-traced runs.
+the change won, and per side the median, min and max of each per-layer
+metric over the traced runs.
 
 Usage:
     python scripts/bench_pairs.py PARENT_REV CHANGE_REV BENCH_N.json
@@ -85,11 +85,18 @@ def summarize(pairs: list, better: dict) -> dict:
 
 
 def trace_medians(traced: dict) -> dict:
-    """Per metric of the traced runs, each side's median over its runs."""
-    names = traced["parent"][0]["metrics"]
-    return {name: {side: float(np.median([run["metrics"][name]["value"] for run in runs]))
-                   for side, runs in traced.items()}
-            for name in names}
+    """Per metric of the traced runs, each side's median over its runs
+    (keyed by the side), with its min and max (``<side>_min``,
+    ``<side>_max``), so that two medians closer than either side's spread
+    show as such."""
+    out = {}
+    for name in traced["parent"][0]["metrics"]:
+        out[name] = {}
+        for side, runs in traced.items():
+            values = [run["metrics"][name]["value"] for run in runs]
+            out[name].update({side: float(np.median(values)), f"{side}_min": float(min(values)),
+                              f"{side}_max": float(max(values))})
+    return out
 
 
 def alternating(rounds: int):

@@ -19,8 +19,9 @@ from .problem import QuadraticBilevel, eval_f, eval_f_rows, grad_f_rows
 
 def eval_F_exact(inst: QuadraticBilevel, x: np.ndarray, start=()) -> float:
     """Implicit objective f(x, y*(x)) with the unperturbed lower level
-    solved exactly, starting from the rows in ``start``; this is the
-    quantity the benchmark plots."""
+    solved exactly, starting from the rows in ``start`` (without one, from
+    the rows the unconstrained minimum violates or binds; see
+    ``solve_qp``); this is the quantity the benchmark plots."""
     sol = solve_ll_quadratic(inst, x, None, start)
     return eval_f(inst, x, sol.y_hat)
 
@@ -82,8 +83,9 @@ def _mc_solves(inst: QuadraticBilevel, X: np.ndarray, Q: np.ndarray, start=None)
 
     A given ``start`` first has every draw batched on those rows
     (``solve_qp_batch``). Then, until every draw is solved, the first draw
-    left is solved on its own from the last rows tried (a cold solve at
-    first), and the others are batched on its active set. Returns Y and Lam
+    left is solved on its own from the last rows tried (at first from none,
+    so from the rows its unconstrained minimum violates or binds), and the
+    others are batched on its active set. Returns Y and Lam
     (one row of y and of the multipliers per draw), the draws' indices by
     active set, and how many draws fell back to a solve of their own: one
     per batch that rejected a draw."""
@@ -235,9 +237,10 @@ def perturbation_error_check(inst: QuadraticBilevel, x: np.ndarray, radius: floa
     standard error of F_q(x) over n_samples >= 2 fresh ball-uniform draws;
     L_hat, standing in for the unobservable supremum of ||grad f||, is 1.5
     times its largest norm over about 32 of the sampled (x, y) pairs. The
-    exact F is solved first, cold, and the draws are batched on its active
-    set (``_mc_solves``); ``mc_fallbacks`` counts the draws that fell back
-    to a solve of their own."""
+    exact F is solved first, without a start (so from the rows the
+    unconstrained minimum violates or binds), and the draws are batched on
+    its active set (``_mc_solves``); ``mc_fallbacks`` counts the draws that
+    fell back to a solve of their own."""
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     x = np.asarray(x, dtype=float)

@@ -144,11 +144,12 @@ def _certified(y: np.ndarray, lam: np.ndarray, active: tuple, residual: np.ndarr
 # Bytes of operands an ActiveSetCache holds. A tuple of n rows in dimension
 # d is charged 8 (2 n d + 2 n^2) bytes when it goes in, for its A_W, A_W'/H,
 # S and S^-1, and a tuple that would pass the budget empties the cache
-# first. Only the tuples that solves start from and end on go in: a pivot
-# borders or downdates the working set's inverse instead (``_border``,
-# ``_drop``). A pass of the d=200/k=40 benchmark charges 1.5-1.9 MB over
-# 14-17 tuples and one of the d=50/k=10 Monte-Carlo benchmark 0.06 MB over
-# 11, so neither empties it.
+# first. Only the tuples that solves start from, one per block-drop round
+# of a hot start, and the sorted tuples they end on go in: a pivot borders
+# or downdates the working set's inverse instead (``_border``, ``_drop``).
+# A pass of the d=200/k=40 benchmark charges 1.3 MB over 12 tuples, and the
+# d=50/k=10 Monte-Carlo benchmark 0.05 MB over 8 in its set-up and first
+# pass, so neither empties it.
 ACTIVE_SET_CACHE_BYTES = 4 * 2 ** 20
 
 
@@ -297,19 +298,21 @@ def _start_solve(cache: ActiveSetCache, Hic: np.ndarray, u: np.ndarray,
 def _hot_start(cache: ActiveSetCache, Hic: np.ndarray, u: np.ndarray,
                start, exact: bool) -> Optional[tuple]:
     """Dual-feasible starting point from the rows in ``start``: the equality
-    KKT solution on those rows, dropping the row with the most negative
-    multiplier until none is negative (the hot start of the Goldfarb-Idnani
-    dual method). Returns (working rows, their multipliers, y), or None when
-    the start is unusable (see ``_start_solve``)."""
+    KKT solution on those rows, dropping every row with a negative
+    multiplier at once and solving again until none is negative (the hot
+    start of the Goldfarb-Idnani dual method, with block drops). Returns
+    (working rows, their multipliers, y), or None when the start is empty,
+    every row drops or the start is unusable (see ``_start_solve``)."""
     work = sorted({int(i) for i in start})
     while work:
         solved = _start_solve(cache, Hic, u, work, exact)
         if solved is None:
             return None
         lam_w, y = solved
-        if lam_w.min() >= 0.0:
+        keep = lam_w >= 0.0
+        if keep.all():
             return work, lam_w, y
-        work.pop(int(np.argmin(lam_w)))
+        work = [i for i, kept in zip(work, keep.tolist()) if kept]
     return None
 
 
@@ -319,9 +322,14 @@ def solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start=()) -> L
     ``cache``, such as an instance's ``active_set_cache``; a caller with
     bare arrays passes ``ActiveSetCache(H, A)``.
 
-    Dual active-set iteration: starts from the unconstrained minimum and
-    incorporates violated constraints one at a time, dropping working rows
-    whose multiplier would cross zero. Needs no feasibility phase. When the
+    Dual active-set iteration (Goldfarb & Idnani): from a dual-feasible
+    start it incorporates violated constraints one at a time, dropping
+    working rows whose multiplier would cross zero. Needs no feasibility
+    phase. Without a start it begins from the rows whose slack at the
+    unconstrained minimum y0 = -H^-1 c is at most ``TAU_ACT`` (a crash
+    start), through the hot start below; when those rows are unusable, or
+    the crash-started iteration raises ``Uncertified`` or ``MaxPivots``, it
+    repeats from y0 itself, adding one violated row per pivot. When the
     dual ray is unbounded it raises ``Infeasible`` only if the ray r passes
     a Farkas check (r >= 0, ||A'r|| <= ``_RAY_TOL`` ||r|| ||A|| and
     u'r < 0), and ``Uncertified``, naming the failed condition, otherwise.
@@ -332,16 +340,22 @@ def solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start=()) -> L
     inverse (``ActiveSetCache.inverse``), and a pivot borders or downdates
     the working set's inverse in O(n d + n^2) for n working rows. A solve
     that raises ``Uncertified`` this way is repeated once with
-    ``np.linalg.solve`` for the hot start and the polish; a result of the
-    repeat carries ``"repeats": 1`` in its ``stats``. A polish that leaves a
+    ``np.linalg.solve`` for the hot starts and the polish, which then keeps
+    the working rows in pivot order; a result of the repeat carries
+    ``"repeats": 1`` in its ``stats``. A polish that leaves a
     violated row or a negative multiplier after five repairs raises
     ``Uncertified`` naming both; ``MaxPivots`` means only that the pivot
     budget ran out.
 
     ``start`` optionally names rows to start from instead, typically the
-    active set of a nearby solve (see ``_hot_start``); when the start is
-    unusable the solve starts cold. The start changes how many pivots the
-    solve makes; its result agrees with the cold solve's to round-off.
+    active set of a nearby solve. The hot start (``_hot_start``) solves the
+    equality KKT system on those rows and drops every row with a negative
+    multiplier at once, solving again until none is negative. A start that
+    is unusable (an index out of range, or rows that
+    ``ActiveSetCache.check_rank`` rejects) or whose rows all drop counts as
+    none, so the solve equals the one without a start, field for field.
+    The start changes how many pivots the solve makes; its result agrees
+    with the solve without one to round-off.
 
     Interior solves return at once: with no ``start``, when there are no
     rows or every slack of y = -H^-1 c exceeds ``TAU_ACT``, that y is the
@@ -437,18 +451,37 @@ def _drop(Si: np.ndarray, j: int) -> np.ndarray:
 
 def _dual_active_set(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray,
                      Hic: np.ndarray, start, exact: bool) -> LLSolution:
-    """The iteration of ``solve_qp`` from the unconstrained minimum -Hic, or
-    from the rows in ``start``; ``exact`` makes the hot start and the polish
-    solve with ``np.linalg.solve``. ``Si`` is the inverse of S on the
-    working rows ``work``, in their order."""
+    """The iteration of ``solve_qp`` from the hot start on the rows in
+    ``start`` (``_hot_start``); ``exact`` makes the hot start and the polish
+    solve with ``np.linalg.solve``. A start that yields no hot start counts
+    as none. Without one, the iteration begins from the rows whose slack at
+    the unconstrained minimum -Hic is at most ``TAU_ACT`` (a crash start),
+    and repeats from -Hic itself when those yield no hot start either or the
+    crash-started iteration raises ``Uncertified`` or ``MaxPivots``."""
+    hot = _hot_start(cache, Hic, u, start, exact)
+    if hot is not None:
+        return _iterate(cache, c, u, Hic, hot, exact)
+    crash = _hot_start(cache, Hic, u, _tight_rows(u - cache.A @ -Hic), exact)
+    if crash is not None:
+        try:
+            return _iterate(cache, c, u, Hic, crash, exact)
+        except (Uncertified, MaxPivots):
+            pass
+    return _iterate(cache, c, u, Hic, ([], np.zeros(0), -Hic), exact)
+
+
+def _iterate(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, Hic: np.ndarray,
+             hot: tuple, exact: bool) -> LLSolution:
+    """The dual active-set iteration from the hot start ``hot`` = (working
+    rows, their multipliers, y); ``exact`` makes the polish solve with
+    ``np.linalg.solve``. ``Si`` is the inverse of S on the working rows
+    ``work``, in their order."""
     H, A = cache.H, cache.A
     d = H.shape[0]
     k = A.shape[0]
-    y = -Hic
     max_pivots = 100 + 50 * (k + d)
     bland_after = 8 + 3 * max(k, 1)
-    hot = _hot_start(cache, Hic, u, start, exact) if len(start) else None
-    work, lam_w, y = hot if hot is not None else ([], np.zeros(0), y)
+    work, lam_w, y = hot
     Si = cache.inverse(tuple(work)) if work else np.zeros((0, 0))
     # y is the equality solve on the working set until a pivot moves it
     polished = True
@@ -464,6 +497,13 @@ def _dual_active_set(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray,
             if not polished:
                 # polish: exact equality solve on the working set
                 if work:
+                    if not exact:
+                        # in sorted order, the tuple the adjoint and the
+                        # next warm start ask for; the exact repeat keeps
+                        # pivot order, in which it certifies more of the
+                        # s = 1e9 draws of TestUncertified (85 of 200, 73
+                        # sorted)
+                        work.sort()
                     rows = tuple(work)
                     lam_w, y = cache.equality_solve(rows, Hic, u[work], exact)
                     Si = cache.inverse(rows)

@@ -391,7 +391,8 @@ class TestWarmStartedSolves:
     @staticmethod
     def _recording(monkeypatch, calls, use_start=True):
         """Have the loop's solves recorded in ``calls`` as (start, solve),
-        each solved from its start, or cold when ``use_start`` is false."""
+        each solved from its start, or without one when ``use_start`` is
+        false."""
         def recording(problem, x, q, start=()):
             sol = ll.solve_ll_quadratic(problem, x, q, start if use_start else ())
             calls.append((tuple(start), sol))
@@ -437,8 +438,13 @@ class TestWarmStartedSolves:
         assert [s.active_set for _, s in warm_calls] == [s.active_set for _, s in cold_calls]
         for a, b in zip(warm.records, cold.records):
             assert np.max(np.abs(a.x - b.x)) <= 1e-12
+        # the warm run makes at most the 2 pivots it made when a start
+        # dropped one row at a time; without a start, each solve starts
+        # from the rows its unconstrained minimum violates or binds, which
+        # here needs no more pivots than the warm start (1 and 0 pivots
+        # over the 40 solves, where starting from that minimum took 35)
         pivots = [sum(s.stats["pivots"] for _, s in calls) for calls in (warm_calls, cold_calls)]
-        assert pivots[0] < pivots[1] / 4
+        assert pivots[1] <= pivots[0] <= 2
 
     def test_identical_runs_are_bit_identical(self):
         inst, x0 = self._setup()

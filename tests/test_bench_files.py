@@ -22,3 +22,17 @@ def test_bench_files_hold_correct_pairs_for_every_workload():
                     line = pair[side]
                     assert line["correct"] is True and line["failed"] == 0, \
                         f"{path.name}: {name} {side} run failed its checks"
+
+
+def test_traced_spreads_bound_their_medians():
+    # files written since the traced medians carry each side's min and max
+    # must keep every median inside its side's spread; older files have no
+    # spread and pass as they are
+    for path in BENCH_FILES:
+        doc = json.loads(path.read_text())
+        for name, workload in doc["workloads"].items():
+            for metric, med in workload["trace"].get("median", {}).items():
+                for side in ("parent", "change"):
+                    if f"{side}_min" in med:
+                        assert med[f"{side}_min"] <= med[side] <= med[f"{side}_max"], \
+                            f"{path.name}: {name} {metric} {side}"

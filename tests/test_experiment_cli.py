@@ -212,7 +212,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(algo, "solve_ll_quadratic", recording)
         doc = tiny_config(tmp_path, eval_every=0)
-        doc["instance"]["k"] = 12  # a row binds along the dsblo run
+        # the kink instance: rows bind along both runs, and both pivot
+        doc["instance"] = {"d_u": 10, "d_l": 10, "k": 5, "seed": 1, "box_radius": 0.2}
         summary = run_experiment(config_from_dict(doc))
         out = Path(summary["output_dir"])
         counts = [json.loads((out / f"{lab}.runlog.json").read_text())["lower_level"]
@@ -221,7 +222,7 @@ class TestRunExperiment:
         for c, part in zip(counts, (stats[:30], stats[30:])):
             assert c["pivots"] == sum(s["pivots"] for s in part)
             assert c["repairs"] == sum(s["repairs"] for s in part)
-        assert counts[0]["pivots"] > 0
+        assert counts[0]["pivots"] > 0 and counts[1]["pivots"] > 0
 
     def test_progress_lines_show_the_csv_F(self, tmp_path, capsys):
         # F is filled in after the loop, so the live line solves it itself

@@ -478,6 +478,130 @@ class TestInteriorFastPath:
             solve_qp(row, c, np.array([2.0]), (0,))
 
 
+def _boxed_point(d, k, seed, scale):
+    """A boxed instance and a point x at which the lower level's c and u are
+    formed; the box rows |y_i| <= 0.2 bind for most x at this scale."""
+    inst = generate_instance(d, d, k, seed=seed, box_radius=0.2)
+    x = scale * np.random.default_rng(seed + 1).standard_normal(d)
+    return inst, x
+
+
+class TestCrashStart:
+    # a solve without a usable start whose unconstrained minimum y0 is not
+    # interior begins from the rows whose slack at y0 is at most TAU_ACT
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 3), st.integers(0, 10_000), st.floats(0.5, 3.0))
+    def test_matches_bruteforce(self, d, k, seed, scale):
+        inst, x = _boxed_point(d, k, seed, scale)
+        c, u, A = inst.Q2.T @ x, inst.constraints.rhs(x), inst.constraints.A
+        crash = set(np.flatnonzero(u - A @ (-c / inst.hess_yy_diag) <= TAU_ACT).tolist())
+        assume(len(crash) >= 2)
+        begun, real = [], ll._iterate
+
+        def spy(cache, c, u, Hic, hot, exact):
+            begun.append(tuple(hot[0]))
+            return real(cache, c, u, Hic, hot, exact)
+
+        ll._iterate = spy
+        try:
+            fast = solve_ll_quadratic(inst, x, None)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                solve_ll_bruteforce(inst, x, None)
+            return
+        except DegenerateActiveSet:
+            assume(False)  # measure-zero tie; not this test's subject
+        finally:
+            ll._iterate = real
+        # the first iteration begins from the crash rows that survive the
+        # block drops (none when they are unusable)
+        assert set(begun[0]) <= crash
+        slow = solve_ll_bruteforce(inst, x, None)
+        assert fast.active_set == slow.active_set
+        assert np.max(np.abs(fast.y_hat - slow.y_hat)) <= 1e-8
+        assert np.max(np.abs(fast.lam - slow.lam)) <= 1e-8
+        assert fast.kkt_residual <= KKT_TOL and fast.max_violation <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.integers(0, 3), st.integers(0, 10_000), st.floats(0.5, 3.0),
+           st.lists(st.booleans(), min_size=11, max_size=11))
+    def test_block_drops_from_extra_rows_match_bruteforce(self, d, k, seed, scale, extra):
+        inst, x = _boxed_point(d, k, seed, scale)
+        try:
+            slow = solve_ll_bruteforce(inst, x, None)
+        except Infeasible:
+            assume(False)
+        start = set(slow.active_set) | {i for i in range(inst.constraints.k) if extra[i]}
+        rounds, real_hot, real_solve = [], ll._hot_start, ll._start_solve
+
+        def hot_spy(*args):
+            rounds.append([])
+            return real_hot(*args)
+
+        def solve_spy(cache, Hic, u, work, exact):
+            solved = real_solve(cache, Hic, u, work, exact)
+            rounds[-1].append((list(work), None if solved is None else solved[0]))
+            return solved
+
+        ll._hot_start, ll._start_solve = hot_spy, solve_spy
+        try:
+            fast = solve_ll_quadratic(inst, x, None, tuple(start))
+        except DegenerateActiveSet:
+            assume(False)
+        finally:
+            ll._hot_start, ll._start_solve = real_hot, real_solve
+        # each round drops every row whose multiplier was negative in the
+        # round before, and only those
+        for hot in rounds:
+            for (rows, lam), (kept, _) in zip(hot, hot[1:]):
+                assert kept == [i for i, m in zip(rows, lam) if m >= 0.0]
+        assert fast.active_set == slow.active_set
+        assert np.max(np.abs(fast.y_hat - slow.y_hat)) <= 1e-8
+        assert np.max(np.abs(fast.lam - slow.lam)) <= 1e-8
+        assert fast.kkt_residual <= KKT_TOL and fast.max_violation <= 1e-9
+
+    @pytest.mark.parametrize("error", [Uncertified, MaxPivots])
+    def test_failed_crash_start_repeats_from_the_unconstrained_minimum(self, monkeypatch, error):
+        # y0 = 0 violates both rows y1 <= -1 and y2 <= -1, whose equality
+        # solve has multipliers (2, 2): the crash start holds both rows
+        H, c, A, u = np.array([2.0, 2.0]), np.zeros(2), np.eye(2), np.array([-1.0, -1.0])
+        cold = ll._iterate(ActiveSetCache(H, A), c, u, c / H, ([], np.zeros(0), -(c / H)), False)
+        begun, real = [], ll._iterate
+
+        def failing_once(cache, c, u, Hic, hot, exact):
+            begun.append(tuple(hot[0]))
+            if len(begun) == 1:
+                raise error("forced")
+            return real(cache, c, u, Hic, hot, exact)
+
+        monkeypatch.setattr(ll, "_iterate", failing_once)
+        sol = solve_qp(ActiveSetCache(H, A), c, u)
+        assert begun == [(0, 1), ()]
+        assert sol.stats == cold.stats == {"pivots": 2, "repairs": 0}
+        assert np.array_equal(sol.y_hat, cold.y_hat) and np.array_equal(sol.lam, cold.lam)
+        for name in ("active_set", "kkt_residual", "max_violation", "delta_cert"):
+            assert getattr(sol, name) == getattr(cold, name), name
+        assert sol.active_set == (0, 1) and sol.kkt_residual <= KKT_TOL
+
+    def test_enters_one_tuple_per_block_drop_round(self):
+        # y0 = (1.5, -1, -1.5) violates rows 2 and 3 and binds row 4. The
+        # crash start (2, 3, 4) drops rows 3 and 4 in one round, (2,) keeps
+        # its multiplier, and one pivot adds row 4 back. The cache holds the
+        # start tuple, the one round's tuple and the final tuple; dropping
+        # one row per round would have entered a tuple per dropped row
+        H, c = np.full(3, 2.0), np.array([-3.0, 2.0, 3.0])
+        A = np.array([[2.0, 3.0, 3.0], [0.0, 3.0, 3.0], [3.0, -3.0, 0.0],
+                      [1.0, -2.0, -1.0], [1.0, 2.0, 1.0]])
+        u = np.array([-1.0, 0.0, -1.0, 2.0, -2.0])
+        cache = ActiveSetCache(H, A)
+        sol = solve_qp(cache, c, u)
+        assert sol.active_set == (2, 4) and sol.stats == {"pivots": 1, "repairs": 0}
+        assert sorted(cache._rows) == [(2,), (2, 3, 4), (2, 4)]
+        slow = solve_qp(ActiveSetCache(H, A[[2, 4]]), c, u[[2, 4]], (0, 1))
+        assert np.max(np.abs(sol.y_hat - slow.y_hat)) <= 1e-14
+
+
 class TestUncertified:
     # a finite solve whose KKT residual exceeds KKT_TOL must raise, never
     # return a point the certificate does not cover
@@ -978,7 +1102,9 @@ class TestActiveSetCache:
     def test_rejected_start_falls_back_to_a_cold_solve_on_a_hit(self):
         # S on rows 0 and 1 passes a Cholesky factorization, but row 1 has
         # only 1e-10 of its squared H^-1-norm outside row 0's span; row 0
-        # binds
+        # binds. The rejected start counts as none, so both solves start
+        # from row 0, the one row the unconstrained minimum violates, and
+        # make no pivot
         H, c = np.array([2.0, 2.0]), np.zeros(2)
         A, u = np.array([[1.0, 0.0], [1.0, 1e-5]]), np.array([-1.0, 5.0])
         cache = ActiveSetCache(H, A)
@@ -988,9 +1114,11 @@ class TestActiveSetCache:
             hot = solve_qp(cache, c, u, (0, 1))
             with pytest.raises(DegenerateActiveSet, match="nearly rank deficient"):
                 cache.check_rank((0, 1))
-            assert hot.stats == cold.stats == {"pivots": 1, "repairs": 0}
+            assert hot.stats == cold.stats == {"pivots": 0, "repairs": 0}
             assert np.array_equal(hot.y_hat, cold.y_hat) and np.array_equal(hot.lam, cold.lam)
             assert hot.active_set == cold.active_set == (0,)
+            for name in ("kkt_residual", "max_violation", "delta_cert"):
+                assert getattr(hot, name) == getattr(cold, name), name
 
     def test_corrupt_inverse_is_repeated_and_counted(self):
         # rows y1 <= -1 and y2 <= -1 both bind at (-1, -1); a warm solve

@@ -78,3 +78,19 @@ class TestPytestSettings:
             cwd=tmp_path, capture_output=True, text=True, timeout=300)
         assert "INTERNALERROR" not in out.stdout + out.stderr, out.stdout[-2000:]
         assert "1 failed, 1 passed" in out.stdout
+
+
+class TestBenchPairs:
+    def test_trace_medians_carry_each_sides_spread(self, monkeypatch):
+        # each side's median over its traced runs, with its min and max
+        monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+        bench_pairs = importlib.import_module("bench_pairs")
+
+        def run(value):
+            return {"metrics": {"lower_level.solve_us": {"value": value, "unit": "us"}}}
+
+        traced = {"parent": [run(3.0), run(1.0), run(2.0)], "change": [run(5.0), run(4.0),
+                                                                         run(9.0)]}
+        assert bench_pairs.trace_medians(traced) == {"lower_level.solve_us": {
+            "parent": 2.0, "parent_min": 1.0, "parent_max": 3.0,
+            "change": 5.0, "change_min": 4.0, "change_max": 9.0}}
