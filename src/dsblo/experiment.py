@@ -327,7 +327,7 @@ def _live_printer(label: str, seed: int, every: int, inst: QuadraticBilevel,
                   eval_every: int):
     """Progress lines every ``every`` steps. A record's F is filled in only
     after the run, so the lines that show F (``eval_every`` > 0) solve it
-    here, cold."""
+    here, without a start."""
     def cb(rec):
         if rec.t == 1 or rec.t % every == 0:
             f_part = f" F={eval_F_exact(inst, rec.x):.6g}" if eval_every else ""

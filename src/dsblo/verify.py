@@ -87,7 +87,7 @@ def check_ll_bruteforce(n_instances: int = 100) -> CheckResult:
                     mismatches += 1
         elapsed = time.monotonic() - t0
         ok = mismatches == 0 and elapsed < 30.0
-        return ok, (f"{n_instances} instances, cold and two warm starts each, "
+        return ok, (f"{n_instances} instances, no start and two warm starts each, "
                     f"max ||dy||={worst_dy:.2e}, {mismatches} mismatches, "
                     f"{elapsed:.1f}s (< 30s required)")
 
@@ -111,7 +111,8 @@ def check_kkt_certification(n_instances: int = 50, points_per: int = 3) -> Check
                 x = 0.5 * rng.standard_normal(inst.d_u)
                 q = _ball_draw(1e-3, rng, inst.d_l)
                 try:
-                    # cold, and warm from the previous point's active set
+                    # without a start, and warm from the previous point's
+                    # active set
                     sols = [solve_ll_quadratic(inst, x, q),
                             solve_ll_quadratic(inst, x, q, start)]
                 except Infeasible:
@@ -231,9 +232,10 @@ def check_strict_complementarity(n_draws: int = 1000) -> CheckResult:
 def mc_window_reference(log, t: int, beta: float, K: int, inst: QuadraticBilevel,
                         mc_samples: int, radius: float, rng: np.random.Generator) -> tuple:
     """The Monte-Carlo ``stationarity_window`` one draw at a time: each draw
-    replayed from rng in stream order, solved cold and differentiated by
-    ``implicit_gradient``, then the mean per point and the weighted sum.
-    Returns the combined vector and each draw's number of active rows."""
+    replayed from rng in stream order, solved without a start and
+    differentiated by ``implicit_gradient``, then the mean per point and the
+    weighted sum. Returns the combined vector and each draw's number of
+    active rows."""
     means, active = [], []
     for rec in log.records[t - K:t]:
         grads = []
