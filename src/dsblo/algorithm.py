@@ -24,8 +24,8 @@ import numpy as np
 
 from .diagnostics import check_windows, eval_F_exact_rows, stationarity_profile
 from .errors import DegenerateActiveSet, DsbloError, ScheduleInfeasible
-from .implicit_grad import implicit_gradient, sampled_implicit_gradient
-from .lower_level import _ball_draw, solve_ll_quadratic
+from .implicit_grad import _adjoint, implicit_gradient, sampled_implicit_gradient
+from .lower_level import _ball_draw, _linear_terms, interior_point, solve_ll_quadratic
 from .problem import QuadraticBilevel, sample_component
 
 
@@ -208,17 +208,36 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
     log.lower_level = counts = {"solves": 0, "pivots": 0, "repairs": 0}
     t_start = time.monotonic()
 
+    cache, cx, cy = problem.active_set_cache, problem.cx_mean, problem.cy_mean
+    interior_ok = option == "deterministic"
+
     def sample(x_pt, start):
         """One perturbed implicit-gradient evaluation at x_pt, its lower-level
         solve started from the rows in ``start``; a degenerate active set
         triggers a fresh perturbation draw, up to 5 retries. The sampled
         option draws ``batch_size`` components and averages them in one
-        gradient call. Returns q, the gradient and the solve."""
+        gradient call. Returns q, the gradient and the solve's active set.
+
+        A deterministic sample without a start whose solve is interior
+        (``interior_point``) takes y and the gradient's empty-active-set
+        adjoint directly, with the bits ``solve_ll_quadratic`` and
+        ``implicit_gradient`` would give and no solve or gradient object;
+        every other sample goes through those two."""
         nonlocal ll_s, ig_s
         last = None
         for _ in range(5):
             q = _ball_draw(radius, q_rng, problem.d_l)
             t0 = time.monotonic()
+            if interior_ok and not start:
+                inner = interior_point(cache, *_linear_terms(problem, x_pt, q))
+                if inner is not None:
+                    t1 = time.monotonic()
+                    gx, gy = problem._grad_f(x_pt, inner[0], cx, cy)
+                    g = _adjoint(problem, None, (), gx, gy)
+                    ll_s += t1 - t0
+                    ig_s += time.monotonic() - t1
+                    counts["solves"] += 1
+                    return q, g, ()
             try:
                 sol = solve_ll_quadratic(problem, x_pt, q, start)
                 t1 = time.monotonic()
@@ -238,12 +257,12 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
             counts["solves"] += 1
             counts["pivots"] += sol.stats["pivots"]
             counts["repairs"] += sol.stats["repairs"]
-            return q, g, sol
+            return q, g, sol.active_set
         raise DsbloError(
             "degenerate active set persisted through 5 perturbation resamples"
         ) from last
 
-    q, g, sol = sample(x, ())
+    q, g, active = sample(x, ())
     m = g
     x_bar = x.copy()
     due, starts = [], []  # the records owed an exact F, and their solves' starts
@@ -252,7 +271,7 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
         eta = eta_of(m_norm)
         if eval_every and ((t - 1) % eval_every == 0 or t == T):
             due.append(t - 1)
-            starts.append(sol.active_set)
+            starts.append(active)
         rec = IterateRecord(
             t=t, x=x, x_bar=x_bar, q_norm=math.sqrt(q @ q), eta=eta,
             m_norm=m_norm, grad=g, wall_time=time.monotonic() - t_start,
@@ -268,7 +287,7 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
 
         x_next = x - eta * m
         x_bar = x + float(seg_rng.random()) * (x_next - x) if segment else x_next
-        q, g, sol = sample(x_bar, sol.active_set)
+        q, g, active = sample(x_bar, active)
         # beta = 0 keeps g itself: 0 * m would turn an overflowed m into NaN
         m = beta * m + (1.0 - beta) * g if beta else g
         x = x_next

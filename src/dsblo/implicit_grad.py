@@ -64,8 +64,9 @@ def _adjoint(inst: QuadraticBilevel, lam, active: tuple, gx, gy) -> np.ndarray:
 
     For n draws that share the active set, lam, gx and gy hold one row per
     draw and the result one gradient row per draw, all from one solve.
-    Every row's multipliers are checked. M' is Q2 itself. lam, gx and gy
-    are float arrays, taken as given."""
+    Every row's multipliers are checked; with no active rows lam is not
+    read, and the outer loop's interior sample passes None. M' is Q2
+    itself. lam, gx and gy are float arrays, taken as given."""
     gy = gy.T
     H = inst.hess_yy_diag
     Higy = gy / H if gy.ndim == 1 else gy / H[:, None]

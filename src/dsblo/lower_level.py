@@ -118,22 +118,47 @@ def _tight_rows(slacks: np.ndarray) -> tuple:
     return tuple(np.flatnonzero(slacks <= TAU_ACT).tolist())
 
 
-def _certified(y: np.ndarray, lam: np.ndarray, active: tuple, residual: np.ndarray,
-               max_viol: float, mu: float, stats: dict) -> LLSolution:
-    """The frozen ``solve_qp`` result at y with multipliers lam, certified by
-    the stationarity residual H y + c + A' lam and the largest violation
-    max(A y - u) (-inf without rows), the smallest Hessian entry mu turning
-    the residual into a distance bound; raises ``NonFinite`` when either
-    certificate is NaN or +inf, and ``Uncertified`` when the residual
-    exceeds ``KKT_TOL``."""
+def _certificate(residual: np.ndarray, max_viol: float) -> float:
+    """The KKT residual ||residual|| of a solve whose stationarity residual
+    is H y + c + A' lam and whose largest violation is max(A y - u) (-inf
+    without rows); raises ``NonFinite`` when either is NaN or +inf, and
+    ``Uncertified`` when the residual exceeds ``KKT_TOL``."""
     kkt = math.sqrt(residual @ residual)  # bit for bit the 1-D norm
     if not (kkt < np.inf and max_viol < np.inf):
         raise NonFinite(f"uncertifiable solve: KKT residual {kkt}, violation {max_viol}")
     if kkt > KKT_TOL:
         raise Uncertified(f"KKT residual {kkt:.2e} exceeds {KKT_TOL:.0e}")
+    return kkt
+
+
+def _certified(y: np.ndarray, lam: np.ndarray, active: tuple, kkt: float,
+               max_viol: float, mu: float, stats: dict) -> LLSolution:
+    """The frozen ``solve_qp`` result at y with multipliers lam, its KKT
+    residual kkt and largest violation max_viol from ``_certificate``, the
+    smallest Hessian entry mu turning the residual into a distance bound."""
     y.flags.writeable = lam.flags.writeable = False
     return LLSolution(y_hat=y, lam=lam, active_set=active, kkt_residual=kkt,
                       max_violation=max_viol, delta_cert=kkt / mu, stats=stats)
+
+
+def interior_point(cache: "ActiveSetCache", c: np.ndarray, u: np.ndarray) -> Optional[tuple]:
+    """The solve of ``solve_qp(cache, c, u)`` when it is interior, as (y,
+    its KKT residual, its largest violation): y = -H^-1 c when there are no
+    rows or every slack u - A y exceeds ``TAU_ACT``, certified on the
+    residual H y + c by ``_certificate``. None when some slack is at most
+    ``TAU_ACT`` or NaN, so a solve from no start must pivot or crash-start.
+    c and u are float vectors, taken as given. A NaN or infinite input, or
+    one so large that the arithmetic overflows, warns somewhere here; where
+    numpy's warnings are raised as errors that raises ``NonFinite``."""
+    H, A = cache.H, cache.A
+    try:
+        y = -(c / H)
+        smin = float(np.minimum.reduce(u - A @ y)) if A.shape[0] else np.inf
+        if not smin > TAU_ACT:
+            return None
+        return y, _certificate(H * y + c, -smin), -smin
+    except RuntimeWarning as exc:
+        raise NonFinite(f"non-finite arithmetic: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +384,9 @@ def solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start=()) -> L
 
     Interior solves return at once: with no ``start``, when there are no
     rows or every slack of y = -H^-1 c exceeds ``TAU_ACT``, that y is the
-    answer (no pivot, no active row, zero multipliers) and the result
-    equals the one the iteration below would return, field for field. A
+    answer (no pivot, no active row, zero multipliers; ``interior_point``
+    tests and certifies it) and the result equals the one the iteration
+    below would return, field for field. A
     NaN or infinite input raises ``NonFinite`` instead of returning an
     uncertified point; so does, where numpy's warnings are raised as
     errors, one large enough to overflow the arithmetic. A finite point
@@ -374,19 +400,16 @@ def solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start=()) -> L
 def _solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start) -> LLSolution:
     """``solve_qp`` on a float vector c and a float k-vector u, taken as
     given."""
-    H, A = cache.H, cache.A
-    k = A.shape[0]
+    if not len(start):
+        inner = interior_point(cache, c, u)
+        if inner is not None:
+            y, kkt, max_viol = inner
+            return _certified(y, np.zeros(cache.A.shape[0]), (), kkt, max_viol, cache.mu,
+                              {"pivots": 0, "repairs": 0})
     # a NaN or infinite input, or one so large that the arithmetic
     # overflows, warns somewhere below; only warnings-as-errors raise
     try:
-        Hic = c / H
-        y = -Hic
-        if not len(start):
-            # one reduction of the slacks u - A y decides and certifies it
-            smin = float(np.minimum.reduce(u - A @ y)) if k else np.inf
-            if smin > TAU_ACT:
-                return _certified(y, np.zeros(k), (), H * y + c, -smin, cache.mu,
-                                  {"pivots": 0, "repairs": 0})
+        Hic = c / cache.H
         try:
             return _dual_active_set(cache, c, u, Hic, start, False)
         except Uncertified:
@@ -594,7 +617,8 @@ def _iterate(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, Hic: np.ndarra
     residual = H * y + c
     if active:
         residual = residual + cache.gathered(active).T @ lam[list(active)]
-    return _certified(y, lam, active, residual, float(-slack.min()) if k else -np.inf,
+    max_viol = float(-slack.min()) if k else -np.inf
+    return _certified(y, lam, active, _certificate(residual, max_viol), max_viol,
                       cache.mu, {"pivots": pivots, "repairs": repairs})
 
 
@@ -648,15 +672,19 @@ def solve_ll_quadratic(inst: QuadraticBilevel, x: np.ndarray,
                        q: Union[Perturbation, np.ndarray, None], start=()) -> LLSolution:
     """Exact solve of the perturbed quadratic lower level at x, optionally
     starting from the rows in ``start`` (see ``solve_qp``)."""
-    x = np.asarray(x, dtype=float)
-    poly = inst.constraints
-    qv = _qvec(q, inst.d_l)
-    try:  # as in solve_qp: only an infinite x or q warns here
-        c = inst.Q2.T @ x + qv
-        u = poly.rhs(x)
+    c, u = _linear_terms(inst, np.asarray(x, dtype=float), _qvec(q, inst.d_l))
+    return _solve_qp(inst.active_set_cache, c, u, start)
+
+
+def _linear_terms(inst: QuadraticBilevel, x: np.ndarray, q: np.ndarray) -> tuple:
+    """(c, u) = (Q2'x + q, b - B x), the linear term and the right-hand side
+    of the lower level at the float vector x with the float perturbation q;
+    where numpy's warnings are raised as errors, an infinite x or q raises
+    ``NonFinite``, as in ``solve_qp``."""
+    try:
+        return inst.Q2.T @ x + q, inst.constraints.rhs(x)
     except RuntimeWarning as exc:
         raise NonFinite(f"non-finite input: {exc}") from exc
-    return _solve_qp(inst.active_set_cache, c, u, start)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ import dsblo.lower_level as ll
 from dsblo.algorithm import (DsbloParams, ManualMode, TheoryMode, run_dsblo,
                              run_igd_baseline, schedule, step_size)
 from dsblo.diagnostics import check_windows, eval_F_exact
-from dsblo.errors import DsbloError, NonFinite, ScheduleInfeasible
+from dsblo.errors import DegenerateActiveSet, DsbloError, NonFinite, ScheduleInfeasible
 from dsblo.implicit_grad import implicit_gradient
-from dsblo.lower_level import sample_perturbation, solve_ll_quadratic
-from dsblo.problem import generate_instance
+from dsblo.lower_level import TAU_ACT, _ball_draw, sample_perturbation, solve_ll_quadratic
+from dsblo.problem import Polyhedron, generate_instance
 from dsblo.verify import schedule_recompute_mp
 
 from conftest import make_1d_instance
@@ -208,9 +208,18 @@ class TestRunDsblo:
         assert calls == [[int(replay.integers(8)) for _ in range(5)] for _ in range(12)]
 
     def test_nan_start_raises(self):
+        # the first sample has no start, so it takes the interior sample's
+        # path; with the suite's warnings raised as errors it must raise
+        # NonFinite as solve_ll_quadratic does, in both runs
         inst = generate_instance(4, 4, 2, seed=1)
-        with pytest.raises(NonFinite):
-            run_dsblo(inst, self.PARAMS, x0=[np.nan, 0.0, 0.0, 0.0])
+        for x0 in ([np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0],
+                   [0.0, -np.inf, 0.0, 0.0], [np.inf, 0.0, -np.inf, 0.0]):
+            with pytest.raises(NonFinite):
+                solve_ll_quadratic(inst, np.asarray(x0), None)
+            with pytest.raises(NonFinite):
+                run_dsblo(inst, self.PARAMS, x0=x0)
+            with pytest.raises(NonFinite):
+                run_igd_baseline(inst, step=0.05, T=10, x0=x0)
 
     def test_unknown_option_rejected(self):
         inst = shared_min_instance()
@@ -265,13 +274,13 @@ class TestRunDsblo:
             draws.append(radius)
             return orig(radius, rng, d)
 
-        from dsblo.errors import DegenerateActiveSet
-
         def always_degenerate(problem, x, sol):
             raise DegenerateActiveSet("forced")
 
         monkeypatch.setattr(algo, "_ball_draw", counting_draw)
         monkeypatch.setattr(algo, "implicit_gradient", always_degenerate)
+        # no sample is interior, so each one reaches implicit_gradient
+        monkeypatch.setattr(algo, "interior_point", lambda cache, c, u: None)
         params = DsbloParams(
             T=10, mode=ManualMode(beta=0.9, gamma1=5.0, gamma2=20.0, K=2, delta_y=1e-8),
             seed=8,
@@ -306,7 +315,14 @@ class TestRunDsblo:
             certs.append(sol.delta_cert)
             return sol
 
+        def recording_interior(cache, c, u):
+            inner = ll.interior_point(cache, c, u)
+            if inner is not None:
+                certs.append(inner[1] / cache.mu)
+            return inner
+
         monkeypatch.setattr(algo, "solve_ll_quadratic", recording)
+        monkeypatch.setattr(algo, "interior_point", recording_interior)
         params = DsbloParams(T=10**9, mode=TheoryMode(epsilon=1.0, delta_bar=0.5,
                                                       delta_v=0.0, l_f_bar=5.0), seed=11)
         sched = schedule(params)
@@ -390,15 +406,24 @@ class TestWarmStartedSolves:
 
     @staticmethod
     def _recording(monkeypatch, calls, use_start=True):
-        """Have the loop's solves recorded in ``calls`` as (start, solve),
-        each solved from its start, or without one when ``use_start`` is
-        false."""
+        """Have the loop's gradient samples recorded in ``calls`` as (start,
+        solve), each solved from its start, or without one when
+        ``use_start`` is false. A sample that ``interior_point`` answers
+        has no start and no solve object; it is recorded as the interior
+        solve ``solve_qp`` builds from the same (c, u)."""
         def recording(problem, x, q, start=()):
             sol = ll.solve_ll_quadratic(problem, x, q, start if use_start else ())
             calls.append((tuple(start), sol))
             return sol
 
+        def recording_interior(cache, c, u):
+            inner = ll.interior_point(cache, c, u)
+            if inner is not None:
+                calls.append(((), ll.solve_qp(cache, c, u)))
+            return inner
+
         monkeypatch.setattr(algo, "solve_ll_quadratic", recording)
+        monkeypatch.setattr(algo, "interior_point", recording_interior)
 
     def _setup(self):
         inst = generate_instance(8, 8, 8, seed=1)
@@ -418,6 +443,8 @@ class TestWarmStartedSolves:
         log = run_dsblo(inst, self.PARAMS, x0=x0, eval_every=5)
         assert len(calls) == len(log.records) == 40
         assert calls[0][0] == ()
+        # both paths are taken: samples after an interior one ask the helper
+        assert 0 < sum(not sol.active_set for _, sol in calls) < 40
         assert all(start == prev.active_set for (start, _), (_, prev) in zip(calls[1:], calls))
         assert sum(bool(sol.active_set) for _, sol in calls) >= 20
         # exact F at x_t starts from the sample solved just before record t
@@ -484,6 +511,9 @@ class TestInteriorFastPath:
 
         monkeypatch.setattr(ll, "_solve_qp", general)
         monkeypatch.setattr(ll, "_dual_active_set", counting)
+        # the loop's interior samples bypass solve_ll_quadratic; with the
+        # helper declining every one, each sample goes through it
+        monkeypatch.setattr(algo, "interior_point", lambda cache, c, u: None)
         forced = runs()
         # each run makes one gradient-sample solve per record; its exact F
         # rows are all interior, so the batched evaluation solves none
@@ -494,6 +524,53 @@ class TestInteriorFastPath:
             for ra, rb in zip(a.records, b.records):
                 assert np.array_equal(ra.x, rb.x) and np.array_equal(ra.grad, rb.grad)
                 assert ra.F_exact == rb.F_exact and ra.q_norm == rb.q_norm
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 6), st.integers(0, 2 ** 16),
+           st.sampled_from([0.0, 0.05, 0.3, 1.0]), st.integers(0, 2 ** 16),
+           st.one_of(st.none(), st.floats(-2 * TAU_ACT, 3 * TAU_ACT)))
+    def test_interior_sample_equals_the_solve_and_gradient(self, d, k, seed, scale, run_seed,
+                                                           gap):
+        # the box rows |y_i| <= 0.2 bind at some of these points; with
+        # ``gap`` row 0's bound moves so that its slack at the unconstrained
+        # minimum y0 is gap, on either side of the interior test's TAU_ACT
+        inst = generate_instance(d, d, k, seed=seed, box_radius=0.2)
+        x = scale * np.random.default_rng(seed).standard_normal(d)
+        q_rng = np.random.default_rng(np.random.SeedSequence(run_seed).spawn(3)[0])
+        q = _ball_draw(1e-3, q_rng, d)
+        if gap is not None:
+            poly = inst.constraints
+            y0 = -(ll._linear_terms(inst, x, q)[0] / inst.hess_yy_diag)
+            b = poly.b.copy()
+            b[0] = gap + poly.A[0] @ y0 + poly.B[0] @ x
+            inst = replace(inst, constraints=Polyhedron(poly.A, poly.B, b, poly.n_random_rows))
+        inner = ll.interior_point(inst.active_set_cache, *ll._linear_terms(inst, x, q))
+
+        def first_sample():
+            # the loop's first sample is at x0, with the first draw of stream 0
+            return run_igd_baseline(inst, step=0.0, T=1, seed=run_seed, x0=x,
+                                    eval_every=0).records[0].grad
+
+        try:
+            sol = solve_ll_quadratic(inst, x, q)
+            grad = implicit_gradient(inst, x, sol).grad
+            # the pivoting iteration, which never asks interior_point, finds
+            # its active rows from the slacks of its own solution
+            pivoted = solve_ll_quadratic(inst, x, q, (0,))
+        except DsbloError as exc:  # rows that bind degenerately, or no feasible y
+            assert inner is None
+            if not isinstance(exc, DegenerateActiveSet):  # the loop would redraw q
+                with pytest.raises(type(exc)):
+                    first_sample()
+            return
+        if inner is None:
+            assert sol.active_set and pivoted.active_set
+        else:
+            assert sol.active_set == pivoted.active_set == ()
+            assert inner[0].tobytes() == sol.y_hat.tobytes()
+            assert (inner[1], inner[2]) == (sol.kkt_residual, sol.max_violation)
+        assert first_sample().tobytes() == grad.tobytes()
 
 
 class TestIgdBaseline:

@@ -200,9 +200,10 @@ class TestRunExperiment:
         assert meta["diagnostics"]["displacement"]["violations"] == 0
 
     def test_runlog_counts_lower_level_solves(self, tmp_path, monkeypatch):
-        # the runlog totals the gradient-sample solves' pivots and repairs
+        # the runlog totals the gradient-sample solves' pivots and repairs;
+        # a sample that interior_point answers makes no pivot and no repair
         import dsblo.lower_level as ll
-        stats = []
+        stats, interior = [], []
         real = ll.solve_ll_quadratic
 
         def recording(inst, x, q, start=()):
@@ -210,7 +211,15 @@ class TestRunExperiment:
             stats.append(sol.stats)
             return sol
 
+        def recording_interior(cache, c, u):
+            inner = ll.interior_point(cache, c, u)
+            if inner is not None:
+                stats.append(ll.solve_qp(cache, c, u).stats)
+                interior.append(len(stats))
+            return inner
+
         monkeypatch.setattr(algo, "solve_ll_quadratic", recording)
+        monkeypatch.setattr(algo, "interior_point", recording_interior)
         doc = tiny_config(tmp_path, eval_every=0)
         # the kink instance: rows bind along both runs, and both pivot
         doc["instance"] = {"d_u": 10, "d_l": 10, "k": 5, "seed": 1, "box_radius": 0.2}
@@ -219,6 +228,9 @@ class TestRunExperiment:
         counts = [json.loads((out / f"{lab}.runlog.json").read_text())["lower_level"]
                   for lab in ("dsblo", "igd")]
         assert [c["solves"] for c in counts] == [30, 30] and len(stats) == 60
+        # both runs take both paths (10 and 3 of their samples are interior)
+        in_dsblo = sum(i <= 30 for i in interior)
+        assert 0 < in_dsblo < 30 and 0 < len(interior) - in_dsblo < 30
         for c, part in zip(counts, (stats[:30], stats[30:])):
             assert c["pivots"] == sum(s["pivots"] for s in part)
             assert c["repairs"] == sum(s["repairs"] for s in part)
