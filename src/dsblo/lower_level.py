@@ -141,7 +141,7 @@ def _certified(y: np.ndarray, lam: np.ndarray, active: tuple, kkt: float,
                       max_violation=max_viol, delta_cert=kkt / mu, stats=stats)
 
 
-def interior_point(cache: "ActiveSetCache", c: np.ndarray, u: np.ndarray) -> Optional[tuple]:
+def interior_point(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray) -> Optional[tuple]:
     """The solve of ``solve_qp(cache, c, u)`` when it is interior, as (y,
     its KKT residual, its largest violation): y = -H^-1 c when there are no
     rows or every slack u - A y exceeds ``TAU_ACT``, certified on the
