@@ -25,7 +25,7 @@ import numpy as np
 from .diagnostics import check_windows, eval_F_exact_rows, stationarity_profile
 from .errors import DegenerateActiveSet, DsbloError, ScheduleInfeasible
 from .implicit_grad import _adjoint, implicit_gradient, sampled_implicit_gradient
-from .lower_level import _ball_draw, _linear_terms, interior_point, solve_ll_quadratic
+from .lower_level import _ball_draws, _linear_terms, interior_point, solve_ll_quadratic
 from .problem import QuadraticBilevel, sample_component
 
 
@@ -182,6 +182,11 @@ class RunLog:
 ProgressFn = Callable[[IterateRecord], None]
 CancelFn = Callable[[], bool]
 
+# The outer loop draws its perturbations and segment points in blocks of at
+# most this many (and never more than the run has samples left), so a q
+# block holds at most DRAW_BLOCK * d_l floats: 1 MB at d_l = 500.
+DRAW_BLOCK = 256
+
 
 def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
                 eta_of: Callable[[float], float], beta: float, segment: bool,
@@ -192,7 +197,14 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
     x_{t+1} = x_t - eta_of(||m_t||) m_t, samples the next gradient at a uniform
     point of the step segment (``segment``) or at x_{t+1}, and folds it into
     the momentum m with weight 1 - beta. The q, segment and component draws
-    use the three streams of ``SeedSequence(seed).spawn(3)``. Exact F is
+    use the three streams of ``SeedSequence(seed).spawn(3)``. The q draws
+    and their norms come in blocks of ``_ball_draws`` and the segment points
+    in blocks of ``seg_rng.random(n)``, each block at most ``DRAW_BLOCK``
+    long and no longer than the samples the run has left; a degenerate
+    resample takes the next row. Both give the bits of one draw at a time,
+    so a run's records do not depend on the block length. x0 (zeros when
+    None) must have shape (d_u,), or ``ValueError`` names that shape; the
+    samples' gradients do not check shapes again. Exact F is
     logged every ``eval_every`` iterations and at T; nothing in the loop
     reads it, so the due records are evaluated together after the loop
     (``eval_F_exact_rows``) and ``progress`` sees F_exact None. Every
@@ -200,10 +212,28 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
     of the latest gradient sample; the solves, pivots and repairs of the
     gradient samples go to ``log.lower_level``. The window check (``check_windows``) goes to
     ``log.windows``; a run without a schedule checks nothing."""
-    x = np.zeros(problem.d_u) if x0 is None else np.asarray(x0, dtype=float).copy()
+    d_u = problem.d_u
+    x = np.zeros(d_u) if x0 is None else np.asarray(x0, dtype=float).copy()
+    if x.shape != (d_u,):
+        raise ValueError(f"x0 must have shape ({d_u},), got {x.shape}")
     q_rng, seg_rng, xi_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
     )
+    t = 0  # the loop's iteration; the sample taken at t is the (t+1)-th of T
+
+    def blocks(draw):
+        """The items of successive blocks draw(n), n = min(DRAW_BLOCK, T - t):
+        from iteration t on, a run that is not cancelled takes at least T - t
+        more samples and segment points."""
+        while True:
+            yield from draw(min(DRAW_BLOCK, T - t))
+
+    def q_block(n):
+        Q, norms = _ball_draws(radius, q_rng, problem.d_l, n)
+        return zip(Q, norms.tolist())
+
+    q_draws = blocks(q_block)
+    seg_draws = blocks(lambda n: seg_rng.random(n).tolist())
     ll_s = ig_s = 0.0  # seconds in the solves and in the gradients
     log.lower_level = counts = {"solves": 0, "pivots": 0, "repairs": 0}
     t_start = time.monotonic()
@@ -216,7 +246,7 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
         solve started from the rows in ``start``; a degenerate active set
         triggers a fresh perturbation draw, up to 5 retries. The sampled
         option draws ``batch_size`` components and averages them in one
-        gradient call. Returns q, the gradient and the solve's active set.
+        gradient call. Returns ||q||, the gradient and the solve's active set.
 
         A deterministic sample without a start whose solve is interior
         (``interior_point``) takes y and the gradient's empty-active-set
@@ -226,7 +256,7 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
         nonlocal ll_s, ig_s
         last = None
         for _ in range(5):
-            q = _ball_draw(radius, q_rng, problem.d_l)
+            q, q_norm = next(q_draws)
             t0 = time.monotonic()
             if interior_ok and not start:
                 inner = interior_point(cache, *_linear_terms(problem, x_pt, q))
@@ -237,7 +267,7 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
                     ll_s += t1 - t0
                     ig_s += time.monotonic() - t1
                     counts["solves"] += 1
-                    return q, g, ()
+                    return q_norm, g, ()
             try:
                 sol = solve_ll_quadratic(problem, x_pt, q, start)
                 t1 = time.monotonic()
@@ -257,12 +287,12 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
             counts["solves"] += 1
             counts["pivots"] += sol.stats["pivots"]
             counts["repairs"] += sol.stats["repairs"]
-            return q, g, sol.active_set
+            return q_norm, g, sol.active_set
         raise DsbloError(
             "degenerate active set persisted through 5 perturbation resamples"
         ) from last
 
-    q, g, active = sample(x, ())
+    q_norm, g, active = sample(x, ())
     m = g
     x_bar = x.copy()
     due, starts = [], []  # the records owed an exact F, and their solves' starts
@@ -273,7 +303,7 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
             due.append(t - 1)
             starts.append(active)
         rec = IterateRecord(
-            t=t, x=x, x_bar=x_bar, q_norm=math.sqrt(q @ q), eta=eta,
+            t=t, x=x, x_bar=x_bar, q_norm=q_norm, eta=eta,
             m_norm=m_norm, grad=g, wall_time=time.monotonic() - t_start,
         )
         log.records.append(rec)
@@ -286,8 +316,8 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
             break
 
         x_next = x - eta * m
-        x_bar = x + float(seg_rng.random()) * (x_next - x) if segment else x_next
-        q, g, active = sample(x_bar, active)
+        x_bar = x + next(seg_draws) * (x_next - x) if segment else x_next
+        q_norm, g, active = sample(x_bar, active)
         # beta = 0 keeps g itself: 0 * m would turn an overflowed m into NaN
         m = beta * m + (1.0 - beta) * g if beta else g
         x = x_next

@@ -13,7 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonFinite, WindowIncomplete, WindowViolation
 from .implicit_grad import _adjoint
-from .lower_level import TAU_ACT, _ball_draw, solve_ll_quadratic, solve_qp_batch
+from .lower_level import TAU_ACT, _ball_draws, _dots, solve_ll_quadratic, solve_qp_batch
 from .problem import QuadraticBilevel, eval_f, eval_f_rows, grad_f_rows
 
 
@@ -34,11 +34,6 @@ def _mv(M: np.ndarray, V: np.ndarray) -> np.ndarray:
     """M @ v for every row v of V, one matrix-vector product per row, so
     each row equals the 1-D product bit for bit (a single V @ M.T does not)."""
     return (M[None] @ V[:, :, None])[..., 0]
-
-
-def _dots(P: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """p @ r for every pair of rows, bit for bit the 1-D dot product."""
-    return (P[:, None, :] @ R[:, :, None])[:, 0, 0]
 
 
 def eval_F_exact_rows(inst: QuadraticBilevel, xs, starts) -> np.ndarray:
@@ -73,8 +68,9 @@ def eval_F_exact_rows(inst: QuadraticBilevel, xs, starts) -> np.ndarray:
 
 
 def _draws(radius: float, rng: np.random.Generator, d_l: int, n: int) -> np.ndarray:
-    """n ball-uniform perturbations drawn from rng in stream order, one per row."""
-    return np.array([_ball_draw(radius, rng, d_l) for _ in range(n)])
+    """n ball-uniform perturbations drawn from rng in stream order, one per
+    row: one block of ``_ball_draws``, bit for bit n ``_ball_draw`` calls."""
+    return _ball_draws(radius, rng, d_l, n)[0]
 
 
 def _mc_solves(inst: QuadraticBilevel, X: np.ndarray, Q: np.ndarray, start=None) -> tuple:

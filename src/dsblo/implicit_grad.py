@@ -92,8 +92,11 @@ def jacobians(inst: QuadraticBilevel, sol: LLSolution):
 
 
 def implicit_gradient(inst: QuadraticBilevel, x: np.ndarray, sol: LLSolution) -> ImplicitGradient:
-    """Full-batch implicit gradient grad_x f + jac_y' grad_y f at (x, y_hat)."""
-    gx, gy = inst._grad_f(np.asarray(x, dtype=float), sol.y_hat, inst.cx_mean, inst.cy_mean)
+    """Full-batch implicit gradient grad_x f + jac_y' grad_y f at (x, y_hat);
+    the shapes of x and y_hat are checked."""
+    x = np.asarray(x, dtype=float)
+    inst._check_dims(x, sol.y_hat)
+    gx, gy = inst._grad_f(x, sol.y_hat, inst.cx_mean, inst.cy_mean)
     return ImplicitGradient(grad=_adjoint(inst, sol.lam, sol.active_set, gx, gy))
 
 

@@ -56,23 +56,49 @@ class Perturbation:
         object.__setattr__(self, "norm", math.sqrt(q @ q))
 
 
-def _ball_draw(radius: float, rng: np.random.Generator, d_l: int) -> np.ndarray:
-    """Uniform draw from the closed L2 ball of the given radius in R^d_l."""
+def _dots(P: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """p @ r for every pair of rows, bit for bit the 1-D dot product."""
+    return (P[:, None, :] @ R[:, :, None])[:, 0, 0]
+
+
+def _ball_draws(radius: float, rng: np.random.Generator, d_l: int, n: int) -> tuple:
+    """n uniform draws from the closed L2 ball of the given radius in R^d_l,
+    one per row of Q, and their norms ||q|| = sqrt(q @ q) (in the ``_dots``
+    layout): bit for bit the draws and ``math.sqrt(q @ q)`` of n successive
+    ``_ball_draw`` calls, with rng left in the same state.
+
+    Row by row the stream gives the d_l normals of v and then the uniform
+    r of the scale radius * r^(1/d_l), as one draw takes them, and a v of
+    norm 0 is drawn again before its r (probability zero; v @ v underflows
+    to 0 only when |v_0| < 1e-150, so only such a row takes the dot
+    product). The norms of the v, the scales and the products
+    q = v * (scale / ||v||) are then formed for all rows at once. An
+    overflowing scale / ||v|| warns, for a radius near 1e308, and so does
+    an overflowing q @ q, for a radius above about 1e154; where numpy's
+    warnings are raised as errors that raises ``NonFinite``."""
     if radius <= 0:
         raise ValueError("perturbation radius must be positive")
     d = int(d_l)
-    v = rng.standard_normal(d)
-    n = np.sqrt(v @ v)
-    while n == 0.0:  # pragma: no cover - probability zero
-        v = rng.standard_normal(d)
-        n = np.sqrt(v @ v)
-    scale = radius * rng.random() ** (1.0 / d)
-    # n is a numpy scalar, so an overflowing scale / n warns (a Python float
-    # gives inf); only warnings-as-errors raise, for a radius near 1e308
+    e = 1.0 / d
+    Q = np.empty((n, d))
+    scale = np.empty(n)
+    for i, v in enumerate(Q):
+        rng.standard_normal(out=v)
+        while -1e-150 < v.item(0) < 1e-150 and v @ v == 0.0:
+            rng.standard_normal(out=v)
+        scale[i] = radius * rng.random() ** e
+    norms = np.sqrt(_dots(Q, Q))
     try:
-        return v * (scale / n)
+        Q *= (scale / norms)[:, None]
+        return Q, np.sqrt(_dots(Q, Q))
     except RuntimeWarning as exc:
         raise NonFinite(f"perturbation draw overflowed: {exc}") from exc
+
+
+def _ball_draw(radius: float, rng: np.random.Generator, d_l: int) -> np.ndarray:
+    """Uniform draw from the closed L2 ball of the given radius in R^d_l,
+    the one-row case of ``_ball_draws``."""
+    return _ball_draws(radius, rng, d_l, 1)[0][0]
 
 
 def sample_perturbation(radius: float, rng: np.random.Generator, d_l: int) -> Perturbation:
@@ -145,18 +171,20 @@ def interior_point(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray) -> Optio
     """The solve of ``solve_qp(cache, c, u)`` when it is interior, as (y,
     its KKT residual, its largest violation): y = -H^-1 c when there are no
     rows or every slack u - A y exceeds ``TAU_ACT``, certified on the
-    residual H y + c by ``_certificate``. None when some slack is at most
-    ``TAU_ACT`` or NaN, so a solve from no start must pivot or crash-start.
-    c and u are float vectors, taken as given. A NaN or infinite input, or
-    one so large that the arithmetic overflows, warns somewhere here; where
-    numpy's warnings are raised as errors that raises ``NonFinite``."""
-    H, A = cache.H, cache.A
+    residual H y + c by ``_certificate``. y is formed as c / (-H) with the
+    cache's ``neg_H``, which IEEE division makes -(c / H) bit for bit, in one
+    operation less. None when some slack is at most ``TAU_ACT`` or NaN, so a
+    solve from no start must pivot or crash-start. c and u are float
+    vectors, taken as given. A NaN or infinite input, or one so large that
+    the arithmetic overflows, warns somewhere here; where numpy's warnings
+    are raised as errors that raises ``NonFinite``."""
+    A = cache.A
     try:
-        y = -(c / H)
+        y = c / cache.neg_H
         smin = float(np.minimum.reduce(u - A @ y)) if A.shape[0] else np.inf
         if not smin > TAU_ACT:
             return None
-        return y, _certificate(H * y + c, -smin), -smin
+        return y, _certificate(cache.H * y + c, -smin), -smin
     except RuntimeWarning as exc:
         raise NonFinite(f"non-finite arithmetic: {exc}") from exc
 
@@ -197,7 +225,7 @@ class ActiveSetCache:
     (``nbytes`` is what its tuples are charged), except that a tuple larger
     than that is held alone. It checks H once: a 2-D H raises
     ``ValueError`` and a nonpositive entry ``NotSPD``; ``mu`` is H's
-    smallest entry, and ``A`` a 2-D float array."""
+    smallest entry, ``neg_H`` is -H, and ``A`` a 2-D float array."""
 
     def __init__(self, H: np.ndarray, A: np.ndarray):
         H = np.asarray(H, dtype=float)
@@ -207,6 +235,7 @@ class ActiveSetCache:
         if self.mu <= 0:
             raise NotSPD("nonpositive diagonal Hessian entry")
         self.H = H
+        self.neg_H = -H
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self._rows: dict = {}
         self.nbytes = 0

@@ -156,21 +156,26 @@ class QuadraticBilevel:
     # -- upper level -------------------------------------------------------
 
     def grad_f(self, x: np.ndarray, y: np.ndarray):
-        """Full-batch (grad_x f, grad_y f)."""
-        return self._grad_f(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                            self.cx_mean, self.cy_mean)
+        """Full-batch (grad_x f, grad_y f); the shapes of x and y are checked."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        self._check_dims(x, y)
+        return self._grad_f(x, y, self.cx_mean, self.cy_mean)
 
     def sampled_grad_f(self, x: np.ndarray, y: np.ndarray, xi: int):
-        """(grad_x, grad_y) of component ``xi``."""
+        """(grad_x, grad_y) of component ``xi``; the shapes of x and y are
+        checked."""
         if not 0 <= xi < self.n_components:
             raise IndexError(f"component index {xi} out of range")
-        return self._grad_f(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                            self.cx[xi], self.cy[xi])
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        self._check_dims(x, y)
+        return self._grad_f(x, y, self.cx[xi], self.cy[xi])
 
     def _grad_f(self, x: np.ndarray, y: np.ndarray, cx: np.ndarray, cy: np.ndarray):
         """(grad_x f, grad_y f) with the linear terms cx and cy, at the float
-        arrays x and y taken as given; their shapes are checked."""
-        self._check_dims(x, y)
+        arrays x and y taken as given. Their shapes are not checked here: the
+        public entry points (``grad_f``, ``sampled_grad_f``,
+        ``implicit_gradient``) check them, and the outer loop checks x0 once,
+        its y coming from solves of the instance."""
         gx = 2.0 * x + 0.1 * (self.Q1 @ y) + cx
         gy = 0.1 * (self.Q1.T @ x) + 2.0 * y + cy
         return gx, gy
@@ -264,7 +269,13 @@ def generate_instance(
 ) -> QuadraticBilevel:
     """Seeded random instance: Q1, Q2, A, B, b entrywise uniform on [0, 1],
     b shifted so y = 0 is strictly feasible at x = 0, and box rows
-    -R <= y <= R appended so the feasible set is compact for every x.
+    -R <= y <= R appended so the feasible set is bounded for every x.
+
+    The box does not keep it nonempty: A and B are nonnegative, so once B x
+    is large enough a random row of A y <= b - B x cannot hold with
+    y >= -R, and a solve at such an x raises ``Infeasible``. With the
+    paper's d=10 loop constants, ``run_dsblo`` on
+    ``generate_instance(6, 6, 12, seed=1, box_radius=0.2)`` walks x there.
 
     ``k`` counts the random constraint rows only and may be zero (box rows
     remain). With ``box_radius=None`` no box is added and a heuristic

@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,7 +16,8 @@ import dsblo.lower_level as ll
 from dsblo.algorithm import (DsbloParams, ManualMode, TheoryMode, run_dsblo,
                              run_igd_baseline, schedule, step_size)
 from dsblo.diagnostics import check_windows, eval_F_exact
-from dsblo.errors import DegenerateActiveSet, DsbloError, NonFinite, ScheduleInfeasible
+from dsblo.errors import (DegenerateActiveSet, DsbloError, Infeasible, NonFinite,
+                          ScheduleInfeasible)
 from dsblo.implicit_grad import implicit_gradient
 from dsblo.lower_level import TAU_ACT, _ball_draw, sample_perturbation, solve_ll_quadratic
 from dsblo.problem import Polyhedron, generate_instance
@@ -27,6 +29,53 @@ from conftest import make_1d_instance
 def shared_min_instance():
     # f = g = x^2 + xy + y^2, unconstrained; both levels share the minimizer 0
     return make_1d_instance(q2=1.0, q1=10.0)
+
+
+# the paper's d=10 loop constants (the paper-d10 benchmark and the CI pair)
+PAPER_MODE = ManualMode(beta=0.9, gamma1=20.0, gamma2=20.0, K=10, delta_y=1e-8)
+
+
+def reference_dsblo(inst, mode, T, seed, skip=frozenset()):
+    """The dsblo loop from x0 = 0 written out one draw at a time: each q by
+    ``sample_perturbation`` from stream 0, each segment point by
+    ``seg_rng.random()`` from stream 1, every sample solved without a start.
+    The q draws whose index is in ``skip`` are discarded, as a degenerate
+    resample discards them. One (x, x_bar, q_norm, eta, m_norm, grad) per
+    iteration."""
+    q_rng, seg_rng, _ = (np.random.default_rng(s)
+                         for s in np.random.SeedSequence(seed).spawn(3))
+    drawn = 0
+
+    def sample(x):
+        nonlocal drawn
+        while True:
+            q = sample_perturbation(1e-3, q_rng, inst.d_l)
+            drawn += 1
+            if drawn - 1 not in skip:
+                return q.norm, implicit_gradient(inst, x, solve_ll_quadratic(inst, x, q)).grad
+
+    x = x_bar = np.zeros(inst.d_u)
+    q_norm, g = sample(x)
+    m, rows = g, []
+    for t in range(1, T + 1):
+        m_norm = float(np.linalg.norm(m))
+        eta = step_size(m_norm, mode.gamma1, mode.gamma2)
+        rows.append((x, x_bar, q_norm, eta, m_norm, g))
+        if t == T:
+            return rows
+        x_next = x - eta * m
+        x_bar = x + seg_rng.random() * (x_next - x)
+        q_norm, g = sample(x_bar)
+        m = mode.beta * m + (1.0 - mode.beta) * g
+        x = x_next
+
+
+def assert_records_equal(log, rows):
+    assert len(log.records) == len(rows)
+    for t, (rec, (x, x_bar, q_norm, eta, m_norm, g)) in enumerate(zip(log.records, rows), 1):
+        assert rec.t == t and rec.q_norm == q_norm and rec.eta == eta and rec.m_norm == m_norm
+        assert rec.x.tobytes() == x.tobytes() and rec.x_bar.tobytes() == x_bar.tobytes()
+        assert rec.grad.tobytes() == g.tobytes()
 
 
 class TestSchedule:
@@ -266,18 +315,20 @@ class TestRunDsblo:
                 assert type(r.F_exact) is float and r.F_exact == eval_F_exact(inst, r.x)
 
     def test_degenerate_resample_then_abort(self, monkeypatch):
+        # the loop draws its q in blocks, so count the draws it consumes: each
+        # attempt hands its q to solve_ll_quadratic, in stream order
         inst = generate_instance(4, 4, 2, seed=8)
-        draws = []
-        orig = algo._ball_draw
+        consumed = []
+        orig = algo.solve_ll_quadratic
 
-        def counting_draw(radius, rng, d):
-            draws.append(radius)
-            return orig(radius, rng, d)
+        def recording_solve(problem, x, q, start=()):
+            consumed.append(q)
+            return orig(problem, x, q, start)
 
         def always_degenerate(problem, x, sol):
             raise DegenerateActiveSet("forced")
 
-        monkeypatch.setattr(algo, "_ball_draw", counting_draw)
+        monkeypatch.setattr(algo, "solve_ll_quadratic", recording_solve)
         monkeypatch.setattr(algo, "implicit_gradient", always_degenerate)
         # no sample is interior, so each one reaches implicit_gradient
         monkeypatch.setattr(algo, "interior_point", lambda cache, c, u: None)
@@ -287,7 +338,63 @@ class TestRunDsblo:
         )
         with pytest.raises(DsbloError, match="5 perturbation resamples"):
             run_dsblo(inst, params, eval_every=0)
-        assert len(draws) == 5
+        q_rng = np.random.default_rng(np.random.SeedSequence(8).spawn(3)[0])
+        assert len(consumed) == 5
+        for q in consumed:
+            assert q.tobytes() == _ball_draw(1e-3, q_rng, 4).tobytes()
+
+    def test_matches_reference_loop(self, seed1_instance):
+        # T spans three draw blocks (256, 256 and 88 rows); the reference
+        # draws q and the segment point one at a time
+        inst, T, seed = seed1_instance, 2 * algo.DRAW_BLOCK + 88, 3
+        log = run_dsblo(inst, DsbloParams(T=T, mode=PAPER_MODE, seed=seed), eval_every=0)
+        assert_records_equal(log, reference_dsblo(inst, PAPER_MODE, T, seed))
+
+    def test_resamples_inside_a_block_match_a_per_draw_replay(self, seed1_instance,
+                                                              monkeypatch):
+        # every sample here is interior; the draws in ``forced`` are declined
+        # and made degenerate, so the loop discards them and takes the next
+        # row of its block, or of the next block: 10-11 and 100 sit inside
+        # the first block, 255-258 straddle the first two
+        inst, T, seed = seed1_instance, 600, 3
+        forced = {10, 11, 100, 255, 256, 257, 258, 400}
+        calls = []
+        orig_interior, orig_gradient = algo.interior_point, algo.implicit_gradient
+
+        def declining(cache, c, u):
+            calls.append(len(calls))
+            return None if calls[-1] in forced else orig_interior(cache, c, u)
+
+        def degenerate_when_forced(problem, x, sol):
+            if calls[-1] in forced:
+                raise DegenerateActiveSet("forced")
+            return orig_gradient(problem, x, sol)
+
+        monkeypatch.setattr(algo, "interior_point", declining)
+        monkeypatch.setattr(algo, "implicit_gradient", degenerate_when_forced)
+        log = run_dsblo(inst, DsbloParams(T=T, mode=PAPER_MODE, seed=seed), eval_every=0)
+        assert len(calls) == T + len(forced)
+        assert log.lower_level == {"solves": T, "pivots": 0, "repairs": 0}
+        assert_records_equal(log, reference_dsblo(inst, PAPER_MODE, T, seed, skip=forced))
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 1), (4, 4)])
+    def test_wrong_shaped_x0_names_the_shape(self, shape):
+        inst = generate_instance(4, 4, 2, seed=1)
+        x0 = np.zeros(shape)
+        msg = re.escape(f"x0 must have shape (4,), got {shape}")
+        with pytest.raises(ValueError, match=msg):
+            run_dsblo(inst, self.PARAMS, x0=x0)
+        with pytest.raises(ValueError, match=msg):
+            run_igd_baseline(inst, step=0.05, T=10, x0=x0)
+
+    def test_box_does_not_keep_every_x_feasible(self):
+        # A and B are nonnegative, so once B x is large a row of A y <= b - B x
+        # cannot hold with y >= -0.2: the box bounds y but the run walks x
+        # out of the feasible region and the solve raises the typed Infeasible
+        inst = generate_instance(6, 6, 12, seed=1, box_radius=0.2)
+        assert solve_ll_quadratic(inst, np.zeros(6), None).active_set == ()
+        with pytest.raises(Infeasible, match="Farkas ray"):
+            run_dsblo(inst, DsbloParams(T=2000, mode=PAPER_MODE, seed=1), eval_every=0)
 
     def test_library_run_computes_no_fingerprint(self, monkeypatch):
         # provenance belongs to run_experiment; the solver never hashes

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -901,7 +902,63 @@ class TestBatch:
         assert not np.array_equal(shared[1][1:], Y[1:])
 
 
+def one_draw(radius, rng, d):
+    """A ball draw taken one call at a time, as ``_ball_draw`` took it before
+    the blocks: d normals (again while their norm is 0), then one uniform."""
+    v = rng.standard_normal(d)
+    n = np.sqrt(v @ v)
+    while n == 0.0:
+        v = rng.standard_normal(d)
+        n = np.sqrt(v @ v)
+    return v * (radius * rng.random() ** (1.0 / d) / n)
+
+
+class ZeroingGenerator:
+    """A numpy generator whose standard-normal calls at the indices in
+    ``zero_calls`` come out all zero."""
+
+    def __init__(self, seed, zero_calls):
+        self._rng, self._zero, self.calls = np.random.default_rng(seed), zero_calls, 0
+
+    def standard_normal(self, size=None, out=None):
+        v = self._rng.standard_normal(size, out=out)
+        if self.calls in self._zero:
+            v[...] = 0.0
+        self.calls += 1
+        return v
+
+    def random(self):
+        return self._rng.random()
+
+
 class TestPerturbation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 600), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1e-3, 1.0, 3.7e5]))
+    def test_block_equals_successive_draws(self, d, n, seed, radius):
+        # n spans the outer loop's block cap of 256 rows
+        block_rng, single_rng, ref_rng = (np.random.default_rng(seed) for _ in range(3))
+        Q, norms = ll._ball_draws(radius, block_rng, d, n)
+        singles = np.array([ll._ball_draw(radius, single_rng, d) for _ in range(n)])
+        refs = np.array([one_draw(radius, ref_rng, d) for _ in range(n)])
+        assert Q.shape == (n, d)
+        assert Q.tobytes() == singles.tobytes() == refs.tobytes()
+        assert norms.tolist() == [math.sqrt(q @ q) for q in refs]
+        assert block_rng.random() == single_rng.random() == ref_rng.random()
+
+    def test_block_redraws_a_zero_row(self):
+        # normals that come out all zero are drawn again before their
+        # uniform, one row at a time: row 1's first draw, and row 3's first
+        # two, of a block of 6 in dimension 4
+        zeros = {1, 4, 5}
+        block_rng, ref_rng = ZeroingGenerator(3, zeros), ZeroingGenerator(3, zeros)
+        Q, norms = ll._ball_draws(1e-3, block_rng, 4, 6)
+        refs = np.array([one_draw(1e-3, ref_rng, 4) for _ in range(6)])
+        assert Q.tobytes() == refs.tobytes()
+        assert norms.tolist() == [math.sqrt(q @ q) for q in refs]
+        assert block_rng.calls == ref_rng.calls == 9
+        assert block_rng.random() == ref_rng.random()
+
     def test_support_bound(self):
         rng = np.random.default_rng(0)
         for _ in range(10_000):
