@@ -70,6 +70,19 @@ def reference_dsblo(inst, mode, T, seed, skip=frozenset()):
         x = x_next
 
 
+def record_blocks(monkeypatch):
+    """The row counts of the loop's q blocks, in the order it draws them."""
+    sizes = []
+    orig = algo._ball_draws
+
+    def recording(radius, rng, d_l, n):
+        sizes.append(n)
+        return orig(radius, rng, d_l, n)
+
+    monkeypatch.setattr(algo, "_ball_draws", recording)
+    return sizes
+
+
 def assert_records_equal(log, rows):
     assert len(log.records) == len(rows)
     for t, (rec, (x, x_bar, q_norm, eta, m_norm, g)) in enumerate(zip(log.records, rows), 1):
@@ -343,12 +356,17 @@ class TestRunDsblo:
         for q in consumed:
             assert q.tobytes() == _ball_draw(1e-3, q_rng, 4).tobytes()
 
-    def test_matches_reference_loop(self, seed1_instance):
+    def test_matches_reference_loop(self, seed1_instance, monkeypatch):
         # T spans three draw blocks (256, 256 and 88 rows); the reference
         # draws q and the segment point one at a time
         inst, T, seed = seed1_instance, 2 * algo.DRAW_BLOCK + 88, 3
+        blocks = record_blocks(monkeypatch)
         log = run_dsblo(inst, DsbloParams(T=T, mode=PAPER_MODE, seed=seed), eval_every=0)
+        assert blocks == [256, 256, 88]
         assert_records_equal(log, reference_dsblo(inst, PAPER_MODE, T, seed))
+        # a run shorter than the cap draws no more rows than it has samples
+        run_dsblo(inst, DsbloParams(T=60, mode=PAPER_MODE, seed=seed), eval_every=0)
+        assert blocks[3:] == [60]
 
     def test_resamples_inside_a_block_match_a_per_draw_replay(self, seed1_instance,
                                                               monkeypatch):
@@ -372,8 +390,12 @@ class TestRunDsblo:
 
         monkeypatch.setattr(algo, "interior_point", declining)
         monkeypatch.setattr(algo, "implicit_gradient", degenerate_when_forced)
+        blocks = record_blocks(monkeypatch)
         log = run_dsblo(inst, DsbloParams(T=T, mode=PAPER_MODE, seed=seed), eval_every=0)
         assert len(calls) == T + len(forced)
+        # all eight discards fall in the first 512 rows, so the third block
+        # starts at the 505th sample, with 96 samples left
+        assert blocks == [256, 256, 96]
         assert log.lower_level == {"solves": T, "pivots": 0, "repairs": 0}
         assert_records_equal(log, reference_dsblo(inst, PAPER_MODE, T, seed, skip=forced))
 
