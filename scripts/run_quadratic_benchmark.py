@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dsblo.experiment import config_from_dict, run_experiment
 from dsblo.problem import generate_instance, save_instance
-from dsblo.verify import BENCHMARKS
+from dsblo.verify import BENCHMARKS, benchmark_config
 
 
 def main() -> int:
@@ -30,25 +30,10 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     for size, bench in BENCHMARKS.items():
-        d_u, d_l, k = bench["dims"]
-        inst = generate_instance(d_u, d_l, k, seed=1)
         inst_path = out / f"instance_d{size}.json"
-        save_instance(inst, inst_path)
-        mode = bench["dsblo"]
-        T = args.iterations or bench["T"]
-        cfg = config_from_dict({
-            "instance": {"path": str(inst_path)},
-            "algorithms": [
-                {"name": "dsblo", "label": f"dsblo_d{size}", "T": T,
-                 "beta": mode.beta, "gamma1": mode.gamma1, "gamma2": mode.gamma2,
-                 "K": mode.K, "delta_y": mode.delta_y, "perturb_radius": 1e-3},
-                {"name": "igd", "label": f"igd_d{size}", "T": T,
-                 "step": bench["igd_step"], "perturb_radius": 1e-3},
-            ],
-            "seeds": args.seeds,
-            "output_dir": str(out / f"d{size}"),
-            "eval_every": bench["eval_every"],
-        })
+        save_instance(generate_instance(**bench["instance"]), inst_path)
+        cfg = config_from_dict(benchmark_config(size, out / f"d{size}", args.seeds,
+                                                args.iterations, {"path": str(inst_path)}))
         summary = run_experiment(cfg)
         print(f"d={size}:")
         for run in summary["runs"]:

@@ -174,7 +174,7 @@ def interior_point(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray) -> Optio
     residual H y + c by ``_certificate``. y is formed as c / (-H) with the
     cache's ``neg_H``, which IEEE division makes -(c / H) bit for bit, in one
     operation less. None when some slack is at most ``TAU_ACT`` or NaN, so a
-    solve from no start must pivot or crash-start. c and u are float
+    solve whose start gives no hot start crash-starts. c and u are float
     vectors, taken as given. A NaN or infinite input, or one so large that
     the arithmetic overflows, warns somewhere here; where numpy's warnings
     are raised as errors that raises ``NonFinite``."""
@@ -411,11 +411,14 @@ def solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start=()) -> L
     The start changes how many pivots the solve makes; its result agrees
     with the solve without one to round-off.
 
-    Interior solves return at once: with no ``start``, when there are no
-    rows or every slack of y = -H^-1 c exceeds ``TAU_ACT``, that y is the
-    answer (no pivot, no active row, zero multipliers; ``interior_point``
-    tests and certifies it) and the result equals the one the iteration
-    below would return, field for field. A
+    One start rule: when the start gives no hot start (there is none, it
+    is unusable, or its rows all drop), the solve asks ``interior_point``
+    once, before the crash start. If there are no rows or every slack of
+    y = -H^-1 c exceeds ``TAU_ACT``, that y is the answer (no pivot, no
+    active row, zero multipliers), equal to the iteration's result field
+    for field. A start that gives a hot start iterates without asking; at
+    an interior y none does, since rows that are all slack there always
+    have a negative multiplier, so the block drops empty the start. A
     NaN or infinite input raises ``NonFinite`` instead of returning an
     uncertified point; so does, where numpy's warnings are raised as
     errors, one large enough to overflow the arithmetic. A finite point
@@ -429,12 +432,6 @@ def solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start=()) -> L
 def _solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start) -> LLSolution:
     """``solve_qp`` on a float vector c and a float k-vector u, taken as
     given."""
-    if not len(start):
-        inner = interior_point(cache, c, u)
-        if inner is not None:
-            y, kkt, max_viol = inner
-            return _certified(y, np.zeros(cache.A.shape[0]), (), kkt, max_viol, cache.mu,
-                              {"pivots": 0, "repairs": 0})
     # a NaN or infinite input, or one so large that the arithmetic
     # overflows, warns somewhere below; only warnings-as-errors raise
     try:
@@ -505,14 +502,21 @@ def _dual_active_set(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray,
                      Hic: np.ndarray, start, exact: bool) -> LLSolution:
     """The iteration of ``solve_qp`` from the hot start on the rows in
     ``start`` (``_hot_start``); ``exact`` makes the hot start and the polish
-    solve with ``np.linalg.solve``. A start that yields no hot start counts
-    as none. Without one, the iteration begins from the rows whose slack at
-    the unconstrained minimum -Hic is at most ``TAU_ACT`` (a crash start),
-    and repeats from -Hic itself when those yield no hot start either or the
-    crash-started iteration raises ``Uncertified`` or ``MaxPivots``."""
+    solve with ``np.linalg.solve``. A start that yields no hot start (none,
+    an unusable one, or one whose rows all drop) counts as none: the solve
+    asks ``interior_point`` once and returns the unconstrained minimum -Hic
+    when it is interior. Otherwise the iteration begins from the rows whose
+    slack there is at most ``TAU_ACT`` (a crash start), and repeats from -Hic
+    itself when those yield no hot start either or the crash-started
+    iteration raises ``Uncertified`` or ``MaxPivots``."""
     hot = _hot_start(cache, Hic, u, start, exact)
     if hot is not None:
         return _iterate(cache, c, u, Hic, hot, exact)
+    inner = interior_point(cache, c, u)
+    if inner is not None:
+        y, kkt, max_viol = inner
+        return _certified(y, np.zeros(cache.A.shape[0]), (), kkt, max_viol, cache.mu,
+                          {"pivots": 0, "repairs": 0})
     crash = _hot_start(cache, Hic, u, _tight_rows(u - cache.A @ -Hic), exact)
     if crash is not None:
         try:

@@ -11,6 +11,7 @@ the benchmark reproduction runs and end-to-end determinism.
 from __future__ import annotations
 
 import decimal
+import json
 import math
 import tempfile
 import time
@@ -20,15 +21,14 @@ from typing import Callable, List
 
 import numpy as np
 
-from .algorithm import (DsbloParams, ManualMode, TheoryMode, run_dsblo,
-                        run_igd_baseline, schedule)
-from .diagnostics import (build_report, fd_gradient_oracle, perturbation_error_check,
-                          stationarity_window, window_weights)
+from .algorithm import DsbloParams, ManualMode, TheoryMode, run_dsblo, schedule
+from .diagnostics import (fd_gradient_oracle, perturbation_error_check, stationarity_window,
+                          window_weights)
 from .errors import Infeasible
 from .experiment import config_from_dict, run_experiment
 from .implicit_grad import implicit_gradient, jacobians, sampled_implicit_gradient
-from .lower_level import (KKT_TOL, TAU_FEAS, _ball_draw, sc_margin, solve_ll_bruteforce,
-                          solve_ll_quadratic)
+from .lower_level import (KKT_TOL, TAU_FEAS, _ball_draw, _ball_draws, sc_margin,
+                          solve_ll_bruteforce, solve_ll_quadratic)
 from .problem import Polyhedron, QuadraticBilevel, eval_f, generate_instance
 
 
@@ -210,11 +210,9 @@ def check_strict_complementarity(n_draws: int = 1000) -> CheckResult:
         base = solve_ll_quadratic(inst, x, None)
         if sc_margin(base) != 0.0:
             return False, f"unperturbed solve reported margin {sc_margin(base)} != 0"
-        rng = np.random.default_rng(9)
         bad = 0
         worst = np.inf
-        for _ in range(n_draws):
-            q = _ball_draw(1e-3, rng, 2)
+        for q in _ball_draws(1e-3, np.random.default_rng(9), 2, n_draws)[0]:
             sol = solve_ll_quadratic(inst, x, q)
             m = sc_margin(sol)
             worst = min(worst, m)
@@ -425,17 +423,17 @@ def check_option2_unbiasedness(n_points: int = 20) -> CheckResult:
 # the momentum loop is 1/(gamma1 ||m|| + gamma2) <= 1/gamma2).
 BENCHMARKS = {
     10: {
-        "dims": (10, 10, 5),
-        "dsblo": ManualMode(beta=0.9, gamma1=20.0, gamma2=20.0, K=10, delta_y=1e-8),
-        "igd_step": 0.05,
+        "instance": {"d_u": 10, "d_l": 10, "k": 5, "seed": 1},
+        "dsblo": {"beta": 0.9, "gamma1": 20.0, "gamma2": 20.0, "K": 10, "delta_y": 1e-8},
+        "igd": {"step": 0.05},
         "T": 2000,
         "budget_s": 60.0,
         "eval_every": 1,
     },
     50: {
-        "dims": (50, 50, 10),
-        "dsblo": ManualMode(beta=0.9, gamma1=20.0, gamma2=200.0, K=10, delta_y=1e-8),
-        "igd_step": 0.002,
+        "instance": {"d_u": 50, "d_l": 50, "k": 10, "seed": 1},
+        "dsblo": {"beta": 0.9, "gamma1": 20.0, "gamma2": 200.0, "K": 10, "delta_y": 1e-8},
+        "igd": {"step": 0.002},
         "T": 2000,
         "budget_s": 300.0,
         "eval_every": 5,
@@ -443,47 +441,58 @@ BENCHMARKS = {
 }
 
 
-def run_benchmark(size: int, seed: int = 1):
-    """One benchmark reproduction at the given dimension; returns the two
-    run logs and the derived quantities the acceptance criterion inspects."""
-    cfg = BENCHMARKS[size]
-    d_u, d_l, k = cfg["dims"]
-    inst = generate_instance(d_u, d_l, k, seed=seed)
-    t0 = time.monotonic()
-    params = DsbloParams(T=cfg["T"], mode=cfg["dsblo"], perturb_radius=1e-3, seed=seed)
-    ds = run_dsblo(inst, params, eval_every=cfg["eval_every"])
-    ig = run_igd_baseline(inst, step=cfg["igd_step"], T=cfg["T"], seed=seed,
-                          eval_every=cfg["eval_every"])
-    elapsed = time.monotonic() - t0
-    ds_f = [r.F_exact for r in ds.records if r.F_exact is not None]
-    ig_f = [r.F_exact for r in ig.records if r.F_exact is not None]
+def benchmark_config(size: int, output_dir, seeds=(1,), T=None, instance=None) -> dict:
+    """The config document (for ``config_from_dict``) of the benchmark
+    reproduction at ``size``: dsblo against igd, labelled ``dsblo_d{size}``
+    and ``igd_d{size}``, at the entry's T (or ``T``) and ``eval_every``,
+    perturbation radius 1e-3, run seeds ``seeds``, on the entry's instance
+    spec or the ``instance`` section given."""
+    bench = BENCHMARKS[size]
+    T = bench["T"] if T is None else T
     return {
-        "instance": inst,
-        "dsblo": ds,
-        "igd": ig,
-        "elapsed_s": elapsed,
-        "F_first": ds_f[0],
-        "F_last": ds_f[-1],
-        "igd_F_last": ig_f[-1],
-        "trailing_stationarity": build_report(ds)["stationarity"]["trailing_avg"],
+        "instance": bench["instance"] if instance is None else instance,
+        "algorithms": [
+            {"name": "dsblo", "label": f"dsblo_d{size}", "T": T, **bench["dsblo"],
+             "perturb_radius": 1e-3},
+            {"name": "igd", "label": f"igd_d{size}", "T": T, **bench["igd"],
+             "perturb_radius": 1e-3},
+        ],
+        "seeds": list(seeds),
+        "output_dir": str(output_dir),
+        "eval_every": bench["eval_every"],
     }
 
 
 def check_benchmark(size: int) -> CheckResult:
     def body():
-        cfg = BENCHMARKS[size]
-        res = run_benchmark(size)
-        decreased = res["F_last"] < res["F_first"]
-        stat_ok = res["trailing_stationarity"] <= 0.1
-        time_ok = res["elapsed_s"] < cfg["budget_s"]
-        rel_gap = abs(res["igd_F_last"] - res["F_last"]) / max(abs(res["F_last"]), 1e-9)
+        budget = BENCHMARKS[size]["budget_s"]
+        with tempfile.TemporaryDirectory() as tmp:
+            t0 = time.monotonic()
+            summary = run_experiment(config_from_dict(benchmark_config(size, tmp)))
+            elapsed = time.monotonic() - t0
+            failed = [f"{run['label']}: {run['error']}" for run in summary["runs"]
+                      if run["status"] != "ok"]
+            if failed:
+                return False, f"d={size}: run failed: " + "; ".join(failed)
+            logs = {run["label"]: json.loads((Path(tmp) / f"{run['label']}.runlog.json")
+                                             .read_text()) for run in summary["runs"]}
+        report = logs[f"dsblo_d{size}"]["diagnostics"]
+        F_first, F_last = report["objective"]["first"], report["objective"]["last"]
+        trailing = report["stationarity"]["trailing_avg"]
+        igd_F_last = next(run["final_F"] for run in summary["runs"]
+                          if run["label"] == f"igd_d{size}")
+        decreased = F_last < F_first
+        stat_ok = trailing <= 0.1
+        time_ok = elapsed < budget
+        rel_gap = abs(igd_F_last - F_last) / max(abs(F_last), 1e-9)
         basin_ok = rel_gap <= 0.05
         ok = decreased and stat_ok and time_ok and basin_ok
-        return ok, (f"d={size}: F {res['F_first']:.3f} -> {res['F_last']:.3f} "
+        counts = ", ".join(f"{label} {log['lower_level']}" for label, log in logs.items())
+        return ok, (f"d={size}: F {F_first:.3f} -> {F_last:.3f} "
                     f"(decreased={decreased}), trailing stationarity "
-                    f"{res['trailing_stationarity']:.4f} (<=0.1), baseline gap "
-                    f"{100 * rel_gap:.2f}% (<=5%), runtime {res['elapsed_s']:.1f}s "
-                    f"(<{cfg['budget_s']:.0f}s)")
+                    f"{trailing:.4f} (<=0.1), baseline gap "
+                    f"{100 * rel_gap:.2f}% (<=5%), runtime {elapsed:.1f}s "
+                    f"(<{budget:.0f}s); lower_level {counts}")
 
     return _timed(f"benchmark_reproduction_d{size}", body)
 
@@ -503,22 +512,11 @@ def _masked_csv(path: Path) -> List[str]:
 
 def check_determinism() -> CheckResult:
     def body():
-        doc = {
-            "instance": {"d_u": 10, "d_l": 10, "k": 5, "seed": 1},
-            "algorithms": [
-                {"name": "dsblo", "label": "dsblo", "T": 60, "beta": 0.9,
-                 "gamma1": 20.0, "gamma2": 20.0, "K": 10, "delta_y": 1e-8},
-                {"name": "igd", "label": "igd", "T": 60, "step": 0.05},
-            ],
-            "seeds": [1, 2],
-            "formats": ["csv"],
-            "eval_every": 1,
-        }
         with tempfile.TemporaryDirectory() as tmp:
             outs = []
             for run_i in range(2):
-                cfg = config_from_dict({**doc, "output_dir": f"{tmp}/run{run_i}"})
-                summary = run_experiment(cfg)
+                summary = run_experiment(config_from_dict(
+                    benchmark_config(10, f"{tmp}/run{run_i}", seeds=(1, 2), T=60)))
                 if summary["failed"]:
                     return False, f"experiment failed: {summary}"
                 outs.append(sorted(Path(summary["output_dir"]).glob("*.csv")))

@@ -615,8 +615,8 @@ class TestWarmStartedSolves:
 class TestInteriorFastPath:
     def test_runs_byte_identical_on_the_general_path(self, seed1_instance, monkeypatch):
         # the paper's d=10/k=5 setting binds no row; forcing every solve
-        # onto the general path with a start of one slack row (which the
-        # hot start drops) must not move a single bit of either trajectory
+        # onto the iteration from the unconstrained minimum must not move a
+        # single bit of either trajectory
         params = DsbloParams(T=200, mode=ManualMode(beta=0.9, gamma1=20.0, gamma2=20.0, K=10,
                                                     delta_y=1e-8),
                              perturb_radius=1e-3, seed=1)
@@ -627,26 +627,22 @@ class TestInteriorFastPath:
                                      perturb_radius=1e-3))
 
         plain = runs()
-        real_solve, real_iteration, counts = ll._solve_qp, ll._dual_active_set, [0, 0]
-
-        # solve_ll_quadratic calls solve_qp's body, _solve_qp, directly
-        def general(cache, c, u, start):
-            counts[0] += 1
-            return real_solve(cache, c, u, start if len(start) else (0,))
+        real_iteration, begun = ll._iterate, []
 
         def counting(*args):
-            counts[1] += 1
+            begun.append(tuple(args[4][0]))
             return real_iteration(*args)
 
-        monkeypatch.setattr(ll, "_solve_qp", general)
-        monkeypatch.setattr(ll, "_dual_active_set", counting)
-        # the loop's interior samples bypass solve_ll_quadratic; with the
-        # helper declining every one, each sample goes through it
-        monkeypatch.setattr(algo, "interior_point", lambda cache, c, u: None)
+        monkeypatch.setattr(ll, "_iterate", counting)
+        # with interior_point declining every sample and every solve, each
+        # sample goes through solve_ll_quadratic, finds no crash rows and
+        # iterates from the unconstrained minimum
+        for module in (algo, ll):
+            monkeypatch.setattr(module, "interior_point", lambda cache, c, u: None)
         forced = runs()
         # each run makes one gradient-sample solve per record; its exact F
         # rows are all interior, so the batched evaluation solves none
-        assert counts[0] == counts[1] == 400
+        assert begun == [()] * 400
         for a, b in zip(plain, forced):
             assert len(a.records) == len(b.records) == 200
             assert a.lower_level == b.lower_level
@@ -684,8 +680,8 @@ class TestInteriorFastPath:
         try:
             sol = solve_ll_quadratic(inst, x, q)
             grad = implicit_gradient(inst, x, sol).grad
-            # the pivoting iteration, which never asks interior_point, finds
-            # its active rows from the slacks of its own solution
+            # started from row 0, the solve iterates whenever y0 binds a
+            # row, and finds its active rows from its own solution's slacks
             pivoted = solve_ll_quadratic(inst, x, q, (0,))
         except DsbloError as exc:  # rows that bind degenerately, or no feasible y
             assert inner is None

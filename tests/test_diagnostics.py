@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,11 +11,11 @@ from hypothesis import strategies as st
 import dsblo.algorithm as algo_mod
 import dsblo.diagnostics as diag_mod
 from dsblo.algorithm import DsbloParams, ManualMode, run_dsblo, run_igd_baseline
-from dsblo.diagnostics import (_dots, _draws, _mc_solves, build_report, eval_F_exact,
-                               eval_F_exact_rows, fd_gradient_oracle,
+from dsblo.diagnostics import (_dots, _draws, _mc_solves, build_report, check_windows,
+                               eval_F_exact, eval_F_exact_rows, fd_gradient_oracle,
                                perturbation_error_check, stationarity_profile,
                                stationarity_window, window_weights)
-from dsblo.errors import DsbloError, NonFinite, WindowIncomplete
+from dsblo.errors import DsbloError, NonFinite, WindowIncomplete, WindowViolation
 from dsblo.experiment import write_csv
 from dsblo.lower_level import _ball_draw, solve_ll_bruteforce, solve_ll_quadratic
 from dsblo.problem import empty_polyhedron, eval_f, eval_f_rows, generate_instance
@@ -472,6 +474,57 @@ class TestStationarityWindow:
         with pytest.raises(ValueError, match="mc_samples must be at least 1"):
             stationarity_window(log, t=20, beta=0.9, K=5, inst=small_instance, mc_samples=0,
                                 radius=1e-3, rng=np.random.default_rng(1))
+
+
+def _stacked_windows(log) -> dict:
+    """``check_windows`` with its K x (n - K) displacement matrix stacked
+    whole, as it was first written: the reference for the running maximum."""
+    sched, n = log.schedule, len(log.records)
+    K, delta_bar = sched.K, sched.delta_bar
+    budget = np.array([r.eta * r.m_norm for r in log.records[:-1]])
+    worst = float(np.lib.stride_tricks.sliding_window_view(budget, K).sum(axis=1).max())
+    if worst > K / sched.gamma1 * (1 + 1e-9):
+        raise WindowViolation(
+            f"window step budget {worst:.6g} exceeds K/gamma1 = {K / sched.gamma1:.6g}")
+    anchors = np.array([r.x for r in log.records[:n - K]])
+    x_bar = np.array([r.x_bar for r in log.records])
+    dist = np.array([np.linalg.norm(anchors - x_bar[lag:n - K + lag], axis=1)
+                     for lag in range(1, K + 1)])
+    far = float(dist.max())
+    if far > delta_bar * (1 + 1e-9):
+        raise WindowViolation(
+            f"window displacement {far:.6g} exceeds delta_bar = {delta_bar:.6g}")
+    return {"checked": int(dist.size), "violations": 0, "max_ratio": far / delta_bar}
+
+
+class TestCheckWindows:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 40), st.integers(1, 5), st.integers(0, 2 ** 16),
+           st.sampled_from([0.5, 1.0, 2.0]), st.booleans())
+    def test_running_maximum_equals_the_stacked_matrix(self, K, extra, d, seed, spread,
+                                                       nan_x):
+        # synthetic logs whose points stray within, or beyond, delta_bar = 1
+        # of their anchors, one of them NaN with ``nan_x``; every step is
+        # below 1 = K/gamma1 / K, so the budget passes
+        rng = np.random.default_rng(seed)
+        n = K + extra
+        xs = spread / math.sqrt(d) * rng.uniform(-1, 1, (n, d))
+        if nan_x:
+            xs[rng.integers(n), 0] = np.nan
+        records = [SimpleNamespace(x=x, x_bar=x + 0.1 * rng.uniform(-1, 1, d),
+                                   eta=float(rng.uniform(0, 1)), m_norm=1.0) for x in xs]
+        log = SimpleNamespace(records=records,
+                              schedule=SimpleNamespace(K=K, gamma1=1.0, delta_bar=1.0))
+        try:
+            want = _stacked_windows(log)
+        except WindowViolation as exc:
+            with pytest.raises(WindowViolation, match=f"^{re.escape(str(exc))}$"):
+                check_windows(log)
+            return
+        got = check_windows(log)
+        assert got["checked"] == want["checked"] == K * extra
+        assert np.array(got["max_ratio"]).tobytes() == np.array(want["max_ratio"]).tobytes()
+        assert got == want or (nan_x and math.isnan(got["max_ratio"]))
 
 
 class TestFdOracle:

@@ -403,36 +403,90 @@ class TestInteriorFastPath:
         A = rng.standard_normal((k, d))
         u = A @ -(c / H) + np.array([_SLACKS[kind] for kind in kinds[:k]])
         interior = k == 0 or (u - A @ -(c / H)).min() > TAU_ACT
-        real, calls = ll._dual_active_set, []
+        real, begun = ll._iterate, []
 
         def spy(*args):
-            calls.append(args)
+            begun.append(args)
             return real(*args)
 
-        ll._dual_active_set = spy
+        ll._iterate = spy
         try:
             fast = _solve_or_error(H, c, A, u)
-            took_fast_path = not calls
-            # row 0 is slack, so the hot start drops it and the solve starts
-            # cold; with no rows the start is out of range and unusable
-            general = _solve_or_error(H, c, A, u, (0,))
         finally:
-            ll._dual_active_set = real
-        assert took_fast_path == interior
-        assert len(calls) == 1 + (not interior)
-        if isinstance(fast, DsbloError):  # more rows at the threshold than d
-            assert not interior and type(general) is type(fast)
+            ll._iterate = real
+        assert (not begun) == interior
+        if not interior:
             return
+        # the iteration from the unconstrained minimum itself, which never
+        # asks interior_point, returns every bit of the interior return
+        Hic = c / H
+        general = ll._iterate(ActiveSetCache(H, A), c, u, Hic, ([], np.zeros(0), -Hic), False)
         assert np.array_equal(fast.y_hat, general.y_hat)
         assert np.array_equal(fast.lam, general.lam)
         for name in ("active_set", "kkt_residual", "max_violation", "delta_cert", "stats"):
             assert getattr(fast, name) == getattr(general, name), name
-        cache = ActiveSetCache(H, A)
-        assert cache.check_rank(fast.active_set) == cache.check_rank(general.active_set)
+        assert fast.active_set == () and ActiveSetCache(H, A).check_rank(()) == np.inf
+        assert fast.stats == {"pivots": 0, "repairs": 0}
+        assert not fast.y_hat.flags.writeable and not fast.lam.flags.writeable
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 4), st.integers(0, 2 ** 16),
+           st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+           st.sampled_from(["slack", "binding", "mixed", "every", "out_of_range"]),
+           st.lists(st.booleans(), min_size=16, max_size=16))
+    def test_start_without_a_hot_start_equals_no_start(self, d, k, seed, scale, kind, mask):
+        # the box rows |y_i| <= 0.2 bind for many of these points; the start
+        # takes rows that are slack at the unconstrained minimum y0 (their
+        # multipliers are negative, so they all drop), rows that y0 binds or
+        # violates, both, every row, or an index out of range
+        inst = generate_instance(d, d, k, seed=seed, box_radius=0.2)
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal(d)
+        c, u = ll._linear_terms(inst, x, 1e-3 * rng.standard_normal(d))
+        cache = inst.active_set_cache
+        slack = u - cache.A @ -(c / cache.H)
+        rows = [i for i in range(len(u)) if mask[i % 16]]
+        start = {
+            "slack": tuple(i for i in rows if slack[i] > TAU_ACT),
+            "binding": tuple(i for i in rows if slack[i] <= TAU_ACT),
+            "mixed": tuple(rows),
+            "every": tuple(range(len(u))),
+            "out_of_range": (len(u),) + tuple(rows),
+        }[kind]
+        interior = slack.min() > TAU_ACT
+        no_hot = ll._hot_start(cache, c / cache.H, u, start, False) is None
+        # an interior y0 is the unique minimizer, so no start keeps a row
+        assert no_hot or not interior
+        real, asked = ll.interior_point, []
+
+        def spy(*args):
+            asked.append(args)
+            return real(*args)
+
+        ll.interior_point = spy
+        try:
+            try:
+                started = solve_qp(cache, c, u, start)
+            except DsbloError as exc:
+                started = exc
+        finally:
+            ll.interior_point = real
+        plain = _solve_or_error(cache.H, c, cache.A, u)
+        # the start asks interior_point once when it gives no hot start, and
+        # not at all when it does
+        assert len(asked) == no_hot
+        if not no_hot:
+            return
+        if isinstance(plain, DsbloError):
+            assert type(started) is type(plain)
+            return
+        assert started.y_hat.tobytes() == plain.y_hat.tobytes()
+        assert started.lam.tobytes() == plain.lam.tobytes()
+        for name in ("active_set", "kkt_residual", "max_violation", "delta_cert", "stats"):
+            assert getattr(started, name) == getattr(plain, name), name
         if interior:
-            assert fast.active_set == () and cache.check_rank(fast.active_set) == np.inf
-            assert fast.stats == {"pivots": 0, "repairs": 0}
-            assert not fast.y_hat.flags.writeable and not fast.lam.flags.writeable
+            assert started.active_set == ()
+            assert started.stats == {"pivots": 0, "repairs": 0}
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 6), st.integers(0, 2 ** 16),
@@ -462,9 +516,9 @@ class TestInteriorFastPath:
 
     def test_returns_before_the_active_set_machinery(self, monkeypatch):
         def unreachable(*args):
-            raise AssertionError("interior solve reached the active-set set-up")
+            raise AssertionError("interior solve reached the iteration")
 
-        monkeypatch.setattr(ll, "_dual_active_set", unreachable)
+        monkeypatch.setattr(ll, "_iterate", unreachable)
         H, c = np.array([2.0, 4.0]), np.array([-2.0, 4.0])
         row = ActiveSetCache(H, np.array([[1.0, 0.0]]))
         sol = solve_qp(row, c, np.array([2.0]))
@@ -472,11 +526,13 @@ class TestInteriorFastPath:
         assert sol.kkt_residual == 0.0 and sol.max_violation == -1.0
         assert solve_qp(ActiveSetCache(H, np.zeros((0, 2))), c,
                         np.zeros(0)).y_hat.tolist() == [1.0, -1.0]
-        # a bound within the threshold, or a start, takes the general path
-        with pytest.raises(AssertionError, match="active-set set-up"):
+        # a start whose rows all drop counts as none
+        assert solve_qp(row, c, np.array([2.0]), (0,)).y_hat.tolist() == [1.0, -1.0]
+        # a bound within the threshold, or a start that binds, iterates
+        with pytest.raises(AssertionError, match="reached the iteration"):
             solve_qp(row, c, np.array([1.0 + TAU_ACT / 2]))
-        with pytest.raises(AssertionError, match="active-set set-up"):
-            solve_qp(row, c, np.array([2.0]), (0,))
+        with pytest.raises(AssertionError, match="reached the iteration"):
+            solve_qp(row, c, np.array([0.5]), (0,))
 
 
 def _boxed_point(d, k, seed, scale):

@@ -7,6 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from dsblo import experiment, verify
+from dsblo.errors import Infeasible
+from dsblo.experiment import config_from_dict, run_experiment
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -94,3 +98,32 @@ class TestBenchPairs:
         assert bench_pairs.trace_medians(traced) == {"lower_level.solve_us": {
             "parent": 2.0, "parent_min": 1.0, "parent_max": 3.0,
             "change": 5.0, "change_min": 4.0, "change_max": 9.0}}
+
+
+class TestBenchmarkConfig:
+    def test_script_and_acceptance_check_run_one_config(self, tmp_path):
+        # run_quadratic_benchmark.py and check_benchmark both build their
+        # runs with verify.benchmark_config; at one T they write the same CSVs
+        out = subprocess.run(
+            [sys.executable, "-W", "error", str(ROOT / "scripts" / "run_quadratic_benchmark.py"),
+             "--iterations", "40", "--out", str(tmp_path / "script")],
+            capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        for size in verify.BENCHMARKS:
+            run_experiment(config_from_dict(
+                verify.benchmark_config(size, tmp_path / f"check{size}", T=40)))
+            csvs = sorted((tmp_path / "script" / f"d{size}").glob("*.csv"))
+            assert [p.name for p in csvs] == [f"dsblo_d{size}.csv", f"igd_d{size}.csv"]
+            for path in csvs:
+                assert (verify._masked_csv(path)
+                        == verify._masked_csv(tmp_path / f"check{size}" / path.name))
+
+    def test_failed_run_fails_the_check_with_its_error(self, monkeypatch):
+        def infeasible(*args, **kwargs):
+            raise Infeasible("forced")
+
+        monkeypatch.setattr(experiment, "run_igd_baseline", infeasible)
+        result = verify.check_benchmark(10)
+        assert not result.passed
+        assert result.detail.startswith("d=10: run failed: igd_d10: Traceback")
+        assert "dsblo.errors.Infeasible: forced" in result.detail
