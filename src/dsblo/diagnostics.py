@@ -203,8 +203,8 @@ def check_windows(log) -> dict:
     i = t-K+1..t, within delta_bar of the anchor x_{t-K}. Raises
     ``WindowViolation`` otherwise; returns the number of points checked,
     K (n - K) for n records, and the largest displacement as a fraction of
-    delta_bar. The displacements are taken one lag at a time, keeping a
-    running maximum per anchor, so memory stays O(n d) where the K x (n - K)
+    delta_bar. The displacements are taken one lag at a time into a running
+    maximum per anchor, so memory stays O(n d), where the K x (n - K)
     matrix of them would not. A run without a schedule or without a full
     window checks nothing.
     """
@@ -220,10 +220,16 @@ def check_windows(log) -> dict:
             f"window step budget {worst:.6g} exceeds K/gamma1 = {K / sched.gamma1:.6g}")
     anchors = np.array([r.x for r in log.records[:n - K]])
     x_bar = np.array([r.x_bar for r in log.records])
+    # each anchor's largest squared displacement, one lag at a time, summed
+    # as np.linalg.norm sums; sqrt is monotone, so one sqrt of the maximum
+    # gives the largest norm bit for bit
     far = np.zeros(n - K)
+    diff, sq = np.empty(anchors.shape), np.empty(n - K)
     for lag in range(1, K + 1):
-        np.maximum(far, np.linalg.norm(anchors - x_bar[lag:n - K + lag], axis=1), out=far)
-    far = float(far.max())
+        np.subtract(anchors, x_bar[lag:n - K + lag], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.maximum(far, np.add.reduce(diff, axis=1, out=sq), out=far)
+    far = math.sqrt(far.max())
     if far > delta_bar * (1 + 1e-9):
         raise WindowViolation(
             f"window displacement {far:.6g} exceeds delta_bar = {delta_bar:.6g}")
