@@ -470,17 +470,17 @@ def check_benchmark(size: int) -> CheckResult:
             t0 = time.monotonic()
             summary = run_experiment(config_from_dict(benchmark_config(size, tmp)))
             elapsed = time.monotonic() - t0
-            failed = [f"{run['label']}: {run['error']}" for run in summary["runs"]
+            runs = {run["label"]: run for run in summary["runs"]}
+            failed = [f"{label}: {run['error']}" for label, run in runs.items()
                       if run["status"] != "ok"]
             if failed:
                 return False, f"d={size}: run failed: " + "; ".join(failed)
-            logs = {run["label"]: json.loads((Path(tmp) / f"{run['label']}.runlog.json")
-                                             .read_text()) for run in summary["runs"]}
+            logs = {label: json.loads((Path(tmp) / f"{label}.runlog.json").read_text())
+                    for label in runs}
         report = logs[f"dsblo_d{size}"]["diagnostics"]
         F_first, F_last = report["objective"]["first"], report["objective"]["last"]
         trailing = report["stationarity"]["trailing_avg"]
-        igd_F_last = next(run["final_F"] for run in summary["runs"]
-                          if run["label"] == f"igd_d{size}")
+        igd_F_last = runs[f"igd_d{size}"]["final_F"]
         decreased = F_last < F_first
         stat_ok = trailing <= 0.1
         time_ok = elapsed < budget
