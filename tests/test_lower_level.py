@@ -425,8 +425,7 @@ class TestInteriorFastPath:
         assert np.array_equal(fast.lam, general.lam)
         for name in ("active_set", "kkt_residual", "max_violation", "delta_cert", "stats"):
             assert getattr(fast, name) == getattr(general, name), name
-        assert fast.active_set == () and ActiveSetCache(H, A).check_rank(()) == np.inf
-        assert fast.stats == {"pivots": 0, "repairs": 0}
+        assert fast.active_set == () and fast.stats == {"pivots": 0, "repairs": 0}
         assert not fast.y_hat.flags.writeable and not fast.lam.flags.writeable
 
     @settings(max_examples=300, deadline=None)
@@ -455,7 +454,8 @@ class TestInteriorFastPath:
         }[kind]
         interior = slack.min() > TAU_ACT
         no_hot = ll._hot_start(cache, c / cache.H, u, start, False) is None
-        # an interior y0 is the unique minimizer, so no start keeps a row
+        # rows that are all slack at y0 always have a negative multiplier,
+        # so at an interior y0 every start's rows drop
         assert no_hot or not interior
         real, asked = ll.interior_point, []
 
