@@ -30,11 +30,9 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     for size, bench in BENCHMARKS.items():
-        inst_path = out / f"instance_d{size}.json"
-        save_instance(generate_instance(**bench["instance"]), inst_path)
-        cfg = config_from_dict(benchmark_config(size, out / f"d{size}", args.seeds,
-                                                args.iterations, {"path": str(inst_path)}))
-        summary = run_experiment(cfg)
+        save_instance(generate_instance(**bench["instance"]), out / f"instance_d{size}.json")
+        summary = run_experiment(config_from_dict(
+            benchmark_config(size, out / f"d{size}", args.seeds, args.iterations)))
         print(f"d={size}:")
         for run in summary["runs"]:
             print(f"  {run['label']} seed={run['seed']}: {run['status']}"

@@ -413,7 +413,9 @@ def solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start=()) -> L
 
     One start rule: when the start gives no hot start (there is none, it
     is unusable, or its rows all drop), the solve asks ``interior_point``
-    once, before the crash start. If there are no rows or every slack of
+    once, before the crash start and outside the repeat with
+    ``np.linalg.solve``, so an interior point whose certificate fails
+    raises ``Uncertified`` at once. If there are no rows or every slack of
     y = -H^-1 c exceeds ``TAU_ACT``, that y is the answer (no pivot, no
     active row, zero multipliers), equal to the iteration's result field
     for field. A start that gives a hot start iterates without asking; at
@@ -436,10 +438,18 @@ def _solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start) -> LLS
     # overflows, warns somewhere below; only warnings-as-errors raise
     try:
         Hic = c / cache.H
+        hot = _hot_start(cache, Hic, u, start, False)
+        if hot is None:
+            inner = interior_point(cache, c, u)
+            if inner is not None:
+                y, kkt, max_viol = inner
+                return _certified(y, np.zeros(cache.A.shape[0]), (), kkt, max_viol,
+                                  cache.mu, {"pivots": 0, "repairs": 0})
         try:
-            return _dual_active_set(cache, c, u, Hic, start, False)
+            return _dual_active_set(cache, c, u, Hic, hot, False)
         except Uncertified:
-            sol = _dual_active_set(cache, c, u, Hic, start, True)
+            sol = _dual_active_set(cache, c, u, Hic, _hot_start(cache, Hic, u, start, True),
+                                   True)
             sol.stats["repeats"] = 1
             return sol
     except RuntimeWarning as exc:
@@ -499,24 +509,16 @@ def _drop(Si: np.ndarray, j: int) -> np.ndarray:
 
 
 def _dual_active_set(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray,
-                     Hic: np.ndarray, start, exact: bool) -> LLSolution:
-    """The iteration of ``solve_qp`` from the hot start on the rows in
-    ``start`` (``_hot_start``); ``exact`` makes the hot start and the polish
-    solve with ``np.linalg.solve``. A start that yields no hot start (none,
-    an unusable one, or one whose rows all drop) counts as none: the solve
-    asks ``interior_point`` once and returns the unconstrained minimum -Hic
-    when it is interior. Otherwise the iteration begins from the rows whose
-    slack there is at most ``TAU_ACT`` (a crash start), and repeats from -Hic
-    itself when those yield no hot start either or the crash-started
-    iteration raises ``Uncertified`` or ``MaxPivots``."""
-    hot = _hot_start(cache, Hic, u, start, exact)
+                     Hic: np.ndarray, hot: Optional[tuple], exact: bool) -> LLSolution:
+    """The iteration of ``solve_qp`` from the hot start ``hot``
+    (``_hot_start``); ``exact`` makes the polish and the crash start solve
+    with ``np.linalg.solve``. When ``hot`` is None it begins from the rows
+    whose slack at the unconstrained minimum -Hic is at most ``TAU_ACT`` (a
+    crash start), and repeats from -Hic itself when those yield no hot start
+    either or the crash-started iteration raises ``Uncertified`` or
+    ``MaxPivots``."""
     if hot is not None:
         return _iterate(cache, c, u, Hic, hot, exact)
-    inner = interior_point(cache, c, u)
-    if inner is not None:
-        y, kkt, max_viol = inner
-        return _certified(y, np.zeros(cache.A.shape[0]), (), kkt, max_viol, cache.mu,
-                          {"pivots": 0, "repairs": 0})
     crash = _hot_start(cache, Hic, u, _tight_rows(u - cache.A @ -Hic), exact)
     if crash is not None:
         try:

@@ -441,16 +441,16 @@ BENCHMARKS = {
 }
 
 
-def benchmark_config(size: int, output_dir, seeds=(1,), T=None, instance=None) -> dict:
+def benchmark_config(size: int, output_dir, seeds=(1,), T=None) -> dict:
     """The config document (for ``config_from_dict``) of the benchmark
     reproduction at ``size``: dsblo against igd, labelled ``dsblo_d{size}``
     and ``igd_d{size}``, at the entry's T (or ``T``) and ``eval_every``,
     perturbation radius 1e-3, run seeds ``seeds``, on the entry's instance
-    spec or the ``instance`` section given."""
+    spec."""
     bench = BENCHMARKS[size]
     T = bench["T"] if T is None else T
     return {
-        "instance": bench["instance"] if instance is None else instance,
+        "instance": bench["instance"],
         "algorithms": [
             {"name": "dsblo", "label": f"dsblo_d{size}", "T": T, **bench["dsblo"],
              "perturb_radius": 1e-3},
@@ -515,8 +515,8 @@ def check_determinism() -> CheckResult:
         with tempfile.TemporaryDirectory() as tmp:
             outs = []
             for run_i in range(2):
-                summary = run_experiment(config_from_dict(
-                    benchmark_config(10, f"{tmp}/run{run_i}", seeds=(1, 2), T=60)))
+                doc = benchmark_config(10, f"{tmp}/run{run_i}", seeds=(1, 2), T=60)
+                summary = run_experiment(config_from_dict({**doc, "formats": ["csv"]}))
                 if summary["failed"]:
                     return False, f"experiment failed: {summary}"
                 outs.append(sorted(Path(summary["output_dir"]).glob("*.csv")))

@@ -415,17 +415,31 @@ class TestInteriorFastPath:
         finally:
             ll._iterate = real
         assert (not begun) == interior
+        # row 0 is slack, so the hot start drops it and the solve takes the
+        # path of the one without a start; with no rows the start is out of
+        # range and unusable
+        general = _solve_or_error(H, c, A, u, (0,))
+        if isinstance(fast, DsbloError):  # more rows at the threshold than d
+            assert not interior and type(general) is type(fast)
+            return
+        assert np.array_equal(fast.y_hat, general.y_hat)
+        assert np.array_equal(fast.lam, general.lam)
+        for name in ("active_set", "kkt_residual", "max_violation", "delta_cert", "stats"):
+            assert getattr(fast, name) == getattr(general, name), name
+        cache = ActiveSetCache(H, A)
+        assert cache.check_rank(fast.active_set) == cache.check_rank(general.active_set)
         if not interior:
             return
         # the iteration from the unconstrained minimum itself, which never
         # asks interior_point, returns every bit of the interior return
         Hic = c / H
-        general = ll._iterate(ActiveSetCache(H, A), c, u, Hic, ([], np.zeros(0), -Hic), False)
-        assert np.array_equal(fast.y_hat, general.y_hat)
-        assert np.array_equal(fast.lam, general.lam)
+        iterated = ll._iterate(cache, c, u, Hic, ([], np.zeros(0), -Hic), False)
+        assert np.array_equal(fast.y_hat, iterated.y_hat)
+        assert np.array_equal(fast.lam, iterated.lam)
         for name in ("active_set", "kkt_residual", "max_violation", "delta_cert", "stats"):
-            assert getattr(fast, name) == getattr(general, name), name
-        assert fast.active_set == () and fast.stats == {"pivots": 0, "repairs": 0}
+            assert getattr(fast, name) == getattr(iterated, name), name
+        assert fast.active_set == () and cache.check_rank(fast.active_set) == np.inf
+        assert fast.stats == {"pivots": 0, "repairs": 0}
         assert not fast.y_hat.flags.writeable and not fast.lam.flags.writeable
 
     @settings(max_examples=300, deadline=None)
@@ -473,7 +487,7 @@ class TestInteriorFastPath:
             ll.interior_point = real
         plain = _solve_or_error(cache.H, c, cache.A, u)
         # the start asks interior_point once when it gives no hot start, and
-        # not at all when it does
+        # not at all when it does; the repeat with np.linalg.solve never asks
         assert len(asked) == no_hot
         if not no_hot:
             return
@@ -533,6 +547,14 @@ class TestInteriorFastPath:
             solve_qp(row, c, np.array([1.0 + TAU_ACT / 2]))
         with pytest.raises(AssertionError, match="reached the iteration"):
             solve_qp(row, c, np.array([0.5]), (0,))
+        # an interior point whose certificate fails raises at once: the
+        # repeat with np.linalg.solve does not ask interior_point again
+        real, asked = ll.interior_point, []
+        monkeypatch.setattr(ll, "interior_point", lambda *args: asked.append(args) or real(*args))
+        with pytest.raises(Uncertified, match="KKT residual"):
+            solve_qp(ActiveSetCache(np.array([6.1]), np.array([[1.0]])),
+                     np.array([64042265.0]), np.array([1e9]))
+        assert len(asked) == 1
 
 
 def _boxed_point(d, k, seed, scale):
@@ -1243,9 +1265,10 @@ class TestActiveSetCache:
         bad = 1.5 * cache.inverse((0, 1))
         bad.flags.writeable = False
         cache._rows[(0, 1)]["inv"] = bad
+        u = np.array([-1.0, -1.0])
         with pytest.raises(Uncertified):
-            ll._dual_active_set(cache, np.zeros(2), np.array([-1.0, -1.0]), np.zeros(2),
-                                (0, 1), False)
+            ll._dual_active_set(cache, np.zeros(2), u, np.zeros(2),
+                                ll._hot_start(cache, np.zeros(2), u, (0, 1), False), False)
         sol = solve_ll_quadratic(inst, np.zeros(2), None, (0, 1))
         fresh = solve_ll_quadratic(_two_row_instance([[1.0, 0.0], [0.0, 1.0]]),
                                    np.zeros(2), None, (0, 1))
