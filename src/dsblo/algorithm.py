@@ -24,7 +24,7 @@ import numpy as np
 
 from .diagnostics import check_windows, eval_F_exact_rows, stationarity_profile
 from .errors import DegenerateActiveSet, DsbloError, ScheduleInfeasible
-from .implicit_grad import _adjoint, implicit_gradient, sampled_implicit_gradient
+from .implicit_grad import implicit_gradient, sampled_implicit_gradient
 from .lower_level import _ball_draws, _linear_terms, interior_point, solve_ll_quadratic
 from .problem import QuadraticBilevel, sample_component
 
@@ -238,7 +238,7 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
     log.lower_level = counts = {"solves": 0, "pivots": 0, "repairs": 0}
     t_start = time.monotonic()
 
-    cache, cx, cy = problem.active_set_cache, problem.cx_mean, problem.cy_mean
+    cache, interior = problem.active_set_cache, problem.interior_gradient
     interior_ok = option == "deterministic"
 
     def sample(x_pt, start):
@@ -249,10 +249,12 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
         gradient call. Returns ||q||, the gradient and the solve's active set.
 
         A deterministic sample without a start whose solve is interior
-        (``interior_point``) takes y and the gradient's empty-active-set
-        adjoint directly, with the bits ``solve_ll_quadratic`` and
+        (``interior_point``) takes y and the instance's interior gradient
+        map directly, with the bits ``solve_ll_quadratic`` and
         ``implicit_gradient`` would give and no solve or gradient object;
-        every other sample goes through those two."""
+        every other sample goes through those two. The map checks no
+        shapes: x0 is checked above, and every y comes from a solve of the
+        instance."""
         nonlocal ll_s, ig_s
         last = None
         for _ in range(5):
@@ -262,8 +264,7 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
                 inner = interior_point(cache, *_linear_terms(problem, x_pt, q))
                 if inner is not None:
                     t1 = time.monotonic()
-                    gx, gy = problem._grad_f(x_pt, inner[0], cx, cy)
-                    g = _adjoint(problem, None, (), gx, gy)
+                    g = interior(x_pt, inner[0])
                     ll_s += t1 - t0
                     ig_s += time.monotonic() - t1
                     counts["solves"] += 1

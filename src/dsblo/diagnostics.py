@@ -142,7 +142,8 @@ def stationarity_window(log, t: int, beta: float, K: int, inst: QuadraticBilevel
     gradients over ``mc_samples`` fresh perturbations of norm at most
     ``radius`` (the higher-fidelity estimate of the smoothed gradient). The
     K * mc_samples draws are solved together (``_mc_solves``), and the
-    draws on one active set are differentiated by one adjoint solve.
+    draws on one nonempty active set are differentiated by one adjoint
+    solve, the interior ones by the instance's ``interior_gradient``.
     ``stationarity_profile`` gives the window norms of the stored
     gradients.
     """
@@ -158,6 +159,9 @@ def stationarity_window(log, t: int, beta: float, K: int, inst: QuadraticBilevel
     Y, Lam, groups, fallbacks = _mc_solves(inst, X, Q)
     G = np.empty_like(X)
     for active, rows in groups.items():
+        if not active:
+            G[rows] = inst.interior_gradient(X[rows], Y[rows])
+            continue
         gx, gy = grad_f_rows(inst, X[rows], Y[rows])
         G[rows] = _adjoint(inst, Lam[rows], active, gx, gy)
     combined = np.einsum("i,ij->j", window_weights(beta, K),

@@ -16,6 +16,10 @@ with c = grad_y f and u = 0, whose point v and multipliers w give
 
     grad = grad_x f + M' v + Bbar' w.
 
+With no active row jac_y = -H^-1 M is constant, and the gradient is the
+instance's affine map ``QuadraticBilevel.interior_gradient`` of (x, y);
+the adjoint solve is made only on a nonempty active set.
+
 ``jacobians`` forms jac_y and jac_lambda, the same solve with c = M and
 u = -Bbar but made with ``np.linalg.solve`` of S, where the adjoint
 multiplies by the cached S^-1; it is the reference the tests and
@@ -59,19 +63,17 @@ def _active_rows(inst: QuadraticBilevel, active: tuple, lam: np.ndarray) -> np.n
 
 def _adjoint(inst: QuadraticBilevel, lam, active: tuple, gx, gy) -> np.ndarray:
     """gx + jac_y' gy from one reduced KKT solve (see the module docstring)
-    at a lower-level solution with multipliers lam and active rows
-    ``active``. H and M are constant, so the solution itself is not needed.
+    at a lower-level solution with multipliers lam and the nonempty active
+    rows ``active``. H and M are constant, so the solution itself is not
+    needed.
 
     For n draws that share the active set, lam, gx and gy hold one row per
     draw and the result one gradient row per draw, all from one solve.
-    Every row's multipliers are checked; with no active rows lam is not
-    read, and the outer loop's interior sample passes None. M' is Q2
-    itself. lam, gx and gy are float arrays, taken as given."""
+    Every row's multipliers are checked. M' is Q2 itself. lam, gx and gy
+    are float arrays, taken as given."""
     gy = gy.T
     H = inst.hess_yy_diag
     Higy = gy / H if gy.ndim == 1 else gy / H[:, None]
-    if not active:
-        return gx - (inst.Q2 @ Higy).T
     Bbar = _active_rows(inst, active, lam)
     w, v = inst.active_set_cache.equality_solve(tuple(active), Higy, 0.0)
     return gx + (inst.Q2 @ v).T + (Bbar.T @ w).T
@@ -96,6 +98,8 @@ def implicit_gradient(inst: QuadraticBilevel, x: np.ndarray, sol: LLSolution) ->
     the shapes of x and y_hat are checked."""
     x = np.asarray(x, dtype=float)
     inst._check_dims(x, sol.y_hat)
+    if not sol.active_set:
+        return ImplicitGradient(grad=inst.interior_gradient(x, sol.y_hat))
     gx, gy = inst._grad_f(x, sol.y_hat, inst.cx_mean, inst.cy_mean)
     return ImplicitGradient(grad=_adjoint(inst, sol.lam, sol.active_set, gx, gy))
 
@@ -107,9 +111,18 @@ def sampled_implicit_gradient(inst: QuadraticBilevel, x: np.ndarray, sol: LLSolu
 
     A sequence ``xi`` gives the mean over its components from one adjoint
     solve: the gradient is linear in (grad_x f, grad_y f), so those are
-    averaged first.
+    averaged first. With no active row the mean of the components' offsets
+    g0_i goes into the interior map.
     """
-    parts = [inst.sampled_grad_f(x, sol.y_hat, int(i)) for i in np.atleast_1d(xi)]
+    xi = [int(i) for i in np.atleast_1d(xi)]
+    if not sol.active_set:
+        for i in xi:
+            inst._check_component(i)
+        x = np.asarray(x, dtype=float)
+        inst._check_dims(x, sol.y_hat)
+        interior = inst.interior_gradient
+        return ImplicitGradient(grad=interior(x, sol.y_hat, interior.offsets[xi].mean(axis=0)))
+    parts = [inst.sampled_grad_f(x, sol.y_hat, i) for i in xi]
     gx = np.mean([p[0] for p in parts], axis=0)
     gy = np.mean([p[1] for p in parts], axis=0)
     return ImplicitGradient(grad=_adjoint(inst, sol.lam, sol.active_set, gx, gy))

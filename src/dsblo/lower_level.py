@@ -401,31 +401,31 @@ def solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start=()) -> L
     ``Uncertified`` naming both; ``MaxPivots`` means only that the pivot
     budget ran out.
 
-    ``start`` optionally names rows to start from instead, typically the
-    active set of a nearby solve. The hot start (``_hot_start``) solves the
-    equality KKT system on those rows and drops every row with a negative
-    multiplier at once, solving again until none is negative. A start that
-    is unusable (an index out of range, or rows that
-    ``ActiveSetCache.check_rank`` rejects) or whose rows all drop counts as
-    none, so the solve equals the one without a start, field for field.
-    The start changes how many pivots the solve makes; its result agrees
-    with the solve without one to round-off.
+    ``start`` optionally names rows to start from instead, a sized
+    collection such as the active set of a nearby solve. The hot start
+    (``_hot_start``) solves the equality KKT system on those rows and drops
+    every row with a negative multiplier at once, solving again until none
+    is negative. A start that is unusable (an index out of range, or rows
+    that ``ActiveSetCache.check_rank`` rejects) or whose rows all drop
+    counts as none, so the solve equals the one without a start, field for
+    field. The start changes how many pivots the solve makes; its result
+    agrees with the solve without one to round-off.
 
-    One start rule: when the start gives no hot start (there is none, it
-    is unusable, or its rows all drop), the solve asks ``interior_point``
-    once, before the crash start and outside the repeat with
-    ``np.linalg.solve``, so an interior point whose certificate fails
-    raises ``Uncertified`` at once. If there are no rows or every slack of
-    y = -H^-1 c exceeds ``TAU_ACT``, that y is the answer (no pivot, no
-    active row, zero multipliers), equal to the iteration's result field
-    for field. A start that gives a hot start iterates without asking; at
-    an interior y none does, since rows that are all slack there always
-    have a negative multiplier, so the block drops empty the start. A
-    NaN or infinite input raises ``NonFinite`` instead of returning an
-    uncertified point; so does, where numpy's warnings are raised as
-    errors, one large enough to overflow the arithmetic. A finite point
-    whose KKT residual exceeds ``KKT_TOL`` raises ``Uncertified``. What the
-    cache held before changes no bit of the result.
+    One start rule: when the start gives no hot start (there is none, it is
+    unusable, or its rows all drop), the solve asks ``interior_point`` once,
+    before the crash start and outside the repeat with ``np.linalg.solve``
+    (without a start, before it forms H^-1 c at all), so an interior point
+    whose certificate fails raises ``Uncertified`` at once. If there are no
+    rows or every slack of y = -H^-1 c exceeds ``TAU_ACT``, that y is the
+    answer (no pivot, no active row, zero multipliers), equal to the
+    iteration's result field for field. A start that gives a hot start
+    iterates without asking; at an interior y none does, since rows that are
+    all slack there always have a negative multiplier, so the block drops
+    empty the start. A NaN or infinite input raises ``NonFinite`` instead of
+    returning an uncertified point; so does, where numpy's warnings are
+    raised as errors, one large enough to overflow the arithmetic. A finite
+    point whose KKT residual exceeds ``KKT_TOL`` raises ``Uncertified``.
+    What the cache held before changes no bit of the result.
     """
     return _solve_qp(cache, np.asarray(c, dtype=float),
                      np.atleast_1d(np.asarray(u, dtype=float)), start)
@@ -437,14 +437,19 @@ def _solve_qp(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, start) -> LLS
     # a NaN or infinite input, or one so large that the arithmetic
     # overflows, warns somewhere below; only warnings-as-errors raise
     try:
-        Hic = c / cache.H
-        hot = _hot_start(cache, Hic, u, start, False)
+        # H^-1 c is formed only for a start's hot start or for the iteration
+        Hic = hot = None
+        if len(start):
+            Hic = c / cache.H
+            hot = _hot_start(cache, Hic, u, start, False)
         if hot is None:
             inner = interior_point(cache, c, u)
             if inner is not None:
                 y, kkt, max_viol = inner
                 return _certified(y, np.zeros(cache.A.shape[0]), (), kkt, max_viol,
                                   cache.mu, {"pivots": 0, "repairs": 0})
+        if Hic is None:
+            Hic = c / cache.H
         try:
             return _dual_active_set(cache, c, u, Hic, hot, False)
         except Uncertified:

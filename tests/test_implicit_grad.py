@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 from dsblo.diagnostics import fd_gradient_oracle
 from dsblo.errors import DegenerateActiveSet, Infeasible
 from dsblo.implicit_grad import _adjoint, implicit_gradient, jacobians, sampled_implicit_gradient
-from dsblo.lower_level import sample_perturbation, solve_ll_quadratic, solve_qp_batch
+from dsblo.lower_level import (_linear_terms, interior_point, sample_perturbation,
+                               solve_ll_quadratic, solve_qp_batch)
 from dsblo.problem import Polyhedron, eval_f, generate_instance, grad_f_rows
 from dsblo.verify import degenerate_instance, margin_point
 
@@ -245,14 +248,18 @@ class TestAdjointRows:
             assume(False)
         assume(len(X) >= 2)
         gx, gy = grad_f_rows(inst, X, Y)
-        try:
-            rows = _adjoint(inst, Lam, active, gx, gy)
-        except DegenerateActiveSet:
-            assume(False)
+        if active:
+            try:
+                rows = _adjoint(inst, Lam, active, gx, gy)
+            except DegenerateActiveSet:
+                assume(False)
+            ones = [_adjoint(inst, Lam[i], active, gx[i], gy[i]) for i in range(len(X))]
+        else:  # interior draws go through the interior map, rows and one at a time
+            rows = inst.interior_gradient(X, Y)
+            ones = [inst.interior_gradient(X[i], Y[i]) for i in range(len(X))]
         assert rows.shape == X.shape
-        for i in range(len(X)):
-            one = _adjoint(inst, Lam[i], active, gx[i], gy[i])
-            assert np.allclose(rows[i], one, rtol=1e-12, atol=1e-12 * np.abs(one).max())
+        for row, one in zip(rows, ones):
+            assert np.allclose(row, one, rtol=1e-12, atol=1e-12 * np.abs(one).max())
 
     def test_one_row_is_implicit_gradient(self, seed1_instance):
         inst = seed1_instance
@@ -278,6 +285,71 @@ class TestAdjointRows:
             _adjoint(inst, Lam, active, gx, gy)
         with pytest.raises(DegenerateActiveSet):
             _adjoint(inst, Lam[2], active, gx[2], gy[2])
+
+
+def _interior_points(inst, X, rng):
+    """(x, q, sol) for the points x in the rows of X whose solve with a fresh
+    perturbation ``interior_point`` certifies."""
+    found = []
+    for x in X:
+        q = sample_perturbation(1e-3, rng, inst.d_l)
+        if interior_point(inst.active_set_cache, *_linear_terms(inst, x, q.q)) is not None:
+            sol = solve_ll_quadratic(inst, x, q)
+            assert sol.active_set == ()
+            found.append((x, q, sol))
+    return found
+
+
+def _close(g, ref):
+    return np.linalg.norm(g - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
+
+
+class TestInteriorGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 8), st.integers(1, 8), st.integers(0, 2 ** 16),
+           st.sampled_from([0.0, 0.3, 1.0, 3.0]), st.lists(st.integers(0, 7), min_size=1,
+                                                            max_size=5))
+    def test_map_equals_the_kkt_reference(self, d, k, m, seed, scale, picks):
+        inst = generate_instance(d, d, k, seed, n_components=m)
+        rng = np.random.default_rng(seed)
+        found = _interior_points(inst, scale * rng.standard_normal((4, d)), rng)
+        assume(found)
+        xi = [p % m for p in picks]
+        jac_y = jacobians(inst, found[0][2])[0]
+        for x, _q, sol in found:
+            # the map against grad_x f + jac_y' grad_y f from the dense reference
+            gx, gy = inst.grad_f(x, sol.y_hat)
+            assert _close(implicit_gradient(inst, x, sol).grad, gx + jac_y.T @ gy)
+            # a component list gives the mean of its components' gradients
+            ref = np.mean([gxi + jac_y.T @ gyi
+                           for gxi, gyi in (inst.sampled_grad_f(x, sol.y_hat, i) for i in xi)],
+                          axis=0)
+            assert _close(sampled_implicit_gradient(inst, x, sol, xi).grad, ref)
+            # one component alone is the full batch, bit for bit
+            single = replace(inst, cx=inst.cx[xi[0]], cy=inst.cy[xi[0]])
+            assert np.array_equal(sampled_implicit_gradient(single, x, sol, 0).grad,
+                                  implicit_gradient(single, x, sol).grad)
+        # the rows form equals the one-row form
+        X = np.array([x for x, _, _ in found])
+        Y = np.array([sol.y_hat for _, _, sol in found])
+        rows = inst.interior_gradient(X, Y)
+        for row, x, y in zip(rows, X, Y):
+            assert _close(row, inst.interior_gradient(x, y))
+
+    def test_map_arrays_are_read_only_and_cached(self, seed1_instance):
+        interior = seed1_instance.interior_gradient
+        assert interior is seed1_instance.interior_gradient
+        assert interior.G.shape == (10, 20) and interior.offsets.shape == (1, 10)
+        for a in (interior.G, interior.offsets, interior.g0):
+            assert not a.flags.writeable
+
+    def test_sampled_rejects_a_component_out_of_range(self, seed1_instance):
+        x = np.zeros(10)
+        sol = solve_ll_quadratic(seed1_instance, x, None)
+        assert sol.active_set == ()
+        for xi in (-1, 1, [0, 1]):
+            with pytest.raises(IndexError, match="out of range"):
+                sampled_implicit_gradient(seed1_instance, x, sol, xi)
 
 
 class TestErrors:

@@ -61,6 +61,22 @@ class TestCompareOutputs:
             "seed1/paper-d10/pass1/pass/dsblo.csv", "seed1/paper-d10/pass1/pass/summary.json"]
 
 
+    def test_drift_line_counts_rows_and_takes_each_columns_largest_difference(
+            self, compare_outputs):
+        header = "t,wall_time_s,F,eta,m_norm,stationarity_norm,q_norm"
+        parent = [header, "1,,0.5,0.1,2.0,,0.001", "2,,0.25,0.1,1.5,1.5,0.001",
+                  "3,,0.125,0.1,1.0,1.0,0.001"]
+        change = [header, "1,,0.5,0.1,2.0,,0.001", "2,,0.2500000000000002,0.1,1.5,1.5,0.001",
+                  "3,,0.125,0.1,1.25,,0.001"]
+        # the blanked wall time is left out; a cell blank on one side only
+        # differs by inf
+        assert compare_outputs.csv_drift(parent, change) == (
+            "2 of 3 rows differ; max |diff| t 0, F 2.22e-16, eta 0, m_norm 0.25, "
+            "stationarity_norm inf, q_norm 0")
+        assert compare_outputs.csv_drift(parent, change[:3]) == (
+            "headers or lengths differ: 3 parent and 2 change rows")
+
+
 class TestPytestSettings:
     def test_failing_hypothesis_test_reports_as_a_failure(self, tmp_path):
         # hypothesis's failure report must not turn into an INTERNALERROR
