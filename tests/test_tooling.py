@@ -60,7 +60,6 @@ class TestCompareOutputs:
         assert compare_outputs.differing(parent, change) == [
             "seed1/paper-d10/pass1/pass/dsblo.csv", "seed1/paper-d10/pass1/pass/summary.json"]
 
-
     def test_drift_line_counts_rows_and_takes_each_columns_largest_difference(
             self, compare_outputs):
         header = "t,wall_time_s,F,eta,m_norm,stationarity_norm,q_norm"
