@@ -239,32 +239,38 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
     t_start = time.monotonic()
 
     cache, interior = problem.active_set_cache, problem.interior_gradient
-    interior_ok = option == "deterministic"
+    sampled = option == "sampled"
+
+    def components():
+        return [sample_component(problem, xi_rng) for _ in range(batch_size)]
 
     def sample(x_pt, start):
         """One perturbed implicit-gradient evaluation at x_pt, its lower-level
         solve started from the rows in ``start``; a degenerate active set
         triggers a fresh perturbation draw, up to 5 retries. The sampled
-        option draws ``batch_size`` components and averages them in one
-        gradient call. Returns ||q||, the gradient and the solve's active set.
+        option draws ``batch_size`` components from the component stream
+        once the solve succeeds and averages them in one gradient. Returns
+        ||q||, the gradient and the solve's active set.
 
-        A deterministic sample without a start whose solve is interior
+        A sample without a start whose solve is interior
         (``interior_point``) takes y and the instance's interior gradient
-        map directly, with the bits ``solve_ll_quadratic`` and
-        ``implicit_gradient`` would give and no solve or gradient object;
-        every other sample goes through those two. The map checks no
-        shapes: x0 is checked above, and every y comes from a solve of the
-        instance."""
+        map directly, with the full-batch offset g0 or the mean offset of
+        the drawn components, so with the bits ``solve_ll_quadratic`` and
+        ``implicit_gradient`` (or ``sampled_implicit_gradient``) would give
+        and no solve or gradient object; every other sample goes through
+        those. The map checks no shapes: x0 is checked above, and every y
+        comes from a solve of the instance."""
         nonlocal ll_s, ig_s
         last = None
         for _ in range(5):
             q, q_norm = next(q_draws)
             t0 = time.monotonic()
-            if interior_ok and not start:
+            if not start:
                 inner = interior_point(cache, *_linear_terms(problem, x_pt, q))
                 if inner is not None:
                     t1 = time.monotonic()
-                    g = interior(x_pt, inner[0])
+                    g0 = interior.offsets[components()].mean(axis=0) if sampled else interior.g0
+                    g = interior(x_pt, inner[0], g0)
                     ll_s += t1 - t0
                     ig_s += time.monotonic() - t1
                     counts["solves"] += 1
@@ -272,9 +278,8 @@ def _outer_loop(problem: QuadraticBilevel, log: RunLog, T: int, seed: int, x0,
             try:
                 sol = solve_ll_quadratic(problem, x_pt, q, start)
                 t1 = time.monotonic()
-                if option == "sampled":
-                    xi = [sample_component(problem, xi_rng) for _ in range(batch_size)]
-                    g = sampled_implicit_gradient(problem, x_pt, sol, xi).grad
+                if sampled:
+                    g = sampled_implicit_gradient(problem, x_pt, sol, components()).grad
                 else:
                     g = implicit_gradient(problem, x_pt, sol).grad
             except DegenerateActiveSet as exc:

@@ -12,9 +12,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonFinite, WindowIncomplete, WindowViolation
-from .implicit_grad import _adjoint
+from .implicit_grad import _gradient
 from .lower_level import TAU_ACT, _ball_draws, _dots, solve_ll_quadratic, solve_qp_batch
-from .problem import QuadraticBilevel, eval_f, eval_f_rows, grad_f_rows
+from .problem import QuadraticBilevel, eval_f, eval_f_rows
 
 
 def eval_F_exact(inst: QuadraticBilevel, x: np.ndarray, start=()) -> float:
@@ -65,12 +65,6 @@ def eval_F_exact_rows(inst: QuadraticBilevel, xs, starts) -> np.ndarray:
         for i in np.flatnonzero(~fast):
             Fb[i] = eval_F_exact(inst, X[i], starts[lo + i])
     return F
-
-
-def _draws(radius: float, rng: np.random.Generator, d_l: int, n: int) -> np.ndarray:
-    """n ball-uniform perturbations drawn from rng in stream order, one per
-    row: one block of ``_ball_draws``, bit for bit n ``_ball_draw`` calls."""
-    return _ball_draws(radius, rng, d_l, n)[0]
 
 
 def _mc_solves(inst: QuadraticBilevel, X: np.ndarray, Q: np.ndarray, start=None) -> tuple:
@@ -142,8 +136,9 @@ def stationarity_window(log, t: int, beta: float, K: int, inst: QuadraticBilevel
     gradients over ``mc_samples`` fresh perturbations of norm at most
     ``radius`` (the higher-fidelity estimate of the smoothed gradient). The
     K * mc_samples draws are solved together (``_mc_solves``), and the
-    draws on one nonempty active set are differentiated by one adjoint
-    solve, the interior ones by the instance's ``interior_gradient``.
+    draws on one active set are differentiated together by
+    ``implicit_grad._gradient``: one adjoint solve for a nonempty set, the
+    instance's ``interior_gradient`` for the interior ones.
     ``stationarity_profile`` gives the window norms of the stored
     gradients.
     """
@@ -155,15 +150,12 @@ def stationarity_window(log, t: int, beta: float, K: int, inst: QuadraticBilevel
     if t > len(records):
         raise WindowIncomplete(f"log has only {len(records)} records (t={t})")
     X = np.repeat([records[i - 1].x_bar for i in range(t - K + 1, t + 1)], mc_samples, axis=0)
-    Q = _draws(radius, rng, inst.d_l, K * mc_samples)
+    Q = _ball_draws(radius, rng, inst.d_l, K * mc_samples)[0]
     Y, Lam, groups, fallbacks = _mc_solves(inst, X, Q)
     G = np.empty_like(X)
     for active, rows in groups.items():
-        if not active:
-            G[rows] = inst.interior_gradient(X[rows], Y[rows])
-            continue
-        gx, gy = grad_f_rows(inst, X[rows], Y[rows])
-        G[rows] = _adjoint(inst, Lam[rows], active, gx, gy)
+        G[rows] = _gradient(inst, X[rows], Y[rows], Lam[rows], active, inst.cx_mean,
+                            inst.cy_mean, inst.interior_gradient.g0)
     combined = np.einsum("i,ij->j", window_weights(beta, K),
                          G.reshape(K, mc_samples, -1).mean(axis=1))
     return StationarityWindow(combined=combined, norm=math.sqrt(combined @ combined),
@@ -254,13 +246,13 @@ def perturbation_error_check(inst: QuadraticBilevel, x: np.ndarray, radius: floa
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     x = np.asarray(x, dtype=float)
-    Q = _draws(radius, rng, inst.d_l, n_samples)
+    Q = _ball_draws(radius, rng, inst.d_l, n_samples)[0]
     sol = solve_ll_quadratic(inst, x, None)
     exact = eval_f(inst, x, sol.y_hat)
     Y, _, _, fallbacks = _mc_solves(inst, x, Q, sol.active_set)
     vals = eval_f_rows(inst, x, Y)
     mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
-    gx, gy = grad_f_rows(inst, x, Y[::max(1, n_samples // 32)])
+    gx, gy = inst._grad_f(x, Y[::max(1, n_samples // 32)], inst.cx_mean, inst.cy_mean)
     l_hat = 1.5 * math.sqrt(float(np.max((gx * gx).sum(axis=1) + (gy * gy).sum(axis=1))))
     bound = l_hat * radius / inst.mu_g + 3.0 * stderr
     gap = abs(mean - exact)

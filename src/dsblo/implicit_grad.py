@@ -18,7 +18,9 @@ with c = grad_y f and u = 0, whose point v and multipliers w give
 
 With no active row jac_y = -H^-1 M is constant, and the gradient is the
 instance's affine map ``QuadraticBilevel.interior_gradient`` of (x, y);
-the adjoint solve is made only on a nonempty active set.
+the adjoint solve is made only on a nonempty active set. ``_gradient``
+makes that choice for the full batch, a component batch (through the
+means of its linear terms) and the Monte-Carlo window's rows alike.
 
 ``jacobians`` forms jac_y and jac_lambda, the same solve with c = M and
 u = -Bbar but made with ``np.linalg.solve`` of S, where the adjoint
@@ -71,12 +73,23 @@ def _adjoint(inst: QuadraticBilevel, lam, active: tuple, gx, gy) -> np.ndarray:
     draw and the result one gradient row per draw, all from one solve.
     Every row's multipliers are checked. M' is Q2 itself. lam, gx and gy
     are float arrays, taken as given."""
-    gy = gy.T
-    H = inst.hess_yy_diag
-    Higy = gy / H if gy.ndim == 1 else gy / H[:, None]
     Bbar = _active_rows(inst, active, lam)
-    w, v = inst.active_set_cache.equality_solve(tuple(active), Higy, 0.0)
+    w, v = inst.active_set_cache.equality_solve(tuple(active), (gy / inst.hess_yy_diag).T, 0.0)
     return gx + (inst.Q2 @ v).T + (Bbar.T @ w).T
+
+
+def _gradient(inst: QuadraticBilevel, x, y, lam, active: tuple, cx, cy, g0) -> np.ndarray:
+    """grad_x f + jac_y' grad_y f at the lower-level solution y, with
+    multipliers lam, on the active rows ``active``, for the upper-level
+    linear terms cx, cy and their interior offset g0 = cx - Q2 H^-1 cy:
+    the instance's interior map on an empty active set, ``_adjoint`` of
+    ``_grad_f`` otherwise. x, y and lam are one solve's float vectors, or
+    one row per draw of draws that share the active set; their shapes are
+    taken as given."""
+    if not active:
+        return inst.interior_gradient(x, y, g0)
+    gx, gy = inst._grad_f(x, y, cx, cy)
+    return _adjoint(inst, lam, active, gx, gy)
 
 
 def jacobians(inst: QuadraticBilevel, sol: LLSolution):
@@ -98,31 +111,33 @@ def implicit_gradient(inst: QuadraticBilevel, x: np.ndarray, sol: LLSolution) ->
     the shapes of x and y_hat are checked."""
     x = np.asarray(x, dtype=float)
     inst._check_dims(x, sol.y_hat)
-    if not sol.active_set:
-        return ImplicitGradient(grad=inst.interior_gradient(x, sol.y_hat))
-    gx, gy = inst._grad_f(x, sol.y_hat, inst.cx_mean, inst.cy_mean)
-    return ImplicitGradient(grad=_adjoint(inst, sol.lam, sol.active_set, gx, gy))
+    return ImplicitGradient(grad=_gradient(inst, x, sol.y_hat, sol.lam, sol.active_set,
+                                           inst.cx_mean, inst.cy_mean,
+                                           inst.interior_gradient.g0))
 
 
 def sampled_implicit_gradient(inst: QuadraticBilevel, x: np.ndarray, sol: LLSolution,
                               xi: Union[int, Sequence[int]]) -> ImplicitGradient:
     """Implicit gradient of component ``xi``; averaging over all components
-    recovers ``implicit_gradient`` exactly (finite sum).
+    recovers ``implicit_gradient`` to round-off (finite sum).
 
-    A sequence ``xi`` gives the mean over its components from one adjoint
-    solve: the gradient is linear in (grad_x f, grad_y f), so those are
-    averaged first. With no active row the mean of the components' offsets
-    g0_i goes into the interior map.
+    A nonempty sequence ``xi`` gives the mean over its components from one
+    gradient: the gradient is affine in the linear terms (cx_i, cy_i), so
+    their means, and the mean of the components' interior offsets g0_i,
+    take their place. One component gives its own gradient bit for bit;
+    two or more differ from the mean of their gradients by round-off. An
+    empty sequence or an index that is not an integer raises
+    ``ValueError``, an index out of range ``IndexError``; the shapes of x
+    and y_hat are checked.
     """
-    xi = [int(i) for i in np.atleast_1d(xi)]
-    if not sol.active_set:
-        for i in xi:
-            inst._check_component(i)
-        x = np.asarray(x, dtype=float)
-        inst._check_dims(x, sol.y_hat)
-        interior = inst.interior_gradient
-        return ImplicitGradient(grad=interior(x, sol.y_hat, interior.offsets[xi].mean(axis=0)))
-    parts = [inst.sampled_grad_f(x, sol.y_hat, i) for i in xi]
-    gx = np.mean([p[0] for p in parts], axis=0)
-    gy = np.mean([p[1] for p in parts], axis=0)
-    return ImplicitGradient(grad=_adjoint(inst, sol.lam, sol.active_set, gx, gy))
+    xi = np.atleast_1d(xi)
+    if xi.size == 0 or xi.ndim != 1 or not np.issubdtype(xi.dtype, np.integer):
+        raise ValueError(f"xi must be one or more integer component indices, got {xi!r}")
+    bad = xi[(xi < 0) | (xi >= inst.n_components)]
+    if bad.size:
+        raise IndexError(f"component index {int(bad[0])} out of range")
+    x = np.asarray(x, dtype=float)
+    inst._check_dims(x, sol.y_hat)
+    return ImplicitGradient(grad=_gradient(inst, x, sol.y_hat, sol.lam, sol.active_set,
+                                           inst.cx[xi].mean(axis=0), inst.cy[xi].mean(axis=0),
+                                           inst.interior_gradient.offsets[xi].mean(axis=0)))

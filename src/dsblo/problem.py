@@ -168,21 +168,16 @@ class QuadraticBilevel:
         self._check_dims(x, y)
         return self._grad_f(x, y, self.cx_mean, self.cy_mean)
 
-    def sampled_grad_f(self, x: np.ndarray, y: np.ndarray, xi: int):
-        """(grad_x, grad_y) of component ``xi``; the shapes of x and y are
-        checked."""
-        self._check_component(xi)
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        self._check_dims(x, y)
-        return self._grad_f(x, y, self.cx[xi], self.cy[xi])
-
     def _grad_f(self, x: np.ndarray, y: np.ndarray, cx: np.ndarray, cy: np.ndarray):
         """(grad_x f, grad_y f) with the linear terms cx and cy, at the float
-        arrays x and y taken as given. Their shapes are not checked here:
-        every caller (``grad_f``, ``sampled_grad_f``, ``implicit_gradient``)
-        has checked them."""
-        gx = 2.0 * x + 0.1 * (self.Q1 @ y) + cx
-        gy = 0.1 * (self.Q1.T @ x) + 2.0 * y + cy
+        vectors x and y, or one row of each per row of the float matrices x
+        and y (either may be one vector for every row). Their shapes are
+        not checked here: ``grad_f`` and the implicit gradients check them,
+        and the rows come from solves of the instance. On vectors,
+        ``y @ Q1.T`` and ``x @ Q1`` give the bits of ``Q1 @ y`` and
+        ``Q1.T @ x``."""
+        gx = 2.0 * x + 0.1 * (y @ self.Q1.T) + cx
+        gy = 0.1 * (x @ self.Q1) + 2.0 * y + cy
         return gx, gy
 
     # -- lower level -------------------------------------------------------
@@ -200,10 +195,6 @@ class QuadraticBilevel:
     def mu_g(self) -> float:
         """Strong-convexity modulus of g in y, the Hessian's least eigenvalue."""
         return float(self.hess_yy_diag.min())
-
-    def _check_component(self, xi: int):
-        if not 0 <= xi < self.n_components:
-            raise IndexError(f"component index {xi} out of range")
 
     def _check_dims(self, x: np.ndarray, y: np.ndarray):
         d_u, d_l = self.Q1.shape
@@ -278,20 +269,9 @@ def eval_f_rows(inst: QuadraticBilevel, x: np.ndarray, Y: np.ndarray) -> np.ndar
     return base + (inst.cx_mean @ x + Y @ inst.cy_mean)
 
 
-def grad_f_rows(inst: QuadraticBilevel, X: np.ndarray, Y: np.ndarray) -> tuple:
-    """``inst.grad_f`` at n points at once: one row of grad_x f and one of
-    grad_y f per row i of Y, taken at row i of X (or at X itself when it is
-    one point)."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    gx = 2.0 * X + 0.1 * (Y @ inst.Q1.T) + inst.cx_mean
-    gy = 0.1 * (X @ inst.Q1) + 2.0 * Y + inst.cy_mean
-    return gx, gy
-
-
 def sample_component(problem: QuadraticBilevel, rng: np.random.Generator) -> int:
     """Uniform component index; the finite-sum mean of per-component
-    gradients equals the full-batch gradient exactly."""
+    gradients equals the full-batch gradient to round-off."""
     return int(rng.integers(problem.n_components))
 
 

@@ -18,9 +18,9 @@ from dsblo.algorithm import (DsbloParams, ManualMode, TheoryMode, run_dsblo,
 from dsblo.diagnostics import check_windows, eval_F_exact
 from dsblo.errors import (DegenerateActiveSet, DsbloError, Infeasible, NonFinite,
                           ScheduleInfeasible)
-from dsblo.implicit_grad import implicit_gradient
+from dsblo.implicit_grad import implicit_gradient, sampled_implicit_gradient
 from dsblo.lower_level import TAU_ACT, _ball_draw, sample_perturbation, solve_ll_quadratic
-from dsblo.problem import Polyhedron, generate_instance
+from dsblo.problem import Polyhedron, generate_instance, sample_component
 from dsblo.verify import schedule_recompute_mp
 
 from conftest import make_1d_instance
@@ -251,23 +251,23 @@ class TestRunDsblo:
 
     def test_sampled_batch_one_gradient_call(self, monkeypatch):
         # each gradient sample draws its batch in order from the component
-        # stream (the third of the run seed's streams) and makes one
-        # gradient call on all of it
+        # stream (the third of the run seed's streams), interior samples
+        # and binding ones alike
         inst = generate_instance(4, 4, 2, seed=5, n_components=8)
-        calls = []
-        real = algo.sampled_implicit_gradient
+        draws = []
+        real = algo.sample_component
 
-        def recording(problem, x, sol, xi):
-            calls.append(list(xi))
-            return real(problem, x, sol, xi)
+        def recording(problem, rng):
+            draws.append(real(problem, rng))
+            return draws[-1]
 
-        monkeypatch.setattr(algo, "sampled_implicit_gradient", recording)
+        monkeypatch.setattr(algo, "sample_component", recording)
         params = DsbloParams(
             T=12, mode=ManualMode(beta=0.9, gamma1=5.0, gamma2=20.0, K=5, delta_y=1e-8),
             option="sampled", seed=3, batch_size=5)
         run_dsblo(inst, params, eval_every=0)
         replay = np.random.default_rng(np.random.SeedSequence(3).spawn(3)[2])
-        assert calls == [[int(replay.integers(8)) for _ in range(5)] for _ in range(12)]
+        assert draws == [int(replay.integers(8)) for _ in range(5 * 12)]
 
     def test_nan_start_raises(self):
         # the first sample has no start, so it takes the interior sample's
@@ -654,15 +654,17 @@ class TestInteriorFastPath:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 6), st.integers(0, 2 ** 16),
            st.sampled_from([0.0, 0.05, 0.3, 1.0]), st.integers(0, 2 ** 16),
-           st.one_of(st.none(), st.floats(-2 * TAU_ACT, 3 * TAU_ACT)))
+           st.one_of(st.none(), st.floats(-2 * TAU_ACT, 3 * TAU_ACT)),
+           st.sampled_from(["deterministic", "sampled"]), st.integers(1, 5), st.integers(1, 4))
     def test_interior_sample_equals_the_solve_and_gradient(self, d, k, seed, scale, run_seed,
-                                                           gap):
+                                                           gap, option, m, batch):
         # the box rows |y_i| <= 0.2 bind at some of these points; with
         # ``gap`` row 0's bound moves so that its slack at the unconstrained
         # minimum y0 is gap, on either side of the interior test's TAU_ACT
-        inst = generate_instance(d, d, k, seed=seed, box_radius=0.2)
+        inst = generate_instance(d, d, k, seed=seed, box_radius=0.2, n_components=m)
         x = scale * np.random.default_rng(seed).standard_normal(d)
-        q_rng = np.random.default_rng(np.random.SeedSequence(run_seed).spawn(3)[0])
+        q_rng, _, xi_rng = (np.random.default_rng(s)
+                            for s in np.random.SeedSequence(run_seed).spawn(3))
         q = _ball_draw(1e-3, q_rng, d)
         if gap is not None:
             poly = inst.constraints
@@ -673,13 +675,22 @@ class TestInteriorFastPath:
         inner = ll.interior_point(inst.active_set_cache, *ll._linear_terms(inst, x, q))
 
         def first_sample():
-            # the loop's first sample is at x0, with the first draw of stream 0
-            return run_igd_baseline(inst, step=0.0, T=1, seed=run_seed, x0=x,
-                                    eval_every=0).records[0].grad
+            # the loop's first sample is at x0, with the first draw of
+            # stream 0 and, sampled, the first ``batch`` draws of stream 2;
+            # the cancel ends the run before it takes a second
+            params = DsbloParams(T=2, mode=ManualMode(beta=0.9, gamma1=20.0, gamma2=20.0, K=1,
+                                                      delta_y=1e-8),
+                                 option=option, seed=run_seed, batch_size=batch)
+            log = run_dsblo(inst, params, x0=x, cancel=lambda: True, eval_every=0)
+            return log.records[0].grad
 
         try:
             sol = solve_ll_quadratic(inst, x, q)
-            grad = implicit_gradient(inst, x, sol).grad
+            if option == "sampled":
+                xi = [sample_component(inst, xi_rng) for _ in range(batch)]
+                grad = sampled_implicit_gradient(inst, x, sol, xi).grad
+            else:
+                grad = implicit_gradient(inst, x, sol).grad
             # started from row 0, the solve iterates whenever y0 binds a
             # row, and finds its active rows from its own solution's slacks
             pivoted = solve_ll_quadratic(inst, x, q, (0,))

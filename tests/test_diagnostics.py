@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 import dsblo.algorithm as algo_mod
 import dsblo.diagnostics as diag_mod
 from dsblo.algorithm import DsbloParams, ManualMode, run_dsblo, run_igd_baseline
-from dsblo.diagnostics import (_dots, _draws, _mc_solves, build_report, check_windows,
+from dsblo.diagnostics import (_dots, _mc_solves, build_report, check_windows,
                                eval_F_exact, eval_F_exact_rows, fd_gradient_oracle,
                                perturbation_error_check, stationarity_profile,
                                stationarity_window, window_weights)
 from dsblo.errors import DsbloError, NonFinite, WindowIncomplete, WindowViolation
 from dsblo.experiment import write_csv
-from dsblo.lower_level import _ball_draw, solve_ll_bruteforce, solve_ll_quadratic
+from dsblo.lower_level import _ball_draw, _ball_draws, solve_ll_bruteforce, solve_ll_quadratic
 from dsblo.problem import empty_polyhedron, eval_f, eval_f_rows, generate_instance
 from dsblo.verify import mc_window_logs, mc_window_reference
 
@@ -174,7 +174,7 @@ class TestFbarMC:
         inst = small_instance
         x = np.full(3, 0.3)
         res = perturbation_error_check(inst, x, 1e-2, 40, np.random.default_rng(6))
-        Q = _draws(1e-2, np.random.default_rng(6), 3, 40)
+        Q = _ball_draws(1e-2, np.random.default_rng(6), 3, 40)[0]
         exact = solve_ll_quadratic(inst, x, None)
         Y, _, groups, fallbacks = _mc_solves(inst, x, Q, exact.active_set)
         vals = eval_f_rows(inst, x, Y)
@@ -195,7 +195,7 @@ class TestFbarMC:
         rng = np.random.default_rng(seed)
         X = np.repeat(scale * rng.standard_normal(d)
                       + 0.1 * scale * rng.standard_normal((n_points, d)), per_point, axis=0)
-        Q = _draws(radius, np.random.default_rng(seed + 1), d, len(X))
+        Q = _ball_draws(radius, np.random.default_rng(seed + 1), d, len(X))[0]
         try:
             start = solve_ll_quadratic(inst, 1.1 * X[0], None).active_set if warm else None
             colds = [solve_ll_quadratic(inst, x, q) for x, q in zip(X, Q)]
@@ -226,7 +226,7 @@ class TestFbarMC:
             return real(inst_, x_, q, start)
 
         monkeypatch.setattr(diag, "solve_ll_quadratic", recording)
-        Q = _draws(1.0, np.random.default_rng(3), 1, 40)
+        Q = _ball_draws(1.0, np.random.default_rng(3), 1, 40)[0]
         Y, Lam, groups, fallbacks = _mc_solves(inst, x, Q)
         cold = [solve_ll_quadratic(inst, x, q) for q in Q]
         first = cold[0].active_set
@@ -342,7 +342,7 @@ class TestFbarMC:
         assert np.allclose(win.combined, ref_window, rtol=1e-12,
                            atol=1e-12 * max(1.0, np.abs(ref_window).max()))
         # and every draw ends on its cold solve's active set
-        Q = _draws(radius, np.random.default_rng(seed + 2), d, 3 * m)
+        Q = _ball_draws(radius, np.random.default_rng(seed + 2), d, 3 * m)[0]
         X = np.repeat([r.x_bar for r in log.records[1:4]], m, axis=0)
         _, _, groups, _ = _mc_solves(inst, X, Q)
         for active, rows in groups.items():

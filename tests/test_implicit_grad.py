@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from dsblo.diagnostics import fd_gradient_oracle
 from dsblo.errors import DegenerateActiveSet, Infeasible
-from dsblo.implicit_grad import _adjoint, implicit_gradient, jacobians, sampled_implicit_gradient
+from dsblo.implicit_grad import (_adjoint, _gradient, implicit_gradient, jacobians,
+                                 sampled_implicit_gradient)
 from dsblo.lower_level import (_linear_terms, interior_point, sample_perturbation,
                                solve_ll_quadratic, solve_qp_batch)
-from dsblo.problem import Polyhedron, eval_f, generate_instance, grad_f_rows
+from dsblo.problem import Polyhedron, eval_f, generate_instance
 from dsblo.verify import degenerate_instance, margin_point
 
 from conftest import make_1d_instance
@@ -235,11 +236,14 @@ def _rows_on_one_active_set(inst, x, n, rng, spread=1e-3):
 class TestAdjointRows:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 8), st.integers(0, 10_000),
-           st.sampled_from([0.5, 2.0]), st.integers(2, 9))
-    def test_rows_equal_one_row_calls(self, d, k, seed, scale, n):
-        # the draws on one active set, differentiated by one solve with a
-        # row per draw, give the one-row adjoint of each draw
-        inst = generate_instance(d, d, k, seed=seed)
+           st.sampled_from([0.5, 2.0]), st.integers(2, 9), st.integers(1, 4),
+           st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    def test_rows_equal_one_row_calls(self, d, k, seed, scale, n, m, picks):
+        # the draws on one active set, differentiated by one call with a
+        # row per draw (one adjoint solve, or the interior map), give the
+        # one-row gradient of each draw, for the mean linear terms of a
+        # component batch
+        inst = generate_instance(d, d, k, seed=seed, n_components=m)
         rng = np.random.default_rng(seed)
         try:
             X, Y, Lam, active = _rows_on_one_active_set(inst, scale * rng.standard_normal(d),
@@ -247,16 +251,14 @@ class TestAdjointRows:
         except (Infeasible, DegenerateActiveSet):
             assume(False)
         assume(len(X) >= 2)
-        gx, gy = grad_f_rows(inst, X, Y)
-        if active:
-            try:
-                rows = _adjoint(inst, Lam, active, gx, gy)
-            except DegenerateActiveSet:
-                assume(False)
-            ones = [_adjoint(inst, Lam[i], active, gx[i], gy[i]) for i in range(len(X))]
-        else:  # interior draws go through the interior map, rows and one at a time
-            rows = inst.interior_gradient(X, Y)
-            ones = [inst.interior_gradient(X[i], Y[i]) for i in range(len(X))]
+        xi = [p % m for p in picks]
+        terms = (inst.cx[xi].mean(axis=0), inst.cy[xi].mean(axis=0),
+                 inst.interior_gradient.offsets[xi].mean(axis=0))
+        try:
+            rows = _gradient(inst, X, Y, Lam, active, *terms)
+        except DegenerateActiveSet:
+            assume(False)
+        ones = [_gradient(inst, X[i], Y[i], Lam[i], active, *terms) for i in range(len(X))]
         assert rows.shape == X.shape
         for row, one in zip(rows, ones):
             assert np.allclose(row, one, rtol=1e-12, atol=1e-12 * np.abs(one).max())
@@ -277,7 +279,7 @@ class TestAdjointRows:
         rng = np.random.default_rng(1)
         X, Y, Lam, active = _rows_on_one_active_set(inst, rng.standard_normal(50), 6, rng)
         assert len(X) >= 3 and active
-        gx, gy = grad_f_rows(inst, X, Y)
+        gx, gy = inst._grad_f(X, Y, inst.cx_mean, inst.cy_mean)
         _adjoint(inst, Lam, active, gx, gy)
         Lam = Lam.copy()
         Lam[2, active[-1]] = 0.0
@@ -322,7 +324,8 @@ class TestInteriorGradient:
             assert _close(implicit_gradient(inst, x, sol).grad, gx + jac_y.T @ gy)
             # a component list gives the mean of its components' gradients
             ref = np.mean([gxi + jac_y.T @ gyi
-                           for gxi, gyi in (inst.sampled_grad_f(x, sol.y_hat, i) for i in xi)],
+                           for gxi, gyi in (inst._grad_f(x, sol.y_hat, inst.cx[i], inst.cy[i])
+                                            for i in xi)],
                           axis=0)
             assert _close(sampled_implicit_gradient(inst, x, sol, xi).grad, ref)
             # one component alone is the full batch, bit for bit
@@ -350,6 +353,21 @@ class TestInteriorGradient:
         for xi in (-1, 1, [0, 1]):
             with pytest.raises(IndexError, match="out of range"):
                 sampled_implicit_gradient(seed1_instance, x, sol, xi)
+
+    def test_sampled_rejects_an_empty_or_non_integer_xi(self):
+        # an empty batch has no mean and a fractional index names no
+        # component, on an interior solve and on a binding one alike
+        inst = generate_instance(6, 6, 3, seed=21, n_components=8)
+        x, _q, binding = _active_margin_point(inst, np.random.default_rng(21))
+        interior = solve_ll_quadratic(inst, np.zeros(6), None)
+        assert binding.active_set and not interior.active_set
+        for x, sol in ((x, binding), (np.zeros(6), interior)):
+            for xi in ([], (), np.array([], dtype=int), 2.7, [0, 1.5], True, [[0, 1]]):
+                with pytest.raises(ValueError, match="integer component indices"):
+                    sampled_implicit_gradient(inst, x, sol, xi)
+            for xi in (8, [0, -1]):
+                with pytest.raises(IndexError, match="out of range"):
+                    sampled_implicit_gradient(inst, x, sol, xi)
 
 
 class TestErrors:

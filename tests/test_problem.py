@@ -138,6 +138,28 @@ class TestGradients:
                 assert abs(gx[j] - fd_x) <= 1e-6 * max(1.0, abs(fd_x))
                 assert abs(gy[j] - fd_y) <= 1e-6 * max(1.0, abs(fd_y))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 500), st.integers(1, 500), st.integers(0, 2 ** 16),
+           st.integers(1, 6), st.booleans())
+    def test_grad_f_vectors_and_rows(self, d_u, d_l, seed, n, one_x):
+        # on vectors, y @ Q1' and x @ Q1 keep the bits of Q1 @ y and Q1' @ x;
+        # a row of the rows form (X one point for every row, or one per row)
+        # is the one-row call to round-off
+        inst = generate_instance(d_u, d_l, 0, seed=seed)
+        rng = np.random.default_rng(seed)
+        X, Y = rng.standard_normal((n, d_u)), rng.standard_normal((n, d_l))
+        cx, cy = rng.standard_normal(d_u), rng.standard_normal(d_l)
+        for x, y in zip(X, Y):
+            gx, gy = inst._grad_f(x, y, cx, cy)
+            assert gx.tobytes() == (2.0 * x + 0.1 * (inst.Q1 @ y) + cx).tobytes()
+            assert gy.tobytes() == (0.1 * (inst.Q1.T @ x) + 2.0 * y + cy).tobytes()
+        if one_x:
+            X = X[0]
+        rows = inst._grad_f(X, Y, cx, cy)
+        for i in range(n):
+            for row, one in zip(rows, inst._grad_f(X if one_x else X[i], Y[i], cx, cy)):
+                assert np.allclose(row[i], one, rtol=1e-12, atol=1e-12 * np.abs(one).max())
+
     def test_hessian_constant(self, seed1_instance):
         inst = seed1_instance
         rng = np.random.default_rng(3)
@@ -177,14 +199,10 @@ class TestSampling:
         rng = np.random.default_rng(8)
         x, y = rng.standard_normal(3), rng.standard_normal(4)
         gx, gy = inst.grad_f(x, y)
-        sx = np.mean([inst.sampled_grad_f(x, y, i)[0] for i in range(8)], axis=0)
-        sy = np.mean([inst.sampled_grad_f(x, y, i)[1] for i in range(8)], axis=0)
+        sx = np.mean([inst._grad_f(x, y, inst.cx[i], inst.cy[i])[0] for i in range(8)], axis=0)
+        sy = np.mean([inst._grad_f(x, y, inst.cx[i], inst.cy[i])[1] for i in range(8)], axis=0)
         assert np.linalg.norm(sx - gx) <= 1e-12
         assert np.linalg.norm(sy - gy) <= 1e-12
-
-    def test_component_index_checked(self, seed1_instance):
-        with pytest.raises(IndexError):
-            seed1_instance.sampled_grad_f(np.zeros(10), np.zeros(10), 1)
 
 
 class TestSerialization:
