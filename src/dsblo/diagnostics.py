@@ -46,13 +46,18 @@ def eval_F_exact_rows(inst: QuadraticBilevel, xs, starts) -> np.ndarray:
     Every other point, a NaN, infinite or binding one, goes through
     ``eval_F_exact`` with its own start, and raises what that raises."""
     poly = inst.constraints
+    m, d = poly.box_start, inst.d_l
     F = np.empty(len(xs))
     for lo in range(0, len(xs), F_BLOCK):
         X = np.array(xs[lo:lo + F_BLOCK], dtype=float)
         try:  # as in solve_qp: only an infinite point warns here
             C = _mv(inst.Q2.T, X) + 0.0  # solve_ll_quadratic adds a zero q
             Y = -(C / inst.hess_yy_diag)
-            slack = (poly.b - _mv(poly.B, X)) - _mv(poly.A, Y)
+            if m is None:
+                slack = (poly.b - _mv(poly.B, X)) - _mv(poly.A, Y)
+            else:  # the box rows' slacks b - y and b + y, as in the solve
+                slack = np.concatenate(((poly.b[:m] - _mv(poly.B[:m], X)) - _mv(poly.A[:m], Y),
+                                        poly.b[m:m + d] - Y, poly.b[m + d:] + Y), axis=1)
         except RuntimeWarning as exc:
             raise NonFinite(f"non-finite point: {exc}") from exc
         fast = np.isfinite(Y).all(axis=1) & (slack > TAU_ACT).all(axis=1)
@@ -82,8 +87,13 @@ def _mc_solves(inst: QuadraticBilevel, X: np.ndarray, Q: np.ndarray, start=None)
     n = Q.shape[0]
     X = np.broadcast_to(X, (n, inst.d_u))
     poly = inst.constraints
+    m = poly.box_start
     C = X @ inst.Q2 + Q
-    U = poly.b - X @ poly.B.T
+    if m is None:
+        U = poly.b - X @ poly.B.T
+    else:  # b from the box on, as in the solve
+        U = np.tile(poly.b, (n, 1))
+        U[:, :m] -= X @ poly.B[:m].T
     Y = np.empty((n, inst.d_l))
     Lam = np.empty((n, poly.k))
     groups: dict = {}

@@ -167,6 +167,20 @@ def _certified(y: np.ndarray, lam: np.ndarray, active: tuple, kkt: float,
                       max_violation=max_viol, delta_cert=kkt / mu, stats=stats)
 
 
+def _box_slack(A: np.ndarray, m: int, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """u - A y for rows A whose rows from m on are the box [I; -I]
+    (``Polyhedron.box_start``): the rows before m by one product, the box
+    rows as u - y and u + y, which are the dense product's bits wherever y
+    is finite. y is a vector, or a matrix with one column per draw and u
+    one column each."""
+    d = A.shape[1]
+    s = np.empty(u.shape)
+    np.subtract(u[:m], A[:m] @ y, out=s[:m])
+    np.subtract(u[m:m + d], y, out=s[m:m + d])
+    np.add(u[m + d:], y, out=s[m + d:])
+    return s
+
+
 def interior_point(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray) -> Optional[tuple]:
     """The solve of ``solve_qp(cache, c, u)`` when it is interior, as (y,
     its KKT residual, its largest violation): y = -H^-1 c when there are no
@@ -178,10 +192,13 @@ def interior_point(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray) -> Optio
     vectors, taken as given. A NaN or infinite input, or one so large that
     the arithmetic overflows, warns somewhere here; where numpy's warnings
     are raised as errors that raises ``NonFinite``."""
-    A = cache.A
+    A, box = cache.A, cache.box_start
     try:
         y = c / cache.neg_H
-        smin = float(np.minimum.reduce(u - A @ y)) if A.shape[0] else np.inf
+        if box is None:
+            smin = float(np.minimum.reduce(u - A @ y)) if A.shape[0] else np.inf
+        else:
+            smin = float(np.minimum.reduce(_box_slack(A, box, u, y)))
         if not smin > TAU_ACT:
             return None
         return y, _certificate(cache.H * y + c, -smin), -smin
@@ -219,7 +236,11 @@ class ActiveSetCache:
     implicit gradient both solve through it.
 
     It is the one carrier of H, A and ``mu``: ``solve_qp`` and
-    ``solve_qp_batch`` take it in their place.
+    ``solve_qp_batch`` take it in their place. When ``box_start`` is not
+    None, A's rows from there on are the box [I; -I], and the solves take
+    their slacks u - A y by blocks (``_box_slack``); the instance's cache
+    has it from ``Polyhedron.box_start``, and a cache of bare arrays stays
+    dense.
     ``QuadraticBilevel.active_set_cache`` keeps one per instance, since H and
     A never change. It holds at most ``ACTIVE_SET_CACHE_BYTES`` of operands
     (``nbytes`` is what its tuples are charged), except that a tuple larger
@@ -227,7 +248,7 @@ class ActiveSetCache:
     ``ValueError`` and a nonpositive entry ``NotSPD``; ``mu`` is H's
     smallest entry, ``neg_H`` is -H, and ``A`` a 2-D float array."""
 
-    def __init__(self, H: np.ndarray, A: np.ndarray):
+    def __init__(self, H: np.ndarray, A: np.ndarray, box_start: Optional[int] = None):
         H = np.asarray(H, dtype=float)
         if H.ndim != 1:
             raise ValueError("the Hessian diagonal H must be a 1-D array")
@@ -237,6 +258,7 @@ class ActiveSetCache:
         self.H = H
         self.neg_H = -H
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
+        self.box_start = box_start
         self._rows: dict = {}
         self.nbytes = 0
 
@@ -524,13 +546,16 @@ def _dual_active_set(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray,
     ``MaxPivots``."""
     if hot is not None:
         return _iterate(cache, c, u, Hic, hot, exact)
-    crash = _hot_start(cache, Hic, u, _tight_rows(u - cache.A @ -Hic), exact)
+    A, box = cache.A, cache.box_start
+    y0 = -Hic
+    crash = _hot_start(cache, Hic, u, _tight_rows(u - A @ y0 if box is None
+                                                  else _box_slack(A, box, u, y0)), exact)
     if crash is not None:
         try:
             return _iterate(cache, c, u, Hic, crash, exact)
         except (Uncertified, MaxPivots):
             pass
-    return _iterate(cache, c, u, Hic, ([], np.zeros(0), -Hic), exact)
+    return _iterate(cache, c, u, Hic, ([], np.zeros(0), y0), exact)
 
 
 def _iterate(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, Hic: np.ndarray,
@@ -539,7 +564,7 @@ def _iterate(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, Hic: np.ndarra
     rows, their multipliers, y); ``exact`` makes the polish solve with
     ``np.linalg.solve``. ``Si`` is the inverse of S on the working rows
     ``work``, in their order."""
-    H, A = cache.H, cache.A
+    H, A, box = cache.H, cache.A, cache.box_start
     d = H.shape[0]
     k = A.shape[0]
     max_pivots = 100 + 50 * (k + d)
@@ -552,7 +577,7 @@ def _iterate(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, Hic: np.ndarra
     repairs = 0
 
     while True:
-        slack = u - A @ y if k else np.zeros(0)
+        slack = (u - A @ y if box is None else _box_slack(A, box, u, y)) if k else np.zeros(0)
         bad = slack < -_VIOL_TOL
         bad[work] = False
         viol = np.flatnonzero(bad)
@@ -573,7 +598,8 @@ def _iterate(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, Hic: np.ndarra
                 else:
                     lam_w = np.zeros(0)
                     y = -Hic
-                slack = u - A @ y if k else np.zeros(0)
+                slack = ((u - A @ y if box is None else _box_slack(A, box, u, y)) if k
+                         else np.zeros(0))
                 polished = True
             # the polish may expose a marginal violation or a stray negative
             # multiplier; repair by re-entering the loop
@@ -632,6 +658,8 @@ def _iterate(cache: ActiveSetCache, c: np.ndarray, u: np.ndarray, Hic: np.ndarra
                     t_dual = float(np.min(ratios))
                     j_drop = int(pos[np.flatnonzero(ratios <= t_dual)[0]])
             if not np.isfinite(t_full) and not np.isfinite(t_dual):
+                if not dependent:  # a NaN or infinite slack or curvature
+                    raise NonFinite(f"non-finite step {s_p} / {curv} toward row {p}")
                 raise _unbounded_ray(A, u, p, work, dlam)
 
             t = min(t_full, t_dual)
@@ -678,7 +706,7 @@ def solve_qp_batch(cache: ActiveSetCache, C: np.ndarray, U: np.ndarray, work) ->
     ``cache.check_rank`` included (see ``_start_solve``). A NaN or
     infinite draw fails, or raises ``NonFinite`` where numpy's warnings are
     raised as errors, as the single solve does."""
-    H, A = cache.H, cache.A
+    H, A, box = cache.H, cache.A, cache.box_start
     C = np.atleast_2d(np.asarray(C, dtype=float))
     n, d = C.shape
     k = A.shape[0]
@@ -693,7 +721,7 @@ def solve_qp_batch(cache: ActiveSetCache, C: np.ndarray, U: np.ndarray, work) ->
         if solved is None:
             return np.zeros(n, dtype=bool), Y, Lam
         lam_w, Yc = solved
-        slack = U.T - A @ Yc
+        slack = U.T - A @ Yc if box is None else _box_slack(A, box, U.T, Yc)
         kkt = np.linalg.norm(H[:, None] * Yc + C.T + cache.gathered(tuple(work)).T @ lam_w,
                              axis=0)
     except RuntimeWarning as exc:
@@ -718,11 +746,19 @@ def solve_ll_quadratic(inst: QuadraticBilevel, x: np.ndarray,
 
 def _linear_terms(inst: QuadraticBilevel, x: np.ndarray, q: np.ndarray) -> tuple:
     """(c, u) = (Q2'x + q, b - B x), the linear term and the right-hand side
-    of the lower level at the float vector x with the float perturbation q;
-    where numpy's warnings are raised as errors, an infinite x or q raises
-    ``NonFinite``, as in ``solve_qp``."""
+    of the lower level at the float vector x with the float perturbation q,
+    with u[m:] = b[m:] from the box on (``Polyhedron.box_start``); where
+    numpy's warnings are raised as errors, an infinite x or q raises
+    ``NonFinite``, as in ``solve_qp``, on the box rows' zeros or later."""
+    poly = inst.constraints
+    box = poly.box_start
     try:
-        return inst.Q2.T @ x + q, inst.constraints.rhs(x)
+        c = inst.Q2.T @ x + q
+        if box is None:
+            return c, poly.b - poly.B @ x
+        u = poly.b.copy()
+        u[:box] -= poly.B[:box] @ x
+        return c, u
     except RuntimeWarning as exc:
         raise NonFinite(f"non-finite input: {exc}") from exc
 

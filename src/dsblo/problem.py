@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -30,6 +30,12 @@ GENERATOR_VERSION = 1
 # feasible set is compact for every x.
 DEFAULT_BOX_RADIUS = 10.0
 
+# The lower level takes the box rows by blocks (``Polyhedron.box_start``)
+# only when they hold at least this many entries of A, 2 d_l^2: below it
+# one dense product is faster than the blocks' several calls (README "Box
+# rows" has the sweep).
+BOX_BLOCK_ENTRIES = 20_000
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(np.asarray(a, dtype=float))
@@ -43,12 +49,21 @@ class Polyhedron:
 
     A is (k, d_l), B is (k, d_u), b is (k,). Rows may include generator-added
     box rows; ``n_random_rows`` counts the genuinely random ones.
+
+    ``box_start`` is the first of the generator's box rows, m, when the
+    lower level takes them by blocks, and None when its products stay
+    dense; it is decided once, here. Blocks need the generator's layout,
+    the last 2 d_l rows of A exactly [I; -I] and those of B exactly zero,
+    so that A y is (A[:m] y, y, -y) and b - B x is (b[:m] - B[:m] x,
+    b[m:]); and the size rule, at least ``BOX_BLOCK_ENTRIES`` entries in
+    the box. ``rhs`` and ``slacks`` stay dense.
     """
 
     A: np.ndarray
     B: np.ndarray
     b: np.ndarray
     n_random_rows: int = -1
+    box_start: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", _freeze(np.atleast_2d(self.A)))
@@ -62,6 +77,12 @@ class Polyhedron:
             )
         if self.n_random_rows < 0:
             object.__setattr__(self, "n_random_rows", k)
+        m = k - 2 * d_l
+        if m >= 0 and 2 * d_l * d_l >= BOX_BLOCK_ENTRIES:
+            box = self.A[m:]
+            if (np.count_nonzero(box) == 2 * d_l and (box[:d_l].diagonal() == 1.0).all()
+                    and (box[d_l:].diagonal() == -1.0).all() and not self.B[m:].any()):
+                object.__setattr__(self, "box_start", m)
 
     @property
     def k(self) -> int:
@@ -150,8 +171,9 @@ class QuadraticBilevel:
     @cached_property
     def active_set_cache(self) -> "lower_level.ActiveSetCache":
         """The instance's ``lower_level.ActiveSetCache``, shared by its solves
-        and implicit gradients: H and A cannot change."""
-        return lower_level.ActiveSetCache(self.hess_yy_diag, self.constraints.A)
+        and implicit gradients: H, A and the box decision cannot change."""
+        return lower_level.ActiveSetCache(self.hess_yy_diag, self.constraints.A,
+                                          self.constraints.box_start)
 
     @cached_property
     def interior_gradient(self) -> "InteriorGradient":
