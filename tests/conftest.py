@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dsblo.problem
 from dsblo.problem import Polyhedron, QuadraticBilevel, empty_polyhedron, generate_instance
 
 
@@ -26,3 +27,13 @@ def make_1d_instance(q2: float, q1: float = 0.0, cx: float = 0.0, cy: float = 0.
         Q1=[[q1]], Q2=[[q2]], cx=[[cx]], cy=[[cy]], constraints=poly,
         box_radius=None,
     )
+
+
+def generate(d_u: int, d_l: int, k: int, seed: int, blocks: bool = False, **kwargs):
+    """``generate_instance``; with ``blocks`` its box is taken by blocks
+    whatever its size, the size rule set to 0 while the instance is built
+    (``Polyhedron.box_start`` is decided then)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if blocks:
+            mp.setattr(dsblo.problem, "BOX_BLOCK_ENTRIES", 0)
+        return generate_instance(d_u, d_l, k, seed=seed, **kwargs)

@@ -15,13 +15,13 @@ from dsblo.diagnostics import (_dots, _mc_solves, build_report, check_windows,
                                eval_F_exact, eval_F_exact_rows, fd_gradient_oracle,
                                perturbation_error_check, stationarity_profile,
                                stationarity_window, window_weights)
-from dsblo.errors import DsbloError, NonFinite, WindowIncomplete, WindowViolation
+from dsblo.errors import DsbloError, Infeasible, NonFinite, WindowIncomplete, WindowViolation
 from dsblo.experiment import write_csv
 from dsblo.lower_level import _ball_draw, _ball_draws, solve_ll_bruteforce, solve_ll_quadratic
 from dsblo.problem import empty_polyhedron, eval_f, eval_f_rows, generate_instance
 from dsblo.verify import mc_window_logs, mc_window_reference
 
-from conftest import make_1d_instance
+from conftest import generate, make_1d_instance
 
 
 def _constrained_1d():
@@ -83,11 +83,15 @@ def _random_starts(rng, k: int, d: int, n: int) -> list:
 class TestEvalFRows:
     @settings(max_examples=60, deadline=None)
     @given(d=st.integers(1, 6), k=st.integers(0, 8), seed=st.integers(0, 10_000),
-           no_rows=st.booleans(), n=st.integers(1, 12))
-    def test_rows_equal_single_evaluations_bit_for_bit(self, d, k, seed, no_rows, n):
+           no_rows=st.booleans(), n=st.integers(1, 12), blocks=st.booleans(),
+           radius=st.sampled_from([0.2, 1.0, 10.0]))
+    def test_rows_equal_single_evaluations_bit_for_bit(self, d, k, seed, no_rows, n, blocks,
+                                                       radius):
         # interior and binding points, each with a random start; no_rows
-        # drops the box rows too, so the instance has no constraint at all
-        inst = generate_instance(d, d, k, seed=seed)
+        # drops the box rows too, so the instance has no constraint at all;
+        # with blocks the box rows are taken by blocks at this size too, and
+        # the smaller boxes bind on both sides
+        inst = generate(d, d, k, seed, blocks, box_radius=radius)
         if no_rows:
             inst = replace(inst, constraints=empty_polyhedron(d, d))
         rng = np.random.default_rng(seed)
@@ -102,6 +106,26 @@ class TestEvalFRows:
                     eval_F_exact_rows(inst, X, starts)
                 return
         assert np.array_equal(_bits(eval_F_exact_rows(inst, X, starts)), _bits(expected))
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_box_rows_bind_on_both_sides_with_blocks(self, k):
+        # points whose unconstrained minimum leaves the box above and below;
+        # with the box taken by blocks the rows still equal eval_F_exact
+        inst = generate(4, 4, k, 1, True, box_radius=0.2)
+        rng = np.random.default_rng(k)
+        X = rng.choice([-1.0, 0.1, 1.0], size=(60, 1)) * rng.uniform(0.0, 1.0, (60, 4))
+        sols = {}
+        for i, x in enumerate(X):
+            try:
+                sols[i] = solve_ll_quadratic(inst, x, None)
+            except Infeasible:  # B x too large for the random rows
+                pass
+        X = X[list(sols)]
+        rows = {i for sol in sols.values() for i in sol.active_set}
+        assert rows & set(range(k, k + 4)) and rows & set(range(k + 4, k + 8))
+        assert any(not sol.active_set for sol in sols.values())
+        expected = [eval_F_exact(inst, x) for x in X]
+        assert np.array_equal(_bits(eval_F_exact_rows(inst, X, [()] * len(X))), _bits(expected))
 
     def test_fallback_rows_receive_their_own_start(self, monkeypatch):
         # more points than one block, so the start of a fallback row in the
@@ -127,11 +151,12 @@ class TestEvalFRows:
         assert np.array_equal(_bits(got), _bits(expected))
 
     def test_nan_row_raises_nonfinite(self):
-        inst = generate_instance(4, 4, 3, seed=1)
-        X = np.zeros((3, 4))
-        X[1, 2] = np.nan
-        with pytest.raises(NonFinite):
-            eval_F_exact_rows(inst, X, [(), (0,), ()])
+        for blocks in (False, True):  # with blocks the box is taken by blocks
+            inst = generate(4, 4, 3, 1, blocks)
+            X = np.zeros((3, 4))
+            X[1, 2] = np.nan
+            with pytest.raises(NonFinite):
+                eval_F_exact_rows(inst, X, [(), (0,), ()])
         inst0 = replace(inst, constraints=empty_polyhedron(4, 4))
         X[1, 2] = np.inf
         with pytest.raises(NonFinite):
@@ -184,14 +209,15 @@ class TestFbarMC:
         assert res["ok"]
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 8), st.integers(1, 10), st.integers(0, 2 ** 16),
+    @given(st.integers(2, 8), st.integers(0, 10), st.integers(0, 2 ** 16),
            st.sampled_from([0.5, 1.0, 3.0]), st.sampled_from([1e-6, 1e-3, 0.1, 1.0]),
-           st.integers(1, 4), st.integers(1, 4), st.booleans())
+           st.integers(1, 4), st.integers(1, 4), st.booleans(), st.booleans())
     def test_batched_mc_solves_match_cold_solves(self, d, k, seed, scale, radius, n_points,
-                                                 per_point, warm):
+                                                 per_point, warm, blocks):
         # the batches, with their fallbacks, give the per-draw cold solves on
-        # the same stream of draws, at one point or at several
-        inst = generate_instance(d, d, k, seed=seed)
+        # the same stream of draws, at one point or at several; with blocks
+        # the box rows are taken by blocks at this size too
+        inst = generate(d, d, k, seed, blocks)
         rng = np.random.default_rng(seed)
         X = np.repeat(scale * rng.standard_normal(d)
                       + 0.1 * scale * rng.standard_normal((n_points, d)), per_point, axis=0)

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,10 @@ from dsblo.lower_level import (KKT_TOL, RANK_TOL, TAU_ACT, ActiveSetCache,
                                LLSolution, Perturbation, sample_perturbation, sc_margin,
                                solve_ll_bruteforce, solve_ll_quadratic, solve_qp,
                                solve_qp_batch)
-from dsblo.problem import Polyhedron, QuadraticBilevel, generate_instance
+from dsblo.problem import (Polyhedron, QuadraticBilevel, generate_instance, load_instance,
+                           save_instance)
 
-from conftest import make_1d_instance
+from conftest import generate, make_1d_instance
 
 
 # the reference oracle gets validated on hand-solvable problems before
@@ -240,10 +242,11 @@ class TestActiveSetQP:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3), st.integers(0, 5),
-           st.integers(min_value=0, max_value=10_000), st.floats(0.1, 2.0))
-    def test_matches_bruteforce_property(self, d, k, seed, scale):
-        from hypothesis import assume
-        inst = generate_instance(d, d, k, seed=seed)
+           st.integers(min_value=0, max_value=10_000), st.floats(0.1, 2.0), st.booleans())
+    def test_matches_bruteforce_property(self, d, k, seed, scale, blocks):
+        # with blocks the box rows are taken by blocks at this size too
+        inst = generate(d, d, k, seed, blocks)
+        assert inst.constraints.box_start == (k if blocks else None)
         rng = np.random.default_rng(seed + 1)
         x = scale * rng.standard_normal(d)
         q = sample_perturbation(1e-3, rng, d)
@@ -778,16 +781,39 @@ class TestUncertified:
 
 class TestNonFinite:
     # a NaN or infinite input must raise, never return an uncertified point
+    # (each on the dense products and with the box taken by blocks)
     def test_nan_x(self):
-        inst = generate_instance(4, 4, 2, seed=1)
-        with pytest.raises(NonFinite):
-            solve_ll_quadratic(inst, np.array([np.nan, 0.0, 0.0, 0.0]), None)
+        for blocks in (False, True):
+            inst = generate(4, 4, 2, 1, blocks)
+            with pytest.raises(NonFinite):
+                solve_ll_quadratic(inst, np.array([np.nan, 0.0, 0.0, 0.0]), None)
 
     def test_nan_q(self):
-        inst = generate_instance(4, 4, 2, seed=1)
-        for start in ((), (0,)):
-            with pytest.raises(NonFinite):
-                solve_ll_quadratic(inst, np.zeros(4), np.array([0.0, np.nan, 0.0, 0.0]), start)
+        for blocks in (False, True):
+            inst = generate(4, 4, 2, 1, blocks)
+            for start in ((), (0,)):
+                with pytest.raises(NonFinite):
+                    solve_ll_quadratic(inst, np.zeros(4), np.array([0.0, np.nan, 0.0, 0.0]),
+                                       start)
+
+    @pytest.mark.parametrize("blocks", [False, True])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_nonfinite_input_without_warnings_as_errors(self, blocks, k):
+        # with numpy's warnings off, no warning can raise: a NaN or infinite
+        # x or q must still end in NonFinite, on the box's blocks (where no
+        # 0 * inf meets the box rows) as in the dense products. A pivot
+        # toward a row with an infinite slack used to report an unbounded
+        # dual ray whose Farkas check failed (Uncertified)
+        inst = generate(4, 4, k, 1, blocks)
+        assert inst.constraints.box_start == (k if blocks else None)
+        for bad in (np.nan, np.inf, -np.inf):
+            for i in range(4):
+                v = np.zeros(4)
+                v[i] = bad
+                for x, q, start in ((v, None, ()), (np.zeros(4), v, ()),
+                                    (v, None, tuple(range(k, k + 4)))):
+                    with np.errstate(all="ignore"), pytest.raises(NonFinite):
+                        solve_ll_quadratic(inst, x, q, start)
 
     def test_inf_c_without_rows(self):
         with pytest.raises(NonFinite):
@@ -797,12 +823,17 @@ class TestNonFinite:
     def test_nonfinite_under_warnings_as_errors(self):
         # with warnings raised as errors an infinite input, or a perturbation
         # so large that the solve overflows, must still surface as NonFinite,
-        # not as a RuntimeWarning from the arithmetic before it; the box
-        # rows' zero entries meet the infinity in products
+        # not as a RuntimeWarning from the arithmetic before it; in the dense
+        # products the box rows' zero entries meet the infinity, and with
+        # blocks (the size rule set to 0) no product meets it there
         script = """
-import json, tempfile
+import json, sys, tempfile
 from dataclasses import replace
 import numpy as np
+import dsblo.problem
+blocks = sys.argv[1] == "blocks"
+if blocks:
+    dsblo.problem.BOX_BLOCK_ENTRIES = 0
 from dsblo.algorithm import DsbloParams, ManualMode, run_dsblo
 from dsblo.diagnostics import eval_F_exact_rows
 from dsblo.errors import NonFinite
@@ -821,6 +852,7 @@ inf_c = np.array([np.inf, 0.0])
 expect_nonfinite(solve_qp, ActiveSetCache(np.ones(2), np.zeros((0, 2))), inf_c, np.zeros(0))
 expect_nonfinite(solve_qp, ActiveSetCache(np.ones(2), np.eye(2)), inf_c, np.ones(2))
 boxed = generate_instance(4, 4, 3, seed=1)
+assert boxed.constraints.box_start == (3 if blocks else None)
 X = np.zeros((3, 4))
 X[1, 2] = np.inf
 for inst in (replace(boxed, constraints=empty_polyhedron(4, 4)), boxed):
@@ -853,11 +885,13 @@ for s in range(200):
 print(f"draws-raised={raised > 0} draws-non-finite={returned_inf}")
 """
         src = str(Path(ll.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True,
-                             text=True, timeout=120, env={"PYTHONPATH": src})
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["NonFinite"] * 9 + ["draws-raised=True",
-                                                          "draws-non-finite=0"]
+        for mode in ("dense", "blocks"):
+            out = subprocess.run([sys.executable, "-W", "error", "-c", script, mode],
+                                 capture_output=True, text=True, timeout=120,
+                                 env={"PYTHONPATH": src})
+            assert out.returncode == 0, out.stderr
+            assert out.stdout.split() == ["NonFinite"] * 9 + ["draws-raised=True",
+                                                              "draws-non-finite=0"]
 
     def test_nan_hessian(self):
         with pytest.raises(NonFinite):
@@ -891,10 +925,15 @@ class TestBatch:
 
     @pytest.mark.parametrize("radius", [1e-3, 0.3, 3.0])
     def test_accepts_exactly_the_solves_without_pivots(self, radius):
+        for blocks in (False, True):
+            self._accepts_exactly_the_solves_without_pivots(radius, blocks)
+
+    def _accepts_exactly_the_solves_without_pivots(self, radius, blocks):
         # a draw passes where the hot-started solve keeps W and makes no
         # pivot or repair, and then carries that solve's y and multipliers;
-        # a draw that fails holds NaN
-        inst = generate_instance(50, 50, 10, seed=1)
+        # a draw that fails holds NaN; with blocks the box rows are taken by
+        # blocks at this size too
+        inst = generate(50, 50, 10, 1, blocks)
         x = np.random.default_rng(1).standard_normal(50)
         cache, C, u = self._draws(inst, x, radius, 24, 5)
         W = solve_qp(cache, C[0], u).active_set
@@ -955,9 +994,14 @@ class TestBatch:
             assert np.array_equal(y, solve_qp(cache, c, np.zeros(0)).y_hat)
 
     def test_one_rhs_row_per_draw(self):
+        for blocks in (False, True):
+            self._one_rhs_row_per_draw(blocks)
+
+    def _one_rhs_row_per_draw(self, blocks):
         # draws at different x carry their own u; each passing row equals
-        # the single solve at its own (c, u), and one u broadcasts to all
-        inst = generate_instance(50, 50, 10, seed=1)
+        # the single solve at its own (c, u), and one u broadcasts to all;
+        # with blocks the box rows are taken by blocks at this size too
+        inst = generate(50, 50, 10, 1, blocks)
         poly = inst.constraints
         rng = np.random.default_rng(2)
         x0 = rng.standard_normal(50)
@@ -1383,3 +1427,158 @@ class TestActiveSetCache:
             # at most one tuple of rows, and the empty tuple, which costs 0
             assert len(starved.active_set_cache) <= 2
 
+
+
+def _bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _same_solve(a: LLSolution, b: LLSolution) -> bool:
+    return (np.array_equal(_bits(a.y_hat), _bits(b.y_hat))
+            and np.array_equal(_bits(a.lam), _bits(b.lam)) and a.active_set == b.active_set
+            and a.stats == b.stats and a.kkt_residual == b.kkt_residual
+            and a.max_violation == b.max_violation)
+
+
+class TestBoxBlocks:
+    # Polyhedron.box_start decides whether the lower level takes the box
+    # rows by blocks; ``generate(..., blocks=True)`` sets the size rule to 0
+
+    @pytest.mark.parametrize("d, blocks", [(99, False), (100, True)])
+    def test_size_rule(self, d, blocks):
+        # 2 d^2 box entries against BOX_BLOCK_ENTRIES = 20,000
+        inst = generate_instance(d, d, 3, seed=1)
+        assert inst.constraints.box_start == (3 if blocks else None)
+        assert inst.active_set_cache.box_start == inst.constraints.box_start
+
+    def test_rows_without_the_box_stay_dense(self):
+        # box_radius=None leaves no box; nor do k >= 2 d random rows make one
+        inst = generate(3, 3, 8, 1, True)
+        poly = inst.constraints
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("dsblo.problem.BOX_BLOCK_ENTRIES", 0)
+            unboxed = replace(inst, constraints=Polyhedron(poly.A[:8], poly.B[:8], poly.b[:8]),
+                              box_radius=None)
+        assert poly.box_start == 8 and unboxed.constraints.box_start is None
+        assert unboxed.active_set_cache.box_start is None
+        # a cache of bare arrays stays dense whatever its rows
+        assert ActiveSetCache(inst.hess_yy_diag, poly.A).box_start is None
+
+    @pytest.mark.parametrize("change", ["swap_box_rows", "swap_blocks", "scale", "coupled_b",
+                                        "box_first", "off_diagonal", "none"])
+    def test_permuted_or_scaled_box_rows_stay_dense(self, change):
+        inst = generate(3, 3, 2, 1, True)
+        A, B, b = (np.array(a) for a in (inst.constraints.A, inst.constraints.B,
+                                         inst.constraints.b))
+        if change == "swap_box_rows":
+            A[[2, 3]] = A[[3, 2]]
+        elif change == "swap_blocks":
+            A[2:] = np.vstack([A[5:], A[2:5]])
+        elif change == "scale":
+            A[6] *= 2.0
+        elif change == "coupled_b":
+            B[4, 1] = 1e-300
+        elif change == "box_first":
+            A, B, b = np.roll(A, 6, axis=0), np.roll(B, 6, axis=0), np.roll(b, 6)
+        elif change == "off_diagonal":
+            A[3, 0] = -0.5
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("dsblo.problem.BOX_BLOCK_ENTRIES", 0)
+            poly = Polyhedron(A, B, b)
+        assert poly.box_start == (2 if change == "none" else None)
+
+    @pytest.mark.parametrize("d, k, blocks", [(4, 3, True), (4, 0, True), (100, 20, False)])
+    def test_saved_instance_keeps_the_decision_and_the_bits(self, tmp_path, d, k, blocks):
+        inst = generate(d, d, k, 2, blocks, box_radius=0.3)
+        save_instance(inst, tmp_path / "inst.json")
+        with pytest.MonkeyPatch.context() as mp:
+            if blocks:
+                mp.setattr("dsblo.problem.BOX_BLOCK_ENTRIES", 0)
+            back = load_instance(tmp_path / "inst.json")
+        assert back.constraints.box_start == inst.constraints.box_start == k
+        assert back.fingerprint == inst.fingerprint
+        rng = np.random.default_rng(3)
+        binding = 0
+        for scale in (0.0, 0.5, 1.0, 2.0):
+            x = scale / math.sqrt(d) * rng.standard_normal(d)
+            q = sample_perturbation(1e-3, rng, d)
+            sol = solve_ll_quadratic(back, x, q)
+            assert _same_solve(sol, solve_ll_quadratic(inst, x, q))
+            binding += bool(sol.active_set)
+        assert binding
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 9), st.integers(0, 2 ** 16),
+           st.integers(-3, 3), st.sampled_from([0, 1, 3]))
+    def test_box_slack_is_the_dense_product_on_the_box(self, d, m, seed, exponent, n):
+        # the box rows' slacks u - y and u + y are the dense product's bits;
+        # the rows before m are their own product's
+        rng = np.random.default_rng(seed)
+        A = np.vstack([rng.standard_normal((m, d)), np.eye(d), -np.eye(d)])
+        shape = (d,) if n == 0 else (d, n)
+        y = 10.0 ** exponent * rng.standard_normal(shape)
+        u = rng.standard_normal((m + 2 * d,) + shape[1:])
+        got = ll._box_slack(A, m, u, y)
+        assert np.array_equal(_bits(got[m:]), _bits((u - A @ y)[m:]))
+        assert np.array_equal(_bits(got[:m]), _bits(u[:m] - A[:m] @ y))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 6), st.integers(0, 2 ** 16),
+           st.sampled_from([0.2, 1.0, 10.0]), st.sampled_from([0.0, 0.5, 2.0, 5.0]),
+           st.sampled_from([1e-3, 0.3]))
+    def test_blocks_solve_as_the_dense_products(self, d, k, seed, radius, scale, q_radius):
+        # the same instance, one with its box taken by blocks: its solves
+        # have the dense solves' active sets, pivots and repairs, and their
+        # y and multipliers to round-off (the coupled rows' product alone
+        # may round differently), with and without a start; the batch on
+        # the solve's active set agrees too
+        dense = generate(d, d, k, seed, box_radius=radius)
+        blocked = generate(d, d, k, seed, True, box_radius=radius)
+        assert dense.constraints.box_start is None and blocked.constraints.box_start == k
+        rng = np.random.default_rng(seed)
+        x = scale * rng.standard_normal(d)
+        qs = np.array([sample_perturbation(q_radius, rng, d).q for _ in range(4)])
+        try:
+            refs = [solve_ll_quadratic(dense, x, q) for q in qs]
+        except DsbloError as exc:
+            with pytest.raises(type(exc)):
+                solve_ll_quadratic(blocked, x, qs[0])
+            return
+        for q in qs:
+            for start in ((), refs[0].active_set):
+                ref = solve_ll_quadratic(dense, x, q, start)
+                sol = solve_ll_quadratic(blocked, x, q, start)
+                assert sol.active_set == ref.active_set and sol.stats == ref.stats
+                assert np.allclose(sol.y_hat, ref.y_hat, rtol=1e-12, atol=1e-12)
+                assert np.allclose(sol.lam, ref.lam, rtol=1e-12, atol=1e-12)
+                assert sol.kkt_residual <= KKT_TOL and sol.max_violation <= 1e-9
+        c, u = ll._linear_terms(blocked, x, qs[0])
+        B, b = blocked.constraints.B, blocked.constraints.b
+        assert np.array_equal(_bits(u[k:]), _bits(blocked.constraints.rhs(x)[k:]))
+        assert np.array_equal(_bits(u[:k]), _bits(b[:k] - B[:k] @ x))
+        y = refs[0].y_hat
+        assert np.array_equal(_bits(ll._box_slack(blocked.constraints.A, k, u, y)[k:]),
+                              _bits((u - blocked.constraints.A @ y)[k:]))
+        C = x @ blocked.Q2 + qs
+        ok_d, Y_d, Lam_d = solve_qp_batch(dense.active_set_cache, C, u, refs[0].active_set)
+        ok_b, Y_b, Lam_b = solve_qp_batch(blocked.active_set_cache, C, u, refs[0].active_set)
+        assert np.array_equal(ok_b, ok_d) and ok_b[0]
+        assert np.allclose(Y_b[ok_b], Y_d[ok_d], rtol=1e-12, atol=1e-12)
+        assert np.allclose(Lam_b[ok_b], Lam_d[ok_d], rtol=1e-12, atol=1e-12)
+
+    def test_box_without_random_rows(self):
+        # k = 0: the coupled block is empty, the box is all the rows
+        dense = generate(5, 5, 0, 4, box_radius=0.2)
+        blocked = generate(5, 5, 0, 4, True, box_radius=0.2)
+        assert blocked.constraints.box_start == 0
+        rng = np.random.default_rng(4)
+        q = sample_perturbation(1e-3, rng, 5)
+        assert ll.interior_point(blocked.active_set_cache,
+                                 *ll._linear_terms(blocked, np.zeros(5), q.q)) is not None
+        binding = 0
+        for scale in (0.0, 0.1, 1.0):
+            x = scale * rng.standard_normal(5)
+            sol = solve_ll_quadratic(blocked, x, q)
+            assert _same_solve(sol, solve_ll_quadratic(dense, x, q))
+            binding += bool(sol.active_set)
+        assert binding
